@@ -341,12 +341,6 @@ class _GapGrid:
         return float(g[i]), float(self.xs[i])
 
 
-def _tangency_gap(ctx: _Ctx, u2: float, grid: _GapGrid | None = None):
-    if grid is None:
-        grid = _GapGrid(ctx, u2)
-    return grid.min_gap(u2)
-
-
 def solve_barriers(p: BankParams, kappa: float | None = None,
                    omega: float | None = None) -> FullSolution:
     """Solve the tangency system for (u1, u2) and assemble the solution.

@@ -43,7 +43,7 @@ from scipy.special import ndtr, ndtri
 from . import bank_full
 from .errors import NoConvergence, ValidationError
 from .filtering import riccati_variance
-from .params import BankParams, GridSpec
+from .params import BankGrid, BankParams
 
 
 @dataclass(frozen=True)
@@ -81,24 +81,14 @@ def psi(x, y):
     y = np.asarray(y, dtype=float)
     scalar = x.ndim == 0 and y.ndim == 0
     x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    out = np.empty(x.shape)
+    out = np.zeros(x.shape)
     flat = y <= 0.0
     out[flat] = np.maximum(x[flat], 0.0)
-    live = ~flat
-    if np.any(live):
-        xl, yl = x[live], y[live]
-        if np.any(xl <= -1.0):
-            # payoff positive part is identically zero below x = -1
-            sub = xl <= -1.0
-            vals = np.empty(xl.shape)
-            vals[sub] = 0.0
-            xs, ys = xl[~sub], yl[~sub]
-            ustar = (0.5 * ys - np.log1p(xs)) / np.sqrt(ys)
-            vals[~sub] = (xs + 1.0) * ndtr(np.sqrt(ys) - ustar) - ndtr(-ustar)
-            out[live] = vals
-        else:
-            ustar = (0.5 * yl - np.log1p(xl)) / np.sqrt(yl)
-            out[live] = (xl + 1.0) * ndtr(np.sqrt(yl) - ustar) - ndtr(-ustar)
+    # the payoff's positive part is identically zero below x = -1
+    live = ~flat & ~(x <= -1.0)
+    xl, yl = x[live], y[live]
+    ustar = (0.5 * yl - np.log1p(xl)) / np.sqrt(yl)
+    out[live] = (xl + 1.0) * ndtr(np.sqrt(yl) - ustar) - ndtr(-ustar)
     return float(out[0]) if scalar else out
 
 
@@ -158,7 +148,7 @@ def _interp_rows(xs, V, rows, x):
     return (1.0 - t) * V[rows, j] + t * V[rows, j + 1]
 
 
-def default_grid(p: BankParams, n_x: int = 401, n_s: int = 81) -> GridSpec:
+def default_grid(p: BankParams, n_x: int = 401, n_s: int = 81) -> BankGrid:
     """Default (X_hat, S) discretization: S in [s_inf/20, S_bar]."""
     s_inf = p.s_infinity
     if s_inf <= 0.0:
@@ -166,12 +156,12 @@ def default_grid(p: BankParams, n_x: int = 401, n_s: int = 81) -> GridSpec:
     rule = LiquidationRule(p.kappa_min, p.conf_a)
     x_lo = float(min(liquidation_barrier(np.asarray([p.S_bar, s_inf]), rule).min(), p.kappa_min))
     x_hi = 5.0 * max(p.kappa_min, 0.13)
-    return GridSpec(x_lo=x_lo - 0.005, x_hi=x_hi, n_x=n_x,
+    return BankGrid(x_lo=x_lo - 0.005, x_hi=x_hi, n_x=n_x,
                     y_lo=s_inf / 20.0, y_hi=p.S_bar, n_y=n_s,
                     stretching="geometric")
 
 
-def _x_grid(spec: GridSpec) -> np.ndarray:
+def _x_grid(spec: BankGrid) -> np.ndarray:
     if spec.stretching == "geometric":
         # cluster nodes near the liquidation end of the axis
         t = np.linspace(0.0, 1.0, spec.n_x)
@@ -180,7 +170,7 @@ def _x_grid(spec: GridSpec) -> np.ndarray:
     return np.linspace(spec.x_lo, spec.x_hi, spec.n_x)
 
 
-def _s_grid(p: BankParams, spec: GridSpec):
+def _s_grid(p: BankParams, spec: BankGrid):
     """S grid containing the invariant line as an exact node."""
     s_inf = p.s_infinity
     lo, hi = spec.y_lo, spec.y_hi
@@ -237,13 +227,12 @@ def _shift_sup(xs, V, sbar, cost_K):
 
 
 class _SliceProblem:
-    """Shared coefficients of the per-slice obstacle problems."""
+    """Shared coefficients of the per-slice obstacle problems on the X grid."""
 
-    def __init__(self, p: BankParams, spec: GridSpec, n_time: int = 64):
+    def __init__(self, p: BankParams, xs: np.ndarray, n_time: int = 64):
         self.p = p
-        self.spec = spec
         self.rule = LiquidationRule(p.kappa_min, p.conf_a)
-        self.xs = _x_grid(spec)
+        self.xs = xs
         self.n_time = n_time
         self.dm = p.delta - p.mu
         self.am = p.alpha - p.mu
@@ -257,11 +246,10 @@ class _SliceProblem:
     def lop_rows(self, S, extra_diag=0.0):
         """Interior rows of -(L - extra_diag) as banded tridiagonal parts.
 
-        Returns (sub, diag, sup) arrays over interior nodes 1..n-2 plus the
-        drift sign used for upwinding.
+        Returns (sub, diag, sup) arrays over interior nodes 1..n-2, with the
+        first-order term upwinded by the sign of the drift.
         """
         xs = self.xs
-        n = xs.size
         vol2 = self.vol(S) ** 2
         diffc = 0.5 * vol2 * (1.0 + xs[1:-1]) ** 2
         drift = self.am * (1.0 + xs[1:-1])
@@ -278,55 +266,41 @@ class _SliceProblem:
         sub[~up] -= -drift[~up] / h_m[~up]
         return sub, dia, sup
 
+    def banded_system(self, S, vol2, extra_diag, rhs):
+        """Banded system of -(L - extra_diag) V = rhs on the slice at variance S.
 
-def _solve_slice(sp: _SliceProblem, S, rhs_extra_diag, rhs_extra_vec,
-                 p_op: np.ndarray, rho_pen: float, v_init: np.ndarray,
-                 max_iter: int = 60):
-    """Active-set policy iteration for one penalized slice problem.
-
-    Solves  max{ L V - extra_diag V + extra_vec, 1 - V_X, P - V } = 0 with
-    cut-cell Dirichlet at I(S), V_X = 1 at the far field, and penalty
-    rho_pen on the two constraints.  Returns (V, regions).
-    """
-    xs = sp.xs
-    n = xs.size
-    x_b = float(liquidation_barrier(S, sp.rule))
-    v_b = sp.boundary_value(S)
-    i0 = int(np.searchsorted(xs, x_b, side="right"))
-    if i0 >= n - 2:
-        raise ValidationError("liquidation barrier outside the X grid")
-    h_sw = xs[i0] - x_b
-    h = xs[i0 + 1] - xs[i0] if i0 + 1 < n else xs[-1] - xs[-2]
-    snap = h_sw < 0.05 * h  # barrier essentially on the node
-    V = v_init.copy()
-    V[:i0] = v_b
-    div_active = np.zeros(n, dtype=bool)
-    rec_active = np.zeros(n, dtype=bool)
-    vol2 = sp.vol(S) ** 2
-    h_p_full = np.empty(n)
-    h_p_full[:-1] = np.diff(xs)
-    h_p_full[-1] = h_p_full[-2]
-
-    for it in range(max_iter):
-        sub, dia, sup = sp.lop_rows(S, extra_diag=rhs_extra_diag)
-        rhs = rhs_extra_vec.copy()
+        Rows below the barrier I(S) are Dirichlet at the liquidation payoff;
+        the first node above it takes the Shortley-Weller one-sided stencil
+        (Dirichlet when the barrier sits essentially on the node); the last
+        row imposes V_X = 1.  ``vol2`` is the squared volatility of the cut
+        cell and ``rhs`` the interior right-hand side on the whole grid.
+        Returns (ab, b, i0, snap): i0 is the first node above the barrier.
+        """
+        xs = self.xs
+        n = xs.size
+        x_b = float(liquidation_barrier(S, self.rule))
+        v_b = self.boundary_value(S)
+        i0 = int(np.searchsorted(xs, x_b, side="right"))
+        if i0 >= n - 2:
+            raise ValidationError("liquidation barrier outside the X grid")
+        sub, dia, sup = self.lop_rows(S, extra_diag=extra_diag)
         ab = np.zeros((3, n))
         b = np.zeros(n)
-        # dead + Dirichlet boundary rows
         ab[1, :i0] = 1.0
         b[:i0] = v_b
+        h_sw = xs[i0] - x_b
+        hp = xs[i0 + 1] - xs[i0]
+        snap = h_sw < 0.05 * hp  # barrier essentially on the node
         if snap:
             ab[1, i0] = 1.0
             b[i0] = v_b
         else:
             # Shortley-Weller one-sided stencil at the cut cell i0
-            hp = xs[i0 + 1] - xs[i0]
             diffc = 0.5 * vol2 * (1.0 + xs[i0]) ** 2
-            drift = sp.am * (1.0 + xs[i0])
+            drift = self.am * (1.0 + xs[i0])
             c_b = 2.0 * diffc / (h_sw * (h_sw + hp))
             c_r = 2.0 * diffc / (hp * (h_sw + hp))
-            c_c = -(c_b + c_r)
-            dia_i = -c_c + sp.dm + rhs_extra_diag
+            dia_i = c_b + c_r + self.dm + extra_diag
             sup_i = -c_r
             rhs_i = rhs[i0] + c_b * v_b
             if drift >= 0.0:
@@ -347,33 +321,52 @@ def _solve_slice(sp: _SliceProblem, S, rhs_extra_diag, rhs_extra_vec,
         ab[1, n - 1] = 1.0
         ab[2, n - 2] = -1.0
         b[n - 1] = xs[-1] - xs[-2]
+        return ab, b, i0, snap
+
+
+def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
+                 rho_pen: float, max_iter: int = 60):
+    """Active-set policy iteration for one penalized slice problem.
+
+    Solves  max{ L V - extra_diag V + rhs_extra, 1 - V_X, P - V } = 0 on the
+    slice system of :meth:`_SliceProblem.banded_system`, with penalty rho_pen
+    on the two constraints.  The iteration starts from empty active sets.
+    Returns (V, regions).
+    """
+    xs = sp.xs
+    n = xs.size
+    ab0, b0, i0, snap = sp.banded_system(S, sp.vol(S) ** 2, extra_diag, rhs_extra)
+    start = i0 + 1
+    idx = np.arange(n)
+    h_m_full = np.empty(n)
+    h_m_full[1:] = np.diff(xs)
+    h_m_full[0] = h_m_full[1]
+    div_active = np.zeros(n, dtype=bool)
+    rec_active = np.zeros(n, dtype=bool)
+
+    for it in range(max_iter):
         # penalties (implicit in V) on interior active nodes; the dividend
         # constraint discretizes V_X backward, which keeps the M-matrix
-        idx = np.arange(n)
-        h_m_full = np.empty(n)
-        h_m_full[1:] = np.diff(xs)
-        h_m_full[0] = h_m_full[1]
-        act_d = div_active & (idx > start) & (idx < n - 1)
-        act_r = rec_active & (idx >= start) & (idx < n - 1)
-        sl = np.where(act_d)[0]
+        ab = ab0.copy()
+        b = b0.copy()
+        sl = np.where(div_active & (idx > start) & (idx < n - 1))[0]
         ab[1, sl] += rho_pen / h_m_full[sl]
         ab[2, sl - 1] -= rho_pen / h_m_full[sl]
         b[sl] += rho_pen
+        act_r = rec_active & (idx >= start) & (idx < n - 1)
         ab[1, act_r] += rho_pen
         b[act_r] += rho_pen * p_op[act_r]
-        V_new = solve_banded((1, 1), ab, b)
+        V = solve_banded((1, 1), ab, b)
 
         slope_b = np.empty(n)
-        slope_b[1:] = np.diff(V_new) / np.diff(xs)
+        slope_b[1:] = np.diff(V) / np.diff(xs)
         slope_b[0] = slope_b[1]
         new_d = slope_b < 1.0 - 1e-12
-        new_r = (p_op - V_new) > 1e-12
+        new_r = (p_op - V) > 1e-12
         new_r &= ~new_d  # dividend constraint wins where both fire
         if np.array_equal(new_d, div_active) and np.array_equal(new_r, rec_active):
-            V = V_new
             break
         div_active, rec_active = new_d, new_r
-        V = V_new
     regions = np.full(n, 2, dtype=np.int8)
     regions[:i0] = 0
     regions[div_active & (idx > start)] = 3
@@ -392,56 +385,15 @@ def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
     """
     p = sp.p
     xs = sp.xs
-    n = xs.size
-    Delta = p.delay_Delta
     n_t = sp.n_time
-    dt = Delta / n_t
-    s_path = riccati_variance(p, S0, np.linspace(0.0, Delta, n_t + 1))
+    dt = p.delay_Delta / n_t
+    s_path = riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, n_t + 1))
     # terminal condition: exact line search over issuance sizes
     v_term = surface_lookup(xs, float(s_path[-1]))
     u = _shift_sup(xs, v_term, p.issue_cap_sbar, p.issue_cost_K)
-    vol2_cache = sp.vol(np.asarray(s_path)) ** 2
+    vol2 = sp.vol(np.asarray(s_path)) ** 2
     for k in range(n_t - 1, -1, -1):
-        t_mid = float(s_path[k])
-        x_b = float(liquidation_barrier(t_mid, sp.rule))
-        v_b = sp.boundary_value(t_mid)
-        i0 = int(np.searchsorted(xs, x_b, side="right"))
-        sub, dia, sup = sp.lop_rows(t_mid, extra_diag=1.0 / dt)
-        ab = np.zeros((3, n))
-        b = np.zeros(n)
-        ab[1, :i0] = 1.0
-        b[:i0] = v_b
-        h_sw = xs[i0] - x_b
-        hp = xs[i0 + 1] - xs[i0]
-        if h_sw < 0.05 * hp:
-            ab[1, i0] = 1.0
-            b[i0] = v_b
-        else:
-            # Shortley-Weller cut cell against the moving barrier
-            diffc = 0.5 * float(vol2_cache[k]) * (1.0 + xs[i0]) ** 2
-            drift = sp.am * (1.0 + xs[i0])
-            c_b = 2.0 * diffc / (h_sw * (h_sw + hp))
-            c_r = 2.0 * diffc / (hp * (h_sw + hp))
-            dia_i = c_b + c_r + sp.dm + 1.0 / dt
-            sup_i = -c_r
-            rhs_i = u[i0] / dt + c_b * v_b
-            if drift >= 0.0:
-                dia_i += drift / hp
-                sup_i -= drift / hp
-            else:
-                dia_i += -drift / h_sw
-                rhs_i += -drift / h_sw * v_b
-            ab[1, i0] = dia_i
-            ab[0, i0 + 1] = sup_i
-            b[i0] = rhs_i
-        start = i0 + 1
-        ab[2, start - 1:n - 2] = sub[start - 1:]
-        ab[1, start:n - 1] = dia[start - 1:]
-        ab[0, start + 1:n] = sup[start - 1:]
-        b[start:n - 1] = u[start:n - 1] / dt
-        ab[1, n - 1] = 1.0
-        ab[2, n - 2] = -1.0
-        b[n - 1] = xs[-1] - xs[-2]
+        ab, b, _, _ = sp.banded_system(float(s_path[k]), float(vol2[k]), 1.0 / dt, u / dt)
         u = solve_banded((1, 1), ab, b)
     return u
 
@@ -451,19 +403,12 @@ def impulse_operator(sol: PartialSolution, start, p: BankParams | None = None,
     """P V at a single point of a solved surface."""
     p = sol.params if p is None else p
     x0, s0 = start
-    sp = _SliceProblem(p, GridSpec(x_lo=sol.xs[0], x_hi=sol.xs[-1], n_x=sol.xs.size,
-                                   y_lo=sol.ss[0], y_hi=sol.ss[-1], n_y=sol.ss.size),
-                       n_time=n_time)
-    sp.xs = sol.xs
-
-    def lookup(x_arr, S):
-        return sol.value(x_arr, S)
-
-    vals = _impulse_slice(sp, float(s0), lookup)
+    sp = _SliceProblem(p, sol.xs, n_time=n_time)
+    vals = _impulse_slice(sp, float(s0), sol.value)
     return float(np.interp(x0, sol.xs, vals))
 
 
-def penalty_solve(p: BankParams, grid: GridSpec | None = None,
+def penalty_solve(p: BankParams, grid: BankGrid | None = None,
                   n_time: int = 64, line_tol: float = 5e-7,
                   line_max_sweeps: int = 40) -> PartialSolution:
     """Solve the variational inequality on both sub-domains.
@@ -477,7 +422,7 @@ def penalty_solve(p: BankParams, grid: GridSpec | None = None,
         grid = default_grid(p)
     kappa1, omega1 = degenerate_boundary_params(p)
     full_line = bank_full.solve_barriers(p, kappa=kappa1, omega=omega1)
-    sp = _SliceProblem(p, grid, n_time=n_time)
+    sp = _SliceProblem(p, _x_grid(grid), n_time=n_time)
     xs = sp.xs
     ss, line_idx = _s_grid(p, grid)
     n_s, n_x = ss.size, xs.size
@@ -516,6 +461,9 @@ def penalty_solve(p: BankParams, grid: GridSpec | None = None,
 
     total_iters = 0
     residual = 0.0
+    # each slice solve starts policy iteration from empty active sets, so the
+    # earlier, smaller penalties of the schedule would not change its result
+    rho_pen = grid.penalty_schedule[-1]
 
     # numeric solve of the invariant-line slice (diagnostic; frozen-P sweeps)
     s_line = float(ss[line_idx])
@@ -525,10 +473,7 @@ def penalty_solve(p: BankParams, grid: GridSpec | None = None,
     for sweep in range(line_max_sweeps):
         V[line_idx] = v_num  # the line's own P references this iterate
         p_line = _impulse_slice(sp, s_line, lookup)
-        v_new = v_num
-        for rho_pen in grid.penalty_schedule:
-            v_new, reg_line = _solve_slice(sp, s_line, 0.0, np.zeros(n_x),
-                                           p_line, rho_pen, v_new)
+        v_new, _ = _solve_slice(sp, s_line, 0.0, np.zeros(n_x), p_line, rho_pen)
         change = float(np.max(np.abs(v_new - v_num) / (1.0 + np.abs(v_num))))
         v_num = v_new
         total_iters += 1
@@ -553,9 +498,7 @@ def penalty_solve(p: BankParams, grid: GridSpec | None = None,
             b_drift = p.sigma**2 - sp.vol(S) ** 2
             adv = abs(b_drift) / dS
             p_slice = _impulse_slice(sp, S, lookup)
-            v = V[toward].copy() if sweep == 0 else V[j].copy()
-            for rho_pen in grid.penalty_schedule:
-                v, reg = _solve_slice(sp, S, adv, adv * V[toward], p_slice, rho_pen, v)
+            v, reg = _solve_slice(sp, S, adv, adv * V[toward], p_slice, rho_pen)
             if sweep > 0:
                 change = max(change, float(np.max(np.abs(v - V[j]) / (1.0 + np.abs(V[j])))))
             V[j] = v
@@ -614,7 +557,7 @@ _SWEEP_FRACTIONS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)  # of s_inf, for the S-ro
 
 
 def elasticity(p: BankParams, param_name: str, rel_step: float = 0.01,
-               grid: GridSpec | None = None, solver=penalty_solve,
+               grid: BankGrid | None = None, solver=penalty_solve,
                baseline: PartialSolution | None = None) -> dict:
     """Central-difference elasticities of {u1, u2, I, V} at the long-run S.
 
@@ -663,9 +606,6 @@ def elasticity(p: BankParams, param_name: str, rel_step: float = 0.01,
         return {k: float(np.nanmean(v)) for k, v in out.items()}
 
     value0 = getattr(p, param_name)
-    if param_name in ("omega", "delay_Delta", "issue_cost_K"):
-        # I(S) does not depend on these: exact zeros, no perturbed I
-        pass
     step = rel_step * abs(value0) if value0 != 0.0 else rel_step
     p_hi = replace(p, **{param_name: value0 + step, "S_bar": None})
     p_lo = replace(p, **{param_name: value0 - step, "S_bar": None})

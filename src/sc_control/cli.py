@@ -20,13 +20,7 @@ import numpy as np
 
 from . import __version__, bank_full, bank_partial, calibrate, filtering, panel, retire, simulate
 from .errors import ScControlError
-from .params import BankParams, GridSpec, RetireParams
-
-SUBCOMMANDS = (
-    "filter", "calibrate", "solve-bank-full", "solve-bank-partial",
-    "solve-retire", "solve-retire-finite", "solve-retire-ez",
-    "simulate-bank", "simulate-retire", "elasticity",
-)
+from .params import BankGrid, BankParams, RetireGrid, RetireParams, from_dict
 
 
 def _load_config(path) -> dict:
@@ -35,17 +29,21 @@ def _load_config(path) -> dict:
 
 
 def _bank_params(cfg: dict) -> BankParams:
-    return BankParams(**cfg["bank_params"])
+    return from_dict(BankParams, cfg["bank_params"])
 
 
 def _retire_params(cfg: dict) -> RetireParams:
-    return RetireParams(**cfg["retire_params"])
+    return from_dict(RetireParams, cfg["retire_params"])
 
 
-def _grid(cfg: dict, default=None):
+def _bank_grid(cfg: dict, p: BankParams, **size) -> BankGrid:
     if "grid" in cfg:
-        return GridSpec(**cfg["grid"])
-    return default
+        return from_dict(BankGrid, cfg["grid"])
+    return bank_partial.default_grid(p, **size)
+
+
+def _retire_grid(cfg: dict) -> RetireGrid:
+    return from_dict(RetireGrid, cfg.get("grid", {}))
 
 
 def _write_manifest(out_dir, subcommand, cfg, args, extra=None):
@@ -53,7 +51,6 @@ def _write_manifest(out_dir, subcommand, cfg, args, extra=None):
         "subcommand": subcommand,
         "config": cfg,
         "seed": args.seed,
-        "threads": args.threads,
         "out": str(out_dir),
         "version": __version__,
     }
@@ -117,7 +114,7 @@ def _cmd_calibrate(cfg, args, out_dir):
         series = filtering.series_from_csv(cfg["series_csv"])
     else:
         series = np.asarray(cfg["series"], dtype=float)
-    pf_cfg = calibrate.PfConfig(seed=args.seed, **cfg.get("pf", {}))
+    pf_cfg = from_dict(calibrate.PfConfig, {**cfg.get("pf", {}), "seed": args.seed})
     result = calibrate.estimate_theta(series, pf_cfg)
     hist = result.pop("history")
     _write_csv(out_dir, "theta_history.csv",
@@ -150,8 +147,7 @@ def _cmd_solve_bank_full(cfg, args, out_dir):
 
 def _cmd_solve_bank_partial(cfg, args, out_dir):
     p = _bank_params(cfg)
-    grid = _grid(cfg, bank_partial.default_grid(p))
-    sol = bank_partial.penalty_solve(p, grid)
+    sol = bank_partial.penalty_solve(p, _bank_grid(cfg, p))
     region_names = np.array(["dead", "RR", "CR", "DR"])
     path = os.path.join(out_dir, "surface.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -190,7 +186,7 @@ def _retire_csvs(sol, out_dir):
 
 def _cmd_solve_retire(cfg, args, out_dir):
     p = _retire_params(cfg)
-    sol = retire.penalty_solve_retire(p, _grid(cfg))
+    sol = retire.penalty_solve_retire(p, _retire_grid(cfg))
     _retire_csvs(sol, out_dir)
     return {"threshold_w_over_I": sol.wealth_threshold(),
             "participation_target": sol.participation_target(),
@@ -199,7 +195,7 @@ def _cmd_solve_retire(cfg, args, out_dir):
 
 def _cmd_solve_retire_finite(cfg, args, out_dir):
     p = _retire_params(cfg)
-    sol = retire.finite_horizon_solve(p, _grid(cfg), dt=cfg.get("dt", 0.25))
+    sol = retire.finite_horizon_solve(p, _retire_grid(cfg), dt=cfg.get("dt", 0.25))
     _retire_csvs(sol, out_dir)
     idx0 = int(np.argmin(np.abs(sol.z)))
     thresholds = retire.wealth_to_income(sol.xi_retire_by_age[:, idx0], p.r)
@@ -210,7 +206,7 @@ def _cmd_solve_retire_finite(cfg, args, out_dir):
 
 def _cmd_solve_retire_ez(cfg, args, out_dir):
     p = _retire_params(cfg)
-    sol = retire.epstein_zin_solve(p, _grid(cfg))
+    sol = retire.epstein_zin_solve(p, _retire_grid(cfg))
     _retire_csvs(sol, out_dir)
     return {"threshold_w_over_I": sol.wealth_threshold(),
             "participation_target": sol.participation_target(),
@@ -220,8 +216,7 @@ def _cmd_solve_retire_ez(cfg, args, out_dir):
 def _cmd_simulate_bank(cfg, args, out_dir):
     p = _bank_params(cfg)
     if p.noise_m > 0.0:
-        grid = _grid(cfg, bank_partial.default_grid(p))
-        policy = bank_partial.penalty_solve(p, grid)
+        policy = bank_partial.penalty_solve(p, _bank_grid(cfg, p))
     else:
         policy = bank_full.solve_barriers(p)
     bundle = simulate.simulate_bank(
@@ -249,7 +244,7 @@ def _cmd_simulate_bank(cfg, args, out_dir):
 
 def _cmd_simulate_retire(cfg, args, out_dir):
     p = _retire_params(cfg)
-    grid = _grid(cfg)
+    grid = _retire_grid(cfg)
     policy = retire.penalty_solve_retire(p, grid)
     bench_params = dataclasses.replace(p, mean_reversion=0.0)
     bench = retire.penalty_solve_retire(bench_params, grid)
@@ -267,7 +262,7 @@ def _cmd_simulate_retire(cfg, args, out_dir):
 
 def _cmd_elasticity(cfg, args, out_dir):
     p = _bank_params(cfg)
-    grid = _grid(cfg, bank_partial.default_grid(p, n_x=201, n_s=41))
+    grid = _bank_grid(cfg, p, n_x=201, n_s=41)
     baseline = bank_partial.penalty_solve(p, grid)
     rows = {}
     for name in cfg.get("parameters", ["S", "sigma", "noise_m", "omega", "rho",
@@ -290,12 +285,13 @@ _HANDLERS = {
     "simulate-retire": _cmd_simulate_retire,
     "elasticity": _cmd_elasticity,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def run(subcommand: str, config: dict, out_dir: str, seed: int = 0,
-        threads: int | None = None, strict: bool = False) -> dict:
+        strict: bool = False) -> dict:
     """Programmatic entry point used by the CLI and tests."""
-    ns = argparse.Namespace(seed=seed, threads=threads, strict=strict)
+    ns = argparse.Namespace(seed=seed, strict=strict)
     os.makedirs(out_dir, exist_ok=True)
     summary = _HANDLERS[subcommand](config, ns, out_dir)
     _write_json(out_dir, "summary.json", summary)
@@ -312,8 +308,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON configuration path")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SC_CONTROL_THREADS", "0")) or None)
     parser.add_argument("--strict", action="store_true")
     try:
         args = parser.parse_args(argv)
@@ -321,8 +315,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = _load_config(args.config)
-        run(args.subcommand, cfg, args.out, seed=args.seed,
-            threads=args.threads, strict=args.strict)
+        run(args.subcommand, cfg, args.out, seed=args.seed, strict=args.strict)
     except (ScControlError, OSError, KeyError, ValueError) as exc:
         os.makedirs(args.out, exist_ok=True)
         _write_json(args.out, "error.json",

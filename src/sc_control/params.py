@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import (
     DiscountTooLow,
@@ -169,9 +169,18 @@ class RetireParams:
         return k
 
 
+def _check_grid(n_x: int, n_y: int, penalty_schedule) -> None:
+    if n_x < 3 or n_y < 3:
+        raise ValidationError("node counts must be >= 3 per axis")
+    if not penalty_schedule or min(penalty_schedule) <= 0.0:
+        raise ValidationError("penalty_schedule must hold at least one positive penalty")
+
+
 @dataclass(frozen=True)
-class GridSpec:
-    """Discretization controls for the PDE solvers (artifact plumbing)."""
+class BankGrid:
+    """Discretization of the (X_hat, S) domain of the partially observed
+    bank solver: bounds and node counts of both axes, node stretching in X,
+    and the penalty schedule whose last entry penalizes the constraints."""
 
     x_lo: float = 0.0
     x_hi: float = 1.0
@@ -181,35 +190,33 @@ class GridSpec:
     n_y: int = 81
     stretching: str = "uniform"  # "uniform" | "geometric"
     penalty_schedule: tuple = (1e3, 1e4, 1e5)
-    tol: float = 1e-8
-    max_iter: int = 400
 
     def __post_init__(self):
-        if self.n_x < 3 or self.n_y < 3:
-            raise ValidationError("node counts must be >= 3 per axis")
-        if self.tol <= 0.0:
-            raise ValidationError("tolerance must be > 0")
+        _check_grid(self.n_x, self.n_y, self.penalty_schedule)
         if self.stretching not in ("uniform", "geometric"):
             raise ValidationError(f"unknown stretching {self.stretching!r}")
         if self.x_hi <= self.x_lo or self.y_hi <= self.y_lo:
             raise ValidationError("grid bounds must be increasing")
 
 
-def validate_bank_params(raw: BankParams) -> BankParams:
-    """Return the record unchanged if all invariants hold (idempotent)."""
-    if isinstance(raw, BankParams):
-        return raw  # dataclass construction already validated
-    raise TypeError(f"expected BankParams, got {type(raw)!r}")
+@dataclass(frozen=True)
+class RetireGrid:
+    """Discretization of the retirement solver: ``n_x`` nodes on xi in
+    [0, 1] and ``n_y`` on z in z_bar +- 8 sigma_z (the domain follows from
+    the model), the penalty continuation schedule and the cap on
+    pseudo-time steps per penalty stage."""
 
+    n_x: int = 201
+    n_y: int = 161
+    penalty_schedule: tuple = (1e3, 1e4, 1e5)
+    max_iter: int = 600
 
-def validate_retire_params(raw: RetireParams) -> RetireParams:
-    """Return the record (with theta, K_bar attached) if invariants hold."""
-    if isinstance(raw, RetireParams):
-        return raw
-    raise TypeError(f"expected RetireParams, got {type(raw)!r}")
+    def __post_init__(self):
+        _check_grid(self.n_x, self.n_y, self.penalty_schedule)
 
 
 _DERIVED_RETIRE = ("theta", "K_bar")
+_JSON_TYPES = {cls.__name__: cls for cls in (BankParams, RetireParams, BankGrid, RetireGrid)}
 
 
 def to_json(params) -> str:
@@ -221,21 +228,32 @@ def to_json(params) -> str:
     return json.dumps(d, indent=2, sort_keys=True)
 
 
+def from_dict(cls, d: dict):
+    """Build the record ``cls`` from a plain dict (e.g. a JSON config block).
+
+    Unknown, missing and NaN fields raise :class:`ValidationError` naming
+    the field; construction then validates the record's invariants.
+    """
+    known = {f.name: f for f in fields(cls) if f.init}
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown fields for {cls.__name__}: {sorted(unknown)}")
+    missing = [name for name, f in known.items()
+               if name not in d and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValidationError(f"missing fields for {cls.__name__}: {missing}")
+    for key, val in d.items():
+        if isinstance(val, float) and math.isnan(val):
+            raise ValidationError(f"field {key} is NaN")
+    if "penalty_schedule" in d:
+        d = {**d, "penalty_schedule": tuple(d["penalty_schedule"])}
+    return cls(**d)
+
+
 def from_json(doc: str):
     """Inverse of :func:`to_json`; re-runs validation on construction."""
     d = json.loads(doc)
     kind = d.pop("__type__", None)
-    types = {"BankParams": BankParams, "RetireParams": RetireParams, "GridSpec": GridSpec}
-    if kind not in types:
+    if kind not in _JSON_TYPES:
         raise ValidationError(f"unknown or missing __type__ {kind!r}")
-    cls = types[kind]
-    allowed = {f.name for f in fields(cls) if f.init}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValidationError(f"unknown fields for {kind}: {sorted(unknown)}")
-    if kind == "GridSpec" and "penalty_schedule" in d:
-        d["penalty_schedule"] = tuple(d["penalty_schedule"])
-    for key, val in list(d.items()):
-        if isinstance(val, float) and math.isnan(val):
-            raise ValidationError(f"field {key} is NaN")
-    return cls(**d)
+    return from_dict(_JSON_TYPES[kind], d)

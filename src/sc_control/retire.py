@@ -15,7 +15,7 @@ quadratic gradient terms (1-gamma) u_xi^2 etc. are linearized one factor at
 the previous iterate and folded into the upwound first-order coefficients;
 the income-jump expectation is frozen at the previous iterate and refreshed
 every sweep.  The obstacle is enforced by an implicit penalty on the active
-set with the schedule from the grid spec.  Feedback controls come from the
+set with the schedule from the grid record.  Feedback controls come from the
 first-order conditions each iteration, clamped to the short-sale and
 borrowing constraints 0 <= y_bar <= 1 - xi; consumption at xi = 1 is capped
 at the income rate r (in capitalized units).
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence, OutsideWorkRegion, ValidationError
-from .params import GridSpec, RetireParams
+from .params import RetireGrid, RetireParams
 
 _H_DENOM_FLOOR = 1e-10
 
@@ -87,50 +87,6 @@ def retirement_obstacle(xi, p: RetireParams):
     with np.errstate(divide="ignore"):
         out = math.log(p.B) + np.log(1.0 - xi)
     return out if out.ndim else float(out)
-
-
-def jump_expectation(u_row, xi_grid, xi, z_unused, spec: IncomeJumpSpec,
-                     gamma: float) -> float:
-    """E_k[(1+(k-1)xi)^{1-gamma}/(1-gamma) e^{(1-gamma)(u(k xi/(1+(k-1)xi)) - u)}].
-
-    ``u_row`` holds u(., z) on ``xi_grid``; interpolation of u at the mapped
-    point is monotone piecewise-linear.
-    """
-    u_here = float(np.interp(xi, xi_grid, u_row))
-    total = 0.0
-    for k, w in zip(spec.nodes, spec.weights):
-        denom = 1.0 + (k - 1.0) * xi
-        xi_map = k * xi / denom if denom > 0.0 else 1.0
-        u_map = float(np.interp(xi_map, xi_grid, u_row))
-        total += w * denom ** (1.0 - gamma) / (1.0 - gamma) \
-            * math.exp((1.0 - gamma) * (u_map - u_here))
-    return total
-
-
-def optimal_controls(u, u_xi, u_xixi, u_z, u_xiz, xi, z, p: RetireParams):
-    """(y_bar*, c_bar*) from the first-order conditions, clamped.
-
-    At xi = 1 the stock weight is zero and consumption cannot exceed current
-    income (r in capitalized units).
-    """
-    g, sig, sz = p.gamma, p.sigma_stock, p.sigma_z
-    if xi >= 1.0:
-        c = min(p.K_bar * math.exp((1.0 - 1.0 / g) * u) * max(1.0 - u_xi, 1e-12) ** (-1.0 / g),
-                p.r)
-        return 0.0, c
-    Q = u_xixi + (1.0 - g) * u_xi**2
-    R = u_xiz + (1.0 - g) * u_xi * u_z
-    num = (p.mu_stock - p.r) - g * sig * (sig - sz) * xi \
-        + (g * sig * (sig - sz) * (2.0 * xi - 1.0) + p.r - p.mu_stock) * xi * u_xi \
-        - (1.0 - g) * sig * sz * u_z \
-        + sig * sz * xi * R \
-        - sig * (sig - sz) * xi**2 * (1.0 - xi) * Q
-    den = sig**2 * xi**2 * Q + 2.0 * g * sig**2 * xi * u_xi - g * sig**2
-    if den >= -_H_DENOM_FLOOR:
-        den = -_H_DENOM_FLOOR
-    y = min(max(-num / den, 0.0), 1.0 - xi)
-    c = p.K_bar * math.exp((1.0 - 1.0 / g) * u) * max(1.0 - xi * u_xi, 1e-12) ** (-1.0 / g)
-    return y, c
 
 
 @dataclass
@@ -224,10 +180,9 @@ class _Mode:
 class _RetireStepper:
     """Assembles and solves one implicit penalized pseudo-time step."""
 
-    def __init__(self, p: RetireParams, grid: GridSpec, mode: _Mode,
+    def __init__(self, p: RetireParams, grid: RetireGrid, mode: _Mode,
                  jump: IncomeJumpSpec):
         self.p = p
-        self.grid = grid
         self.mode = mode
         self.jump = jump
         self.xi = np.linspace(0.0, 1.0, grid.n_x)
@@ -419,7 +374,7 @@ class _RetireStepper:
         return u_new, y, c
 
 
-def _solve_stationary(p: RetireParams, grid: GridSpec, mode: _Mode,
+def _solve_stationary(p: RetireParams, grid: RetireGrid, mode: _Mode,
                       label: str) -> RetireSolution:
     jump = IncomeJumpSpec.for_params(p)
     stepper = _RetireStepper(p, grid, mode, jump)
@@ -494,27 +449,21 @@ def _boundaries(stepper, y, retired):
     return xi_ret, xi_np
 
 
-def penalty_solve_retire(p: RetireParams, grid: GridSpec | None = None) -> RetireSolution:
+def penalty_solve_retire(p: RetireParams, grid: RetireGrid = RetireGrid()) -> RetireSolution:
     """Infinite-horizon CRRA solve."""
-    if grid is None:
-        grid = default_retire_grid()
     return _solve_stationary(p, grid, _Mode(p, recursive=False), "crra")
 
 
-def epstein_zin_solve(p: RetireParams, grid: GridSpec | None = None) -> RetireSolution:
+def epstein_zin_solve(p: RetireParams, grid: RetireGrid = RetireGrid()) -> RetireSolution:
     """Recursive-utility solve (Duffie-Epstein aggregator, EIS psi)."""
-    if grid is None:
-        grid = default_retire_grid()
     return _solve_stationary(p, grid, _Mode(p, recursive=True), "epstein-zin")
 
 
-def finite_horizon_solve(p: RetireParams, grid: GridSpec | None = None,
+def finite_horizon_solve(p: RetireParams, grid: RetireGrid = RetireGrid(),
                          dt: float = 0.25) -> RetireSolution:
     """Mandatory-retirement variant: backward marching from u(., T) = obstacle."""
     if p.horizon_T is None:
         raise ValidationError("finite_horizon_solve requires horizon_T")
-    if grid is None:
-        grid = default_retire_grid()
     mode = _Mode(p, recursive=p.eis_psi is not None)
     jump = IncomeJumpSpec.for_params(p)
     stepper = _RetireStepper(p, grid, mode, jump)
@@ -570,6 +519,5 @@ def mpc_curve(sol: RetireSolution, z_val: float = 0.0, w_grid=None):
     return w_grid[:-1], np.diff(c) / np.diff(w_grid)
 
 
-def default_retire_grid(n_xi: int = 201, n_z: int = 161) -> GridSpec:
-    return GridSpec(x_lo=0.0, x_hi=1.0, n_x=n_xi, y_lo=-1.0, y_hi=1.0, n_y=n_z,
-                    penalty_schedule=(1e3, 1e4, 1e5), tol=1e-8, max_iter=600)
+def default_retire_grid(n_xi: int = 201, n_z: int = 161) -> RetireGrid:
+    return RetireGrid(n_x=n_xi, n_y=n_z)

@@ -280,9 +280,11 @@ def simulate_retirement(p: RetireParams, policy: RetireSolution,
             z2 = rng.standard_normal(n_paths)
             jumps = rng.random(n_paths) < p.jump_intensity * dt
             if antithetic:
+                # mirror the first half onto the second; an odd last path
+                # keeps its own draw
                 half = n_paths // 2
-                z1[half:] = -z1[:half]
-                z2[half:] = -z2[:half]
+                z1[half:2 * half] = -z1[:half]
+                z2[half:2 * half] = -z2[:half]
             share_sum[a] += np.where(W[a] > 1e-12, y / np.maximum(W[a], 1e-12), 0.0)
             share_n[a] += 1.0
             dB1 = sq * z1[a]

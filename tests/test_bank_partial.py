@@ -1,6 +1,7 @@
 """Partially observed model: liquidation rule, psi payoff, impulse operator
 against the closed-form oracle, penalty solve properties, elasticities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri, roots_hermitenorm
 
 from sc_control import bank_full, bank_partial as bp
-from sc_control.params import BankParams, GridSpec
+from sc_control.errors import ValidationError
 
 from conftest import table_bank_params
 
@@ -236,6 +237,13 @@ class TestPenaltySolve:
     def test_recap_region_vanishes_at_large_variance(self, bank_partial_solution):
         sol = bank_partial_solution
         assert not np.isfinite(sol.barrier_u1[-1])
+
+    @pytest.mark.parametrize("x_hi", [0.0, 0.01, 0.03])
+    def test_barrier_beyond_the_x_grid_is_a_validation_error(self, x_hi):
+        p = table_bank_params()
+        grid = dataclasses.replace(bp.default_grid(p, n_x=21, n_s=7), x_hi=x_hi)
+        with pytest.raises(ValidationError, match="barrier outside"):
+            bp.penalty_solve(p, grid)
 
     def test_noiseless_collapse_toward_fully_observed(self):
         # m -> 0: the invariant-line solution tends to the fully observed one

@@ -1,5 +1,6 @@
 """Panel ingestion and CLI plumbing."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from sc_control import cli, panel
+from sc_control import bank_partial, cli, panel, retire
 from sc_control.errors import ValidationError
+from sc_control.params import BankParams, from_dict
 
 TOY_CSV = """bank_id,quarter,total_assets,tier1_equity,dividends,equity_issuance,market_equity
 b1,1999-Q3,100.0,10.0,0.5,0.0,12.0
@@ -128,6 +130,25 @@ class TestCli:
         err = json.loads((out_dir / "error.json").read_text())
         assert err["error"] == "NoSolution"
 
+    @pytest.mark.parametrize("block, typo", [
+        ("bank_params", "sigmaa"), ("grid", "n_xx"), ("pf", "n_particle")])
+    def test_misspelled_config_key_exits_1_naming_it(self, tmp_path, block, typo):
+        bank = {"mu": 0.1052, "alpha": 0.1159, "sigma": 0.0311, "delta": 0.2330,
+                "omega": 0.3150, "kappa_min": 0.048}
+        sub, cfg = {
+            "bank_params": ("solve-bank-full", {"bank_params": bank}),
+            "grid": ("solve-bank-partial", {"bank_params": bank, "grid": {}}),
+            "pf": ("calibrate", {"series": [0.0, 0.1, 0.2], "pf": {}}),
+        }[block]
+        cfg[block][typo] = 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main([sub, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert typo in err["message"]
+
     def test_calibrate_subcommand_smoke(self, tmp_path):
         from sc_control import filtering as fl
 
@@ -183,14 +204,28 @@ class TestCliSolverHandlers:
            "B": 2.0, "beta": 0.04, "mu_income": 0.005, "sigma_income": 0.10,
            "recovery": 0.8, "jump_intensity": 0.05, "mean_reversion": 0.15,
            "z_bar": 0.0}
-    RGRID = {"x_lo": 0.0, "x_hi": 1.0, "n_x": 61, "y_lo": -1.0, "y_hi": 1.0,
-             "n_y": 41, "penalty_schedule": [1e3, 1e4, 1e5], "tol": 1e-8,
-             "max_iter": 600}
+    RGRID = {"n_x": 61, "n_y": 41, "penalty_schedule": [1e3, 1e4, 1e5], "max_iter": 600}
 
     def bank_grid(self):
         s_inf = self.BANK["noise_m"] * self.BANK["sigma"] * (1 - self.BANK["rho"])
         return {"x_lo": -0.03, "x_hi": 0.65, "n_x": 151, "y_lo": s_inf / 20,
                 "y_hi": 4 * s_inf, "n_y": 21, "stretching": "geometric"}
+
+    def test_default_grids_round_trip_through_run(self, tmp_path):
+        p = BankParams(**self.BANK)
+        records = (bank_partial.default_grid(p, n_x=21, n_s=7),
+                   retire.default_retire_grid(n_xi=21, n_z=15))
+        bank, ret = (dict(dataclasses.asdict(g),
+                          penalty_schedule=list(g.penalty_schedule)) for g in records)
+        assert [from_dict(type(g), d) for g, d in zip(records, (bank, ret))] == list(records)
+        out = cli.run("solve-bank-partial", {"bank_params": self.BANK, "grid": bank},
+                      str(tmp_path / "a"))
+        assert out["iterations"] == 39
+        cli.run("solve-retire-finite",
+                {"retire_params": {**self.RET, "horizon_T": 2.0}, "grid": ret, "dt": 1.0},
+                str(tmp_path / "b"))
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert manifest["config"]["grid"] == ret
 
     def test_solve_bank_partial(self, tmp_path):
         out = cli.run("solve-bank-partial",

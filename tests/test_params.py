@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,7 +18,7 @@ from conftest import baseline_retire_params, table_bank_params
 
 def test_table_row_accepted():
     p = table_bank_params()
-    assert pm.validate_bank_params(p) is p
+    assert pm.from_dict(pm.BankParams, dataclasses.asdict(p)) == p
 
 
 def test_discount_not_above_drifts_rejected():
@@ -56,9 +57,13 @@ def test_s_bar_default_covers_initial_variances():
 
 def test_gridspec_invariants():
     with pytest.raises(ValidationError):
-        pm.GridSpec(n_x=2)
+        pm.BankGrid(n_x=2)
     with pytest.raises(ValidationError):
-        pm.GridSpec(tol=0.0)
+        pm.BankGrid(stretching="cubic")
+    with pytest.raises(ValidationError):
+        pm.RetireGrid(n_y=2)
+    with pytest.raises(ValidationError):
+        pm.RetireGrid(penalty_schedule=())
 
 
 def test_json_round_trip_bank():
@@ -80,6 +85,22 @@ def test_json_unknown_field_rejected():
         pm.from_json(doc)
 
 
+def test_from_dict_names_unknown_missing_and_nan_fields():
+    d = dataclasses.asdict(table_bank_params())
+    with pytest.raises(ValidationError, match="sigmaa"):
+        pm.from_dict(pm.BankParams, {**d, "sigmaa": 0.05})
+    del d["sigma"]
+    with pytest.raises(ValidationError, match="sigma"):
+        pm.from_dict(pm.BankParams, d)
+    with pytest.raises(ValidationError, match="n_x"):
+        pm.from_dict(pm.RetireGrid, {"n_x": math.nan})
+
+
+def test_grid_json_round_trip():
+    for grid in (pm.BankGrid(x_lo=-0.03, stretching="geometric"), pm.RetireGrid(n_x=61)):
+        assert pm.from_json(pm.to_json(grid)) == grid
+
+
 @settings(max_examples=60, deadline=None)
 @given(mu=st.floats(-0.05, 0.15), alpha=st.floats(-0.05, 0.2),
        sigma=st.floats(0.005, 0.3), spread=st.floats(0.001, 0.3),
@@ -89,5 +110,5 @@ def test_validate_is_idempotent_on_valid_records(mu, alpha, sigma, spread,
     p = pm.BankParams(mu=mu, alpha=alpha, sigma=sigma,
                       delta=max(mu, alpha) + spread, omega=omega,
                       kappa_min=kappa, noise_m=0.01, rho=-0.3)
-    assert pm.validate_bank_params(pm.validate_bank_params(p)) == p
+    assert pm.from_dict(pm.BankParams, dataclasses.asdict(p)) == p
     assert math.isclose(pm.from_json(pm.to_json(p)).delta, p.delta)

@@ -8,7 +8,7 @@ import pytest
 
 from sc_control import retire as rt
 from sc_control.errors import OutsideWorkRegion, ValidationError
-from sc_control.params import RetireParams
+from sc_control.params import RetireGrid
 
 from conftest import baseline_retire_params
 
@@ -46,33 +46,51 @@ class TestJumpSpec:
         assert spec.nodes.tolist() == [0.8] and spec.weights.tolist() == [1.0]
 
 
+def stepper_on_11_nodes(p, spec=None):
+    """Solver stepper on xi = 0, 0.1, ..., 1 (3 z-rows), so 0.3, 0.5 and 1.0
+    are nodes; ``spec`` overrides the income-jump distribution."""
+    spec = rt.IncomeJumpSpec.for_params(p) if spec is None else spec
+    return rt._RetireStepper(p, RetireGrid(n_x=11, n_y=3),
+                             rt._Mode(p, recursive=False), spec)
+
+
+def jump_expectation(p, spec, u_row):
+    """E_k[...] on every xi node: the solver's jump term over its intensity."""
+    st = stepper_on_11_nodes(p, spec)
+    u = np.broadcast_to(u_row, (3, 11)).copy()
+    return st.jump_term(u)[1] / p.jump_intensity
+
+
+def controls_at(p, xi, u, u_xi, u_xixi, u_z, u_xiz):
+    """(y*, c*) of the solver's vectorized controls at node ``xi``."""
+    st = stepper_on_11_nodes(p)
+    i = int(round(xi * 10))
+    assert st.xi[i] == pytest.approx(xi, abs=1e-15)
+    y, c = st.controls(*(np.full((3, 11), v) for v in (u, u_xi, u_z, u_xixi, u_xiz)))
+    return y[1, i], c[1, i]
+
+
 class TestJumpExpectation:
     def test_zero_income_share_is_constant(self):
         p = baseline_retire_params()
-        xi_grid = np.linspace(0, 1, 11)
         u_row = np.linspace(0.7, 0.1, 11)
-        spec = rt.IncomeJumpSpec.fixed(0.8)
-        val = rt.jump_expectation(u_row, xi_grid, 0.0, 0.0, spec, p.gamma)
+        val = jump_expectation(p, rt.IncomeJumpSpec.fixed(0.8), u_row)[0]
         assert val == pytest.approx(1.0 / (1.0 - p.gamma), abs=1e-12)
 
     def test_identity_jump_changes_nothing(self):
         p = baseline_retire_params()
-        xi_grid = np.linspace(0, 1, 11)
-        u_row = np.sin(xi_grid)
-        spec = rt.IncomeJumpSpec.fixed(1.0)
-        for xi in (0.2, 0.5, 0.9):
-            val = rt.jump_expectation(u_row, xi_grid, xi, 0.0, spec, p.gamma)
-            assert val == pytest.approx(1.0 / (1.0 - p.gamma), abs=1e-12)
+        u_row = np.sin(np.linspace(0, 1, 11))
+        vals = jump_expectation(p, rt.IncomeJumpSpec.fixed(1.0), u_row)
+        for i in (2, 5, 9):  # xi = 0.2, 0.5, 0.9
+            assert vals[i] == pytest.approx(1.0 / (1.0 - p.gamma), abs=1e-12)
 
     def test_large_power_parameter_approaches_identity_jump(self):
         p = baseline_retire_params()
-        xi_grid = np.linspace(0, 1, 201)
-        u_row = 0.5 - 0.3 * xi_grid
+        u_row = 0.5 - 0.3 * np.linspace(0, 1, 11)
         ref = 1.0 / (1.0 - p.gamma)
         prev = None
         for nu in (5.0, 50.0, 500.0):
-            spec = rt.IncomeJumpSpec.power(nu)
-            val = rt.jump_expectation(u_row, xi_grid, 0.5, 0.0, spec, p.gamma)
+            val = jump_expectation(p, rt.IncomeJumpSpec.power(nu), u_row)[5]  # xi = 0.5
             gap = abs(val - ref)
             if prev is not None:
                 assert gap < prev
@@ -83,21 +101,18 @@ class TestJumpExpectation:
 class TestOptimalControls:
     def test_short_sale_clamp(self):
         p = baseline_retire_params()
-        # large positive u_z makes the numerator favour shorting
-        y, c = rt.optimal_controls(u=0.5, u_xi=-0.5, u_xixi=-1.0, u_z=-5.0,
-                                   u_xiz=0.0, xi=0.5, z=0.0, p=p)
+        # a large negative u_z makes the numerator favour shorting
+        y, c = controls_at(p, xi=0.5, u=0.5, u_xi=-0.5, u_xixi=-1.0, u_z=-5.0, u_xiz=0.0)
         assert y == 0.0
 
     def test_borrowing_clamp(self):
         p = baseline_retire_params()
-        y, c = rt.optimal_controls(u=0.5, u_xi=-0.5, u_xixi=-0.05, u_z=3.0,
-                                   u_xiz=0.0, xi=0.3, z=0.0, p=p)
+        y, c = controls_at(p, xi=0.3, u=0.5, u_xi=-0.5, u_xixi=-0.05, u_z=3.0, u_xiz=0.0)
         assert y == pytest.approx(1.0 - 0.3)
 
     def test_boundary_consumption_capped_at_income(self):
         p = baseline_retire_params()
-        y, c = rt.optimal_controls(u=2.0, u_xi=-1.0, u_xixi=-1.0, u_z=0.0,
-                                   u_xiz=0.0, xi=1.0, z=0.0, p=p)
+        y, c = controls_at(p, xi=1.0, u=2.0, u_xi=-1.0, u_xixi=-1.0, u_z=0.0, u_xiz=0.0)
         assert y == 0.0
         assert c <= p.r + 1e-15
 

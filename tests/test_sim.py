@@ -106,6 +106,14 @@ class TestSimulateRetirement:
                                           antithetic=True)
         assert anti.expected_time == pytest.approx(plain.expected_time, rel=0.12)
 
+    def test_antithetic_odd_path_count_runs_and_reproduces(self, small_retire_solves):
+        pol, ben = small_retire_solves
+        p = baseline_retire_params()
+        a = sim.simulate_retirement(p, pol, ben, 10.0, 101, 0.1, seed=5, antithetic=True)
+        b = sim.simulate_retirement(p, pol, ben, 10.0, 101, 0.1, seed=5, antithetic=True)
+        assert a == b
+        assert a[0].n_paths == 101
+
     def test_times_capped(self, small_retire_solves):
         pol, ben = small_retire_solves
         p = baseline_retire_params()
