@@ -1,7 +1,9 @@
 """Fully observed bank model: solve the barriers and dump the value function.
 
-Writes (X, V, action) plot data plus a JSON summary, for the calibrated
-parameter set or any overrides given on the command line.
+Runs the ``solve-bank-full`` subcommand at 601 plot points, for the
+calibrated parameter set or any overrides given on the command line.
+Writes value_function.csv (X, V, action), summary.json and manifest.json
+under --out.
 
 Run:
   python scripts/bank_barriers.py --out out/bank_full
@@ -9,13 +11,8 @@ Run:
 """
 
 import argparse
-import json
-import os
 
-import numpy as np
-
-from sc_control import bank_full
-from sc_control.params import BankParams
+from sc_control import cli
 
 DEFAULTS = dict(mu=0.1052, alpha=0.1159, sigma=0.0311, delta=0.2330,
                 omega=0.3150, kappa_min=0.048, issue_cost_K=0.002,
@@ -28,21 +25,9 @@ def main():
         ap.add_argument(f"--{name}", type=float, default=val)
     ap.add_argument("--out", default="out/bank_full")
     args = ap.parse_args()
-    p = BankParams(**{k: getattr(args, k) for k in DEFAULTS})
-    sol = bank_full.solve_barriers(p)
-    os.makedirs(args.out, exist_ok=True)
-    xs = np.linspace(sol.kappa, 3 * sol.u2, 601)
-    vals = sol.value(xs)
-    with open(os.path.join(args.out, "value_function.csv"), "w") as fh:
-        fh.write("X,V,action\n")
-        for x, v in zip(xs, vals):
-            fh.write(f"{float(x)!r},{float(v)!r},{sol.action(float(x)).kind}\n")
-    summary = {"lambda_minus": sol.lambda_minus, "lambda_plus": sol.lambda_plus,
-               "u0": sol.u0, "u1": sol.u1, "u2": sol.u2,
-               "conditions": {k: bool(v) for k, v in sol.conditions_report.items()}}
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-    print(f"u1 = {sol.u1:.4%}  u2 = {sol.u2:.4%}  u0 = {sol.u0:.4%}")
+    cfg = {"bank_params": {k: getattr(args, k) for k in DEFAULTS}, "n_plot": 601}
+    s = cli.run("solve-bank-full", cfg, args.out)
+    print(f"u1 = {s['u1']:.4%}  u2 = {s['u2']:.4%}  u0 = {s['u0']:.4%}")
     print(f"wrote {args.out}/value_function.csv")
 
 

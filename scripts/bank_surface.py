@@ -1,21 +1,21 @@
 """Partially observed bank model: surface, region boundaries, elasticities.
 
-Solves the variational inequality on the (X_hat, S) domain at the calibrated
-parameters, writes the surface and boundary-curve CSVs, and prints the
-elasticity table (dividend, recapitalization, liquidation barriers and the
-market value, with respect to the uncertainty and friction parameters).
+Runs the ``solve-bank-partial`` subcommand at the calibrated parameters,
+which writes surface.csv, boundaries.csv, summary.json and manifest.json
+under --out.  With --elasticities it also runs the ``elasticity``
+subcommand on the same grid (the dividend, recapitalization and liquidation
+barriers and the market value, with respect to the uncertainty and friction
+parameters) into --out/elasticity and prints the table.
 
 Run:
-  python scripts/bank_surface.py --out out/bank_partial [--fast]
+  python scripts/bank_surface.py --out out/bank_partial [--fast] [--elasticities]
 """
 
 import argparse
-import json
+import dataclasses
 import os
 
-import numpy as np
-
-from sc_control import bank_partial as bp
+from sc_control import bank_partial as bp, cli
 from sc_control.params import BankParams
 
 PARAMS = dict(mu=0.1052, alpha=0.1285, sigma=0.0521, delta=0.2570,
@@ -30,34 +30,17 @@ def main():
                     help="201 x 41 grid instead of 401 x 81")
     ap.add_argument("--elasticities", action="store_true")
     args = ap.parse_args()
-    p = BankParams(**PARAMS)
-    grid = bp.default_grid(p, n_x=201, n_s=41) if args.fast else bp.default_grid(p)
-    sol = bp.penalty_solve(p, grid)
-    os.makedirs(args.out, exist_ok=True)
-    names = np.array(["dead", "RR", "CR", "DR"])
-    with open(os.path.join(args.out, "surface.csv"), "w") as fh:
-        fh.write("X_hat,S,V,region\n")
-        for j, s in enumerate(sol.ss):
-            for i, x in enumerate(sol.xs):
-                fh.write(f"{float(x)!r},{float(s)!r},{float(sol.V[j, i])!r},"
-                         f"{names[sol.regions[j, i]]}\n")
-    curves = bp.extract_regions(sol)
-    with open(os.path.join(args.out, "boundaries.csv"), "w") as fh:
-        fh.write("S,I,u1,u2\n")
-        for k in range(curves["S"].size):
-            fh.write(",".join(repr(float(curves[c][k])) for c in ("S", "I", "u1", "u2")) + "\n")
-    print(f"kappa1 = {sol.kappa1:.4%}  omega1 = {sol.omega1:.4%}")
-    print(f"line barriers: u1 = {sol.full_line.u1:.4%}  u2 = {sol.full_line.u2:.4%}")
-    print(f"invariant-line sup error vs semi-explicit: {sol.line_sup_error:.2e}")
+    size = dict(n_x=201, n_s=41) if args.fast else {}
+    grid = dataclasses.asdict(bp.default_grid(BankParams(**PARAMS), **size))
+    cfg = {"bank_params": PARAMS, "grid": grid}
+    s = cli.run("solve-bank-partial", cfg, args.out)
+    print(f"kappa1 = {s['kappa1']:.4%}  omega1 = {s['omega1']:.4%}")
+    print(f"line barriers: u1 = {s['u1_line']:.4%}  u2 = {s['u2_line']:.4%}")
+    print(f"invariant-line sup error vs semi-explicit: {s['line_sup_error']:.2e}")
     if args.elasticities:
-        rows = {}
-        for name in ("S", "sigma", "noise_m", "omega", "rho", "delay_Delta",
-                     "issue_cost_K"):
-            rows[name] = bp.elasticity(p, name, grid=grid, baseline=sol)
-            print(f"{name:>13}: " + "  ".join(
-                f"{k}={v:+.4f}" for k, v in rows[name].items()))
-        with open(os.path.join(args.out, "elasticities.json"), "w") as fh:
-            json.dump(rows, fh, indent=2)
+        e = cli.run("elasticity", cfg, os.path.join(args.out, "elasticity"))
+        for name, row in e["elasticities"].items():
+            print(f"{name:>13}: " + "  ".join(f"{k}={v:+.4f}" for k, v in row.items()))
 
 
 if __name__ == "__main__":

@@ -1,20 +1,17 @@
 """Particle-filter parameter recovery on a simulated reporting series.
 
-Simulates a quarterly noisy-report series at known parameters, runs the SIR
-particle filter with jittering, and writes the posterior-mean history per
-step (the convergence-figure data).
+Simulates a quarterly noisy-report series at known parameters and passes it
+to the ``calibrate`` subcommand (SIR particle filter with jittering), which
+writes the posterior-mean history per step (the convergence-figure data) to
+theta_history.csv, plus summary.json and manifest.json, under --out.
 
 Run:
   python scripts/pf_recovery.py --n 400 --particles 2000 --seed 0 --out out/pf
 """
 
 import argparse
-import json
-import os
 
-import numpy as np
-
-from sc_control import calibrate as cb
+from sc_control import cli
 from sc_control import filtering as fl
 
 
@@ -31,17 +28,8 @@ def main():
     args = ap.parse_args()
     truth = (args.alpha, args.sigma, args.m, args.rho)
     _, obs = fl.simulate_signal_series(truth, n=args.n, seed=args.seed)
-    cfg = cb.PfConfig(n_particles=args.particles, seed=args.seed)
-    out = cb.estimate_theta(obs, cfg)
-    os.makedirs(args.out, exist_ok=True)
-    hist = out.pop("history")
-    with open(os.path.join(args.out, "theta_history.csv"), "w") as fh:
-        fh.write("k,alpha,sigma,m,rho\n")
-        for k, row in enumerate(hist, start=1):
-            fh.write(f"{k}," + ",".join(repr(float(v)) for v in row) + "\n")
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(out, fh, indent=2, default=float)
-    th = out["theta_hat"]
+    cfg = {"series": obs.tolist(), "pf": {"n_particles": args.particles}}
+    th = cli.run("calibrate", cfg, args.out, seed=args.seed)["theta_hat"]
     print("truth    :", dict(zip(("alpha", "sigma", "m", "rho"), truth)))
     print("estimate :", {k: round(v, 4) for k, v in th.items()})
     print("composite m^2+m*sigma*rho: truth %.5f est %.5f"

@@ -5,6 +5,11 @@ benchmark, writes boundary curves, then simulates both policies in the
 cointegrated world across mean-reversion strengths and prints the expected
 time-to-retirement / portfolio-share table.
 
+Unlike the other scripts this one does not go through ``cli.run``: the
+table simulates both solved policies in worlds other than the one they were
+solved for, which no subcommand covers (``simulate-retire`` solves and
+simulates one world), and a subcommand for it would only add a knob.
+
 Run:
   python scripts/retirement_study.py --out out/retire [--fast] [--skip-sim]
 """

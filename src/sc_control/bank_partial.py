@@ -42,7 +42,7 @@ from scipy.special import ndtr, ndtri
 
 from . import bank_full
 from .errors import NoConvergence, ValidationError
-from .filtering import riccati_variance
+from .filtering import filter_gain, riccati_variance
 from .params import BankGrid, BankParams
 
 
@@ -126,26 +126,33 @@ class PartialSolution:
 
     def value(self, x, s):
         """Bilinear interpolation of the surface (clipped to the domain)."""
-        return _interp2(self.xs, self.ss, self.V, x, s)
+        return bilinear(self.xs, self.ss, self.V, x, s)
 
 
-def _interp2(xs, ss, V, x, s):
+def bilinear(xs, ys, surface, x, y):
+    """Bilinear interpolation of ``surface[i, j]`` at (x, y) = (xs[j], ys[i]).
+
+    Points outside the grid take the value at the nearest edge.  Scalar
+    (x, y) give a float; arrays broadcast.
+    """
     x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    scalar = x.ndim == 0 and s.ndim == 0
-    x, s = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(s))
-    i = np.clip(np.searchsorted(ss, s) - 1, 0, ss.size - 2)
-    w = np.clip((s - ss[i]) / (ss[i + 1] - ss[i]), 0.0, 1.0)
-    lo = _interp_rows(xs, V, i, x)
-    hi = _interp_rows(xs, V, i + 1, x)
-    out = (1.0 - w) * lo + w * hi
+    y = np.asarray(y, dtype=float)
+    scalar = x.ndim == 0 and y.ndim == 0
+    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
+    i, w = _cell(ys, y)
+    j, t = _cell(xs, x)
+    out = (1.0 - w) * _lerp_rows(surface, i, j, t) + w * _lerp_rows(surface, i + 1, j, t)
     return float(out[0]) if scalar else out
 
 
-def _interp_rows(xs, V, rows, x):
-    j = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)
-    t = np.clip((x - xs[j]) / (xs[j + 1] - xs[j]), 0.0, 1.0)
-    return (1.0 - t) * V[rows, j] + t * V[rows, j + 1]
+def _cell(grid, q):
+    """Cell index of q on the grid (end cells outside it) and q's weight in the cell."""
+    k = np.clip(np.searchsorted(grid, q) - 1, 0, grid.size - 2)
+    return k, np.clip((q - grid[k]) / (grid[k + 1] - grid[k]), 0.0, 1.0)
+
+
+def _lerp_rows(surface, rows, j, t):
+    return (1.0 - t) * surface[rows, j] + t * surface[rows, j + 1]
 
 
 def default_grid(p: BankParams, n_x: int = 401, n_s: int = 81) -> BankGrid:
@@ -237,9 +244,6 @@ class _SliceProblem:
         self.dm = p.delta - p.mu
         self.am = p.alpha - p.mu
 
-    def vol(self, S):
-        return S / self.p.noise_m + self.p.sigma * self.p.rho
-
     def boundary_value(self, S):
         return self.rule.payoff(S, self.p.omega)
 
@@ -250,7 +254,7 @@ class _SliceProblem:
         first-order term upwinded by the sign of the drift.
         """
         xs = self.xs
-        vol2 = self.vol(S) ** 2
+        vol2 = filter_gain(S, self.p) ** 2
         diffc = 0.5 * vol2 * (1.0 + xs[1:-1]) ** 2
         drift = self.am * (1.0 + xs[1:-1])
         d2_l, d2_c, d2_r = _diff_ops(xs)
@@ -335,7 +339,7 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
     """
     xs = sp.xs
     n = xs.size
-    ab0, b0, i0, snap = sp.banded_system(S, sp.vol(S) ** 2, extra_diag, rhs_extra)
+    ab0, b0, i0, snap = sp.banded_system(S, filter_gain(S, sp.p) ** 2, extra_diag, rhs_extra)
     start = i0 + 1
     idx = np.arange(n)
     h_m_full = np.empty(n)
@@ -391,7 +395,7 @@ def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
     # terminal condition: exact line search over issuance sizes
     v_term = surface_lookup(xs, float(s_path[-1]))
     u = _shift_sup(xs, v_term, p.issue_cap_sbar, p.issue_cost_K)
-    vol2 = sp.vol(np.asarray(s_path)) ** 2
+    vol2 = filter_gain(np.asarray(s_path), p) ** 2
     for k in range(n_t - 1, -1, -1):
         ab, b, _, _ = sp.banded_system(float(s_path[k]), float(vol2[k]), 1.0 / dt, u / dt)
         u = solve_banded((1, 1), ab, b)
@@ -447,17 +451,12 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
         # marching, the short initial path segment inside the yet-unsolved
         # slice clamps to the nearest solved neighbor (O(dS) startup error,
         # removed by the refinement sweeps)
-        i = int(np.clip(np.searchsorted(ss, S) - 1, 0, n_s - 2))
-        if not (solved[i] and solved[i + 1]):
-            cand = np.where(solved)[0]
-            i_near = int(cand[np.argmin(np.abs(ss[cand] - S))])
-            rows = np.full(np.shape(x_arr), i_near)
-            return _interp_rows(xs, V, rows, x_arr)
-        w = (S - ss[i]) / (ss[i + 1] - ss[i])
-        w = min(max(w, 0.0), 1.0)
-        rows_lo = np.full(np.shape(x_arr), i)
-        return (1.0 - w) * _interp_rows(xs, V, rows_lo, x_arr) \
-            + w * _interp_rows(xs, V, rows_lo + 1, x_arr)
+        i = int(_cell(ss, S)[0])
+        if solved[i] and solved[i + 1]:
+            return bilinear(xs, ss, V, x_arr, S)
+        cand = np.where(solved)[0]
+        i_near = int(cand[np.argmin(np.abs(ss[cand] - S))])
+        return _lerp_rows(V, i_near, *_cell(xs, x_arr))
 
     total_iters = 0
     residual = 0.0
@@ -495,7 +494,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
             S = float(ss[j])
             toward = j + 1 if j < line_idx else j - 1
             dS = abs(ss[toward] - ss[j])
-            b_drift = p.sigma**2 - sp.vol(S) ** 2
+            b_drift = p.sigma**2 - filter_gain(S, p) ** 2
             adv = abs(b_drift) / dS
             p_slice = _impulse_slice(sp, S, lookup)
             v, reg = _solve_slice(sp, S, adv, adv * V[toward], p_slice, rho_pen)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCloud, DegenerateRegressor, ValidationError
-from .filtering import log_likelihood
+from .filtering import as_series, log_likelihood
 
 # keep 1 + sigma*rho/m away from the singular curve after jittering
 _TRANSFORM_BAND = 0.02
@@ -197,9 +197,7 @@ def estimate_theta(series, cfg: PfConfig) -> dict:
     version for quarterly input (drifts x4, volatilities x2, rho unchanged),
     the log-likelihood at the estimate, and a per-step summary history.
     """
-    series = np.asarray(series, dtype=float)
-    if series.size < 2:
-        raise ValidationError("series must have length >= 2")
+    series = as_series(series, min_size=2)
     cloud = init_cloud(float(series[0]), cfg)
     history = np.empty((series.size - 1, 4))
     for k in range(1, series.size):

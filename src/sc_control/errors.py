@@ -57,9 +57,5 @@ class NoConvergence(ScControlError):
         self.residual = residual
 
 
-class DegenerateDenominator(ScControlError):
-    """Portfolio first-order-condition denominator vanished."""
-
-
 class OutsideWorkRegion(ScControlError):
     """Requested point lies in the retirement region."""

@@ -37,11 +37,16 @@ from .params import BankParams
 
 @dataclass(frozen=True)
 class FilterState:
-    """Continuous-time filter state: conditional mean and variance at t."""
+    """Continuous-time filter state: conditional mean and variance at t.
 
-    m_hat: float
+    ``m_hat`` may be an array of paths that share the variance; ``innovation``
+    is the normalised innovation (dZ - m_hat dt)/m of the step that led here.
+    """
+
+    m_hat: float | np.ndarray
     s_var: float
     t: float = 0.0
+    innovation: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.s_var < 0.0:
@@ -103,23 +108,27 @@ def riccati_variance(p: BankParams, s0: float, t) -> float | np.ndarray:
     return out if t.ndim else float(out)
 
 
-def kalman_step_continuous(state: FilterState, dZ: float, dt: float, p: BankParams) -> FilterState:
+def filter_gain(s_var, p: BankParams):
+    """Posterior volatility S/m + sigma*rho: the filter's gain on the innovation."""
+    return s_var / p.noise_m + p.sigma * p.rho
+
+
+def kalman_step_continuous(state: FilterState, dZ, dt: float, p: BankParams) -> FilterState:
     """Advance the continuous filter by one signal increment dZ over dt.
 
     The mean uses the gain (S_t/m + sigma*rho) at the start of the step
-    (Euler); the variance advances by the exact closed form.
+    (Euler); the variance advances by the exact closed form.  ``dZ`` and
+    ``state.m_hat`` may be arrays of paths.
     """
     if dt <= 0.0:
         raise ValidationError("dt must be > 0")
     if p.noise_m == 0.0:
         raise SingularTransform("m = 0: use the exact-observation path instead")
-    m = p.noise_m
-    gain = state.s_var / m + p.sigma * p.rho
-    drift = (p.alpha - 0.5 * p.sigma**2) * dt
-    innovation = dZ / m - state.m_hat * dt / m
-    m_hat = state.m_hat + drift + gain * innovation
+    innovation = (dZ - state.m_hat * dt) / p.noise_m
+    m_hat = state.m_hat + (p.alpha - 0.5 * p.sigma**2) * dt \
+        + filter_gain(state.s_var, p) * innovation
     s_var = riccati_variance(p, state.s_var, dt)
-    return FilterState(m_hat=m_hat, s_var=s_var, t=state.t + dt)
+    return FilterState(m_hat=m_hat, s_var=s_var, t=state.t + dt, innovation=innovation)
 
 
 def _check_transform(theta) -> float:
@@ -168,15 +177,28 @@ def kalman_step_discrete(st: DiscreteFilterState, obs: float, theta) -> Discrete
     )
 
 
+def as_series(series, min_size: int = 1) -> np.ndarray:
+    """The observations as a 1-D float array; rejects short or non-finite input.
+
+    The error names the first non-finite entry (an empty CSV cell reads as
+    NaN), which would otherwise turn the likelihood into NaN.
+    """
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 1 or series.size < min_size:
+        raise ValidationError(f"series must be a 1-D array with >= {min_size} entries")
+    bad = np.flatnonzero(~np.isfinite(series))
+    if bad.size:
+        raise ValidationError(f"series[{bad[0]}] = {series[bad[0]]} is not finite")
+    return series
+
+
 def filter_series(series, theta, a0: float | None = None, P0: float | None = None):
     """Run the discrete filter over a series; returns the list of states.
 
     Defaults: a0 = first observation, P0 = m*sigma*(1-rho) (the long-run
     continuous-time variance) unless overridden.
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1 or series.size < 1:
-        raise ValidationError("series must be a 1-D array with >= 1 entries")
+    series = as_series(series)
     alpha, sigma, m, rho = theta
     if a0 is None:
         a0 = float(series[0])
@@ -195,9 +217,7 @@ def log_likelihood(series, theta, a0: float | None = None, P0: float | None = No
     the innovation-scaling term -n*log|1 + sigma*rho/m| that makes the value
     the exact log density of the observations.
     """
-    series = np.asarray(series, dtype=float)
-    if series.size < 2:
-        raise ValidationError("series length must be >= 2")
+    series = as_series(series, min_size=2)
     alpha, sigma, m, rho = theta
     tfac = _check_transform(theta)
     states = filter_series(series, theta, a0=a0, P0=P0)
@@ -244,6 +264,7 @@ def series_to_csv(path, series) -> None:
 
 def series_from_csv(path) -> np.ndarray:
     """Read a (k, value) CSV back into an array ordered by k."""
-    rows = np.genfromtxt(path, delimiter=",", names=True)
+    # a single data row reads as a 0-d record
+    rows = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
     order = np.argsort(rows["k"])
     return np.asarray(rows["value"])[order]

@@ -17,14 +17,14 @@ paths use a single generator so summaries are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bank_full import FullSolution
-from .bank_partial import LiquidationRule, PartialSolution
+from .bank_partial import LiquidationRule, PartialSolution, bilinear
 from .errors import ValidationError
-from .filtering import riccati_variance
+from .filtering import FilterState, filter_gain, kalman_step_continuous, riccati_variance
 from .params import BankParams, RetireParams
 from .retire import RetireSolution, xi_of_wealth
 
@@ -170,8 +170,7 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
         # issuance completion at the step's start
         comp = a & (pend_step == k)
         if comp.any():
-            _, _, u2c = curves(S)
-            top = np.maximum(u2c * Dk - E_hat[comp], 0.0)
+            top = np.maximum(u2b * Dk - E_hat[comp], 0.0)
             E_hat[comp] += top
             E[comp] += top
             n_issue[comp] += 1
@@ -183,22 +182,17 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
         dW = sqdt * zw
         dB = sqdt * zb
         dM = (p.alpha - 0.5 * p.sigma**2) * dt + p.sigma * dW
-        if noiseless:
-            innov = None
-        else:
-            dZ = M * dt + p.noise_m * dB  # signal increment from the true level
-            innov = (dZ - M_hat * dt) / p.noise_m
         # equity dynamics (true and filtered)
         E[a] += (p.alpha * E[a] + (p.alpha - p.mu) * Dk) * dt \
             + (E[a] + Dk) * p.sigma * dW[a]
         if noiseless:
             E_hat = E.copy()
-            M_hat = M.copy()
         else:
-            gain = S / p.noise_m + p.sigma * p.rho
+            dZ = M * dt + p.noise_m * dB  # signal increment from the true level
+            filt = kalman_step_continuous(FilterState(M_hat, S), dZ, dt, p)
             E_hat[a] += (p.alpha * E_hat[a] + (p.alpha - p.mu) * Dk) * dt \
-                + (E_hat[a] + Dk) * gain * innov[a]
-            M_hat = M_hat + (p.alpha - 0.5 * p.sigma**2) * dt + gain * innov
+                + (E_hat[a] + Dk) * filter_gain(S, p) * filt.innovation[a]
+            M_hat = filt.m_hat
         M = M + dM
 
         true_eq[a, k + 1] = E[a]
@@ -209,30 +203,6 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
                       issuances=n_issue, dividend_in_delay=viol, seed=seed, dt=dt)
 
 
-def _retire_policy(sol: RetireSolution):
-    """Interpolators for (y*, c*, xi*(z)) from a solved surface."""
-    xi, z = sol.xi, sol.z
-
-    def lookup(surface, xi_q, z_q):
-        j = np.clip(np.searchsorted(z, z_q) - 1, 0, z.size - 2)
-        w = np.clip((z_q - z[j]) / (z[j + 1] - z[j]), 0.0, 1.0)
-        i = np.clip(np.searchsorted(xi, xi_q) - 1, 0, xi.size - 2)
-        t = np.clip((xi_q - xi[i]) / (xi[i + 1] - xi[i]), 0.0, 1.0)
-        v00 = surface[j, i]
-        v01 = surface[j, i + 1]
-        v10 = surface[j + 1, i]
-        v11 = surface[j + 1, i + 1]
-        return (1 - w) * ((1 - t) * v00 + t * v01) + w * ((1 - t) * v10 + t * v11)
-
-    def controls(xi_q, z_q):
-        return lookup(sol.y_star, xi_q, z_q), lookup(sol.c_star, xi_q, z_q)
-
-    def xi_star(z_q):
-        return np.interp(z_q, z, sol.xi_retire)
-
-    return controls, xi_star
-
-
 def simulate_retirement(p: RetireParams, policy: RetireSolution,
                         benchmark: RetireSolution, start_w_over_i: float,
                         n_paths: int, dt: float, seed: int,
@@ -241,84 +211,87 @@ def simulate_retirement(p: RetireParams, policy: RetireSolution,
 
     Both policies face the same cointegrated world (the dynamics of ``p``);
     the benchmark is typically the mean_reversion = 0 solve, whose controls
-    ignore z.  Identical shocks drive both for variance reduction.
+    ignore z.  Identical shocks drive both for variance reduction: each side
+    is one :func:`simulate_policy` call from the same seed.
     """
-    out = []
-    for sol, label in ((policy, "policy"), (benchmark, "benchmark")):
-        rng = np.random.default_rng(seed)
-        controls, xi_star = _retire_policy(sol)
-        n_steps = int(round(RETIRE_TIME_CAP / dt))
-        W = np.full(n_paths, float(start_w_over_i))
-        inc = np.ones(n_paths)
-        Z = np.full(n_paths, p.z_bar)
-        active = np.ones(n_paths, bool)
-        ret_time = np.full(n_paths, RETIRE_TIME_CAP)
-        share_sum = np.zeros(n_paths)
-        share_n = np.zeros(n_paths)
-        sq = math.sqrt(dt)
-        for k in range(n_steps):
-            if not active.any():
-                break
-            wi = W[active] / inc[active]
-            xi_q = xi_of_wealth(wi, p.r)
-            z_q = Z[active]
-            hit = xi_q <= xi_star(z_q)
-            if hit.any():
-                idx = np.where(active)[0][hit]
-                ret_time[idx] = k * dt
-                active[idx] = False
-            if not active.any():
-                break
-            a = active
-            xi_q = xi_of_wealth(W[a] / inc[a], p.r)
-            y_bar, c_bar = controls(xi_q, Z[a])
-            total = W[a] + inc[a] / p.r
-            y = y_bar * total
-            y = np.minimum(y, W[a])  # borrowing constraint in levels
-            c = c_bar * total
-            z1 = rng.standard_normal(n_paths)
-            z2 = rng.standard_normal(n_paths)
-            jumps = rng.random(n_paths) < p.jump_intensity * dt
-            if antithetic:
-                # mirror the first half onto the second; an odd last path
-                # keeps its own draw
-                half = n_paths // 2
-                z1[half:2 * half] = -z1[:half]
-                z2[half:2 * half] = -z2[:half]
-            share_sum[a] += np.where(W[a] > 1e-12, y / np.maximum(W[a], 1e-12), 0.0)
-            share_n[a] += 1.0
-            dB1 = sq * z1[a]
-            dB2 = sq * z2[a]
-            drift_i = p.mu_income - p.mean_reversion * (Z[a] - p.z_bar)
-            W[a] = W[a] + (p.r * W[a] - c + inc[a]) * dt \
-                + y * p.sigma_stock * (dB1 + p.theta * dt)
-            W[a] = np.maximum(W[a], 0.0)
-            inc_new = inc[a] * (1.0 + drift_i * dt
-                                + (p.sigma_stock - p.sigma_z) * dB1
-                                + p.sigma_income * dB2)
-            z_jump = np.zeros(jumps[a].sum())
-            if jumps[a].any():
-                recov = np.ones(jumps[a].sum())
-                if p.power_nu is not None:
-                    recov = rng.random(jumps[a].sum()) ** (1.0 / p.power_nu)
-                else:
-                    recov[:] = p.recovery
-                inc_new[jumps[a]] *= recov
-                z_jump = np.log(np.maximum(recov, 1e-10))
-            inc[a] = np.maximum(inc_new, 1e-10)
-            Z[a] = Z[a] - p.mean_reversion * (Z[a] - p.z_bar) * dt \
-                - p.sigma_z * dB1 + p.sigma_income * dB2
-            if jumps[a].any():
-                # income jumps move the cointegration gap with them, keeping
-                # the identity Z = ln I - ln S; the gap then mean-reverts
-                za = Z[a]
-                za[jumps[a]] += z_jump
-                Z[a] = za
-        shares = np.where(share_n > 0, share_sum / np.maximum(share_n, 1.0), 0.0)
-        out.append(RetireStats(
-            expected_time=float(np.mean(np.minimum(ret_time, RETIRE_TIME_CAP))),
-            expected_share=float(np.mean(shares)),
-            n_paths=n_paths, policy=label,
-            retired_fraction=float(np.mean(ret_time < RETIRE_TIME_CAP)),
-        ))
-    return tuple(out)
+    ours = simulate_policy(p, policy, start_w_over_i, n_paths, dt, seed, antithetic)
+    bench = simulate_policy(p, benchmark, start_w_over_i, n_paths, dt, seed, antithetic)
+    return ours, replace(bench, policy="benchmark")
+
+
+def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
+                    n_paths: int, dt: float, seed: int,
+                    antithetic: bool = False) -> RetireStats:
+    """Retirement timing of one solved policy in the world ``p``.
+
+    Every step draws the two Brownian shocks and the jump indicators for all
+    ``n_paths`` paths (retired ones included), then the recovery factors of
+    the jumping working paths, so the shocks depend only on (seed, dt,
+    n_paths).  Retired paths stop; times are capped at RETIRE_TIME_CAP.
+    """
+    rng = np.random.default_rng(seed)
+    n_steps = int(round(RETIRE_TIME_CAP / dt))
+    W = np.full(n_paths, float(start_w_over_i))
+    inc = np.ones(n_paths)
+    Z = np.full(n_paths, p.z_bar)
+    active = np.ones(n_paths, bool)
+    ret_time = np.full(n_paths, RETIRE_TIME_CAP)
+    share_sum = np.zeros(n_paths)
+    share_n = np.zeros(n_paths)
+    sq = math.sqrt(dt)
+    half = n_paths // 2
+    for k in range(n_steps):
+        a = np.flatnonzero(active)
+        Wa, Ia, Za = W[a], inc[a], Z[a]
+        xi_q = xi_of_wealth(Wa / Ia, p.r)
+        hit = xi_q <= np.interp(Za, sol.z, sol.xi_retire)
+        if hit.any():
+            ret_time[a[hit]] = k * dt
+            active[a[hit]] = False
+            keep = ~hit
+            a, Wa, Ia, Za, xi_q = a[keep], Wa[keep], Ia[keep], Za[keep], xi_q[keep]
+        if a.size == 0:
+            break
+        total = Wa + Ia / p.r
+        y = np.minimum(bilinear(sol.xi, sol.z, sol.y_star, xi_q, Za) * total,
+                       Wa)  # borrowing constraint in levels
+        c = bilinear(sol.xi, sol.z, sol.c_star, xi_q, Za) * total
+        z1 = rng.standard_normal(n_paths)
+        z2 = rng.standard_normal(n_paths)
+        jumps = rng.random(n_paths) < p.jump_intensity * dt
+        if antithetic:
+            # mirror the first half onto the second; an odd last path
+            # keeps its own draw
+            z1[half:2 * half] = -z1[:half]
+            z2[half:2 * half] = -z2[:half]
+        share_sum[a] += np.where(Wa > 1e-12, y / np.maximum(Wa, 1e-12), 0.0)
+        share_n[a] += 1.0
+        dB1 = sq * z1[a]
+        dB2 = sq * z2[a]
+        drift_i = p.mu_income - p.mean_reversion * (Za - p.z_bar)
+        W[a] = np.maximum(Wa + (p.r * Wa - c + Ia) * dt
+                          + y * p.sigma_stock * (dB1 + p.theta * dt), 0.0)
+        inc_new = Ia * (1.0 + drift_i * dt + (p.sigma_stock - p.sigma_z) * dB1
+                        + p.sigma_income * dB2)
+        Z_new = Za - p.mean_reversion * (Za - p.z_bar) * dt \
+            - p.sigma_z * dB1 + p.sigma_income * dB2
+        jump = jumps[a]
+        if jump.any():
+            n_jump = int(np.count_nonzero(jump))
+            if p.power_nu is not None:
+                recov = rng.random(n_jump) ** (1.0 / p.power_nu)
+            else:
+                recov = np.full(n_jump, p.recovery)
+            inc_new[jump] *= recov
+            # income jumps move the cointegration gap with them, keeping
+            # the identity Z = ln I - ln S; the gap then mean-reverts
+            Z_new[jump] += np.log(np.maximum(recov, 1e-10))
+        inc[a] = np.maximum(inc_new, 1e-10)
+        Z[a] = Z_new
+    shares = np.where(share_n > 0, share_sum / np.maximum(share_n, 1.0), 0.0)
+    return RetireStats(
+        expected_time=float(np.mean(ret_time)),
+        expected_share=float(np.mean(shares)),
+        n_paths=n_paths, policy="policy",
+        retired_fraction=float(np.mean(ret_time < RETIRE_TIME_CAP)),
+    )

@@ -287,10 +287,8 @@ def test_criterion_10_retirement_monte_carlo(retire_grid, retire_baseline,
     bench_times = {0.15: dl.expected_time}
     for alpha in (0.05, 0.25):
         world = baseline_retire_params(mean_reversion=alpha)
-        _, dl_a = sim.simulate_retirement(world, retire_baseline,
-                                          retire_benchmark, 10.0, 10000, 0.05,
-                                          seed=11)
-        bench_times[alpha] = dl_a.expected_time
+        bench_times[alpha] = sim.simulate_policy(world, retire_benchmark, 10.0,
+                                                 10000, 0.05, seed=11).expected_time
     elapsed = time.perf_counter() - t0
     ok_ours = _report(10, "our-policy expected time = 129y +- 20%",
                       abs(ours.expected_time - 129.0) <= 0.2 * 129.0,

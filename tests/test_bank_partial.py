@@ -245,6 +245,27 @@ class TestPenaltySolve:
         with pytest.raises(ValidationError, match="barrier outside"):
             bp.penalty_solve(p, grid)
 
+    def test_barrier_on_a_node_is_dirichlet(self):
+        # place a node of a uniform X grid a hair above I(S) on the lowest
+        # S-slice, where the cut cell is too short for the one-sided stencil
+        p = table_bank_params()
+        base = bp.default_grid(p, n_x=41, n_s=7)
+        ss, _ = bp._s_grid(p, base)
+        rule = bp.LiquidationRule(p.kappa_min, p.conf_a)
+        x_b = bp.liquidation_barrier(ss[0], rule)
+        h = (base.x_hi - base.x_lo) / (base.n_x - 1)
+        k = math.ceil((x_b + 0.01 * h - base.x_lo) / h)
+        x_lo = x_b + 0.01 * h - k * h
+        grid = dataclasses.replace(base, x_lo=x_lo, x_hi=x_lo + (base.n_x - 1) * h,
+                                   stretching="uniform")
+        sol = bp.penalty_solve(p, grid)
+        i0 = int(np.searchsorted(sol.xs, x_b, side="right"))
+        assert sol.xs[i0] - x_b < 0.05 * h
+        assert np.all(np.isfinite(sol.V))
+        assert sol.regions[0, i0] == 0
+        assert sol.V[0, i0] == pytest.approx(rule.payoff(ss[0], p.omega), rel=1e-12)
+        assert np.all(sol.regions[0, i0 + 1:] > 0)
+
     def test_noiseless_collapse_toward_fully_observed(self):
         # m -> 0: the invariant-line solution tends to the fully observed one
         p0 = table_bank_params()

@@ -5,7 +5,7 @@ import pytest
 
 from sc_control import calibrate as cb
 from sc_control import filtering as fl
-from sc_control.errors import DegenerateRegressor, ValidationError
+from sc_control.errors import DegenerateCloud, DegenerateRegressor, ValidationError
 
 TRUTH = (0.04, 0.05, 0.03, -0.30)
 
@@ -28,6 +28,12 @@ class TestPfStep:
         # mean stays finite and normalized
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert out.effective_size > 0.3 * n
+
+    def test_infinite_observation_degenerates_the_cloud(self):
+        cfg = small_cfg(n=100)
+        cloud = cb.init_cloud(0.0, cfg)
+        with np.errstate(invalid="ignore"), pytest.raises(DegenerateCloud):
+            cb.pf_step(cloud, 0.0, np.inf, cfg)
 
     def test_resampling_resets_weights_to_uniform(self):
         cfg = cb.PfConfig(n_particles=200, seed=1, resample_threshold=1.0)
@@ -73,6 +79,12 @@ class TestPfStep:
 
 
 class TestEstimateTheta:
+    def test_non_finite_observation_rejected_before_filtering(self):
+        _, obs = fl.simulate_signal_series(TRUTH, n=30, seed=8)
+        obs[7] = np.nan
+        with pytest.raises(ValidationError, match=r"series\[7\]"):
+            cb.estimate_theta(obs, small_cfg(n=100))
+
     def test_reproducible_bit_for_bit(self):
         _, obs = fl.simulate_signal_series(TRUTH, n=120, seed=8)
         a = cb.estimate_theta(obs, small_cfg(seed=3))

@@ -130,6 +130,23 @@ class TestCli:
         err = json.loads((out_dir / "error.json").read_text())
         assert err["error"] == "NoSolution"
 
+    @pytest.mark.parametrize("subcommand, block", [
+        ("filter", {"theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3}}),
+        ("calibrate", {"pf": {"n_particles": 100}})])
+    def test_empty_csv_cell_exits_1_naming_its_index(self, tmp_path, subcommand, block):
+        # an empty cell reads as NaN; it must not reach the likelihood
+        csv = tmp_path / "series.csv"
+        csv.write_text("k,value\n0,0.0\n1,0.01\n2,\n3,0.03\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**block, "series_csv": str(csv)}))
+        out_dir = tmp_path / "out"
+        rc = cli.main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)])
+        assert rc == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert "series[2]" in err["message"]
+        assert not (out_dir / "summary.json").exists()
+
     @pytest.mark.parametrize("block, typo", [
         ("bank_params", "sigmaa"), ("grid", "n_xx"), ("pf", "n_particle")])
     def test_misspelled_config_key_exits_1_naming_it(self, tmp_path, block, typo):

@@ -153,19 +153,17 @@ class TestContinuousKalman:
         n_steps, n_paths = 1000, 200
         s_inf = p.s_infinity
         M = np.zeros(n_paths)
-        state_m = np.zeros(n_paths)
-        s_var = s_inf
+        # the filter advances all paths at once
+        state = fl.FilterState(m_hat=np.zeros(n_paths), s_var=s_inf)
         rho_c = math.sqrt(1 - p.rho**2)
-        gain_drift = (p.alpha - 0.5 * p.sigma**2) * dt
+        drift = (p.alpha - 0.5 * p.sigma**2) * dt
         for _ in range(n_steps):
             zw = rng.standard_normal(n_paths)
             zb = p.rho * zw + rho_c * rng.standard_normal(n_paths)
             dZ = M * dt + p.noise_m * math.sqrt(dt) * zb
-            gain = s_var / p.noise_m + p.sigma * p.rho
-            state_m = state_m + gain_drift + gain * (dZ - state_m * dt) / p.noise_m
-            M = M + gain_drift + p.sigma * math.sqrt(dt) * zw
-            s_var = fl.riccati_variance(p, s_var, dt)
-        err_var = np.var(M - state_m)
+            state = fl.kalman_step_continuous(state, dZ, dt, p)
+            M = M + drift + p.sigma * math.sqrt(dt) * zw
+        err_var = np.var(M - state.m_hat)
         assert err_var == pytest.approx(s_inf, rel=0.25)
 
 
@@ -270,6 +268,20 @@ class TestSimulateSeries:
         back = fl.series_from_csv(path)
         assert np.array_equal(back, obs)
 
+    def test_csv_with_one_row(self, tmp_path):
+        path = tmp_path / "series.csv"
+        fl.series_to_csv(path, [1.5])
+        assert np.array_equal(fl.series_from_csv(path), [1.5])
+
     def test_requires_positive_length(self):
         with pytest.raises(ValidationError):
             fl.simulate_signal_series(THETA_TEST, n=0, seed=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_observation_named_by_index(bad):
+    _, obs = fl.simulate_signal_series(THETA_TEST, n=10, seed=2)
+    obs[4] = bad
+    for fn in (fl.filter_series, fl.log_likelihood):
+        with pytest.raises(ValidationError, match=r"series\[4\]"):
+            fn(obs, THETA_TEST)

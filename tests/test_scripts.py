@@ -1,0 +1,39 @@
+"""Smoke tests: each experiment script runs at a small size and writes the
+files the README names."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sc_control
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(sc_control.__file__).resolve().parents[1])
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script, args, csv, header, key", [
+    ("bank_barriers.py", (), "value_function.csv", "X,V,action", "u2"),
+    ("pf_recovery.py", ("--n", "60", "--particles", "200"), "theta_history.csv",
+     "k,alpha,sigma,m,rho", "theta_hat"),
+    ("bank_surface.py", ("--fast",), "surface.csv", "X_hat,S,V,region", "kappa1"),
+])
+def test_script_writes_csv_and_summary(tmp_path, script, args, csv, header, key):
+    out = tmp_path / "out"
+    run_script(script, *args, "--out", str(out))
+    lines = (out / csv).read_text().splitlines()
+    assert lines[0] == header and len(lines) > 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert key in summary
+    assert (out / "manifest.json").exists()

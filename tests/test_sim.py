@@ -1,5 +1,7 @@
 """Monte Carlo engine tests: bank path bookkeeping and retirement timing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,11 @@ class TestSimulateRetirement:
         fine, _ = sim.simulate_retirement(p, pol, ben, 10.0, 3000, 0.05, seed=8)
         # means differ by discretization drift below twice the MC error bar
         assert fine.expected_time == pytest.approx(coarse.expected_time, rel=0.10)
+
+    def test_each_side_of_the_pair_is_one_policy_run(self, small_retire_solves):
+        pol, ben = small_retire_solves
+        p = baseline_retire_params()
+        ours, dl = sim.simulate_retirement(p, pol, ben, 10.0, 300, 0.1, seed=3)
+        assert sim.simulate_policy(p, pol, 10.0, 300, 0.1, 3) == ours
+        alone = sim.simulate_policy(p, ben, 10.0, 300, 0.1, 3)
+        assert dataclasses.replace(alone, policy="benchmark") == dl
