@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr, ndtri
 
 from . import bank_full
@@ -122,7 +122,7 @@ class PartialSolution:
     line_sup_error: float     # sup rel. error of numeric line slice vs closed form
     full_line: bank_full.FullSolution
     iterations: int
-    residual: float
+    residual: float           # final relative change of the refinement sweeps
 
     def value(self, x, s):
         """Bilinear interpolation of the surface (clipped to the domain)."""
@@ -233,8 +233,52 @@ def _shift_sup(xs, V, sbar, cost_K):
     return best + xs - cost_K
 
 
+def _gtsv(dl, d, du, b):
+    """Solve the tridiagonal system (dl, d, du) x = b with LAPACK gtsv; b is overwritten."""
+    x, info = dgtsv(dl, d, du, b, overwrite_b=1)[3:]
+    if info:
+        raise np.linalg.LinAlgError("singular slice system")
+    return x
+
+
+@dataclass
+class _SliceSystems:
+    """Tridiagonal slice systems, one per variance, in LAPACK ``gtsv`` layout.
+
+    Row k of ``dl``/``d``/``du`` is the matrix of the slice at the k-th
+    variance.  The right-hand side is the caller's interior vector with the
+    Dirichlet rows, the cut cell and the far field filled in by :meth:`rhs`.
+    """
+
+    dl: np.ndarray       # (k, n-1) sub-diagonal
+    d: np.ndarray        # (k, n) diagonal
+    du: np.ndarray       # (k, n-1) super-diagonal
+    i0: np.ndarray       # first node above the barrier
+    snap: np.ndarray     # barrier essentially on node i0: Dirichlet there
+    v_b: np.ndarray      # liquidation payoff omega*psi(I(S), S)
+    cut_b: np.ndarray    # cut-cell right-hand side from the barrier value
+    cut_d: np.ndarray    # ... and from the upwinded drift (0 when drift >= 0)
+    far: float           # far-field V_X = 1 right-hand side
+
+    def rhs(self, k, r):
+        """Right-hand side of system k with interior values ``r`` (filled in place)."""
+        i0 = self.i0[k]
+        r[:i0] = self.v_b[k]
+        r[i0] = self.v_b[k] if self.snap[k] else r[i0] + self.cut_b[k] + self.cut_d[k]
+        r[-1] = self.far
+        return r
+
+    def solve(self, k, r):
+        """Solution of system k with interior right-hand side ``r`` (overwritten)."""
+        return _gtsv(self.dl[k], self.d[k], self.du[k], self.rhs(k, r))
+
+
 class _SliceProblem:
-    """Shared coefficients of the per-slice obstacle problems on the X grid."""
+    """Shared coefficients of the per-slice obstacle problems on the X grid.
+
+    The S-independent parts of the operator (difference weights, (1+X)^2 and
+    the upwinded drift) are computed once here.
+    """
 
     def __init__(self, p: BankParams, xs: np.ndarray, n_time: int = 64):
         self.p = p
@@ -243,141 +287,143 @@ class _SliceProblem:
         self.n_time = n_time
         self.dm = p.delta - p.mu
         self.am = p.alpha - p.mu
-
-    def boundary_value(self, S):
-        return self.rule.payoff(S, self.p.omega)
-
-    def lop_rows(self, S, extra_diag=0.0):
-        """Interior rows of -(L - extra_diag) as banded tridiagonal parts.
-
-        Returns (sub, diag, sup) arrays over interior nodes 1..n-2, with the
-        first-order term upwinded by the sign of the drift.
-        """
-        xs = self.xs
-        vol2 = filter_gain(S, self.p) ** 2
-        diffc = 0.5 * vol2 * (1.0 + xs[1:-1]) ** 2
-        drift = self.am * (1.0 + xs[1:-1])
-        d2_l, d2_c, d2_r = _diff_ops(xs)
+        self.d2 = _diff_ops(xs)
+        self.xsq = (1.0 + xs[1:-1]) ** 2
+        # the cut cell squares a single node, which rounds through libm pow
+        self.xsq_cut = np.array([(1.0 + x) ** 2 for x in xs.tolist()])
+        # first-order term upwinded by the sign of the drift
         h_m = np.diff(xs)[:-1]
         h_p = np.diff(xs)[1:]
-        sub = -diffc * d2_l
-        dia = -diffc * d2_c + self.dm + extra_diag
-        sup = -diffc * d2_r
-        up = drift >= 0.0
-        sup[up] -= drift[up] / h_p[up]
-        dia[up] += drift[up] / h_p[up]
-        dia[~up] += -drift[~up] / h_m[~up]
-        sub[~up] -= -drift[~up] / h_m[~up]
-        return sub, dia, sup
+        drift = self.am * (1.0 + xs[1:-1])
+        self.up = drift >= 0.0
+        self.drift_up = drift[self.up] / h_p[self.up]
+        self.drift_dn = -drift[~self.up] / h_m[~self.up]
 
-    def banded_system(self, S, vol2, extra_diag, rhs):
-        """Banded system of -(L - extra_diag) V = rhs on the slice at variance S.
+    def banded_system(self, s, cut_vol2, extra_diag) -> _SliceSystems:
+        """Systems of -(L - extra_diag) V = rhs on the slices at variances ``s``.
 
         Rows below the barrier I(S) are Dirichlet at the liquidation payoff;
         the first node above it takes the Shortley-Weller one-sided stencil
         (Dirichlet when the barrier sits essentially on the node); the last
-        row imposes V_X = 1.  ``vol2`` is the squared volatility of the cut
-        cell and ``rhs`` the interior right-hand side on the whole grid.
-        Returns (ab, b, i0, snap): i0 is the first node above the barrier.
+        row imposes V_X = 1.  ``cut_vol2`` is the squared volatility of each
+        cut cell; the interior rows square each gain as a Python float.
         """
         xs = self.xs
         n = xs.size
-        x_b = float(liquidation_barrier(S, self.rule))
-        v_b = self.boundary_value(S)
-        i0 = int(np.searchsorted(xs, x_b, side="right"))
-        if i0 >= n - 2:
+        k = s.size
+        x_b = liquidation_barrier(s, self.rule)
+        v_b = self.p.omega * psi(x_b, s)
+        i0 = np.searchsorted(xs, x_b, side="right")
+        if np.any(i0 >= n - 2):
             raise ValidationError("liquidation barrier outside the X grid")
-        sub, dia, sup = self.lop_rows(S, extra_diag=extra_diag)
-        ab = np.zeros((3, n))
-        b = np.zeros(n)
-        ab[1, :i0] = 1.0
-        b[:i0] = v_b
+
+        vol2 = np.array([g ** 2 for g in filter_gain(s, self.p).tolist()])
+        diffc = 0.5 * vol2[:, None] * self.xsq
+        d2_l, d2_c, d2_r = self.d2
+        sub = -diffc * d2_l
+        dia = -diffc * d2_c + self.dm + extra_diag
+        sup = -diffc * d2_r
+        up = self.up
+        sup[:, up] -= self.drift_up
+        dia[:, up] += self.drift_up
+        dia[:, ~up] += self.drift_dn
+        sub[:, ~up] -= self.drift_dn
+        live = np.arange(1, n - 1) > i0[:, None]
+        d = np.ones((k, n))
+        dl = np.zeros((k, n - 1))
+        du = np.zeros((k, n - 1))
+        d[:, 1:-1] = np.where(live, dia, 1.0)
+        dl[:, :-1] = np.where(live, sub, 0.0)
+        du[:, 1:] = np.where(live, sup, 0.0)
+        dl[:, -1] = -1.0  # far field: V_X = 1
+
+        # Shortley-Weller one-sided stencil at the cut cell i0
         h_sw = xs[i0] - x_b
         hp = xs[i0 + 1] - xs[i0]
-        snap = h_sw < 0.05 * hp  # barrier essentially on the node
-        if snap:
-            ab[1, i0] = 1.0
-            b[i0] = v_b
-        else:
-            # Shortley-Weller one-sided stencil at the cut cell i0
-            diffc = 0.5 * vol2 * (1.0 + xs[i0]) ** 2
-            drift = self.am * (1.0 + xs[i0])
-            c_b = 2.0 * diffc / (h_sw * (h_sw + hp))
-            c_r = 2.0 * diffc / (hp * (h_sw + hp))
-            dia_i = c_b + c_r + self.dm + extra_diag
-            sup_i = -c_r
-            rhs_i = rhs[i0] + c_b * v_b
-            if drift >= 0.0:
-                dia_i += drift / hp
-                sup_i -= drift / hp
-            else:
-                dia_i += -drift / h_sw
-                rhs_i += -drift / h_sw * v_b
-            ab[1, i0] = dia_i
-            ab[0, i0 + 1] = sup_i
-            b[i0] = rhs_i
-        start = i0 + 1
-        ab[2, start - 1:n - 2] = sub[start - 1:]
-        ab[1, start:n - 1] = dia[start - 1:]
-        ab[0, start + 1:n] = sup[start - 1:]
-        b[start:n - 1] = rhs[start:n - 1]
-        # far field: V_X = 1
-        ab[1, n - 1] = 1.0
-        ab[2, n - 2] = -1.0
-        b[n - 1] = xs[-1] - xs[-2]
-        return ab, b, i0, snap
+        snap = h_sw < 0.05 * hp
+        diffc_b = 0.5 * cut_vol2 * self.xsq_cut[i0]
+        drift_b = self.am * (1.0 + xs[i0])
+        c_b = 2.0 * diffc_b / (h_sw * (h_sw + hp))
+        c_r = 2.0 * diffc_b / (hp * (h_sw + hp))
+        dia_b = c_b + c_r + self.dm + extra_diag
+        up_b = drift_b >= 0.0
+        dia_b = np.where(up_b, dia_b + drift_b / hp, dia_b + -drift_b / h_sw)
+        sup_b = np.where(up_b, -c_r - drift_b / hp, -c_r)
+        rows = np.arange(k)
+        d[rows, i0] = np.where(snap, 1.0, dia_b)
+        du[rows, i0] = np.where(snap, 0.0, sup_b)
+        return _SliceSystems(dl=dl, d=d, du=du, i0=i0, snap=snap, v_b=v_b,
+                             cut_b=c_b * v_b,
+                             cut_d=np.where(up_b, 0.0, -drift_b / h_sw * v_b),
+                             far=xs[-1] - xs[-2])
 
 
 def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
-                 rho_pen: float, max_iter: int = 60):
+                 rho_pen: float, active=None, max_iter: int = 60):
     """Active-set policy iteration for one penalized slice problem.
 
     Solves  max{ L V - extra_diag V + rhs_extra, 1 - V_X, P - V } = 0 on the
     slice system of :meth:`_SliceProblem.banded_system`, with penalty rho_pen
-    on the two constraints.  The iteration starts from empty active sets.
-    Returns (V, regions).
+    on the two constraints.  The iteration starts from the (dividend,
+    recapitalization) sets ``active``, or from empty sets; the penalized
+    problem has one solution, so a good start saves iterations.  Returns
+    (V, regions, final active sets); raises :class:`NoConvergence` when
+    ``max_iter`` solves reach no fixed point.
     """
     xs = sp.xs
     n = xs.size
-    ab0, b0, i0, snap = sp.banded_system(S, filter_gain(S, sp.p) ** 2, extra_diag, rhs_extra)
+    system = sp.banded_system(np.array([S]), np.array([filter_gain(S, sp.p) ** 2]), extra_diag)
+    i0, snap = int(system.i0[0]), bool(system.snap[0])
+    b0 = system.rhs(0, rhs_extra.copy())
     start = i0 + 1
     idx = np.arange(n)
     h_m_full = np.empty(n)
     h_m_full[1:] = np.diff(xs)
     h_m_full[0] = h_m_full[1]
-    div_active = np.zeros(n, dtype=bool)
-    rec_active = np.zeros(n, dtype=bool)
+    if active is None:
+        active = np.zeros((2, n), dtype=bool)
+    div_active, rec_active = active
 
     for it in range(max_iter):
         # penalties (implicit in V) on interior active nodes; the dividend
         # constraint discretizes V_X backward, which keeps the M-matrix
-        ab = ab0.copy()
+        dl = system.dl[0].copy()
+        d = system.d[0].copy()
         b = b0.copy()
         sl = np.where(div_active & (idx > start) & (idx < n - 1))[0]
-        ab[1, sl] += rho_pen / h_m_full[sl]
-        ab[2, sl - 1] -= rho_pen / h_m_full[sl]
+        d[sl] += rho_pen / h_m_full[sl]
+        dl[sl - 1] -= rho_pen / h_m_full[sl]
         b[sl] += rho_pen
         act_r = rec_active & (idx >= start) & (idx < n - 1)
-        ab[1, act_r] += rho_pen
+        d[act_r] += rho_pen
         b[act_r] += rho_pen * p_op[act_r]
-        V = solve_banded((1, 1), ab, b)
+        V = _gtsv(dl, d, system.du[0], b)
 
         slope_b = np.empty(n)
         slope_b[1:] = np.diff(V) / np.diff(xs)
         slope_b[0] = slope_b[1]
-        new_d = slope_b < 1.0 - 1e-12
-        new_r = (p_op - V) > 1e-12
+        # a node joins a set once its constraint is violated by more than
+        # 1e-12 and leaves only when it is not violated at all: an active
+        # node's penalty leaves a violation of order 1/rho_pen, which can sit
+        # under the tolerance, and dropping it then flips it back next time
+        new_d = (slope_b < 1.0 - 1e-12) | (div_active & (slope_b < 1.0))
+        new_r = ((p_op - V) > 1e-12) | (rec_active & (p_op > V))
         new_r &= ~new_d  # dividend constraint wins where both fire
         if np.array_equal(new_d, div_active) and np.array_equal(new_r, rec_active):
             break
+        flips = int(np.count_nonzero(new_d != div_active) + np.count_nonzero(new_r != rec_active))
         div_active, rec_active = new_d, new_r
+    else:
+        raise NoConvergence(f"slice policy iteration at S={S!r} found no fixed point in "
+                            f"{max_iter} iterations; the last one changed {flips} "
+                            f"active-set nodes", residual=flips)
     regions = np.full(n, 2, dtype=np.int8)
     regions[:i0] = 0
     regions[div_active & (idx > start)] = 3
     regions[rec_active & (idx >= start)] = 1
     if snap:
         regions[i0] = 0
-    return V, regions
+    return V, regions, (div_active, rec_active)
 
 
 def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
@@ -385,20 +431,22 @@ def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
 
     Backward parabolic solve over [0, Delta] along the deterministic S-path;
     ``surface_lookup(x_array, S)`` must return already-solved values of V at
-    variance S (plus closed-form boundary payoff below I(S)).
+    variance S (plus closed-form boundary payoff below I(S)).  Only the
+    terminal condition depends on V; the path's systems are assembled in one
+    pass.
     """
     p = sp.p
     xs = sp.xs
     n_t = sp.n_time
     dt = p.delay_Delta / n_t
     s_path = riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, n_t + 1))
+    steps = s_path[:-1]
+    path = sp.banded_system(steps, filter_gain(steps, p) ** 2, 1.0 / dt)
     # terminal condition: exact line search over issuance sizes
     v_term = surface_lookup(xs, float(s_path[-1]))
     u = _shift_sup(xs, v_term, p.issue_cap_sbar, p.issue_cost_K)
-    vol2 = filter_gain(np.asarray(s_path), p) ** 2
     for k in range(n_t - 1, -1, -1):
-        ab, b, _, _ = sp.banded_system(float(s_path[k]), float(vol2[k]), 1.0 / dt, u / dt)
-        u = solve_banded((1, 1), ab, b)
+        u = path.solve(k, u / dt)
     return u
 
 
@@ -460,9 +508,12 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
 
     total_iters = 0
     residual = 0.0
-    # each slice solve starts policy iteration from empty active sets, so the
-    # earlier, smaller penalties of the schedule would not change its result
+    # only the final penalty is solved; policy iteration starts from the
+    # slice's last (dividend, recapitalization) sets, or on a first visit from
+    # those of its neighbor toward the line, which saves iterations but does
+    # not move the fixed point it reaches
     rho_pen = grid.penalty_schedule[-1]
+    sets = np.zeros((n_s, 2, n_x), dtype=bool)
 
     # numeric solve of the invariant-line slice (diagnostic; frozen-P sweeps)
     s_line = float(ss[line_idx])
@@ -472,7 +523,8 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
     for sweep in range(line_max_sweeps):
         V[line_idx] = v_num  # the line's own P references this iterate
         p_line = _impulse_slice(sp, s_line, lookup)
-        v_new, _ = _solve_slice(sp, s_line, 0.0, np.zeros(n_x), p_line, rho_pen)
+        v_new, _, sets[line_idx] = _solve_slice(sp, s_line, 0.0, np.zeros(n_x), p_line,
+                                                rho_pen, active=sets[line_idx])
         change = float(np.max(np.abs(v_new - v_num) / (1.0 + np.abs(v_num))))
         v_num = v_new
         total_iters += 1
@@ -497,7 +549,8 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
             b_drift = p.sigma**2 - filter_gain(S, p) ** 2
             adv = abs(b_drift) / dS
             p_slice = _impulse_slice(sp, S, lookup)
-            v, reg = _solve_slice(sp, S, adv, adv * V[toward], p_slice, rho_pen)
+            v, reg, sets[j] = _solve_slice(sp, S, adv, adv * V[toward], p_slice, rho_pen,
+                                           active=sets[j] if solved[j] else sets[toward])
             if sweep > 0:
                 change = max(change, float(np.max(np.abs(v - V[j]) / (1.0 + np.abs(V[j])))))
             V[j] = v
@@ -538,7 +591,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
         barrier_I=barrier_I, barrier_u1=barrier_u1, barrier_u2=barrier_u2,
         kappa1=kappa1, omega1=omega1, line_index=line_idx,
         line_solution=v_num, line_sup_error=line_sup_error,
-        full_line=full_line, iterations=total_iters, residual=line_sup_error,
+        full_line=full_line, iterations=total_iters, residual=residual,
     )
 
 

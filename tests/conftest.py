@@ -52,3 +52,10 @@ def retire_baseline(retire_grid):
 def retire_benchmark(retire_grid):
     return retire.penalty_solve_retire(
         baseline_retire_params(mean_reversion=0.0), retire_grid)
+
+
+@pytest.fixture(scope="session")
+def table_b_small():
+    """Table-B solve on the 21 x 7 default grid."""
+    p = table_bank_params()
+    return bank_partial.penalty_solve(p, bank_partial.default_grid(p, n_x=21, n_s=7))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri, roots_hermitenorm
 
 from sc_control import bank_full, bank_partial as bp
-from sc_control.errors import ValidationError
+from sc_control.errors import NoConvergence, ValidationError
 
 from conftest import table_bank_params
 
@@ -35,6 +35,15 @@ def psi_quadrature_oracle(x, y):
 
     val, _ = quad(integrand, ustar, ustar + 12.0, epsabs=1e-13, limit=200)
     return val
+
+
+def node_above_barrier(p, S, base):
+    """(x_lo, h) of a uniform X grid with base's spacing and a node 1% of a
+    cell above I(S), where the cut cell is too short for the one-sided stencil."""
+    x_b = bp.liquidation_barrier(S, bp.LiquidationRule(p.kappa_min, p.conf_a))
+    h = (base.x_hi - base.x_lo) / (base.n_x - 1)
+    k = math.ceil((x_b + 0.01 * h - base.x_lo) / h)
+    return x_b + 0.01 * h - k * h, h
 
 
 class TestLiquidationBarrier:
@@ -245,17 +254,20 @@ class TestPenaltySolve:
         with pytest.raises(ValidationError, match="barrier outside"):
             bp.penalty_solve(p, grid)
 
+    def test_impulse_path_with_barrier_beyond_the_x_grid(self, table_b_small):
+        # I(5) is about 0.96, past x_hi = 0.65; the path falls back inside
+        # after one step, and the guard checks every step
+        with pytest.raises(ValidationError, match="barrier outside"):
+            bp.impulse_operator(table_b_small, (0.1, 5.0))
+
     def test_barrier_on_a_node_is_dirichlet(self):
-        # place a node of a uniform X grid a hair above I(S) on the lowest
-        # S-slice, where the cut cell is too short for the one-sided stencil
+        # place a node of a uniform X grid a hair above I(S) on the lowest S-slice
         p = table_bank_params()
         base = bp.default_grid(p, n_x=41, n_s=7)
         ss, _ = bp._s_grid(p, base)
         rule = bp.LiquidationRule(p.kappa_min, p.conf_a)
         x_b = bp.liquidation_barrier(ss[0], rule)
-        h = (base.x_hi - base.x_lo) / (base.n_x - 1)
-        k = math.ceil((x_b + 0.01 * h - base.x_lo) / h)
-        x_lo = x_b + 0.01 * h - k * h
+        x_lo, h = node_above_barrier(p, ss[0], base)
         grid = dataclasses.replace(base, x_lo=x_lo, x_hi=x_lo + (base.n_x - 1) * h,
                                    stretching="uniform")
         sol = bp.penalty_solve(p, grid)
@@ -281,6 +293,83 @@ class TestPenaltySolve:
             prev_gap = gap
         # kappa1 - kappa shrinks like sqrt(m), so the collapse is slow
         assert prev_gap < 1e-2
+
+
+class TestSliceAssembly:
+    def test_impulse_path_starting_on_a_node_is_dirichlet_there(self):
+        # I(S0) sits a hair below a node: the march's last step (at S0)
+        # takes the snap branch, so P V is the liquidation payoff up to i0
+        p = table_bank_params()
+        S0 = 0.05 * p.s_infinity
+        x_lo, h = node_above_barrier(p, S0, bp.default_grid(p, n_x=41, n_s=7))
+        xs = np.linspace(x_lo, x_lo + 40 * h, 41)
+        sp = bp._SliceProblem(p, xs)
+        dt = p.delay_Delta / sp.n_time
+        s_path = bp.riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, sp.n_time + 1))
+        systems = sp.banded_system(s_path[:-1], bp.filter_gain(s_path[:-1], p) ** 2, 1.0 / dt)
+        assert systems.snap[0] and not systems.snap[-1]
+        i0 = int(systems.i0[0])
+        out = bp._impulse_slice(sp, S0, lambda x, S: np.maximum(x, 0.0) + 0.1)
+        payoff = sp.rule.payoff(S0, p.omega)
+        np.testing.assert_array_equal(out[:i0 + 1], np.full(i0 + 1, payoff))
+        assert np.all(out[i0 + 1:] > payoff)
+
+    def test_slice_policy_iteration_out_of_iterations_raises(self, table_b_small):
+        sol = table_b_small
+        p = sol.params
+        sp = bp._SliceProblem(p, sol.xs)
+        S = float(sol.ss[sol.line_index])
+        p_line = bp._impulse_slice(sp, S, sol.value)
+        rhs = np.zeros(sol.xs.size)
+        v, _, active = bp._solve_slice(sp, S, 0.0, rhs, p_line, 1e5)
+        assert active[0].any() and active[1].any()
+        with pytest.raises(NoConvergence, match=f"S={S!r}") as err:
+            bp._solve_slice(sp, S, 0.0, rhs, p_line, 1e5, max_iter=1)
+        assert err.value.residual > 0
+        # started from its own fixed point, one solve confirms it
+        v_warm, _, _ = bp._solve_slice(sp, S, 0.0, rhs, p_line, 1e5, active=active,
+                                       max_iter=1)
+        np.testing.assert_array_equal(v_warm, v)
+
+    def test_policy_iteration_settles_where_a_strict_tolerance_cycles(self):
+        # sigma + 1% on 201x41 (the elasticity benchmark's perturbed solve):
+        # one slice's lowest dividend node sits 2e-13 under slope one while
+        # active; a rule that drops it there alternates between two sets
+        p = table_bank_params()
+        q = dataclasses.replace(p, sigma=1.01 * p.sigma, S_bar=None)
+        sol = bp.penalty_solve(q, bp.default_grid(p, n_x=201, n_s=41))
+        assert sol.iterations == 149
+
+
+class TestTableBRegression:
+    """The Table-B 21x7 solve, pinned to values recorded before the path
+    assembly was vectorised and policy iteration warm-started."""
+
+    V_NODES = (  # (slice, node, V)
+        (0, 6, 0.10977720063651761),   # RR
+        (0, 10, 0.20500460753397864),  # DR
+        (1, 5, 0.0803658010603582),    # CR
+        (2, 5, 0.07707712914234396),   # RR
+        (3, 5, 0.07498220818958888),   # invariant line, RR
+        (4, 8, 0.14742215547555862),   # CR
+        (5, 3, 0.028288432855679124),  # RR
+        (6, 14, 0.3415555336170303),   # DR
+        (7, 1, 0.011537569796511861),  # first live node
+        (7, 3, 0.0372087574133129),    # RR
+        (7, 20, 0.6943140138155928),   # far field
+    )
+
+    def test_iterations_regions_and_values(self, table_b_small):
+        sol = table_b_small
+        assert sol.iterations == 39
+        assert np.bincount(sol.regions.ravel(), minlength=4).tolist() == [26, 10, 57, 75]
+        for j, i, v in self.V_NODES:
+            assert sol.V[j, i] == pytest.approx(v, rel=1e-12, abs=0.0)
+
+    def test_residual_is_the_refinement_change(self, table_b_small):
+        sol = table_b_small
+        assert 0.0 < sol.residual < 10 * 5e-7
+        assert sol.residual != sol.line_sup_error
 
 
 class TestElasticity:

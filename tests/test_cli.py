@@ -238,6 +238,8 @@ class TestCliSolverHandlers:
         out = cli.run("solve-bank-partial", {"bank_params": self.BANK, "grid": bank},
                       str(tmp_path / "a"))
         assert out["iterations"] == 39
+        # the published "residuals" value is the line diagnostic, unchanged
+        assert out["residuals"] == out["line_sup_error"]
         cli.run("solve-retire-finite",
                 {"retire_params": {**self.RET, "horizon_T": 2.0}, "grid": ret, "dt": 1.0},
                 str(tmp_path / "b"))
