@@ -130,10 +130,12 @@ class PartialSolution:
 
 
 def bilinear(xs, ys, surface, x, y):
-    """Bilinear interpolation of ``surface[i, j]`` at (x, y) = (xs[j], ys[i]).
+    """Bilinear interpolation of ``surface[..., i, j]`` at (x, y) = (xs[j], ys[i]).
 
-    Points outside the grid take the value at the nearest edge.  Scalar
-    (x, y) give a float; arrays broadcast.
+    Points outside the grid take the value at the nearest edge.  ``surface``
+    is one (n_y, n_x) array or m of them stacked as (m, n_y, n_x): the cells
+    are found once, and a stack gives an (m, ...) result.  Scalar (x, y)
+    give a float per surface; arrays broadcast.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -141,18 +143,25 @@ def bilinear(xs, ys, surface, x, y):
     x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
     i, w = _cell(ys, y)
     j, t = _cell(xs, x)
-    out = (1.0 - w) * _lerp_rows(surface, i, j, t) + w * _lerp_rows(surface, i + 1, j, t)
-    return float(out[0]) if scalar else out
+    # gather from the flattened surfaces: node (i, j) is entry i*n_x + j
+    flat = np.reshape(surface, surface.shape[:-2] + (-1,))
+    k = i * xs.size + j
+    out = (1.0 - w) * _lerp(flat, k, t) + w * _lerp(flat, k + xs.size, t)
+    if not scalar:
+        return out
+    return float(out[0]) if out.ndim == 1 else out[..., 0]
 
 
 def _cell(grid, q):
     """Cell index of q on the grid (end cells outside it) and q's weight in the cell."""
-    k = np.clip(np.searchsorted(grid, q) - 1, 0, grid.size - 2)
-    return k, np.clip((q - grid[k]) / (grid[k + 1] - grid[k]), 0.0, 1.0)
+    k = np.minimum(np.maximum(np.searchsorted(grid, q) - 1, 0), grid.size - 2)
+    lo = grid.take(k)
+    return k, np.minimum(np.maximum((q - lo) / (grid.take(k + 1) - lo), 0.0), 1.0)
 
 
-def _lerp_rows(surface, rows, j, t):
-    return (1.0 - t) * surface[rows, j] + t * surface[rows, j + 1]
+def _lerp(flat, k, t):
+    """Linear interpolation between entries k and k + 1 of the last axis."""
+    return (1.0 - t) * flat.take(k, axis=-1) + t * flat.take(k + 1, axis=-1)
 
 
 def default_grid(p: BankParams, n_x: int = 401, n_s: int = 81) -> BankGrid:
@@ -504,7 +513,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
             return bilinear(xs, ss, V, x_arr, S)
         cand = np.where(solved)[0]
         i_near = int(cand[np.argmin(np.abs(ss[cand] - S))])
-        return _lerp_rows(V, i_near, *_cell(xs, x_arr))
+        return _lerp(V[i_near], *_cell(xs, x_arr))
 
     total_iters = 0
     residual = 0.0

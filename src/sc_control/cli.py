@@ -218,14 +218,14 @@ def _cmd_solve_retire_ez(cfg, args, out_dir):
 
 def _cmd_simulate_bank(cfg, args, out_dir):
     p = _bank_params(cfg)
+    run = {"horizon": cfg.get("horizon", 20.0), "n_paths": cfg.get("n_paths", 200),
+           "dt": cfg.get("dt", p.delay_Delta / 8.0)}
+    simulate.check_run_settings(**run)  # before the solve, not after it
     if p.noise_m > 0.0:
         policy = bank_partial.penalty_solve(p, _bank_grid(cfg, p))
     else:
         policy = bank_full.solve_barriers(p)
-    bundle = simulate.simulate_bank(
-        p, policy, horizon=cfg.get("horizon", 20.0),
-        n_paths=cfg.get("n_paths", 200), dt=cfg.get("dt", p.delay_Delta / 8.0),
-        seed=args.seed)
+    bundle = simulate.simulate_bank(p, policy, **run, seed=args.seed)
     if cfg.get("dump_paths", False):  # large output; off by default
         k = np.arange(bundle.times.size)
         for name, arr in (("true_equity", bundle.true_equity),
@@ -248,13 +248,13 @@ def _cmd_simulate_bank(cfg, args, out_dir):
 def _cmd_simulate_retire(cfg, args, out_dir):
     p = _retire_params(cfg)
     grid = _retire_grid(cfg)
+    run = {"start_w_over_i": cfg.get("start_w_over_i", 10.0),
+           "n_paths": cfg.get("n_paths", 10000), "dt": cfg.get("dt", 0.05)}
+    simulate.check_run_settings(**run)  # before the two solves, not after them
     policy = retire.penalty_solve_retire(p, grid)
     bench_params = dataclasses.replace(p, mean_reversion=0.0)
     bench = retire.penalty_solve_retire(bench_params, grid)
-    ours, dl = simulate.simulate_retirement(
-        p, policy, bench, start_w_over_i=cfg.get("start_w_over_i", 10.0),
-        n_paths=cfg.get("n_paths", 10000), dt=cfg.get("dt", 0.05),
-        seed=args.seed)
+    ours, dl = simulate.simulate_retirement(p, policy, bench, **run, seed=args.seed)
     return {
         "policy": vars(ours),
         "benchmark": vars(dl),

@@ -370,7 +370,9 @@ class _RetireStepper:
     def step(self, u, dt_inv, rho_pen):
         active = (np.broadcast_to(self.obstacle, u.shape) - u) > 0.0
         A, rhs, y, c = self.assemble(u, dt_inv, rho_pen, active)
-        u_new = splu(A).solve(rhs).reshape(u.shape)
+        # minimum degree on A^T + A: the 9-point stencil's pattern is
+        # symmetric, and this ordering fills less than the default COLAMD
+        u_new = splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs).reshape(u.shape)
         return u_new, y, c
 
 

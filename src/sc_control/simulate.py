@@ -17,6 +17,7 @@ paths use a single generator so summaries are deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,6 +97,22 @@ def _policy_curves(policy, p: BankParams):
     raise ValidationError(f"unsupported policy type {type(policy)!r}")
 
 
+def check_run_settings(n_paths, dt, horizon=RETIRE_TIME_CAP, start_w_over_i=0.0) -> None:
+    """Raise ValidationError naming the first unusable Monte Carlo setting."""
+    if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+        raise ValidationError(f"n_paths={n_paths!r} must be an integer >= 1")
+    if not (_finite(dt) and dt > 0.0):
+        raise ValidationError(f"dt={dt!r} must be a finite number > 0")
+    if not (_finite(horizon) and horizon > 0.0):
+        raise ValidationError(f"horizon={horizon!r} must be a finite number > 0")
+    if not (_finite(start_w_over_i) and start_w_over_i >= 0.0):
+        raise ValidationError(f"start_w_over_i={start_w_over_i!r} must be a finite number >= 0")
+
+
+def _finite(x) -> bool:
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
                   dt: float, seed: int, x0: float | None = None,
                   s0: float | None = None) -> PathBundle:
@@ -104,6 +121,7 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
     ``policy=None`` runs the raw reporting dynamics with no controls and no
     liquidation (the configuration of the book-equity tracking figure).
     """
+    check_run_settings(n_paths, dt, horizon=horizon)
     if p.delay_Delta > 0.0 and dt > p.delay_Delta / 8.0 + 1e-15:
         raise ValidationError("dt must be <= Delta/8")
     rng = np.random.default_rng(seed)
@@ -228,34 +246,39 @@ def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
     ``n_paths`` paths (retired ones included), then the recovery factors of
     the jumping working paths, so the shocks depend only on (seed, dt,
     n_paths).  Retired paths stop; times are capped at RETIRE_TIME_CAP.
+    Only the working paths' states are kept, compressed at each step where
+    some retire, and one lookup reads both controls.
     """
+    check_run_settings(n_paths, dt, start_w_over_i=start_w_over_i)
     rng = np.random.default_rng(seed)
     n_steps = int(round(RETIRE_TIME_CAP / dt))
+    controls = np.stack([sol.y_star, sol.c_star])
+    ret_time = np.full(n_paths, RETIRE_TIME_CAP)
+    shares = np.zeros(n_paths)
+    # the working paths: their indices (ascending), states and share sums
+    a = np.arange(n_paths)
     W = np.full(n_paths, float(start_w_over_i))
     inc = np.ones(n_paths)
     Z = np.full(n_paths, p.z_bar)
-    active = np.ones(n_paths, bool)
-    ret_time = np.full(n_paths, RETIRE_TIME_CAP)
     share_sum = np.zeros(n_paths)
-    share_n = np.zeros(n_paths)
     sq = math.sqrt(dt)
     half = n_paths // 2
     for k in range(n_steps):
-        a = np.flatnonzero(active)
-        Wa, Ia, Za = W[a], inc[a], Z[a]
-        xi_q = xi_of_wealth(Wa / Ia, p.r)
-        hit = xi_q <= np.interp(Za, sol.z, sol.xi_retire)
+        xi_q = xi_of_wealth(W / inc, p.r)
+        hit = xi_q <= np.interp(Z, sol.z, sol.xi_retire)
         if hit.any():
+            # a path retiring at step k worked k steps; its share is their mean
             ret_time[a[hit]] = k * dt
-            active[a[hit]] = False
+            if k > 0:
+                shares[a[hit]] = share_sum[hit] / k
             keep = ~hit
-            a, Wa, Ia, Za, xi_q = a[keep], Wa[keep], Ia[keep], Za[keep], xi_q[keep]
-        if a.size == 0:
-            break
-        total = Wa + Ia / p.r
-        y = np.minimum(bilinear(sol.xi, sol.z, sol.y_star, xi_q, Za) * total,
-                       Wa)  # borrowing constraint in levels
-        c = bilinear(sol.xi, sol.z, sol.c_star, xi_q, Za) * total
+            a, W, inc, Z, share_sum, xi_q = (a[keep], W[keep], inc[keep], Z[keep],
+                                             share_sum[keep], xi_q[keep])
+            if a.size == 0:
+                break
+        total = W + inc / p.r
+        y, c = bilinear(sol.xi, sol.z, controls, xi_q, Z) * total
+        y = np.minimum(y, W)  # borrowing constraint in levels
         z1 = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)
         jumps = rng.random(n_paths) < p.jump_intensity * dt
@@ -264,16 +287,15 @@ def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
             # keeps its own draw
             z1[half:2 * half] = -z1[:half]
             z2[half:2 * half] = -z2[:half]
-        share_sum[a] += np.where(Wa > 1e-12, y / np.maximum(Wa, 1e-12), 0.0)
-        share_n[a] += 1.0
+        share_sum += np.where(W > 1e-12, y / np.maximum(W, 1e-12), 0.0)
         dB1 = sq * z1[a]
         dB2 = sq * z2[a]
-        drift_i = p.mu_income - p.mean_reversion * (Za - p.z_bar)
-        W[a] = np.maximum(Wa + (p.r * Wa - c + Ia) * dt
-                          + y * p.sigma_stock * (dB1 + p.theta * dt), 0.0)
-        inc_new = Ia * (1.0 + drift_i * dt + (p.sigma_stock - p.sigma_z) * dB1
-                        + p.sigma_income * dB2)
-        Z_new = Za - p.mean_reversion * (Za - p.z_bar) * dt \
+        drift_i = p.mu_income - p.mean_reversion * (Z - p.z_bar)
+        W = np.maximum(W + (p.r * W - c + inc) * dt
+                       + y * p.sigma_stock * (dB1 + p.theta * dt), 0.0)
+        inc = inc * (1.0 + drift_i * dt + (p.sigma_stock - p.sigma_z) * dB1
+                     + p.sigma_income * dB2)
+        Z = Z - p.mean_reversion * (Z - p.z_bar) * dt \
             - p.sigma_z * dB1 + p.sigma_income * dB2
         jump = jumps[a]
         if jump.any():
@@ -282,13 +304,14 @@ def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
                 recov = rng.random(n_jump) ** (1.0 / p.power_nu)
             else:
                 recov = np.full(n_jump, p.recovery)
-            inc_new[jump] *= recov
+            inc[jump] *= recov
             # income jumps move the cointegration gap with them, keeping
             # the identity Z = ln I - ln S; the gap then mean-reverts
-            Z_new[jump] += np.log(np.maximum(recov, 1e-10))
-        inc[a] = np.maximum(inc_new, 1e-10)
-        Z[a] = Z_new
-    shares = np.where(share_n > 0, share_sum / np.maximum(share_n, 1.0), 0.0)
+            Z[jump] += np.log(np.maximum(recov, 1e-10))
+        inc = np.maximum(inc, 1e-10)
+    if n_steps > 0:
+        # paths still working at the cap worked every step
+        shares[a] = share_sum / n_steps
     return RetireStats(
         expected_time=float(np.mean(ret_time)),
         expected_share=float(np.mean(shares)),

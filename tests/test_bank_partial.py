@@ -341,6 +341,45 @@ class TestSliceAssembly:
         assert sol.iterations == 149
 
 
+class TestStackedBilinear:
+    """One cell lookup for a stack of surfaces equals one lookup per surface."""
+
+    XS = np.array([0.0, 0.1, 0.25, 0.3, 0.6, 1.0])
+    YS = np.array([-1.0, -0.2, 0.5, 2.0])
+
+    def surfaces(self):
+        rng = np.random.default_rng(7)
+        return rng.standard_normal((3, self.YS.size, self.XS.size))
+
+    @pytest.mark.parametrize("x, y", [
+        (np.array([0.05, 0.29, 0.7, 0.99]), np.array([-0.9, 0.1, 1.9, 0.5])),  # inside
+        (np.array([-0.5, 1.5, 0.2, 3.0]), np.array([0.0, -4.0, 9.0, 2.5])),     # outside
+        (np.array([0.0, 0.25, 0.6, 1.0]), np.array([-1.0, 0.5, -0.2, 2.0])),    # on nodes
+        (np.array([[0.1, 0.4], [0.9, -1.0]]), np.array([0.3, 5.0])),            # broadcast
+    ])
+    def test_stack_equals_separate_lookups_byte_for_byte(self, x, y):
+        stack = self.surfaces()
+        out = bp.bilinear(self.XS, self.YS, stack, x, y)
+        assert out.shape == (3,) + np.broadcast_shapes(x.shape, y.shape)
+        for m in range(3):
+            assert out[m].tobytes() == bp.bilinear(self.XS, self.YS, stack[m], x, y).tobytes()
+
+    def test_scalar_query_gives_one_value_per_surface(self):
+        stack = self.surfaces()
+        out = bp.bilinear(self.XS, self.YS, stack, 0.27, 1.1)
+        single = [bp.bilinear(self.XS, self.YS, s, 0.27, 1.1) for s in stack]
+        assert all(isinstance(v, float) for v in single)
+        assert out.shape == (3,)
+        assert out.tobytes() == np.array(single).tobytes()
+
+    def test_nodes_and_edges_reproduce_the_surface(self):
+        s = self.surfaces()[0]
+        X, Y = np.meshgrid(self.XS, self.YS)
+        np.testing.assert_array_equal(bp.bilinear(self.XS, self.YS, s, X, Y), s)
+        # outside the grid the nearest edge value is taken
+        assert bp.bilinear(self.XS, self.YS, s, 7.0, -7.0) == s[0, -1]
+
+
 class TestTableBRegression:
     """The Table-B 21x7 solve, pinned to values recorded before the path
     assembly was vectorised and policy iteration warm-started."""

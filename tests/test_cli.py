@@ -75,10 +75,14 @@ class TestIngestPanel:
 
 class TestCli:
     def test_unknown_subcommand_exits_2(self):
+        # the child finds the package where this process found it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "sc_control", "no-such-command",
              "--config", "x.json"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 2
 
     def test_solve_bank_full_writes_artifacts(self, tmp_path):
@@ -279,6 +283,27 @@ class TestCliSolverHandlers:
                         {"retire_params": self.RET, "grid": self.RGRID,
                          "n_paths": 500, "dt": 0.1}, str(tmp_path / "b"), seed=4)
         assert out_r["policy"]["expected_time"] > 0
+
+    @pytest.mark.parametrize("subcommand, field, run", [
+        ("simulate-retire", "n_paths", {"n_paths": 0}),
+        ("simulate-retire", "dt", {"dt": 0}),
+        ("simulate-retire", "dt", {"dt": -0.5}),
+        ("simulate-retire", "dt", {"dt": "0.1"}),
+        ("simulate-retire", "start_w_over_i", {"start_w_over_i": -5}),
+        ("simulate-bank", "n_paths", {"n_paths": 0}),
+        ("simulate-bank", "dt", {"dt": 0}),
+        ("simulate-bank", "horizon", {"horizon": 0})])
+    def test_unusable_run_settings_exit_1_naming_them(self, tmp_path, subcommand, field, run):
+        params = ({"retire_params": self.RET} if subcommand == "simulate-retire"
+                  else {"bank_params": self.BANK})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**params, **run}))
+        out_dir = tmp_path / "out"
+        assert cli.main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"{field}=")
+        assert not (out_dir / "summary.json").exists()
 
     def test_elasticity_subcommand(self, tmp_path):
         out = cli.run("elasticity",

@@ -1,6 +1,7 @@
 """Monte Carlo engine tests: bank path bookkeeping and retirement timing."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from sc_control import bank_full, retire as rt, simulate as sim
 from sc_control.errors import ValidationError
 from sc_control.params import BankParams
+from sc_control.retire import RetireSolution
 
 from conftest import baseline_retire_params, fig_bank_params
 
@@ -60,6 +62,15 @@ class TestSimulateBank:
         with pytest.raises(ValidationError):
             sim.simulate_bank(fig_bank_params(), fig_solution, horizon=1.0,
                               n_paths=10, dt=0.2, seed=1)
+
+    @pytest.mark.parametrize("field, run", [
+        ("n_paths", dict(n_paths=0)), ("n_paths", dict(n_paths=2.5)),
+        ("dt", dict(dt=0.0)), ("dt", dict(dt=-0.05)), ("dt", dict(dt=math.nan)),
+        ("horizon", dict(horizon=0.0)), ("horizon", dict(horizon=-1.0))])
+    def test_unusable_run_settings_raise_naming_them(self, fig_solution, field, run):
+        run = {"horizon": 1.0, "n_paths": 10, "dt": 0.0625, **run}
+        with pytest.raises(ValidationError, match=field):
+            sim.simulate_bank(fig_bank_params(), fig_solution, **run, seed=1)
 
     def test_reproducible(self, fig_solution):
         p = fig_bank_params()
@@ -138,3 +149,55 @@ class TestSimulateRetirement:
         assert sim.simulate_policy(p, pol, 10.0, 300, 0.1, 3) == ours
         alone = sim.simulate_policy(p, ben, 10.0, 300, 0.1, 3)
         assert dataclasses.replace(alone, policy="benchmark") == dl
+
+
+def synthetic_policy(boundary: float) -> RetireSolution:
+    """A hand-built solution: analytic controls and retirement boundary
+    on linspace grids, so the engine is tested apart from the HJB solver."""
+    xi = np.linspace(0.0, 1.0, 41)
+    z = np.linspace(-1.0, 1.0, 17)
+    XI, ZZ = np.meshgrid(xi, z)
+    y = 0.4 * (1.0 - XI) * (1.0 + 0.3 * np.tanh(ZZ))
+    c = 0.004 + 0.004 * XI * (1.0 + 0.2 * ZZ)
+    xr = boundary * (1.0 + 0.5 * z)
+    return RetireSolution(params=baseline_retire_params(), xi=xi, z=z, u=np.zeros_like(y),
+                          y_star=y, c_star=c, retired=XI <= xr[:, None], xi_retire=xr,
+                          xi_participate=np.full(z.size, np.nan), iterations=0, residual=0.0)
+
+
+class TestEngineOnSyntheticPolicy:
+    """RetireStats pinned exactly, as recorded before the engine kept only
+    the working paths and read both controls with one lookup."""
+
+    CASES = {  # name: (boundary, world overrides, start, n_paths, dt, seed,
+               #        antithetic, (expected_time, expected_share, retired_fraction))
+        "plain": (0.3, {}, 10.0, 200, 0.25, 1, False,
+                  (125.84375, 0.3954291994494977, 0.97)),
+        "antithetic_odd": (0.3, {}, 10.0, 201, 0.25, 2, True,
+                           (126.60074626865672, 0.39502682692862323, 0.9601990049751243)),
+        "power_nu": (0.3, {"power_nu": 3.0}, 10.0, 200, 0.25, 3, False,
+                     (121.63375, 0.3942481195413368, 0.99)),
+        "start_above_boundary": (0.3, {}, 400.0, 50, 0.25, 4, False, (0.0, 0.0, 1.0)),
+        "some_reach_the_cap": (0.12, {}, 10.0, 200, 0.5, 5, False,
+                               (177.3375, 0.3936513223791195, 0.82)),
+        "all_retire_early": (0.6, {}, 10.0, 150, 0.25, 6, False,
+                             (55.605, 0.3936361267332747, 1.0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_stats_pinned_exactly(self, case):
+        boundary, world, start, n, dt, seed, anti, expected = self.CASES[case]
+        st = sim.simulate_policy(baseline_retire_params(**world), synthetic_policy(boundary),
+                                 start, n, dt, seed, anti)
+        assert (st.expected_time, st.expected_share, st.retired_fraction) == expected
+        assert st.n_paths == n and st.policy == "policy"
+
+    @pytest.mark.parametrize("field, run", [
+        ("n_paths", dict(n_paths=0)), ("n_paths", dict(n_paths=-3)),
+        ("dt", dict(dt=0.0)), ("dt", dict(dt=-0.5)), ("dt", dict(dt=math.inf)),
+        ("start_w_over_i", dict(start_w_over_i=-5.0)),
+        ("start_w_over_i", dict(start_w_over_i=math.nan))])
+    def test_unusable_run_settings_raise_naming_them(self, field, run):
+        run = {"start_w_over_i": 10.0, "n_paths": 10, "dt": 0.5, **run}
+        with pytest.raises(ValidationError, match=field):
+            sim.simulate_policy(baseline_retire_params(), synthetic_policy(0.3), **run, seed=1)
