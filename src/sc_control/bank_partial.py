@@ -34,7 +34,8 @@ the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -469,6 +470,20 @@ def impulse_operator(sol: PartialSolution, start, p: BankParams | None = None,
     return float(np.interp(x0, sol.xs, vals))
 
 
+def _line_data(p: BankParams, xs: np.ndarray):
+    """(kappa1, omega1, full_line, V on the invariant line at the nodes xs).
+
+    On S = s_inf the model is the fully observed one under (kappa1, omega1):
+    the row is the semi-explicit value function, omega1*kappa1 at and below
+    the barrier kappa1.  It is the solver's Dirichlet data.
+    """
+    kappa1, omega1 = degenerate_boundary_params(p)
+    full_line = bank_full.solve_barriers(p, kappa=kappa1, omega=omega1)
+    line_vals = np.asarray(bank_full.value_function(np.maximum(xs, kappa1), full_line))
+    line_vals[xs <= kappa1] = omega1 * kappa1
+    return kappa1, omega1, full_line, line_vals
+
+
 def penalty_solve(p: BankParams, grid: BankGrid | None = None,
                   n_time: int = 64, line_tol: float = 5e-7,
                   line_max_sweeps: int = 40) -> PartialSolution:
@@ -481,21 +496,18 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
     """
     if grid is None:
         grid = default_grid(p)
-    kappa1, omega1 = degenerate_boundary_params(p)
-    full_line = bank_full.solve_barriers(p, kappa=kappa1, omega=omega1)
     sp = _SliceProblem(p, _x_grid(grid), n_time=n_time)
     xs = sp.xs
     ss, line_idx = _s_grid(p, grid)
     n_s, n_x = ss.size, xs.size
     rule = sp.rule
+    kappa1, omega1, full_line, line_vals = _line_data(p, xs)
 
     V = np.zeros((n_s, n_x))
     regions = np.zeros((n_s, n_x), dtype=np.int8)
     solved = np.zeros(n_s, dtype=bool)
 
     # invariant line: closed-form Dirichlet data
-    line_vals = np.asarray(bank_full.value_function(np.maximum(xs, kappa1), full_line))
-    line_vals[xs <= kappa1] = omega1 * kappa1
     V[line_idx] = line_vals
     regions[line_idx, xs <= kappa1] = 0
     regions[line_idx, (xs > kappa1) & (xs <= full_line.u1)] = 1
@@ -615,38 +627,50 @@ def extract_regions(sol: PartialSolution) -> dict:
 
 
 _SWEEP_FRACTIONS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)  # of s_inf, for the S-row
+# "S" is the state variance; every other name is a BankParams field, except
+# S_bar, which the perturbed records reset to their default
+_ELASTICITY_PARAMETERS = ("S",) + tuple(
+    f.name for f in fields(BankParams) if f.name != "S_bar")
+
+
+def check_elasticity_settings(param_name, rel_step) -> None:
+    """Raise ValidationError naming an unusable elasticity parameter or step."""
+    if param_name not in _ELASTICITY_PARAMETERS:
+        raise ValidationError(f"param_name={param_name!r} has no elasticity; "
+                              f"valid: {', '.join(_ELASTICITY_PARAMETERS)}")
+    if not (isinstance(rel_step, numbers.Real) and math.isfinite(rel_step) and rel_step > 0.0):
+        raise ValidationError(f"rel_step={rel_step!r} must be a finite number > 0")
 
 
 def elasticity(p: BankParams, param_name: str, rel_step: float = 0.01,
-               grid: BankGrid | None = None, solver=penalty_solve,
+               grid: BankGrid | None = None,
                baseline: PartialSolution | None = None) -> dict:
     """Central-difference elasticities of {u1, u2, I, V} at the long-run S.
 
-    For parameters other than ``S`` the perturbed problems are re-solved and
-    outputs are read on the invariant line (where S tracks its long-run
-    level m*sigma*(1-rho) through the perturbation); V is evaluated at the
-    baseline dividend barrier.  For ``S`` no rerun is needed: the surface
-    itself varies in S, and the elasticity is averaged over the documented
-    sweep S/s_inf in {1, 1.5, ..., 4}, the comparative-statics range of the
-    uncertainty panel, using quarter-s_inf central differences (barrier
-    curves are grid-quantized, so tighter steps would alias).  Denominators
-    use |output| wherever the quantity may change sign (I and rho per the
-    stated convention).
+    For parameters other than ``S`` the outputs are read on the invariant
+    line, where S tracks its long-run level m*sigma*(1-rho) through the
+    perturbation.  There the model is the fully observed one under
+    (kappa1, omega1), whose semi-explicit solution gives u1, u2, I = kappa1
+    and the line's row of V in closed form, so no PDE is solved: V is that
+    row on the X axis of ``grid`` (of each perturbed record's default grid
+    when None), interpolated as ``PartialSolution.value`` interpolates on
+    the line, at the baseline dividend barrier.  The grid's S axis does not
+    act on these rows.  ``baseline``, when given, supplies the base outputs.
+    For ``S`` the surface itself varies in S: the elasticity is read off
+    ``baseline`` (solved on ``grid`` when None), averaged over the
+    documented sweep S/s_inf in {1, 1.5, ..., 4}, the comparative-statics
+    range of the uncertainty panel, using quarter-s_inf central differences
+    (barrier curves are grid-quantized, so tighter steps would alias).
+    Denominators use |output| wherever the quantity may change sign (I and
+    rho per the stated convention).  Names and steps are checked before any
+    solve.
     """
-    if baseline is None:
-        baseline = solver(p, grid)
-    s_inf = p.s_infinity
-    x_ref = baseline.full_line.u2
-
-    def outputs_at(sol: PartialSolution, x_eval: float):
-        return {
-            "u1": sol.full_line.u1,
-            "u2": sol.full_line.u2,
-            "I": sol.kappa1,
-            "V": float(sol.value(x_eval, sol.params.s_infinity)),
-        }
-
+    check_elasticity_settings(param_name, rel_step)
     if param_name == "S":
+        if baseline is None:
+            baseline = penalty_solve(p, grid)
+        s_inf = p.s_infinity
+        x_ref = baseline.full_line.u2
         rule = LiquidationRule(p.kappa_min, p.conf_a)
         out = {"u1": [], "u2": [], "I": [], "V": []}
         for frac in _SWEEP_FRACTIONS:
@@ -666,15 +690,26 @@ def elasticity(p: BankParams, param_name: str, rel_step: float = 0.01,
                     out[name].append((hi - lo) / (2.0 * dS) * S0 / denom)
         return {k: float(np.nanmean(v)) for k, v in out.items()}
 
+    def line_outputs(q: BankParams, x_eval=None):
+        xs = _x_grid(default_grid(q) if grid is None else grid)
+        kappa1, _, full_line, line_vals = _line_data(q, xs)
+        x_eval = full_line.u2 if x_eval is None else x_eval
+        # PartialSolution.value on the line: the row below has weight 0
+        v = _lerp(line_vals, *_cell(xs, np.atleast_1d(x_eval)))
+        return {"u1": full_line.u1, "u2": full_line.u2, "I": kappa1, "V": float(v[0])}
+
+    if baseline is None:
+        base_out = line_outputs(p)
+        x_ref = base_out["u2"]
+    else:
+        x_ref = baseline.full_line.u2
+        base_out = {"u1": baseline.full_line.u1, "u2": x_ref, "I": baseline.kappa1,
+                    "V": float(baseline.value(x_ref, baseline.params.s_infinity))}
+
     value0 = getattr(p, param_name)
     step = rel_step * abs(value0) if value0 != 0.0 else rel_step
-    p_hi = replace(p, **{param_name: value0 + step, "S_bar": None})
-    p_lo = replace(p, **{param_name: value0 - step, "S_bar": None})
-    sol_hi = solver(p_hi, grid)
-    sol_lo = solver(p_lo, grid)
-    base_out = outputs_at(baseline, x_ref)
-    hi_out = outputs_at(sol_hi, x_ref)
-    lo_out = outputs_at(sol_lo, x_ref)
+    hi_out = line_outputs(replace(p, **{param_name: value0 + step, "S_bar": None}), x_ref)
+    lo_out = line_outputs(replace(p, **{param_name: value0 - step, "S_bar": None}), x_ref)
     result = {}
     use_abs_in = param_name == "rho"
     din = 2.0 * step / (abs(value0) if use_abs_in and value0 != 0.0 else value0) \

@@ -266,13 +266,16 @@ def _cmd_simulate_retire(cfg, args, out_dir):
 def _cmd_elasticity(cfg, args, out_dir):
     p = _bank_params(cfg)
     grid = _bank_grid(cfg, p, n_x=201, n_s=41)
-    baseline = bank_partial.penalty_solve(p, grid)
-    rows = {}
-    for name in cfg.get("parameters", ["S", "sigma", "noise_m", "omega", "rho",
-                                       "delay_Delta", "issue_cost_K"]):
-        rows[name] = bank_partial.elasticity(
-            p, name, rel_step=cfg.get("rel_step", 0.01), grid=grid,
-            baseline=baseline)
+    names = cfg.get("parameters", ["S", "sigma", "noise_m", "omega", "rho",
+                                   "delay_Delta", "issue_cost_K"])
+    rel_step = cfg.get("rel_step", 0.01)
+    for name in names:
+        bank_partial.check_elasticity_settings(name, rel_step)
+    # only the S row reads the surface; the others are closed form on the line
+    baseline = bank_partial.penalty_solve(p, grid) if "S" in names else None
+    rows = {name: bank_partial.elasticity(p, name, rel_step=rel_step, grid=grid,
+                                          baseline=baseline)
+            for name in names}
     return {"elasticities": rows}
 
 

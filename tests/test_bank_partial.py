@@ -3,6 +3,7 @@ against the closed-form oracle, penalty solve properties, elasticities."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri, roots_hermitenorm
 
-from sc_control import bank_full, bank_partial as bp
+from sc_control import bank_full, bank_partial as bp, cli
 from sc_control.errors import NoConvergence, ValidationError
 
 from conftest import table_bank_params
@@ -424,3 +425,87 @@ class TestElasticity:
         out = bp.elasticity(table_bank_params(), "S",
                             baseline=bank_partial_solution)
         assert out["I"] == pytest.approx(-3.756, rel=0.20)
+
+
+def pde_read_rows(p, name, rel_step, grid, baseline):
+    """Elasticity rows read off perturbed penalty solves, as they once were."""
+    x_ref = baseline.full_line.u2
+
+    def outputs_at(sol):
+        return {"u1": sol.full_line.u1, "u2": sol.full_line.u2, "I": sol.kappa1,
+                "V": float(sol.value(x_ref, sol.params.s_infinity))}
+
+    v0 = getattr(p, name)
+    step = rel_step * abs(v0)
+    hi = outputs_at(bp.penalty_solve(dataclasses.replace(p, **{name: v0 + step, "S_bar": None}), grid))
+    lo = outputs_at(bp.penalty_solve(dataclasses.replace(p, **{name: v0 - step, "S_bar": None}), grid))
+    base = outputs_at(baseline)
+    din = 2.0 * step / (abs(v0) if name == "rho" else v0)
+    return {k: float(((hi[k] - lo[k]) / (abs(base[k]) if k == "I" else base[k])) / din)
+            for k in ("u1", "u2", "I", "V")}
+
+
+@pytest.fixture(scope="module")
+def small_baselines():
+    p = table_bank_params()
+    return {"grid": bp.penalty_solve(p, bp.default_grid(p, n_x=21, n_s=7)),
+            "other": bp.penalty_solve(p, bp.default_grid(p, n_x=31, n_s=9))}
+
+
+class TestClosedFormElasticity:
+    """The non-S rows come from the invariant line without a PDE solve, and
+    equal byte for byte the rows once read off two perturbed solves."""
+
+    NAMES = ("sigma", "noise_m", "omega", "rho", "delay_Delta", "issue_cost_K")
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("mode", ["grid", "no grid", "other baseline"])
+    def test_rows_equal_the_pde_read_rows(self, monkeypatch, small_baselines, name, mode):
+        p = table_bank_params()
+        grid = bp.default_grid(p, n_x=21, n_s=7)
+        baseline = small_baselines["other"] if mode == "other baseline" else None
+        if mode == "no grid":
+            # each record's own default grid, at 21 x 7 to keep the solves small
+            default_grid = bp.default_grid
+            monkeypatch.setattr(bp, "default_grid",
+                                lambda q, n_x=21, n_s=7: default_grid(q, n_x, n_s))
+            grid = None
+        with monkeypatch.context() as m:
+            m.setattr(bp, "penalty_solve", _no_solve)
+            got = bp.elasticity(p, name, grid=grid, baseline=baseline)
+        want = pde_read_rows(p, name, 0.01, grid,
+                             baseline if baseline is not None else small_baselines["grid"])
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
+    def test_no_penalty_solve_without_s(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bp, "penalty_solve", _no_solve)
+        p = table_bank_params()
+        grid = bp.default_grid(p, n_x=21, n_s=7)
+        assert bp.elasticity(p, "omega", grid=grid)["I"] == 0.0
+        cfg = {"bank_params": {f: getattr(p, f) for f in (
+                   "mu", "alpha", "sigma", "delta", "omega", "kappa_min", "issue_cost_K",
+                   "delay_Delta", "noise_m", "rho", "conf_a")},
+               "grid": dataclasses.asdict(grid), "parameters": ["sigma", "omega"]}
+        out = cli.run("elasticity", cfg, str(tmp_path))
+        assert set(out["elasticities"]) == {"sigma", "omega"}
+
+    @pytest.mark.parametrize("name", ["sigmaa", "S_bar", "", None])
+    def test_unknown_parameter_rejected_before_any_solve(self, monkeypatch, name):
+        monkeypatch.setattr(bp, "penalty_solve", _no_solve)
+        monkeypatch.setattr(bank_full, "solve_barriers", _no_solve)
+        with pytest.raises(ValidationError, match=re.escape(f"param_name={name!r}")) as err:
+            bp.elasticity(table_bank_params(), name)
+        assert "valid: S, mu, alpha, sigma" in str(err.value)
+        assert "S_bar" not in str(err.value).split("valid:")[1]
+
+    @pytest.mark.parametrize("rel_step", [0.0, -0.01, math.nan, math.inf, "0.01", None])
+    def test_unusable_step_rejected_before_any_solve(self, monkeypatch, rel_step):
+        monkeypatch.setattr(bp, "penalty_solve", _no_solve)
+        monkeypatch.setattr(bank_full, "solve_barriers", _no_solve)
+        for name in ("S", "sigma"):
+            with pytest.raises(ValidationError, match="rel_step=.* must be a finite number > 0"):
+                bp.elasticity(table_bank_params(), name, rel_step=rel_step)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solver called")

@@ -311,3 +311,22 @@ class TestCliSolverHandlers:
                        "grid": self.bank_grid()}, str(tmp_path))
         assert out["elasticities"]["omega"]["I"] == 0.0
         assert out["elasticities"]["S"]["I"] == pytest.approx(-3.756, rel=0.2)
+
+    @pytest.mark.parametrize("run, message", [
+        ({"parameters": ["S", "sigmaa"]}, "param_name='sigmaa' has no elasticity"),
+        ({"parameters": ["S_bar"]}, "param_name='S_bar' has no elasticity"),
+        ({"parameters": ["S", "sigma"], "rel_step": 0}, "rel_step=0 must be")])
+    def test_unusable_elasticity_settings_exit_1_before_solving(self, tmp_path, monkeypatch,
+                                                                run, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(bank_partial, "penalty_solve", no_solve)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bank_params": self.BANK, "grid": self.bank_grid(), **run}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["elasticity", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(message)
+        assert not (out_dir / "summary.json").exists()
