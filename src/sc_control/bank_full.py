@@ -39,6 +39,7 @@ from .errors import NoBracket, NoSolution, QuadratureFailure, ValidationError
 from .params import BankParams
 
 _DIFF_H = 1e-6  # central-difference step for H_X
+_GAP_NODES = 2401  # X nodes of the tangency-gap grid
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,6 @@ class FullSolution:
     u2: float
     conditions_report: dict
     has_recapitalization: bool
-    multiple_tangencies: bool = False
 
     def value(self, X):
         return value_function(X, self)
@@ -293,9 +293,9 @@ class _GapGrid:
     so one quadrature pass over the grid serves every u2 in the bisection.
     """
 
-    def __init__(self, ctx: _Ctx, x_hi: float, n: int = 2401):
+    def __init__(self, ctx: _Ctx, x_hi: float):
         self.ctx = ctx
-        self.xs = np.linspace(ctx.kappa, x_hi, n)
+        self.xs = np.linspace(ctx.kappa, x_hi, _GAP_NODES)
         d = np.log((1.0 + self.xs) / (1.0 + ctx.kappa))
         sq = ctx.sigma * math.sqrt(ctx.Delta)
         disc_a = math.exp(-(ctx.delta - ctx.alpha) * ctx.Delta)
@@ -364,11 +364,6 @@ def solve_barriers(p: BankParams, kappa: float | None = None,
             f"tangency residual does not change sign on (kappa, u0): "
             f"gap({lo:.4g})={g_lo:.3g}, gap(u0)={g_hi:.3g}"
         )
-    # count sign changes on a coarse sweep (multiplicity flag)
-    sweep = np.linspace(lo, hi, 65)
-    signs = [math.copysign(1.0, grid.min_gap(u)[0]) for u in sweep]
-    crossings = sum(1 for a, b in zip(signs[:-1], signs[1:]) if a != b)
-
     a, b = lo, hi
     u1 = None
     for _ in range(100):
@@ -401,7 +396,7 @@ def solve_barriers(p: BankParams, kappa: float | None = None,
         params=p, kappa=ctx.kappa, omega=ctx.omega,
         lambda_minus=ctx.lam_m, lambda_plus=ctx.lam_p,
         u0=u0, u1=u1, u2=u2, conditions_report=report,
-        has_recapitalization=True, multiple_tangencies=crossings > 1,
+        has_recapitalization=True,
     )
 
 

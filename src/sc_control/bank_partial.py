@@ -34,7 +34,6 @@ the grid.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -44,7 +43,11 @@ from scipy.special import ndtr, ndtri
 from . import bank_full
 from .errors import NoConvergence, ValidationError
 from .filtering import filter_gain, riccati_variance
-from .params import BankGrid, BankParams
+from .params import BankGrid, BankParams, finite_number
+
+_N_TIME = 64  # time steps of each delayed-issuance path over [0, Delta]
+_LINE_TOL = 5e-7  # line sweeps stop below this relative change, surface sweeps at 10x
+_LINE_MAX_SWEEPS = 40  # cap on the line sweeps and on the surface refinement sweeps
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,6 @@ class PartialSolution:
     kappa1: float
     omega1: float
     line_index: int           # slice index of the invariant line
-    line_solution: np.ndarray  # numerically solved invariant-line slice
     line_sup_error: float     # sup rel. error of numeric line slice vs closed form
     full_line: bank_full.FullSolution
     iterations: int
@@ -290,11 +292,10 @@ class _SliceProblem:
     the upwinded drift) are computed once here.
     """
 
-    def __init__(self, p: BankParams, xs: np.ndarray, n_time: int = 64):
+    def __init__(self, p: BankParams, xs: np.ndarray):
         self.p = p
         self.rule = LiquidationRule(p.kappa_min, p.conf_a)
         self.xs = xs
-        self.n_time = n_time
         self.dm = p.delta - p.mu
         self.am = p.alpha - p.mu
         self.d2 = _diff_ops(xs)
@@ -447,7 +448,7 @@ def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
     """
     p = sp.p
     xs = sp.xs
-    n_t = sp.n_time
+    n_t = _N_TIME
     dt = p.delay_Delta / n_t
     s_path = riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, n_t + 1))
     steps = s_path[:-1]
@@ -460,12 +461,10 @@ def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
     return u
 
 
-def impulse_operator(sol: PartialSolution, start, p: BankParams | None = None,
-                     n_time: int = 64) -> float:
+def impulse_operator(sol: PartialSolution, start) -> float:
     """P V at a single point of a solved surface."""
-    p = sol.params if p is None else p
     x0, s0 = start
-    sp = _SliceProblem(p, sol.xs, n_time=n_time)
+    sp = _SliceProblem(sol.params, sol.xs)
     vals = _impulse_slice(sp, float(s0), sol.value)
     return float(np.interp(x0, sol.xs, vals))
 
@@ -484,19 +483,17 @@ def _line_data(p: BankParams, xs: np.ndarray):
     return kappa1, omega1, full_line, line_vals
 
 
-def penalty_solve(p: BankParams, grid: BankGrid | None = None,
-                  n_time: int = 64, line_tol: float = 5e-7,
-                  line_max_sweeps: int = 40) -> PartialSolution:
+def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolution:
     """Solve the variational inequality on both sub-domains.
 
     Marches away from the invariant line (Dirichlet data from the
     semi-explicit fully observed solution under (kappa1, omega1)); also
     solves the invariant-line slice numerically as a self-consistency
-    diagnostic (``line_solution`` / ``line_sup_error``).
+    diagnostic (``line_sup_error``).
     """
     if grid is None:
         grid = default_grid(p)
-    sp = _SliceProblem(p, _x_grid(grid), n_time=n_time)
+    sp = _SliceProblem(p, _x_grid(grid))
     xs = sp.xs
     ss, line_idx = _s_grid(p, grid)
     n_s, n_x = ss.size, xs.size
@@ -541,7 +538,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
     x_b = float(liquidation_barrier(s_line, rule))
     v_num = np.maximum(rule.payoff(s_line, p.omega) + (xs - x_b), rule.payoff(s_line, p.omega))
     V_line_saved = V[line_idx].copy()
-    for sweep in range(line_max_sweeps):
+    for sweep in range(_LINE_MAX_SWEEPS):
         V[line_idx] = v_num  # the line's own P references this iterate
         p_line = _impulse_slice(sp, s_line, lookup)
         v_new, _, sets[line_idx] = _solve_slice(sp, s_line, 0.0, np.zeros(n_x), p_line,
@@ -549,7 +546,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
         change = float(np.max(np.abs(v_new - v_num) / (1.0 + np.abs(v_num))))
         v_num = v_new
         total_iters += 1
-        if change < line_tol:
+        if change < _LINE_TOL:
             break
     else:
         raise NoConvergence("invariant-line sweep did not converge", residual=change)
@@ -561,7 +558,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
     # march the two sub-domains away from the line, then refine with the
     # nonlocal operator frozen at the previous full sweep
     order = list(range(line_idx - 1, -1, -1)) + list(range(line_idx + 1, n_s))
-    for sweep in range(1 + line_max_sweeps):
+    for sweep in range(1 + _LINE_MAX_SWEEPS):
         change = 0.0
         for j in order:
             S = float(ss[j])
@@ -580,7 +577,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
             total_iters += 1
         if sweep > 0:
             residual = change
-            if change < line_tol * 10.0:
+            if change < _LINE_TOL * 10.0:
                 break
     else:
         raise NoConvergence("surface refinement did not converge",
@@ -611,7 +608,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None,
         params=p, xs=xs, ss=ss, V=V, regions=regions,
         barrier_I=barrier_I, barrier_u1=barrier_u1, barrier_u2=barrier_u2,
         kappa1=kappa1, omega1=omega1, line_index=line_idx,
-        line_solution=v_num, line_sup_error=line_sup_error,
+        line_sup_error=line_sup_error,
         full_line=full_line, iterations=total_iters, residual=residual,
     )
 
@@ -638,7 +635,7 @@ def check_elasticity_settings(param_name, rel_step) -> None:
     if param_name not in _ELASTICITY_PARAMETERS:
         raise ValidationError(f"param_name={param_name!r} has no elasticity; "
                               f"valid: {', '.join(_ELASTICITY_PARAMETERS)}")
-    if not (isinstance(rel_step, numbers.Real) and math.isfinite(rel_step) and rel_step > 0.0):
+    if not (finite_number(rel_step) and rel_step > 0.0):
         raise ValidationError(f"rel_step={rel_step!r} must be a finite number > 0")
 
 

@@ -89,9 +89,6 @@ class ParticleCloud:
     def theta_mean(self) -> np.ndarray:
         return self.weights @ self.theta
 
-    def state_mean(self) -> float:
-        return float(self.weights @ self.state)
-
 
 def init_cloud(obs0: float, cfg: PfConfig) -> ParticleCloud:
     """Draw the initial cloud from the prior boxes, state at obs0."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -70,12 +71,14 @@ def _write_json(out_dir, name, payload):
 
 
 def _write_csv(out_dir, name, header, columns):
+    """One row per entry of the equal-size columns (2-D ones read row-major):
+    numbers as repr(float), str values (label columns) as they are."""
     path = os.path.join(out_dir, name)
-    arr = np.column_stack(columns)
+    cols = [np.ravel(c).tolist() for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in zip(*cols, strict=True):
+            fh.write(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
     return path
 
 
@@ -131,13 +134,8 @@ def _cmd_solve_bank_full(cfg, args, out_dir):
     p = _bank_params(cfg)
     sol = bank_full.solve_barriers(p)
     xs = np.linspace(sol.kappa, 3.0 * sol.u2, int(cfg.get("n_plot", 301)))
-    vals = sol.value(xs)
-    actions = [sol.action(float(x)).kind for x in xs]
-    path = os.path.join(out_dir, "value_function.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("X,V,action\n")
-        for x, v, a in zip(xs, vals, actions):
-            fh.write(f"{float(x)!r},{float(v)!r},{a}\n")
+    _write_csv(out_dir, "value_function.csv", ["X", "V", "action"],
+               [xs, sol.value(xs), [sol.action(float(x)).kind for x in xs]])
     return {
         "lambda_minus": sol.lambda_minus, "lambda_plus": sol.lambda_plus,
         "u0": sol.u0, "u1": sol.u1, "u2": sol.u2,
@@ -149,12 +147,8 @@ def _cmd_solve_bank_partial(cfg, args, out_dir):
     p = _bank_params(cfg)
     sol = bank_partial.penalty_solve(p, _bank_grid(cfg, p))
     region_names = np.array(["dead", "RR", "CR", "DR"])
-    path = os.path.join(out_dir, "surface.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("X_hat,S,V,region\n")
-        for j, s in enumerate(sol.ss):
-            for i, x in enumerate(sol.xs):
-                fh.write(f"{float(x)!r},{float(s)!r},{float(sol.V[j, i])!r},{region_names[sol.regions[j, i]]}\n")
+    _write_csv(out_dir, "surface.csv", ["X_hat", "S", "V", "region"],
+               [*np.meshgrid(sol.xs, sol.ss), sol.V, region_names[sol.regions]])
     curves = bank_partial.extract_regions(sol)
     _write_csv(out_dir, "boundaries.csv", ["S", "I", "u1", "u2"],
                [curves["S"], curves["I"], curves["u1"], curves["u2"]])
@@ -170,14 +164,9 @@ def _cmd_solve_bank_partial(cfg, args, out_dir):
 
 
 def _retire_csvs(sol, out_dir):
-    path = os.path.join(out_dir, "surface.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("xi,z,u,y_star,c_star,region\n")
-        for j, zv in enumerate(sol.z):
-            for i, xv in enumerate(sol.xi):
-                reg = "retired" if sol.retired[j, i] else "work"
-                fh.write(f"{float(xv)!r},{float(zv)!r},{float(sol.u[j, i])!r},"
-                         f"{float(sol.y_star[j, i])!r},{float(sol.c_star[j, i])!r},{reg}\n")
+    _write_csv(out_dir, "surface.csv", ["xi", "z", "u", "y_star", "c_star", "region"],
+               [*np.meshgrid(sol.xi, sol.z), sol.u, sol.y_star, sol.c_star,
+                np.where(sol.retired, "retired", "work")])
     _write_csv(out_dir, "boundaries.csv",
                ["z", "w_retire_over_I", "w_target_over_I"],
                [sol.z,
@@ -187,9 +176,11 @@ def _retire_csvs(sol, out_dir):
                                         sol.params.r)])
 
 
-def _cmd_solve_retire(cfg, args, out_dir):
-    p = _retire_params(cfg)
-    sol = retire.penalty_solve_retire(p, _retire_grid(cfg))
+def _cmd_solve_retire(cfg, args, out_dir, solver="penalty_solve_retire"):
+    """solve-retire, and solve-retire-ez with solver="epstein_zin_solve"."""
+    # the solver is looked up by name on each call, so a wrapper placed on
+    # the module attribute (a tracer, a test double) sees the call
+    sol = getattr(retire, solver)(_retire_params(cfg), _retire_grid(cfg))
     _retire_csvs(sol, out_dir)
     return {"threshold_w_over_I": sol.wealth_threshold(),
             "participation_target": sol.participation_target(),
@@ -205,15 +196,6 @@ def _cmd_solve_retire_finite(cfg, args, out_dir):
     _write_csv(out_dir, "threshold_by_age.csv", ["age", "w_retire_over_I"],
                [sol.ages, thresholds])
     return {"threshold_t0": float(thresholds[0]), "iterations": sol.iterations}
-
-
-def _cmd_solve_retire_ez(cfg, args, out_dir):
-    p = _retire_params(cfg)
-    sol = retire.epstein_zin_solve(p, _retire_grid(cfg))
-    _retire_csvs(sol, out_dir)
-    return {"threshold_w_over_I": sol.wealth_threshold(),
-            "participation_target": sol.participation_target(),
-            "iterations": sol.iterations, "residual": sol.residual}
 
 
 def _cmd_simulate_bank(cfg, args, out_dir):
@@ -286,7 +268,7 @@ _HANDLERS = {
     "solve-bank-partial": _cmd_solve_bank_partial,
     "solve-retire": _cmd_solve_retire,
     "solve-retire-finite": _cmd_solve_retire_finite,
-    "solve-retire-ez": _cmd_solve_retire_ez,
+    "solve-retire-ez": functools.partial(_cmd_solve_retire, solver="epstein_zin_solve"),
     "simulate-bank": _cmd_simulate_bank,
     "simulate-retire": _cmd_simulate_retire,
     "elasticity": _cmd_elasticity,

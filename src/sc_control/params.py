@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import (
@@ -169,6 +170,11 @@ class RetireParams:
         return k
 
 
+def finite_number(x) -> bool:
+    """True for a real number that is neither infinite nor NaN."""
+    return isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def _check_grid(n_x: int, n_y: int, penalty_schedule) -> None:
     if n_x < 3 or n_y < 3:
         raise ValidationError("node counts must be >= 3 per axis")
@@ -231,8 +237,9 @@ def to_json(params) -> str:
 def from_dict(cls, d: dict):
     """Build the record ``cls`` from a plain dict (e.g. a JSON config block).
 
-    Unknown, missing and NaN fields raise :class:`ValidationError` naming
-    the field; construction then validates the record's invariants.
+    Unknown and missing fields, and non-finite numbers (NaN or infinite,
+    also inside a list), raise :class:`ValidationError` naming the field;
+    construction then validates the record's invariants.
     """
     known = {f.name: f for f in fields(cls) if f.init}
     unknown = set(d) - set(known)
@@ -243,8 +250,9 @@ def from_dict(cls, d: dict):
     if missing:
         raise ValidationError(f"missing fields for {cls.__name__}: {missing}")
     for key, val in d.items():
-        if isinstance(val, float) and math.isnan(val):
-            raise ValidationError(f"field {key} is NaN")
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (val if isinstance(val, (list, tuple)) else [val])):
+            raise ValidationError(f"field {key} is not finite: {val!r}")
     if "penalty_schedule" in d:
         d = {**d, "penalty_schedule": tuple(d["penalty_schedule"])}
     return cls(**d)

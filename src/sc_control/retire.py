@@ -10,21 +10,23 @@ for every EIS, so the same obstacle serves the recursive-utility variant).
 
 Discretization: implicit pseudo-time marching with one sparse 2-D solve per
 iteration.  Second derivatives are central, first-order terms upwind by the
-sign of their coefficient, the cross term u_xi_z is central (implicit).  The
-quadratic gradient terms (1-gamma) u_xi^2 etc. are linearized one factor at
-the previous iterate and folded into the upwound first-order coefficients;
-the income-jump expectation is frozen at the previous iterate and refreshed
-every sweep.  The obstacle is enforced by an implicit penalty on the active
-set with the schedule from the grid record.  Feedback controls come from the
-first-order conditions each iteration, clamped to the short-sale and
-borrowing constraints 0 <= y_bar <= 1 - xi; consumption at xi = 1 is capped
-at the income rate r (in capitalized units).
+sign of their coefficient, the cross term u_xi_z is central (implicit); the
+9-point matrix is built from one table of neighbour coefficients keyed by
+the (dz, dxi) offset.  The quadratic gradient terms (1-gamma) u_xi^2 etc.
+are linearized one factor at the previous iterate and folded into the
+upwound first-order coefficients; the income-jump expectation is frozen at
+the previous iterate and refreshed every sweep.  The obstacle is enforced by
+an implicit penalty on the active set with the schedule from the grid
+record.  Feedback controls come from the first-order conditions each
+iteration, clamped to the short-sale and borrowing constraints
+0 <= y_bar <= 1 - xi; consumption at xi = 1 is capped at the income rate r
+(in capitalized units).
 
-The finite-horizon (mandatory retirement) variant reuses the same step with
-real time from the terminal condition u(., T) = obstacle; the
-recursive-utility variant swaps the consumption flow and first-order
-condition for their EIS-psi forms (psi = 1/gamma reproduces the CRRA flow
-identically).
+The consumption flow and first-order condition are those of the recursive
+(Duffie-Epstein) aggregator with EIS psi; CRRA is its psi = 1/gamma case,
+so one set of formulas serves both.  The finite-horizon (mandatory
+retirement) variant reuses the same step with real time from the terminal
+condition u(., T) = obstacle.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence, OutsideWorkRegion, ValidationError
-from .params import RetireGrid, RetireParams
+from .params import RetireGrid, RetireParams, finite_number
 
 _H_DENOM_FLOOR = 1e-10
+_N_QUAD = 32  # Gauss-Legendre nodes of the power jump-size density
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,9 @@ class IncomeJumpSpec:
         return cls(nodes=np.array([recovery]), weights=np.array([1.0]))
 
     @classmethod
-    def power(cls, nu: float, n_quad: int = 32) -> "IncomeJumpSpec":
+    def power(cls, nu: float) -> "IncomeJumpSpec":
         # Gauss-Legendre on [0,1] against the density nu k^(nu-1)
-        x, w = np.polynomial.legendre.leggauss(n_quad)
+        x, w = np.polynomial.legendre.leggauss(_N_QUAD)
         k = 0.5 * (x + 1.0)
         w = 0.5 * w * nu * np.maximum(k, 1e-300) ** (nu - 1.0)
         return cls(nodes=k, weights=w / w.sum())
@@ -132,49 +135,39 @@ def xi_of_wealth(w_over_i, r: float):
 
 
 class _Mode:
-    """Consumption flow and FOC; the CRRA formulas are the psi = 1/gamma case."""
+    """Consumption flow and FOC of the Duffie-Epstein aggregator with EIS psi.
+
+    CRRA is the psi = 1/gamma case, with consumption rate K_bar; the
+    recursive mode takes psi = eis_psi and K_psi.  One expression per
+    formula serves both.
+    """
 
     def __init__(self, p: RetireParams, recursive: bool):
-        self.p = p
-        self.recursive = recursive
-        if recursive:
-            if p.eis_psi is None:
-                raise ValidationError("recursive mode requires eis_psi")
-            if abs(p.eis_psi - 1.0) < 1e-12:
-                raise ValidationError("unit EIS (log aggregator) not supported")
-            self.psi = p.eis_psi
-            self.k_psi = p.k_bar_psi()
+        self.beta = p.beta
+        if not recursive:
+            self.psi, self.ipsi, self.k = 1.0 / p.gamma, p.gamma, p.K_bar
+            return
+        if p.eis_psi is None:
+            raise ValidationError("recursive mode requires eis_psi")
+        if abs(p.eis_psi - 1.0) < 1e-12:
+            raise ValidationError("unit EIS (log aggregator) not supported")
+        self.psi, self.ipsi, self.k = p.eis_psi, 1.0 / p.eis_psi, p.k_bar_psi()
 
     def consumption(self, u, one_minus_xiu):
-        p = self.p
         base = np.maximum(one_minus_xiu, 1e-12)
-        if not self.recursive:
-            return p.K_bar * np.exp((1.0 - 1.0 / p.gamma) * u) * base ** (-1.0 / p.gamma)
-        return self.k_psi * np.exp((1.0 - self.psi) * u) * base ** (-self.psi)
+        return self.k * np.exp((1.0 - self.psi) * u) * base ** (-self.psi)
 
     def flow_terms(self, u, c):
-        """Consumption utility flow plus the pure-discount term.
-
-        CRRA: K^gamma/(1-gamma) e^{-(1-gamma)u} c^{1-gamma} - beta/(1-gamma);
-        recursive: (c^{1-1/psi} K_psi^{1/psi} e^{-(1-1/psi)u} - beta)/(1-1/psi)
-        (the two coincide at psi = 1/gamma).
-        """
-        p = self.p
-        if not self.recursive:
-            return p.K_bar**p.gamma / (1.0 - p.gamma) * np.exp(-(1.0 - p.gamma) * u) \
-                * c ** (1.0 - p.gamma) - p.beta / (1.0 - p.gamma)
-        ipsi = 1.0 / self.psi
-        return (c ** (1.0 - ipsi) * self.k_psi**ipsi * np.exp(-(1.0 - ipsi) * u)
-                - p.beta) / (1.0 - ipsi)
+        """Consumption utility flow plus the pure-discount term:
+        K^{1/psi}/(1-1/psi) e^{-(1-1/psi)u} c^{1-1/psi} - beta/(1-1/psi)."""
+        ipsi = self.ipsi
+        return self.k**ipsi / (1.0 - ipsi) * np.exp(-(1.0 - ipsi) * u) \
+            * c ** (1.0 - ipsi) - self.beta / (1.0 - ipsi)
 
     def foc_residual(self, u, c, one_minus_xiu):
         """Per-node consumption first-order-condition residual."""
-        p = self.p
         base = np.maximum(one_minus_xiu, 1e-12)
-        if not self.recursive:
-            return p.K_bar**p.gamma * np.exp(-(1.0 - p.gamma) * u) * c ** (-p.gamma) - base
-        ipsi = 1.0 / self.psi
-        return self.k_psi**ipsi * np.exp(-(1.0 - ipsi) * u) * c ** (-ipsi) - base
+        return self.k**self.ipsi * np.exp(-(1.0 - self.ipsi) * u) * c ** (-self.ipsi) - base
 
 
 class _RetireStepper:
@@ -292,14 +285,10 @@ class _RetireStepper:
         a_xx, a_xz, a_zz, b_xi, b_z, flow = self.coefficients(u, y, c, u_xi, u_z)
 
         diag = np.full((n_z, n_x), dt_inv)
-        east = np.zeros((n_z, n_x))
-        west = np.zeros((n_z, n_x))
-        north = np.zeros((n_z, n_x))
-        south = np.zeros((n_z, n_x))
-        ne = np.zeros((n_z, n_x))
-        nw = np.zeros((n_z, n_x))
-        se = np.zeros((n_z, n_x))
-        sw = np.zeros((n_z, n_x))
+        # neighbour coefficients, keyed by the neighbour's (dz, dxi) offset
+        nb = {off: np.zeros((n_z, n_x)) for off in
+              ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))}
+        east, west, north, south, ne, sw, nw, se = nb.values()
         rhs = dt_inv * u + flow
 
         # second derivative in xi (interior columns)
@@ -345,25 +334,16 @@ class _RetireStepper:
         rhs[active] += rho_pen * np.broadcast_to(self.obstacle, u.shape)[active]
 
         idx = np.arange(n).reshape(n_z, n_x)
-        r_list = [idx.ravel()]
-        c_list = [idx.ravel()]
-        v_list = [diag.ravel()]
-
-        def add(mask_rows, mask_cols, coeffs):
-            r_list.append(mask_rows.ravel())
-            c_list.append(mask_cols.ravel())
-            v_list.append(coeffs.ravel())
-
-        add(idx[:, :-1], idx[:, 1:], -east[:, :-1])
-        add(idx[:, 1:], idx[:, :-1], -west[:, 1:])
-        add(idx[:-1, :], idx[1:, :], -north[:-1, :])
-        add(idx[1:, :], idx[:-1, :], -south[1:, :])
-        add(idx[:-1, :-1], idx[1:, 1:], -ne[:-1, :-1])
-        add(idx[1:, 1:], idx[:-1, :-1], -sw[1:, 1:])
-        add(idx[:-1, 1:], idx[1:, :-1], -nw[:-1, 1:])
-        add(idx[1:, :-1], idx[:-1, 1:], -se[1:, :-1])
-        A = sp.csc_matrix((np.concatenate(v_list),
-                           (np.concatenate(r_list), np.concatenate(c_list))),
+        rows, cols, vals = [idx.ravel()], [idx.ravel()], [diag.ravel()]
+        for (dz, dx), coef in nb.items():
+            # the nodes whose neighbour at this offset lies on the grid
+            on_z = slice(max(-dz, 0), n_z - max(dz, 0))
+            on_x = slice(max(-dx, 0), n_x - max(dx, 0))
+            r = idx[on_z, on_x].ravel()
+            rows.append(r)
+            cols.append(r + dz * n_x + dx)
+            vals.append(-coef[on_z, on_x].ravel())
+        A = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n, n))
         return A, rhs.ravel(), y, c
 
@@ -466,6 +446,9 @@ def finite_horizon_solve(p: RetireParams, grid: RetireGrid = RetireGrid(),
     """Mandatory-retirement variant: backward marching from u(., T) = obstacle."""
     if p.horizon_T is None:
         raise ValidationError("finite_horizon_solve requires horizon_T")
+    if not (finite_number(dt) and dt > 0.0 and round(p.horizon_T / dt) >= 1):
+        raise ValidationError(f"dt={dt!r} must be a finite number > 0 with "
+                              f"round(horizon_T/dt) >= 1 (horizon_T={p.horizon_T!r})")
     mode = _Mode(p, recursive=p.eis_psi is not None)
     jump = IncomeJumpSpec.for_params(p)
     stepper = _RetireStepper(p, grid, mode, jump)

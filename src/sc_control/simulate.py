@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank_full import FullSolution
-from .bank_partial import LiquidationRule, PartialSolution, bilinear
+from .bank_partial import PartialSolution, bilinear
 from .errors import ValidationError
 from .filtering import FilterState, filter_gain, kalman_step_continuous, riccati_variance
-from .params import BankParams, RetireParams
+from .params import BankParams, RetireParams, finite_number
 from .retire import RetireSolution, xi_of_wealth
 
 RETIRE_TIME_CAP = 250.0
@@ -67,50 +67,34 @@ class RetireStats:
     retired_fraction: float
 
 
-def _policy_curves(policy, p: BankParams):
-    """(I(S), u1(S), u2(S)) lookups for either solution type."""
+def _policy_curves(policy, s_path):
+    """(I, u1, u2) along the variance path, for either solution type."""
     if isinstance(policy, PartialSolution):
-        ss = policy.ss
         u1 = np.where(np.isfinite(policy.barrier_u1), policy.barrier_u1, -np.inf)
-        u2 = policy.barrier_u2
-
-        def curves(S):
-            return (float(np.interp(S, ss, policy.barrier_I)),
-                    float(np.interp(S, ss, u1)),
-                    float(np.interp(S, ss, u2)))
-
-        return curves
+        return tuple(np.interp(s_path, policy.ss, curve)
+                     for curve in (policy.barrier_I, u1, policy.barrier_u2))
     if isinstance(policy, FullSolution):
-        u1 = policy.u1 if policy.has_recapitalization else -np.inf
-
-        def curves(S):
-            return policy.kappa, u1, policy.u2
-
-        return curves
-    if policy is None:
+        levels = (policy.kappa, policy.u1 if policy.has_recapitalization else -np.inf,
+                  policy.u2)
+    elif policy is None:
         # raw dynamics: no controls and no regulator stop (the book-equity
         # tracking figure simulates the uncontrolled reporting process)
-        def curves(S):
-            return -np.inf, -np.inf, np.inf
-
-        return curves
-    raise ValidationError(f"unsupported policy type {type(policy)!r}")
+        levels = (-np.inf, -np.inf, np.inf)
+    else:
+        raise ValidationError(f"unsupported policy type {type(policy)!r}")
+    return tuple(np.full(s_path.shape, level) for level in levels)
 
 
 def check_run_settings(n_paths, dt, horizon=RETIRE_TIME_CAP, start_w_over_i=0.0) -> None:
     """Raise ValidationError naming the first unusable Monte Carlo setting."""
     if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
         raise ValidationError(f"n_paths={n_paths!r} must be an integer >= 1")
-    if not (_finite(dt) and dt > 0.0):
+    if not (finite_number(dt) and dt > 0.0):
         raise ValidationError(f"dt={dt!r} must be a finite number > 0")
-    if not (_finite(horizon) and horizon > 0.0):
+    if not (finite_number(horizon) and horizon > 0.0):
         raise ValidationError(f"horizon={horizon!r} must be a finite number > 0")
-    if not (_finite(start_w_over_i) and start_w_over_i >= 0.0):
+    if not (finite_number(start_w_over_i) and start_w_over_i >= 0.0):
         raise ValidationError(f"start_w_over_i={start_w_over_i!r} must be a finite number >= 0")
-
-
-def _finite(x) -> bool:
-    return isinstance(x, numbers.Real) and math.isfinite(x)
 
 
 def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
@@ -127,16 +111,15 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
     rng = np.random.default_rng(seed)
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt
-    curves = _policy_curves(policy, p)
     noiseless = p.noise_m == 0.0
 
     s0 = (p.s_infinity if s0 is None else s0)
     s_path = riccati_variance(p, s0, times) if not noiseless else np.zeros_like(times)
-    rule = LiquidationRule(p.kappa_min, p.conf_a)
+    I_path, u1_path, u2_path = _policy_curves(policy, s_path)
 
     # states per path
     if x0 is None:
-        x0 = curves(float(s_path[0]))[2]  # start at the dividend barrier
+        x0 = u2_path[0]  # start at the dividend barrier
         if not np.isfinite(x0):
             x0 = p.kappa_min + 0.05
     D0 = 1.0
@@ -164,7 +147,7 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
         t = times[k]
         S = float(s_path[k])
         Dk = debt[k]
-        Ib, u1b, u2b = curves(S)
+        Ib, u1b, u2b = I_path[k], u1_path[k], u2_path[k]
         a = alive
 
         # policy at the step's start (hysteresis: act when strictly inside)

@@ -305,8 +305,8 @@ class TestSliceAssembly:
         x_lo, h = node_above_barrier(p, S0, bp.default_grid(p, n_x=41, n_s=7))
         xs = np.linspace(x_lo, x_lo + 40 * h, 41)
         sp = bp._SliceProblem(p, xs)
-        dt = p.delay_Delta / sp.n_time
-        s_path = bp.riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, sp.n_time + 1))
+        dt = p.delay_Delta / bp._N_TIME
+        s_path = bp.riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, bp._N_TIME + 1))
         systems = sp.banded_system(s_path[:-1], bp.filter_gain(s_path[:-1], p) ** 2, 1.0 / dt)
         assert systems.snap[0] and not systems.snap[-1]
         i0 = int(systems.i0[0])

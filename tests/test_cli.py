@@ -305,6 +305,53 @@ class TestCliSolverHandlers:
         assert err["message"].startswith(f"{field}=")
         assert not (out_dir / "summary.json").exists()
 
+    @pytest.mark.parametrize("dt", [0, -0.5, 20])
+    def test_unusable_finite_horizon_dt_exits_1_naming_it(self, tmp_path, dt):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"retire_params": {**self.RET, "horizon_T": 5.0},
+                                        "grid": self.RGRID, "dt": dt}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["solve-retire-finite", "--config", str(cfg_path),
+                         "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"dt={dt!r}")
+        assert not (out_dir / "summary.json").exists()
+
+    def test_non_finite_config_number_exits_1_naming_it(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bank_params": {**self.BANK, "sigma": math.inf}}))
+        assert "Infinity" in cfg_path.read_text()
+        out_dir = tmp_path / "out"
+        assert cli.main(["solve-bank-full", "--config", str(cfg_path),
+                         "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert "field sigma is not finite" in err["message"]
+
+    def test_bank_surface_csv_reads_back_to_the_solution(self, tmp_path, table_b_small):
+        sol = table_b_small
+        grid = bank_partial.default_grid(sol.params, n_x=21, n_s=7)
+        cli.run("solve-bank-partial",
+                {"bank_params": dataclasses.asdict(sol.params),
+                 "grid": dict(dataclasses.asdict(grid),
+                              penalty_schedule=list(grid.penalty_schedule))},
+                str(tmp_path))
+        with open(tmp_path / "surface.csv", encoding="utf-8") as fh:
+            header, *rows = [line.rstrip("\n").split(",") for line in fh]
+        assert header == ["X_hat", "S", "V", "region"]
+        n_s, n_x = sol.V.shape
+        assert len(rows) == n_s * n_x
+        # S-major: row j*n_x + i holds node (xs[i], ss[j])
+        cols = list(zip(*rows))
+        num = [np.array([float(v) for v in c]).reshape(n_s, n_x) for c in cols[:3]]
+        np.testing.assert_array_equal(num[0], np.broadcast_to(sol.xs, (n_s, n_x)))
+        np.testing.assert_array_equal(num[1], np.broadcast_to(sol.ss[:, None], (n_s, n_x)))
+        np.testing.assert_array_equal(num[2], sol.V)
+        labels = np.array(cols[3]).reshape(n_s, n_x)
+        np.testing.assert_array_equal(labels, np.array(["dead", "RR", "CR", "DR"])[sol.regions])
+        assert {"dead", "RR", "CR", "DR"} <= set(cols[3])
+
     def test_elasticity_subcommand(self, tmp_path):
         out = cli.run("elasticity",
                       {"bank_params": self.BANK, "parameters": ["S", "omega"],

@@ -96,6 +96,20 @@ def test_from_dict_names_unknown_missing_and_nan_fields():
         pm.from_dict(pm.RetireGrid, {"n_x": math.nan})
 
 
+@pytest.mark.parametrize("cls, key, val", [
+    (pm.RetireGrid, "penalty_schedule", [math.nan]),
+    (pm.RetireGrid, "penalty_schedule", [1e3, math.inf]),
+    (pm.BankGrid, "penalty_schedule", (-math.inf,)),
+    (pm.BankParams, "sigma", math.inf),
+    (pm.RetireParams, "eis_psi", -math.inf)])
+def test_from_dict_rejects_non_finite_numbers_naming_the_field(cls, key, val):
+    base = {pm.BankParams: dataclasses.asdict(table_bank_params()),
+            pm.RetireParams: {k: v for k, v in dataclasses.asdict(baseline_retire_params()).items()
+                              if k not in ("theta", "K_bar")}}.get(cls, {})
+    with pytest.raises(ValidationError, match=f"field {key} is not finite"):
+        pm.from_dict(cls, {**base, key: val})
+
+
 def test_grid_json_round_trip():
     for grid in (pm.BankGrid(x_lo=-0.03, stretching="geometric"), pm.RetireGrid(n_x=61)):
         assert pm.from_json(pm.to_json(grid)) == grid

@@ -70,6 +70,37 @@ def controls_at(p, xi, u, u_xi, u_xixi, u_z, u_xiz):
     return y[1, i], c[1, i]
 
 
+class TestAssembly:
+    """The assembled matrix on linear test functions, where the 9-point
+    stencil is exact: A = (1/dt + rho*chi) I - L_h."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        p = baseline_retire_params()
+        st = rt._RetireStepper(p, RetireGrid(n_x=31, n_y=21), rt._Mode(p, recursive=False),
+                               rt.IncomeJumpSpec.for_params(p))
+        u = np.maximum(math.log(p.B) + 0.3 * st.XI * (1.0 - st.XI) + 0.05 * st.ZZ,
+                       st.obstacle)
+        active = (np.broadcast_to(st.obstacle, u.shape) - u) >= 0.0
+        A, _, y, c = st.assemble(u, 4.0, 1e3, active)
+        u_xi, u_z, _, _ = st.derivatives(u)
+        return st, A, active, st.coefficients(u, y, c, u_xi, u_z)
+
+    def test_constants_see_only_time_and_penalty(self, system):
+        st, A, active, _ = system
+        assert active.any() and not active.all()
+        expected = 4.0 + 1e3 * active.ravel()
+        np.testing.assert_allclose(A @ np.ones(A.shape[0]), expected, rtol=0, atol=1e-9)
+
+    def test_cross_term_on_xi_times_z(self, system):
+        st, A, active, (a_xx, a_xz, a_zz, b_xi, b_z, _) = system
+        f = st.XI * st.ZZ
+        got = (A @ f.ravel()).reshape(f.shape)[1:-1, 1:-1]
+        lf = a_xz + b_xi * st.ZZ + b_z * st.XI
+        want = ((4.0 + 1e3 * active) * f - lf)[1:-1, 1:-1]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
 class TestJumpExpectation:
     def test_zero_income_share_is_constant(self):
         p = baseline_retire_params()
@@ -235,6 +266,17 @@ class TestRecursiveUtility:
             th = sol.wealth_threshold()
             assert th < prev
             prev = th
+
+    def test_recursive_formulas_are_crra_at_psi_inverse_gamma(self):
+        p = baseline_retire_params(eis_psi=1.0 / 3.0)
+        crra, rec = rt._Mode(p, recursive=False), rt._Mode(p, recursive=True)
+        rng = np.random.default_rng(5)
+        u, c, base = rng.uniform(-1.0, 1.0, 200), rng.uniform(0.01, 1.0, 200), \
+            rng.uniform(0.1, 2.0, 200)
+        for a, b in ((crra.consumption(u, base), rec.consumption(u, base)),
+                     (crra.flow_terms(u, c), rec.flow_terms(u, c)),
+                     (crra.foc_residual(u, c, base), rec.foc_residual(u, c, base))):
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
     def test_unit_eis_rejected(self):
         with pytest.raises(ValidationError):
