@@ -32,6 +32,7 @@ sample M_{k-1}^(i) and parameters Theta^(i):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +58,8 @@ class PfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 100:
-            raise ValidationError("n_particles must be >= 100")
+        if not isinstance(self.n_particles, numbers.Integral) or self.n_particles < 100:
+            raise ValidationError(f"n_particles={self.n_particles!r} must be an integer >= 100")
         if not 0.0 < self.shrinkage_a < 1.0:
             raise ValidationError("shrinkage a must lie in (0, 1)")
         if not 0.0 < self.resample_threshold <= 1.0:

@@ -93,9 +93,7 @@ def _cmd_filter(cfg, args, out_dir):
     _write_csv(out_dir, "filtered.csv",
                ["k", "observation", "mean_post", "var_post", "innovation"],
                [np.arange(series.size), series,
-                np.array([s.a_post for s in states]),
-                np.array([s.P_post for s in states]),
-                np.array([s.v for s in states])])
+                states.a_post, states.P_post, states.v])
     return {"loglik": ll, "n_obs": int(series.size)}
 
 
@@ -123,8 +121,6 @@ def _cmd_calibrate(cfg, args, out_dir):
     _write_csv(out_dir, "theta_history.csv",
                ["k", "alpha", "sigma", "m", "rho"],
                [np.arange(1, hist.shape[0] + 1)] + [hist[:, j] for j in range(4)])
-    result["n_particles"] = pf_cfg.n_particles
-    result["seed"] = pf_cfg.seed
     if moments is not None:
         result["panel_moments"] = moments
     return result

@@ -7,7 +7,8 @@ cumulative signal is deterministic and solves the Riccati equation
 
 with the closed three-case solution used throughout (``riccati_variance``).
 The conditional mean follows a Kalman filter driven by the innovation
-(dZ - m_hat dt)/m.
+(dZ - m_hat dt)/m; ``kalman_step_continuous`` advances only the mean, since
+the variance path is ``riccati_variance`` alone.
 
 Discrete time (quarterly estimation model): M_k = M_{k-1} + (alpha -
 sigma^2/2) + sigma*eps_k observed as M_k^ac = M_k + m*e_k with
@@ -15,10 +16,13 @@ corr(eps, e) = rho.  Because the errors are correlated, the filter predicts
 through the transformed transition that conditions on the incoming
 observation (divisions by 1 + sigma*rho/m); the resulting recursion is the
 exact Gaussian conditional, which the test suite checks against a
-brute-force joint-covariance oracle.  The log-likelihood accumulates the
-innovation densities plus the innovation-scaling correction
--n*log(1 + sigma*rho/m) so that it equals the joint log density of the
-observations (for rho = 0 the correction vanishes).
+brute-force joint-covariance oracle.  ``filter_series`` runs that recursion
+in one loop and returns its columns as a record array; theta is checked
+once, on entry (rho in [-1, 1], sigma >= 0, m > 0).  ``log_likelihood``
+sums the innovation densities over those columns plus the
+innovation-scaling correction -n*log|1 + sigma*rho/m|, so that it equals
+the joint log density of the observations (for rho = 0 the correction
+vanishes).
 
 The time unit of the discrete model is one quarter; conversion to annual
 estimates happens in :mod:`sc_control.calibrate`.
@@ -27,54 +31,13 @@ estimates happens in :mod:`sc_control.calibrate`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularTransform, ValidationError
 from .params import BankParams
 
-
-@dataclass(frozen=True)
-class FilterState:
-    """Continuous-time filter state: conditional mean and variance at t.
-
-    ``m_hat`` may be an array of paths that share the variance; ``innovation``
-    is the normalised innovation (dZ - m_hat dt)/m of the step that led here.
-    """
-
-    m_hat: float | np.ndarray
-    s_var: float
-    t: float = 0.0
-    innovation: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        if self.s_var < 0.0:
-            raise ValidationError(f"s_var={self.s_var} must be >= 0")
-
-
-@dataclass(frozen=True)
-class DiscreteFilterState:
-    """One step of the discrete Kalman recursion.
-
-    a, P are the predicted mean/variance, v, F the innovation and its
-    variance, a_post, P_post the filtered (posterior) mean/variance, k the
-    observation index.
-    """
-
-    a: float
-    P: float
-    v: float
-    F: float
-    a_post: float
-    P_post: float
-    k: int = 0
-
-    def __post_init__(self):
-        if self.P < 0.0 or self.P_post < 0.0:
-            raise ValidationError("variances must be >= 0")
-        if self.F <= 0.0:
-            raise ValidationError("innovation variance must be > 0")
+_FILTER_COLUMNS = [(name, float) for name in ("a", "P", "v", "F", "a_post", "P_post")]
 
 
 def riccati_variance(p: BankParams, s0: float, t) -> float | np.ndarray:
@@ -113,26 +76,37 @@ def filter_gain(s_var, p: BankParams):
     return s_var / p.noise_m + p.sigma * p.rho
 
 
-def kalman_step_continuous(state: FilterState, dZ, dt: float, p: BankParams) -> FilterState:
-    """Advance the continuous filter by one signal increment dZ over dt.
+def kalman_step_continuous(m_hat, s_var: float, dZ, dt: float, p: BankParams):
+    """Advance the conditional mean by one signal increment dZ over dt.
 
-    The mean uses the gain (S_t/m + sigma*rho) at the start of the step
-    (Euler); the variance advances by the exact closed form.  ``dZ`` and
-    ``state.m_hat`` may be arrays of paths.
+    Returns ``(m_hat, innovation)`` with the normalised innovation
+    (dZ - m_hat dt)/m.  The mean uses the gain (S_t/m + sigma*rho) at the
+    start of the step (Euler); the variance path S_t is deterministic and
+    comes from :func:`riccati_variance`.  ``dZ`` and ``m_hat`` may be arrays
+    of paths.
     """
+    if s_var < 0.0:
+        raise ValidationError(f"s_var={s_var} must be >= 0")
     if dt <= 0.0:
         raise ValidationError("dt must be > 0")
     if p.noise_m == 0.0:
         raise SingularTransform("m = 0: use the exact-observation path instead")
-    innovation = (dZ - state.m_hat * dt) / p.noise_m
-    m_hat = state.m_hat + (p.alpha - 0.5 * p.sigma**2) * dt \
-        + filter_gain(state.s_var, p) * innovation
-    s_var = riccati_variance(p, state.s_var, dt)
-    return FilterState(m_hat=m_hat, s_var=s_var, t=state.t + dt, innovation=innovation)
+    innovation = (dZ - m_hat * dt) / p.noise_m
+    m_hat = m_hat + (p.alpha - 0.5 * p.sigma**2) * dt + filter_gain(s_var, p) * innovation
+    return m_hat, innovation
 
 
-def _check_transform(theta) -> float:
+def _check_theta(theta) -> float:
+    """The transform factor 1 + sigma*rho/m of a usable theta.
+
+    With rho in [-1, 1], sigma >= 0 and m > 0 every predicted and filtered
+    variance is >= 0 and every innovation variance is > 0.
+    """
     alpha, sigma, m, rho = theta
+    if not -1.0 <= rho <= 1.0:
+        raise ValidationError(f"rho={rho!r} must lie in [-1, 1]")
+    if not sigma >= 0.0:
+        raise ValidationError(f"sigma={sigma!r} must be >= 0")
     if m <= 0.0:
         raise SingularTransform("discrete filter requires m > 0")
     tfac = 1.0 + sigma * rho / m
@@ -141,40 +115,6 @@ def _check_transform(theta) -> float:
             "1 + sigma*rho/m = 0: swapped error decomposition not implemented"
         )
     return tfac
-
-
-def kalman_init_discrete(obs0: float, theta, a0: float, P0: float) -> DiscreteFilterState:
-    """State at k = 0 from the prior (a0, P0) and the first observation."""
-    alpha, sigma, m, rho = theta
-    _check_transform(theta)
-    if P0 < 0.0:
-        raise ValidationError("P0 must be >= 0")
-    F = P0 + m * m
-    v = obs0 - a0
-    gain = P0 / F
-    return DiscreteFilterState(
-        a=a0, P=P0, v=v, F=F, a_post=a0 + gain * v, P_post=P0 - gain * P0, k=0
-    )
-
-
-def kalman_step_discrete(st: DiscreteFilterState, obs: float, theta) -> DiscreteFilterState:
-    """Advance the discrete filter with the next observation M^ac_{k+1}.
-
-    Prediction runs through the transformed transition, which conditions on
-    the incoming observation; the update with gain P/(P + m^2) is then the
-    exact Gaussian conditional.
-    """
-    alpha, sigma, m, rho = theta
-    tfac = _check_transform(theta)
-    c = alpha - 0.5 * sigma**2
-    a = (st.a_post + c + sigma * rho * obs / m) / tfac
-    P = (st.P_post + sigma**2 * (1.0 - rho**2)) / tfac**2
-    F = P + m * m
-    v = obs - a
-    gain = P / F
-    return DiscreteFilterState(
-        a=a, P=P, v=v, F=F, a_post=a + gain * v, P_post=P - gain * P, k=st.k + 1
-    )
 
 
 def as_series(series, min_size: int = 1) -> np.ndarray:
@@ -193,38 +133,59 @@ def as_series(series, min_size: int = 1) -> np.ndarray:
 
 
 def filter_series(series, theta, a0: float | None = None, P0: float | None = None):
-    """Run the discrete filter over a series; returns the list of states.
+    """Run the discrete filter over a series; one record per observation.
+
+    Returns an ``np.recarray`` with fields ``a, P`` (predicted mean and
+    variance), ``v, F`` (innovation and its variance) and ``a_post, P_post``
+    (filtered mean and variance).  Row 0 updates the prior (a0, P0) with the
+    first observation; each later row predicts through the transformed
+    transition, which conditions on the incoming observation, so the update
+    with gain P/(P + m^2) is the exact Gaussian conditional.
 
     Defaults: a0 = first observation, P0 = m*sigma*(1-rho) (the long-run
     continuous-time variance) unless overridden.
     """
     series = as_series(series)
+    tfac = _check_theta(theta)
     alpha, sigma, m, rho = theta
     if a0 is None:
         a0 = float(series[0])
     if P0 is None:
         P0 = m * sigma * (1.0 - rho)
-    states = [kalman_init_discrete(float(series[0]), theta, a0, P0)]
-    for obs in series[1:]:
-        states.append(kalman_step_discrete(states[-1], float(obs), theta))
-    return states
+    if P0 < 0.0:
+        raise ValidationError(f"P0={P0!r} must be >= 0")
+    c = alpha - 0.5 * sigma**2
+    q = sigma**2 * (1.0 - rho**2)
+    sr, m2, tfac2 = sigma * rho, m * m, tfac**2
+    a, P = a0, P0
+    rows = []
+    for k, obs in enumerate(series.tolist()):
+        if k:
+            a = (a_post + c + sr * obs / m) / tfac
+            P = (P_post + q) / tfac2
+        F = P + m2
+        v = obs - a
+        gain = P / F
+        a_post = a + gain * v
+        P_post = P - gain * P
+        rows.append((a, P, v, F, a_post, P_post))
+    return np.rec.fromrecords(rows, dtype=_FILTER_COLUMNS)
 
 
 def log_likelihood(series, theta, a0: float | None = None, P0: float | None = None) -> float:
     """Joint Gaussian log density of the observed series under theta.
 
-    Sums -(log F_k + v_k^2/F_k)/2 over the recursion plus the constant and
-    the innovation-scaling term -n*log|1 + sigma*rho/m| that makes the value
-    the exact log density of the observations.
+    Sums -(log F_k + v_k^2/F_k)/2 over the filter's columns plus the
+    constant and the innovation-scaling term -n*log|1 + sigma*rho/m| that
+    makes the value the exact log density of the observations.
     """
     series = as_series(series, min_size=2)
-    alpha, sigma, m, rho = theta
-    tfac = _check_transform(theta)
+    tfac = _check_theta(theta)
     states = filter_series(series, theta, a0=a0, P0=P0)
     n = series.size - 1
     ll = -0.5 * (n + 1) * math.log(2.0 * math.pi)
-    for st in states:
-        ll -= 0.5 * (math.log(abs(st.F)) + st.v**2 / st.F)
+    for F, v in zip(states.F.tolist(), states.v.tolist()):
+        ll -= 0.5 * (math.log(F) + v**2 / F)
     ll -= n * math.log(abs(tfac))
     return ll
 

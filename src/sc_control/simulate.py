@@ -25,7 +25,7 @@ import numpy as np
 from .bank_full import FullSolution
 from .bank_partial import PartialSolution, bilinear
 from .errors import ValidationError
-from .filtering import FilterState, filter_gain, kalman_step_continuous, riccati_variance
+from .filtering import filter_gain, kalman_step_continuous, riccati_variance
 from .params import BankParams, RetireParams, finite_number
 from .retire import RetireSolution, xi_of_wealth
 
@@ -190,10 +190,9 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
             E_hat = E.copy()
         else:
             dZ = M * dt + p.noise_m * dB  # signal increment from the true level
-            filt = kalman_step_continuous(FilterState(M_hat, S), dZ, dt, p)
+            M_hat, innovation = kalman_step_continuous(M_hat, S, dZ, dt, p)
             E_hat[a] += (p.alpha * E_hat[a] + (p.alpha - p.mu) * Dk) * dt \
-                + (E_hat[a] + Dk) * filter_gain(S, p) * filt.innovation[a]
-            M_hat = filt.m_hat
+                + (E_hat[a] + Dk) * filter_gain(S, p) * innovation[a]
         M = M + dM
 
         true_eq[a, k + 1] = E[a]

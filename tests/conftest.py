@@ -1,10 +1,21 @@
-"""Shared parameter records and expensive session-scoped solves."""
+"""Shared parameter records, expensive session-scoped solves and an array digest."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from sc_control import bank_partial, retire
 from sc_control.params import BankParams, RetireParams
+
+
+def digest(values) -> str:
+    """First 16 hex digits of the sha256 of the values as little-endian float64.
+
+    Two arrays share a digest only if they are equal bit for bit, so a pinned
+    digest fixes every entry of an output exactly.
+    """
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
 def fig_bank_params() -> BankParams:

@@ -14,6 +14,12 @@ def small_cfg(seed=0, n=400):
     return cb.PfConfig(n_particles=n, seed=seed)
 
 
+@pytest.mark.parametrize("n_particles", [200.5, 150.0, "200", 99, -100])
+def test_particle_count_must_be_an_integer_of_at_least_100(n_particles):
+    with pytest.raises(ValidationError, match="n_particles"):
+        cb.PfConfig(n_particles=n_particles)
+
+
 class TestPfStep:
     def test_identical_particles_keep_uniform_weights(self):
         cfg = small_cfg()

@@ -170,6 +170,32 @@ class TestCli:
         assert err["error"] == "ValidationError"
         assert typo in err["message"]
 
+    @pytest.mark.parametrize("field, theta", [
+        ("rho", {"rho": 1.5}), ("rho", {"rho": -1.5}), ("sigma", {"sigma": -0.05})])
+    def test_unusable_theta_exits_1_naming_it(self, tmp_path, field, theta):
+        cfg = {"theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.30, **theta},
+               "series": [0.0, 0.01, 0.02, 0.03]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main(["filter", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"{field}=")
+        assert not (out_dir / "filtered.csv").exists()
+
+    @pytest.mark.parametrize("n_particles", [200.5, 150.0, "200", 99])
+    def test_unusable_particle_count_exits_1_naming_it(self, tmp_path, n_particles):
+        cfg = {"series": [0.0, 0.01, 0.02, 0.03], "pf": {"n_particles": n_particles}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert "n_particles" in err["message"]
+        assert not (out_dir / "summary.json").exists()
+
     def test_calibrate_subcommand_smoke(self, tmp_path):
         from sc_control import filtering as fl
 

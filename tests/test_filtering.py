@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sc_control import filtering as fl
 from sc_control.errors import SingularTransform, ValidationError
 from sc_control.params import BankParams
 
-from conftest import table_bank_params
+from conftest import digest, table_bank_params
 
 THETA_TEST = (0.04, 0.05, 0.03, -0.30)
 
@@ -122,26 +122,24 @@ class TestRiccati:
 class TestContinuousKalman:
     def test_zero_innovation_advances_by_drift(self):
         p = table_bank_params()
-        st0 = fl.FilterState(m_hat=0.3, s_var=p.s_infinity)
         dt = 0.01
-        out = fl.kalman_step_continuous(st0, dZ=0.3 * dt, dt=dt, p=p)
+        m_hat, _ = fl.kalman_step_continuous(0.3, p.s_infinity, dZ=0.3 * dt, dt=dt, p=p)
         drift = (p.alpha - 0.5 * p.sigma**2) * dt
-        assert out.m_hat == pytest.approx(0.3 + drift, abs=1e-15)
+        assert m_hat == pytest.approx(0.3 + drift, abs=1e-15)
 
     def test_uncorrelated_gain_reduces_to_s_over_m(self):
         p = table_bank_params(rho=0.0, S_bar=None)
-        st0 = fl.FilterState(m_hat=0.0, s_var=0.002)
         dt = 0.01
         dZ = 0.5 * dt
-        out = fl.kalman_step_continuous(st0, dZ, dt, p)
+        m_hat, _ = fl.kalman_step_continuous(0.0, 0.002, dZ, dt, p)
         gain = 0.002 / p.noise_m
         expected = (p.alpha - 0.5 * p.sigma**2) * dt + gain * (dZ / p.noise_m)
-        assert out.m_hat == pytest.approx(expected, abs=1e-15)
+        assert m_hat == pytest.approx(expected, abs=1e-15)
 
     def test_rejects_noiseless_model(self):
         p = table_bank_params(noise_m=0.0, S_bar=None)
         with pytest.raises(SingularTransform):
-            fl.kalman_step_continuous(fl.FilterState(0.0, 0.0), 0.0, 0.01, p)
+            fl.kalman_step_continuous(0.0, 0.0, 0.0, 0.01, p)
 
     def test_tracks_simulated_path_at_stationary_error(self):
         # Euler-simulate signal/truth, filter, compare error variance to the
@@ -153,29 +151,30 @@ class TestContinuousKalman:
         n_steps, n_paths = 1000, 200
         s_inf = p.s_infinity
         M = np.zeros(n_paths)
-        # the filter advances all paths at once
-        state = fl.FilterState(m_hat=np.zeros(n_paths), s_var=s_inf)
+        # the filter advances all paths at once; started at s_inf the
+        # variance stays there
+        m_hat = np.zeros(n_paths)
         rho_c = math.sqrt(1 - p.rho**2)
         drift = (p.alpha - 0.5 * p.sigma**2) * dt
         for _ in range(n_steps):
             zw = rng.standard_normal(n_paths)
             zb = p.rho * zw + rho_c * rng.standard_normal(n_paths)
             dZ = M * dt + p.noise_m * math.sqrt(dt) * zb
-            state = fl.kalman_step_continuous(state, dZ, dt, p)
+            m_hat, _ = fl.kalman_step_continuous(m_hat, s_inf, dZ, dt, p)
             M = M + drift + p.sigma * math.sqrt(dt) * zw
-        err_var = np.var(M - state.m_hat)
+        err_var = np.var(M - m_hat)
         assert err_var == pytest.approx(s_inf, rel=0.25)
 
 
 class TestDiscreteKalman:
     def test_zero_prior_variance_ignores_observation(self):
-        st0 = fl.kalman_init_discrete(0.7, THETA_TEST, a0=0.7, P0=0.0)
+        st0 = fl.filter_series([0.7], THETA_TEST, a0=0.7, P0=0.0)[0]
         assert st0.a_post == st0.a
         assert st0.P_post == 0.0
 
     def test_large_noise_ignores_observation(self):
         theta = (0.04, 0.05, 1e6, -0.30)
-        st0 = fl.kalman_init_discrete(5.0, theta, a0=0.0, P0=0.5)
+        st0 = fl.filter_series([5.0], theta, a0=0.0, P0=0.5)[0]
         assert st0.a_post == pytest.approx(st0.a, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -191,7 +190,7 @@ class TestDiscreteKalman:
         theta = (0.04, 0.05, 0.03, -0.6)  # 1 + sigma rho / m = 0
         assert 1.0 + theta[1] * theta[3] / theta[2] == 0.0
         with pytest.raises(SingularTransform):
-            fl.kalman_init_discrete(0.0, theta, 0.0, 0.1)
+            fl.filter_series([0.0], theta, 0.0, 0.1)
 
     def test_stability_ratio_below_one_on_table_calibration(self):
         # numerical check of the asserted filter-stability condition
@@ -240,6 +239,67 @@ class TestLogLikelihood:
             diff += fl.log_likelihood(obs, THETA_TEST) \
                 - fl.log_likelihood(obs, theta_bad)
         assert diff / len(rng_seeds) > 0.0
+
+
+class TestThetaCheckedOnEntry:
+    @pytest.mark.parametrize("theta, field", [
+        ((0.04, 0.05, 0.03, 1.5), "rho"), ((0.04, 0.05, 0.03, -1.5), "rho"),
+        ((0.04, -0.05, 0.03, -0.30), "sigma"), ((0.04, math.nan, 0.03, -0.30), "sigma")])
+    def test_out_of_range_parameter_named(self, theta, field):
+        _, obs = fl.simulate_signal_series(THETA_TEST, n=10, seed=1)
+        for fn in (fl.filter_series, fl.log_likelihood):
+            with pytest.raises(ValidationError, match=rf"^{field}="):
+                fn(obs, theta)
+
+    @pytest.mark.parametrize("theta", [
+        (0.04, 0.05, 0.0, -0.30), (0.04, 0.05, -0.03, -0.30), (0.04, 0.05, 0.03, -0.6)])
+    def test_singular_transform_rejected(self, theta):
+        _, obs = fl.simulate_signal_series(THETA_TEST, n=10, seed=1)
+        for fn in (fl.filter_series, fl.log_likelihood):
+            with pytest.raises(SingularTransform):
+                fn(obs, theta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(0.0, 0.5), m=st.floats(1e-3, 0.5), rho=st.floats(-1.0, 1.0))
+    def test_variances_nonnegative_for_every_usable_theta(self, sigma, m, rho):
+        # why the recursion needs no per-step check once theta passed
+        assume(1.0 + sigma * rho / m != 0.0)
+        _, obs = fl.simulate_signal_series(THETA_TEST, n=40, seed=0)
+        states = fl.filter_series(obs, (0.04, sigma, m, rho))
+        assert np.all(states.P >= 0.0) and np.all(states.P_post >= 0.0)
+        assert np.all(states.F > 0.0)
+
+
+class TestPinnedOutputs:
+    """Every filter column and the log-likelihood, pinned bit for bit: any
+    change to the order of operations of the recursion shows here."""
+
+    COLUMNS = ("a", "P", "v", "F", "a_post", "P_post")
+
+    def test_long_series(self):
+        # the paths benchmark workload's series: 20,000 observations
+        _, obs = fl.simulate_signal_series(THETA_TEST, n=19_999, seed=7)
+        states = fl.filter_series(obs, THETA_TEST)
+        assert states.dtype.names == self.COLUMNS and len(states) == obs.size
+        assert {f: digest(states[f]) for f in self.COLUMNS} == {
+            "a": "6ff89050cf75ddcb", "P": "a652da70fa2fd39c", "v": "f54d5de5d903cdc3",
+            "F": "b4ce8a544b397314", "a_post": "3d57db09b00dac4c", "P_post": "686f9b4ee17ab707"}
+        assert fl.log_likelihood(obs, THETA_TEST).hex() == "0x1.c0f899124c255p+14"
+
+    def test_short_series_with_explicit_prior(self):
+        _, obs = fl.simulate_signal_series(THETA_TEST, n=7, seed=5, m0=-0.1)
+        a0, P0 = float(obs[0]) + 0.05, 0.01
+        states = fl.filter_series(obs, THETA_TEST, a0=a0, P0=P0)
+        assert {f: digest(states[f]) for f in self.COLUMNS} == {
+            "a": "dd3c3ddbd6c8e789", "P": "f520f1c15754ae39", "v": "48add26025f9696d",
+            "F": "bec8b259cd5177ed", "a_post": "6e3885664da21c08", "P_post": "b45a577fd9f30b5b"}
+        assert fl.log_likelihood(obs, THETA_TEST, a0=a0, P0=P0).hex() == "0x1.43d5475b08950p+3"
+
+    def test_one_observation_with_zero_prior_variance(self):
+        (row,) = fl.filter_series([0.7], THETA_TEST, P0=0.0)
+        assert {f: float(row[f]).hex() for f in self.COLUMNS} == {
+            "a": "0x1.6666666666666p-1", "P": "0x0.0p+0", "v": "0x0.0p+0",
+            "F": "0x1.d7dbf487fcb92p-11", "a_post": "0x1.6666666666666p-1", "P_post": "0x0.0p+0"}
 
 
 class TestSimulateSeries:

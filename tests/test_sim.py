@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from sc_control import bank_full, retire as rt, simulate as sim
+from sc_control import bank_full, filtering, retire as rt, simulate as sim
 from sc_control.errors import ValidationError
 from sc_control.params import BankParams
 from sc_control.retire import RetireSolution
 
-from conftest import baseline_retire_params, fig_bank_params
+from conftest import baseline_retire_params, digest, fig_bank_params, table_bank_params
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,39 @@ class TestSimulateBank:
                                    dt=p.delay_Delta / 8.0, seed=21,
                                    x0=fig_solution.u1 * 1.02)
         assert bundle.issuances.sum() > 0
+
+
+class TestBankPathsPinned:
+    """Every PathBundle field of two filtered runs under Table-B noise, pinned
+    bit for bit: any change to the arithmetic of the path loop or of the
+    continuous filter step shows here."""
+
+    FIELDS = ("times", "true_equity", "expected_equity", "debt", "liquidation_time",
+              "dividends_paid", "issuances")
+    CASES = {  # name: (horizon, seed, digests in FIELDS order)
+        "raw": (2.0, 3, ("5103c58a64d135c4", "464685bbdf63a48e", "0d8909d4ac10eb17",
+                         "99cb3d6fbd5bebed", "b76c8aea636974cb", "076a27c79e5ace2a",
+                         "076a27c79e5ace2a")),
+        "partial": (5.0, 5, ("84ee6e75d9a4db09", "c7d83c39523bbb4f", "072e5ea72c3d1c47",
+                             "2eceeca9caf814a4", "dd60cf2e8ca6ff8b", "61233b383bb0bf73",
+                             "7bd93742cb8310ca")),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fields_pinned_exactly(self, case, table_b_small, monkeypatch):
+        horizon, seed, digests = self.CASES[case]
+        p = table_bank_params()
+        calls = []
+        riccati = sim.riccati_variance
+        for module in (sim, filtering):
+            monkeypatch.setattr(module, "riccati_variance",
+                                lambda *args: calls.append(args) or riccati(*args))
+        policy = table_b_small if case == "partial" else None
+        bundle = sim.simulate_bank(p, policy, horizon, 64, p.delay_Delta / 8, seed)
+        assert tuple(digest(getattr(bundle, f)) for f in self.FIELDS) == digests
+        assert (bundle.dividend_in_delay, bundle.seed, bundle.dt) == (0, seed, 0.0625)
+        # the variance path is computed once per run, not once per step
+        assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")
