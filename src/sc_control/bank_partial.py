@@ -43,6 +43,7 @@ from scipy.special import ndtr, ndtri
 from . import bank_full
 from .errors import NoConvergence, ValidationError
 from .filtering import filter_gain, riccati_variance
+from .interp import bilinear, cell, lerp
 from .params import BankGrid, BankParams, finite_number
 
 _N_TIME = 64  # time steps of each delayed-issuance path over [0, Delta]
@@ -130,41 +131,6 @@ class PartialSolution:
     def value(self, x, s):
         """Bilinear interpolation of the surface (clipped to the domain)."""
         return bilinear(self.xs, self.ss, self.V, x, s)
-
-
-def bilinear(xs, ys, surface, x, y):
-    """Bilinear interpolation of ``surface[..., i, j]`` at (x, y) = (xs[j], ys[i]).
-
-    Points outside the grid take the value at the nearest edge.  ``surface``
-    is one (n_y, n_x) array or m of them stacked as (m, n_y, n_x): the cells
-    are found once, and a stack gives an (m, ...) result.  Scalar (x, y)
-    give a float per surface; arrays broadcast.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
-    x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    i, w = _cell(ys, y)
-    j, t = _cell(xs, x)
-    # gather from the flattened surfaces: node (i, j) is entry i*n_x + j
-    flat = np.reshape(surface, surface.shape[:-2] + (-1,))
-    k = i * xs.size + j
-    out = (1.0 - w) * _lerp(flat, k, t) + w * _lerp(flat, k + xs.size, t)
-    if not scalar:
-        return out
-    return float(out[0]) if out.ndim == 1 else out[..., 0]
-
-
-def _cell(grid, q):
-    """Cell index of q on the grid (end cells outside it) and q's weight in the cell."""
-    k = np.minimum(np.maximum(np.searchsorted(grid, q) - 1, 0), grid.size - 2)
-    lo = grid.take(k)
-    return k, np.minimum(np.maximum((q - lo) / (grid.take(k + 1) - lo), 0.0), 1.0)
-
-
-def _lerp(flat, k, t):
-    """Linear interpolation between entries k and k + 1 of the last axis."""
-    return (1.0 - t) * flat.take(k, axis=-1) + t * flat.take(k + 1, axis=-1)
 
 
 def default_grid(p: BankParams, n_x: int = 401, n_s: int = 81) -> BankGrid:
@@ -517,12 +483,12 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
         # marching, the short initial path segment inside the yet-unsolved
         # slice clamps to the nearest solved neighbor (O(dS) startup error,
         # removed by the refinement sweeps)
-        i = int(_cell(ss, S)[0])
+        i = int(cell(ss, S)[0])
         if solved[i] and solved[i + 1]:
             return bilinear(xs, ss, V, x_arr, S)
         cand = np.where(solved)[0]
         i_near = int(cand[np.argmin(np.abs(ss[cand] - S))])
-        return _lerp(V[i_near], *_cell(xs, x_arr))
+        return lerp(V[i_near], *cell(xs, x_arr))
 
     total_iters = 0
     residual = 0.0
@@ -639,9 +605,34 @@ def check_elasticity_settings(param_name, rel_step) -> None:
         raise ValidationError(f"rel_step={rel_step!r} must be a finite number > 0")
 
 
+def _line_outputs(q: BankParams, grid: BankGrid | None, x_eval=None) -> dict:
+    """{u1, u2, I, V} of ``q`` on its invariant line, in closed form: V on
+    the X axis of ``grid`` (of q's default grid when None) at ``x_eval``
+    (the dividend barrier when None)."""
+    xs = _x_grid(default_grid(q) if grid is None else grid)
+    kappa1, _, full_line, line_vals = _line_data(q, xs)
+    x_eval = full_line.u2 if x_eval is None else x_eval
+    # PartialSolution.value on the line: the row below has weight 0
+    v = lerp(line_vals, *cell(xs, np.atleast_1d(x_eval)))
+    return {"u1": full_line.u1, "u2": full_line.u2, "I": kappa1, "V": float(v[0])}
+
+
+def elasticity_base(p: BankParams, grid: BankGrid | None = None,
+                    baseline: PartialSolution | None = None) -> dict:
+    """The base outputs {u1, u2, I, V} of the non-S elasticities: read off
+    ``baseline`` when given, else in closed form on the line of ``grid``.
+    One call serves every parameter of a run."""
+    if baseline is None:
+        return _line_outputs(p, grid)
+    x_ref = baseline.full_line.u2
+    return {"u1": baseline.full_line.u1, "u2": x_ref, "I": baseline.kappa1,
+            "V": float(baseline.value(x_ref, baseline.params.s_infinity))}
+
+
 def elasticity(p: BankParams, param_name: str, rel_step: float = 0.01,
                grid: BankGrid | None = None,
-               baseline: PartialSolution | None = None) -> dict:
+               baseline: PartialSolution | None = None,
+               base_outputs: dict | None = None) -> dict:
     """Central-difference elasticities of {u1, u2, I, V} at the long-run S.
 
     For parameters other than ``S`` the outputs are read on the invariant
@@ -652,7 +643,9 @@ def elasticity(p: BankParams, param_name: str, rel_step: float = 0.01,
     row on the X axis of ``grid`` (of each perturbed record's default grid
     when None), interpolated as ``PartialSolution.value`` interpolates on
     the line, at the baseline dividend barrier.  The grid's S axis does not
-    act on these rows.  ``baseline``, when given, supplies the base outputs.
+    act on these rows.  ``base_outputs``, when given, is what
+    :func:`elasticity_base` returns for ``(p, grid, baseline)``; a caller
+    that needs several parameters computes it once.
     For ``S`` the surface itself varies in S: the elasticity is read off
     ``baseline`` (solved on ``grid`` when None), averaged over the
     documented sweep S/s_inf in {1, 1.5, ..., 4}, the comparative-statics
@@ -687,26 +680,13 @@ def elasticity(p: BankParams, param_name: str, rel_step: float = 0.01,
                     out[name].append((hi - lo) / (2.0 * dS) * S0 / denom)
         return {k: float(np.nanmean(v)) for k, v in out.items()}
 
-    def line_outputs(q: BankParams, x_eval=None):
-        xs = _x_grid(default_grid(q) if grid is None else grid)
-        kappa1, _, full_line, line_vals = _line_data(q, xs)
-        x_eval = full_line.u2 if x_eval is None else x_eval
-        # PartialSolution.value on the line: the row below has weight 0
-        v = _lerp(line_vals, *_cell(xs, np.atleast_1d(x_eval)))
-        return {"u1": full_line.u1, "u2": full_line.u2, "I": kappa1, "V": float(v[0])}
-
-    if baseline is None:
-        base_out = line_outputs(p)
-        x_ref = base_out["u2"]
-    else:
-        x_ref = baseline.full_line.u2
-        base_out = {"u1": baseline.full_line.u1, "u2": x_ref, "I": baseline.kappa1,
-                    "V": float(baseline.value(x_ref, baseline.params.s_infinity))}
-
+    base_out = (elasticity_base(p, grid, baseline) if base_outputs is None
+                else base_outputs)
+    x_ref = base_out["u2"]
     value0 = getattr(p, param_name)
     step = rel_step * abs(value0) if value0 != 0.0 else rel_step
-    hi_out = line_outputs(replace(p, **{param_name: value0 + step, "S_bar": None}), x_ref)
-    lo_out = line_outputs(replace(p, **{param_name: value0 - step, "S_bar": None}), x_ref)
+    hi_out = _line_outputs(replace(p, **{param_name: value0 + step, "S_bar": None}), grid, x_ref)
+    lo_out = _line_outputs(replace(p, **{param_name: value0 - step, "S_bar": None}), grid, x_ref)
     result = {}
     use_abs_in = param_name == "rho"
     din = 2.0 * step / (abs(value0) if use_abs_in and value0 != 0.0 else value0) \

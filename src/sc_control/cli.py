@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, bank_full, bank_partial, calibrate, filtering, panel, retire, simulate
 from .errors import ScControlError
-from .params import BankGrid, BankParams, RetireGrid, RetireParams, from_dict
+from .params import BankGrid, BankParams, RetireGrid, RetireParams, check_fields, from_dict
 
 
 def _load_config(path) -> dict:
@@ -83,7 +83,9 @@ def _write_csv(out_dir, name, header, columns):
 
 
 def _cmd_filter(cfg, args, out_dir):
-    theta = tuple(cfg["theta"][k] for k in ("alpha", "sigma", "m", "rho"))
+    block = cfg["theta"]
+    check_fields("theta", block, filtering.THETA_FIELDS, filtering.THETA_FIELDS)
+    theta = tuple(block[k] for k in filtering.THETA_FIELDS)
     if "series_csv" in cfg:
         series = filtering.series_from_csv(cfg["series_csv"])
     else:
@@ -251,8 +253,10 @@ def _cmd_elasticity(cfg, args, out_dir):
         bank_partial.check_elasticity_settings(name, rel_step)
     # only the S row reads the surface; the others are closed form on the line
     baseline = bank_partial.penalty_solve(p, grid) if "S" in names else None
+    # the base outputs of the other rows, once per run
+    base = bank_partial.elasticity_base(p, grid, baseline) if set(names) - {"S"} else None
     rows = {name: bank_partial.elasticity(p, name, rel_step=rel_step, grid=grid,
-                                          baseline=baseline)
+                                          baseline=baseline, base_outputs=base)
             for name in names}
     return {"elasticities": rows}
 

@@ -35,8 +35,10 @@ import math
 import numpy as np
 
 from .errors import SingularTransform, ValidationError
-from .params import BankParams
+from .params import BankParams, finite_number
 
+# the entries of a theta tuple, in order
+THETA_FIELDS = ("alpha", "sigma", "m", "rho")
 _FILTER_COLUMNS = [(name, float) for name in ("a", "P", "v", "F", "a_post", "P_post")]
 
 
@@ -100,9 +102,13 @@ def _check_theta(theta) -> float:
     """The transform factor 1 + sigma*rho/m of a usable theta.
 
     With rho in [-1, 1], sigma >= 0 and m > 0 every predicted and filtered
-    variance is >= 0 and every innovation variance is > 0.
+    variance is >= 0 and every innovation variance is > 0.  A NaN or
+    infinite entry raises ValidationError naming it.
     """
     alpha, sigma, m, rho = theta
+    for name, value in zip(THETA_FIELDS, theta):
+        if not finite_number(value):
+            raise ValidationError(f"{name}={value!r} must be a finite number")
     if not -1.0 <= rho <= 1.0:
         raise ValidationError(f"rho={rho!r} must lie in [-1, 1]")
     if not sigma >= 0.0:

@@ -234,6 +234,17 @@ def to_json(params) -> str:
     return json.dumps(d, indent=2, sort_keys=True)
 
 
+def check_fields(label: str, d: dict, known, required) -> None:
+    """Raise ValidationError naming the keys of ``d`` outside ``known``, or
+    else the ``required`` keys it lacks; ``label`` names the block."""
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown fields for {label}: {sorted(unknown)}")
+    missing = [name for name in required if name not in d]
+    if missing:
+        raise ValidationError(f"missing fields for {label}: {missing}")
+
+
 def from_dict(cls, d: dict):
     """Build the record ``cls`` from a plain dict (e.g. a JSON config block).
 
@@ -241,14 +252,10 @@ def from_dict(cls, d: dict):
     also inside a list), raise :class:`ValidationError` naming the field;
     construction then validates the record's invariants.
     """
-    known = {f.name: f for f in fields(cls) if f.init}
-    unknown = set(d) - set(known)
-    if unknown:
-        raise ValidationError(f"unknown fields for {cls.__name__}: {sorted(unknown)}")
-    missing = [name for name, f in known.items()
-               if name not in d and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ValidationError(f"missing fields for {cls.__name__}: {missing}")
+    known = [f for f in fields(cls) if f.init]
+    check_fields(cls.__name__, d, [f.name for f in known],
+                 [f.name for f in known
+                  if f.default is MISSING and f.default_factory is MISSING])
     for key, val in d.items():
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (val if isinstance(val, (list, tuple)) else [val])):

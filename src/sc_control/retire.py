@@ -410,24 +410,22 @@ def _solve_stationary(p: RetireParams, grid: RetireGrid, mode: _Mode,
 
 
 def _boundaries(stepper, y, retired):
-    """Per z-slice: retirement boundary xi*(z) and non-participation edge."""
-    n_z, n_x = retired.shape
+    """Per z-slice: retirement boundary xi*(z) and non-participation edge.
+
+    xi*(z) is the node before the slice's first working node (0 if it works
+    from the first node, 1 if it never works).  The non-participation edge is
+    the first working node at or after that one where the stock share is
+    not positive, the last node excluded (nan if none): it lies on the
+    high-xi (low-wealth) side.
+    """
     xi = stepper.xi
-    xi_ret = np.empty(n_z)
-    xi_np = np.full(n_z, np.nan)
-    for j in range(n_z):
-        work = np.where(~retired[j])[0]
-        if work.size == 0:
-            xi_ret[j] = 1.0
-            continue
-        first_work = work[0]
-        xi_ret[j] = xi[first_work - 1] if first_work > 0 else 0.0
-        hold = y[j] > 1e-8
-        # the non-participation region is the high-xi (low-wealth) side
-        nohold = np.where(~hold & ~retired[j] & (np.arange(n_x) >= first_work))[0]
-        inner = nohold[nohold < n_x - 1]
-        if inner.size:
-            xi_np[j] = xi[inner[0]]
+    work = ~retired
+    first_work = np.argmax(work, axis=1)
+    xi_ret = np.where(work.any(axis=1),
+                      np.where(first_work > 0, xi[first_work - 1], 0.0), 1.0)
+    nohold = ~(y > 1e-8) & work & (np.arange(xi.size) >= first_work[:, None])
+    nohold[:, -1] = False
+    xi_np = np.where(nohold.any(axis=1), xi[np.argmax(nohold, axis=1)], np.nan)
     return xi_ret, xi_np
 
 

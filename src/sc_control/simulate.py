@@ -10,8 +10,8 @@ expected path coincides with the true one.
 Retirement paths: (W, I, Z) under the cointegrated dynamics with Poisson
 income jumps, feedback controls interpolated from a solved surface, stopping
 at the policy's retirement boundary.  Reported times are capped at 250
-years.  Everything is reproducible bit-for-bit from (seed, dt, n_paths);
-paths use a single generator so summaries are deterministic.
+years.  Each run draws from one generator seeded by ``seed``, so a summary
+is reproducible bit for bit from its inputs.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank_full import FullSolution
-from .bank_partial import PartialSolution, bilinear
+from .bank_partial import PartialSolution
 from .errors import ValidationError
 from .filtering import filter_gain, kalman_step_continuous, riccati_variance
+from .interp import UniformAxis, blend
 from .params import BankParams, RetireParams, finite_number
 from .retire import RetireSolution, xi_of_wealth
 
@@ -211,8 +212,11 @@ def simulate_retirement(p: RetireParams, policy: RetireSolution,
 
     Both policies face the same cointegrated world (the dynamics of ``p``);
     the benchmark is typically the mean_reversion = 0 solve, whose controls
-    ignore z.  Identical shocks drive both for variance reduction: each side
-    is one :func:`simulate_policy` call from the same seed.
+    ignore z.  Each side is one :func:`simulate_policy` call from the same
+    seed, so without ``power_nu`` identical shocks drive both (variance
+    reduction).  With ``power_nu`` the recovery factors are drawn per jumping
+    working path, and the two sides' draws part at the first step where
+    those paths differ.
     """
     ours = simulate_policy(p, policy, start_w_over_i, n_paths, dt, seed, antithetic)
     bench = simulate_policy(p, benchmark, start_w_over_i, n_paths, dt, seed, antithetic)
@@ -225,13 +229,17 @@ def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
     """Retirement timing of one solved policy in the world ``p``.
 
     Every step draws the two Brownian shocks and the jump indicators for all
-    ``n_paths`` paths (retired ones included), then the recovery factors of
-    the jumping working paths, so the shocks depend only on (seed, dt,
-    n_paths).  Retired paths stop; times are capped at RETIRE_TIME_CAP.
-    Only the working paths' states are kept, compressed at each step where
-    some retire, and one lookup reads both controls.
+    ``n_paths`` paths (retired ones included), then, under ``power_nu``, the
+    recovery factors of the jumping working paths.  Retired paths stop;
+    times are capped at RETIRE_TIME_CAP.  Only the working paths' states are
+    kept, compressed at each step where some retire.  The cells are found
+    arithmetically on the uniform xi and z grids of ``sol`` (a grid that is
+    not uniform raises ValidationError naming its axis), and each step's z
+    cell serves both the retirement test and the one lookup of both controls.
     """
     check_run_settings(n_paths, dt, start_w_over_i=start_w_over_i)
+    xi_axis, z_axis = UniformAxis(sol.xi, "xi"), UniformAxis(sol.z, "z")
+    boundary = z_axis.curve(sol.xi_retire)
     rng = np.random.default_rng(seed)
     n_steps = int(round(RETIRE_TIME_CAP / dt))
     controls = np.stack([sol.y_star, sol.c_star])
@@ -247,19 +255,21 @@ def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
     half = n_paths // 2
     for k in range(n_steps):
         xi_q = xi_of_wealth(W / inc, p.r)
-        hit = xi_q <= np.interp(Z, sol.z, sol.xi_retire)
+        # one z cell serves the retirement test and both controls
+        i, w = z_axis.cell(Z)
+        hit = xi_q <= z_axis.interp(boundary, i, Z)
         if hit.any():
             # a path retiring at step k worked k steps; its share is their mean
             ret_time[a[hit]] = k * dt
             if k > 0:
                 shares[a[hit]] = share_sum[hit] / k
             keep = ~hit
-            a, W, inc, Z, share_sum, xi_q = (a[keep], W[keep], inc[keep], Z[keep],
-                                             share_sum[keep], xi_q[keep])
+            a, W, inc, Z, share_sum, xi_q, i, w = (
+                v[keep] for v in (a, W, inc, Z, share_sum, xi_q, i, w))
             if a.size == 0:
                 break
         total = W + inc / p.r
-        y, c = bilinear(sol.xi, sol.z, controls, xi_q, Z) * total
+        y, c = blend(controls, (i, w), xi_axis.cell(xi_q)) * total
         y = np.minimum(y, W)  # borrowing constraint in levels
         z1 = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sc_control import bank_partial, cli, panel, retire
+from sc_control import bank_full, bank_partial, cli, panel, retire
 from sc_control.errors import ValidationError
 from sc_control.params import BankParams, from_dict
 
@@ -170,8 +170,10 @@ class TestCli:
         assert err["error"] == "ValidationError"
         assert typo in err["message"]
 
+    # json writes NaN and Infinity, which json.load reads back as floats
     @pytest.mark.parametrize("field, theta", [
-        ("rho", {"rho": 1.5}), ("rho", {"rho": -1.5}), ("sigma", {"sigma": -0.05})])
+        ("rho", {"rho": 1.5}), ("rho", {"rho": -1.5}), ("sigma", {"sigma": -0.05}),
+        ("m", {"m": math.nan}), ("alpha", {"alpha": math.inf})])
     def test_unusable_theta_exits_1_naming_it(self, tmp_path, field, theta):
         cfg = {"theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.30, **theta},
                "series": [0.0, 0.01, 0.02, 0.03]}
@@ -182,6 +184,19 @@ class TestCli:
         err = json.loads((out_dir / "error.json").read_text())
         assert err["error"] == "ValidationError"
         assert err["message"].startswith(f"{field}=")
+        assert not (out_dir / "filtered.csv").exists()
+
+    @pytest.mark.parametrize("block, message", [
+        ({"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.30, "extra": 1},
+         "unknown fields for theta: ['extra']"),
+        ({"alpha": 0.04, "sigma": 0.05, "rho": -0.30}, "missing fields for theta: ['m']")])
+    def test_unknown_or_missing_theta_key_exits_1_naming_it(self, tmp_path, block, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"theta": block, "series": [0.1, 0.2, 0.15]}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["filter", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert (err["error"], err["message"]) == ("ValidationError", message)
         assert not (out_dir / "filtered.csv").exists()
 
     @pytest.mark.parametrize("n_particles", [200.5, 150.0, "200", 99])
@@ -384,6 +399,27 @@ class TestCliSolverHandlers:
                        "grid": self.bank_grid()}, str(tmp_path))
         assert out["elasticities"]["omega"]["I"] == 0.0
         assert out["elasticities"]["S"]["I"] == pytest.approx(-3.756, rel=0.2)
+
+    def test_elasticity_computes_the_base_line_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = bank_full.solve_barriers
+        monkeypatch.setattr(bank_full, "solve_barriers",
+                            lambda *a, **k: calls.append(a) or solve(*a, **k))
+        names = ["sigma", "omega"]
+        out = cli.run("elasticity", {"bank_params": self.BANK, "parameters": names},
+                      str(tmp_path))
+        # one base line and two perturbed lines per parameter
+        assert len(calls) == 5
+        # the rows equal standalone calls, which compute their own base
+        p = from_dict(BankParams, self.BANK)
+        grid = bank_partial.default_grid(p, n_x=201, n_s=41)
+        for name in names:
+            alone = bank_partial.elasticity(p, name, rel_step=0.01, grid=grid)
+            assert {k: v.hex() for k, v in out["elasticities"][name].items()} == \
+                {k: v.hex() for k, v in alone.items()}
+        # and the figures recorded when each call still recomputed its base
+        assert out["elasticities"]["sigma"]["V"].hex() == "-0x1.3828b3339c566p-2"
+        assert out["elasticities"]["omega"]["u1"].hex() == "-0x1.f50950c103ed5p-6"
 
     @pytest.mark.parametrize("run, message", [
         ({"parameters": ["S", "sigmaa"]}, "param_name='sigmaa' has no elasticity"),

@@ -251,6 +251,15 @@ class TestThetaCheckedOnEntry:
             with pytest.raises(ValidationError, match=rf"^{field}="):
                 fn(obs, theta)
 
+    @pytest.mark.parametrize("field", fl.THETA_FIELDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_named(self, field, bad):
+        theta = dict(zip(fl.THETA_FIELDS, (0.04, 0.05, 0.03, -0.30)), **{field: bad})
+        theta = tuple(theta.values())
+        for fn in (fl.filter_series, fl.log_likelihood):
+            with pytest.raises(ValidationError, match=rf"^{field}={bad!r} must be a finite"):
+                fn([0.1, 0.2, 0.15], theta)
+
     @pytest.mark.parametrize("theta", [
         (0.04, 0.05, 0.0, -0.30), (0.04, 0.05, -0.03, -0.30), (0.04, 0.05, 0.03, -0.6)])
     def test_singular_transform_rejected(self, theta):

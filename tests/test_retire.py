@@ -2,6 +2,7 @@
 consistency, benchmark reduction, recursive-utility equivalence, horizon."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -359,3 +360,56 @@ class TestGridRefinement:
         assert abs(coarse.xi_retire[j0c] - fine.xi_retire[j0f]) <= dxi_coarse + 1e-12
         assert abs(coarse.xi_participate[j0c] - fine.xi_participate[j0f]) \
             <= dxi_coarse + 1e-12
+
+
+def boundaries_by_row(xi, y, retired):
+    """The per-row definition of retire._boundaries, one slice at a time."""
+    n_z, n_x = retired.shape
+    xi_ret = np.empty(n_z)
+    xi_np = np.full(n_z, np.nan)
+    for j in range(n_z):
+        work = np.where(~retired[j])[0]
+        if work.size == 0:
+            xi_ret[j] = 1.0
+            continue
+        xi_ret[j] = xi[work[0] - 1] if work[0] > 0 else 0.0
+        nohold = np.where(~(y[j] > 1e-8) & ~retired[j] & (np.arange(n_x) >= work[0]))[0]
+        inner = nohold[nohold < n_x - 1]
+        if inner.size:
+            xi_np[j] = xi[inner[0]]
+    return xi_ret, xi_np
+
+
+class TestBoundaries:
+    XI = np.linspace(0.0, 1.0, 6)
+
+    def boundaries(self, y, retired):
+        return rt._boundaries(types.SimpleNamespace(xi=self.XI), np.asarray(y, float),
+                              np.asarray(retired, bool))
+
+    def test_edge_rows(self):
+        T, F = True, False
+        retired = [[T, T, T, T, T, T],   # all retired
+                   [F, F, F, F, F, F],   # works from column 0
+                   [T, T, F, F, F, F],   # holds stock at every working node
+                   [T, F, F, F, F, F]]   # does not hold only in the last column
+        y = [[0.0] * 6, [0.0, 0.0, 0.5, 0.0, 0.5, 0.5], [0.5] * 6, [0.5] * 5 + [0.0]]
+        xi_ret, xi_np = self.boundaries(y, retired)
+        np.testing.assert_array_equal(xi_ret, [1.0, 0.0, self.XI[1], 0.0])
+        np.testing.assert_array_equal(xi_np, [np.nan, 0.0, np.nan, np.nan])
+
+    def test_non_holding_node_before_the_first_working_one_does_not_count(self):
+        xi_ret, xi_np = self.boundaries([[0.0, 0.0, 0.0, 0.5, 0.0, 0.5]],
+                                        [[True, True, False, False, True, False]])
+        assert xi_ret[0] == self.XI[1] and xi_np[0] == self.XI[2]
+
+    def test_equals_the_row_by_row_definition(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            retired = rng.random((7, 6)) < rng.random()
+            y = np.where(rng.random((7, 6)) < 0.4, 0.0, rng.random((7, 6)))
+            y[rng.random((7, 6)) < 0.1] = np.nan
+            got = self.boundaries(y, retired)
+            want = boundaries_by_row(self.XI, y, retired)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()

@@ -234,3 +234,53 @@ class TestEngineOnSyntheticPolicy:
         run = {"start_w_over_i": 10.0, "n_paths": 10, "dt": 0.5, **run}
         with pytest.raises(ValidationError, match=field):
             sim.simulate_policy(baseline_retire_params(), synthetic_policy(0.3), **run, seed=1)
+
+
+@pytest.fixture(scope="module")
+def solve_pair_21x15():
+    grid = rt.default_retire_grid(n_xi=21, n_z=15)
+    pol = rt.penalty_solve_retire(baseline_retire_params(), grid)
+    ben = rt.penalty_solve_retire(baseline_retire_params(mean_reversion=0.0), grid)
+    return pol, ben
+
+
+class TestRealSolvePairPinned:
+    """Both sides of simulate_retirement on a real 21 x 15 solve pair, every
+    RetireStats float pinned by float.hex as recorded while the cells were
+    still found by binary search and the boundary by np.interp."""
+
+    CASES = {  # name: (world overrides, n_paths, seed, antithetic,
+               #        (time, share, retired) hex for the policy, then the benchmark)
+        "plain": ({}, 300, 11, False,
+                  ("0x1.00006d3a06d3ap+7", "0x1.074d34ce408e0p-3", "0x1.ae147ae147ae1p-1"),
+                  ("0x1.bc2b851eb851fp+6", "0x1.950b04d9ffd8fp-1", "0x1.f92c5f92c5f93p-1")),
+        "antithetic_odd": ({}, 301, 12, True,
+                           ("0x1.10cc1e9e31543p+7", "0x1.ec447c6902da1p-4",
+                            "0x1.9322ded49fe4dp-1"),
+                           ("0x1.c44ff2645bda9p+6", "0x1.93fa68128ca01p-1",
+                            "0x1.fae5a271f77ecp-1")),
+        "power_nu": ({"power_nu": 3.0}, 300, 13, False,
+                     ("0x1.0afa06d3a06d4p+7", "0x1.f430a43764c37p-4", "0x1.9b4e81b4e81b5p-1"),
+                     ("0x1.7de2fc962fc96p+6", "0x1.9e46c219d2d91p-1", "0x1.fe4b17e4b17e5p-1")),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_both_sides_pinned_exactly(self, case, solve_pair_21x15):
+        world, n, seed, anti, *expected = self.CASES[case]
+        pair = sim.simulate_retirement(baseline_retire_params(**world), *solve_pair_21x15,
+                                       10.0, n, 0.25, seed, anti)
+        got = [tuple(v.hex() for v in (s.expected_time, s.expected_share, s.retired_fraction))
+               for s in pair]
+        assert got == expected
+        assert [(s.n_paths, s.policy) for s in pair] == [(n, "policy"), (n, "benchmark")]
+
+
+class TestNonUniformGridRejected:
+    @pytest.mark.parametrize("axis", ["xi", "z"])
+    def test_raises_naming_the_axis(self, axis):
+        sol = synthetic_policy(0.3)
+        grid = getattr(sol, axis).copy()
+        grid[3] += 0.3 * (grid[4] - grid[3])  # still increasing, no longer uniform
+        with pytest.raises(ValidationError, match=f"^{axis} grid is not uniform"):
+            sim.simulate_policy(baseline_retire_params(), dataclasses.replace(sol, **{axis: grid}),
+                                10.0, 10, 0.5, seed=1)
