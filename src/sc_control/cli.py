@@ -91,7 +91,7 @@ def _cmd_filter(cfg, args, out_dir):
     else:
         series = np.asarray(cfg["series"], dtype=float)
     states = filtering.filter_series(series, theta)
-    ll = filtering.log_likelihood(series, theta)
+    ll = filtering.log_likelihood(series, theta, states=states)
     _write_csv(out_dir, "filtered.csv",
                ["k", "observation", "mean_post", "var_post", "innovation"],
                [np.arange(series.size), series,

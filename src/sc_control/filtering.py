@@ -178,16 +178,23 @@ def filter_series(series, theta, a0: float | None = None, P0: float | None = Non
     return np.rec.fromrecords(rows, dtype=_FILTER_COLUMNS)
 
 
-def log_likelihood(series, theta, a0: float | None = None, P0: float | None = None) -> float:
+def log_likelihood(series, theta, a0: float | None = None, P0: float | None = None,
+                   states=None) -> float:
     """Joint Gaussian log density of the observed series under theta.
 
     Sums -(log F_k + v_k^2/F_k)/2 over the filter's columns plus the
     constant and the innovation-scaling term -n*log|1 + sigma*rho/m| that
-    makes the value the exact log density of the observations.
+    makes the value the exact log density of the observations.  A caller
+    that already holds ``filter_series(series, theta, a0, P0)`` passes it
+    as ``states``, and the recursion is not run again.
     """
     series = as_series(series, min_size=2)
     tfac = _check_theta(theta)
-    states = filter_series(series, theta, a0=a0, P0=P0)
+    if states is None:
+        states = filter_series(series, theta, a0=a0, P0=P0)
+    elif len(states) != series.size:
+        raise ValidationError(f"states has {len(states)} rows for a series of "
+                              f"{series.size} observations")
     n = series.size - 1
     ll = -0.5 * (n + 1) * math.log(2.0 * math.pi)
     for F, v in zip(states.F.tolist(), states.v.tolist()):

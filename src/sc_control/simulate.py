@@ -10,8 +10,9 @@ expected path coincides with the true one.
 Retirement paths: (W, I, Z) under the cointegrated dynamics with Poisson
 income jumps, feedback controls interpolated from a solved surface, stopping
 at the policy's retirement boundary.  Reported times are capped at 250
-years.  Each run draws from one generator seeded by ``seed``, so a summary
-is reproducible bit for bit from its inputs.
+years.  Each run draws from one generator seeded by ``seed``, and the
+policies of a race advance in lockstep on the same draws, so a summary is
+reproducible bit for bit from its inputs.
 """
 
 from __future__ import annotations
@@ -210,16 +211,17 @@ def simulate_retirement(p: RetireParams, policy: RetireSolution,
                         antithetic: bool = False) -> tuple:
     """(RetireStats for policy, RetireStats for benchmark).
 
-    Both policies face the same cointegrated world (the dynamics of ``p``);
-    the benchmark is typically the mean_reversion = 0 solve, whose controls
-    ignore z.  Each side is one :func:`simulate_policy` call from the same
-    seed, so without ``power_nu`` identical shocks drive both (variance
-    reduction).  With ``power_nu`` the recovery factors are drawn per jumping
-    working path, and the two sides' draws part at the first step where
-    those paths differ.
+    Both policies race in the same cointegrated world (the dynamics of
+    ``p``); the benchmark is typically the mean_reversion = 0 solve, whose
+    controls ignore z.  The two sides advance in lockstep on one stream of
+    draws, so path j of either side sees the same shocks, jumps and (under
+    ``power_nu``) recovery factors: common random numbers, with or without
+    ``power_nu``.  Each side equals its lone :func:`simulate_policy` run.
+    Both solutions must share their xi and z grids; a pair that does not
+    raises ValidationError naming the axis.
     """
-    ours = simulate_policy(p, policy, start_w_over_i, n_paths, dt, seed, antithetic)
-    bench = simulate_policy(p, benchmark, start_w_over_i, n_paths, dt, seed, antithetic)
+    ours, bench = _race(p, (policy, benchmark), start_w_over_i, n_paths, dt, seed,
+                        antithetic)
     return ours, replace(bench, policy="benchmark")
 
 
@@ -229,51 +231,87 @@ def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
     """Retirement timing of one solved policy in the world ``p``.
 
     Every step draws the two Brownian shocks and the jump indicators for all
-    ``n_paths`` paths (retired ones included), then, under ``power_nu``, the
-    recovery factors of the jumping working paths.  Retired paths stop;
-    times are capped at RETIRE_TIME_CAP.  Only the working paths' states are
-    kept, compressed at each step where some retire.  The cells are found
-    arithmetically on the uniform xi and z grids of ``sol`` (a grid that is
-    not uniform raises ValidationError naming its axis), and each step's z
-    cell serves both the retirement test and the one lookup of both controls.
+    ``n_paths`` paths (retired ones included), then, under ``power_nu`` and
+    only at a step where some indicator is set, a recovery uniform for every
+    path.  The draws thus depend only on ``(seed, dt, n_paths, p)``, never
+    on the policy.  Retired paths stop; times are capped at
+    RETIRE_TIME_CAP.  This is the one-policy case of the race that
+    :func:`simulate_retirement` runs.
+    """
+    (stats,) = _race(p, (sol,), start_w_over_i, n_paths, dt, seed, antithetic)
+    return stats
+
+
+def _shared_axes(sols):
+    """The UniformAxis pair (xi, z) of solutions that share both grids."""
+    for name in ("xi", "z"):
+        grids = [getattr(sol, name) for sol in sols]
+        if any(not np.array_equal(g, grids[0]) for g in grids[1:]):
+            raise ValidationError(f"{name} grid differs between the solutions: "
+                                  + ", ".join(f"{g.size} nodes from {g[:1]} to {g[-1:]}"
+                                              for g in grids))
+    return UniformAxis(sols[0].xi, "xi"), UniformAxis(sols[0].z, "z")
+
+
+def _race(p: RetireParams, sols, start_w_over_i: float, n_paths: int, dt: float,
+          seed: int, antithetic: bool) -> list:
+    """RetireStats of each solution in ``sols``, all advanced in lockstep.
+
+    Path j of every side reads column j of each step's draws.  The working
+    paths of all sides form one set, in (side, path) order, compressed at
+    each step where some retire; the loop ends when none is left.  The
+    cells are found arithmetically on the shared uniform xi and z grids, and
+    each step's z cell serves both the retirement test and the one lookup of
+    both controls.  Side s reads its controls at z rows offset by s*n_z of
+    the stacked surfaces and its boundary at cells offset by s*(n_z - 1).
     """
     check_run_settings(n_paths, dt, start_w_over_i=start_w_over_i)
-    xi_axis, z_axis = UniformAxis(sol.xi, "xi"), UniformAxis(sol.z, "z")
-    boundary = z_axis.curve(sol.xi_retire)
+    xi_axis, z_axis = _shared_axes(sols)
+    n_z = z_axis.grid.size
+    boundary = z_axis.curve(np.stack([sol.xi_retire for sol in sols]))
+    controls = np.stack([np.concatenate([sol.y_star for sol in sols]),
+                         np.concatenate([sol.c_star for sol in sols])])
     rng = np.random.default_rng(seed)
     n_steps = int(round(RETIRE_TIME_CAP / dt))
-    controls = np.stack([sol.y_star, sol.c_star])
-    ret_time = np.full(n_paths, RETIRE_TIME_CAP)
-    shares = np.zeros(n_paths)
-    # the working paths: their indices (ascending), states and share sums
-    a = np.arange(n_paths)
-    W = np.full(n_paths, float(start_w_over_i))
-    inc = np.ones(n_paths)
-    Z = np.full(n_paths, p.z_bar)
-    share_sum = np.zeros(n_paths)
+    n = len(sols) * n_paths
+    # side s's results fill slots s*n_paths to (s + 1)*n_paths
+    ret_time = np.full(n, RETIRE_TIME_CAP)
+    shares = np.zeros(n)
+    # the working paths: their slots (ascending), draw columns, offsets
+    # into the stacked controls and boundaries, states and share sums
+    slot = np.arange(n)
+    a = slot % n_paths
+    side = slot // n_paths
+    rows, edges = side * n_z, side * (n_z - 1)
+    W = np.full(n, float(start_w_over_i))
+    inc = np.ones(n)
+    Z = np.full(n, p.z_bar)
+    share_sum = np.zeros(n)
     sq = math.sqrt(dt)
     half = n_paths // 2
     for k in range(n_steps):
         xi_q = xi_of_wealth(W / inc, p.r)
         # one z cell serves the retirement test and both controls
         i, w = z_axis.cell(Z)
-        hit = xi_q <= z_axis.interp(boundary, i, Z)
+        hit = xi_q <= z_axis.interp(boundary, i, Z, edges)
         if hit.any():
             # a path retiring at step k worked k steps; its share is their mean
-            ret_time[a[hit]] = k * dt
+            ret_time[slot[hit]] = k * dt
             if k > 0:
-                shares[a[hit]] = share_sum[hit] / k
+                shares[slot[hit]] = share_sum[hit] / k
             keep = ~hit
-            a, W, inc, Z, share_sum, xi_q, i, w = (
-                v[keep] for v in (a, W, inc, Z, share_sum, xi_q, i, w))
-            if a.size == 0:
+            slot, a, rows, edges, W, inc, Z, share_sum, xi_q, i, w = (
+                v[keep] for v in (slot, a, rows, edges, W, inc, Z, share_sum, xi_q, i, w))
+            if slot.size == 0:
                 break
         total = W + inc / p.r
-        y, c = blend(controls, (i, w), xi_axis.cell(xi_q)) * total
+        y, c = blend(controls, (i + rows, w), xi_axis.cell(xi_q)) * total
         y = np.minimum(y, W)  # borrowing constraint in levels
         z1 = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)
         jumps = rng.random(n_paths) < p.jump_intensity * dt
+        if p.power_nu is not None and jumps.any():
+            recovery_u = rng.random(n_paths)
         if antithetic:
             # mirror the first half onto the second; an odd last path
             # keeps its own draw
@@ -291,11 +329,10 @@ def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
             - p.sigma_z * dB1 + p.sigma_income * dB2
         jump = jumps[a]
         if jump.any():
-            n_jump = int(np.count_nonzero(jump))
             if p.power_nu is not None:
-                recov = rng.random(n_jump) ** (1.0 / p.power_nu)
+                recov = recovery_u[a[jump]] ** (1.0 / p.power_nu)
             else:
-                recov = np.full(n_jump, p.recovery)
+                recov = np.full(int(np.count_nonzero(jump)), p.recovery)
             inc[jump] *= recov
             # income jumps move the cointegration gap with them, keeping
             # the identity Z = ln I - ln S; the gap then mean-reverts
@@ -303,10 +340,9 @@ def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
         inc = np.maximum(inc, 1e-10)
     if n_steps > 0:
         # paths still working at the cap worked every step
-        shares[a] = share_sum / n_steps
-    return RetireStats(
-        expected_time=float(np.mean(ret_time)),
-        expected_share=float(np.mean(shares)),
-        n_paths=n_paths, policy="policy",
-        retired_fraction=float(np.mean(ret_time < RETIRE_TIME_CAP)),
-    )
+        shares[slot] = share_sum / n_steps
+    return [RetireStats(expected_time=float(np.mean(ret_time[part])),
+                        expected_share=float(np.mean(shares[part])),
+                        n_paths=n_paths, policy="policy",
+                        retired_fraction=float(np.mean(ret_time[part] < RETIRE_TIME_CAP)))
+            for part in (slice(s * n_paths, (s + 1) * n_paths) for s in range(len(sols)))]

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sc_control import bank_full, bank_partial, cli, panel, retire
+from sc_control import bank_full, bank_partial, cli, filtering, panel, retire
 from sc_control.errors import ValidationError
 from sc_control.params import BankParams, from_dict
 
@@ -119,6 +119,18 @@ class TestCli:
             (out2 / "summary.json").read_text()
         assert (out1 / "filtered.csv").read_text() == \
             (out2 / "filtered.csv").read_text()
+
+    def test_filter_runs_the_recursion_once(self, tmp_path, monkeypatch):
+        theta = {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3}
+        series = list(np.linspace(0.0, 0.4, 30))
+        calls = []
+        filter_series = filtering.filter_series
+        monkeypatch.setattr(filtering, "filter_series",
+                            lambda *a, **kw: calls.append(a) or filter_series(*a, **kw))
+        summary = cli.run("filter", {"theta": theta, "series": series}, str(tmp_path))
+        assert len(calls) == 1
+        # the summed states are those of a fresh recursion
+        assert summary["loglik"] == filtering.log_likelihood(series, tuple(theta.values()))
 
     def test_solver_failure_exits_1_with_error_json(self, tmp_path):
         cfg = {"bank_params": {"mu": 0.1052, "alpha": 0.1159, "sigma": 0.0311,

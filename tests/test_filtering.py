@@ -294,6 +294,10 @@ class TestPinnedOutputs:
             "a": "6ff89050cf75ddcb", "P": "a652da70fa2fd39c", "v": "f54d5de5d903cdc3",
             "F": "b4ce8a544b397314", "a_post": "3d57db09b00dac4c", "P_post": "686f9b4ee17ab707"}
         assert fl.log_likelihood(obs, THETA_TEST).hex() == "0x1.c0f899124c255p+14"
+        # the same sum from the states the caller already has
+        assert fl.log_likelihood(obs, THETA_TEST, states=states).hex() == "0x1.c0f899124c255p+14"
+        with pytest.raises(ValidationError, match="states has 19999 rows"):
+            fl.log_likelihood(obs, THETA_TEST, states=states[1:])
 
     def test_short_series_with_explicit_prior(self):
         _, obs = fl.simulate_signal_series(THETA_TEST, n=7, seed=5, m0=-0.1)

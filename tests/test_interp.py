@@ -86,6 +86,25 @@ class TestUniformAxis:
         assert same_bits(axis.interp(axis.curve(fp), axis.index(q), q),
                          np.interp(q, grid, fp))
 
+    @pytest.mark.parametrize("grid", retire_axes(), ids=lambda g: f"{g[0]:.2g}..{g[-1]:.2g}/{g.size}")
+    def test_offset_interp_equals_np_interp_on_each_stacked_curve(self, grid):
+        axis = UniformAxis(grid, "z")
+        rng = np.random.default_rng(grid.size + 1)
+        q = edge_queries(grid)
+        k = axis.index(q)
+        fps = np.stack([rng.uniform(0.0, 1.0, grid.size), np.linspace(0.7, 0.3, grid.size),
+                        np.round(rng.uniform(0.3, 0.8, grid.size) * 20.0) / 20.0])
+        stacked = axis.curve(fps)
+        for j, fp in enumerate(fps):
+            # a scalar offset, and one offset per query
+            assert same_bits(axis.interp(stacked, k, q, j * (grid.size - 1)),
+                             np.interp(q, grid, fp))
+        # queries of different curves mixed in one call
+        curve_of = np.arange(q.size) % len(fps)
+        got = axis.interp(stacked, k, q, curve_of * (grid.size - 1))
+        want = np.choose(curve_of, [np.interp(q, grid, fp) for fp in fps])
+        assert same_bits(got, want)
+
     @pytest.mark.parametrize("grid", [
         [0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.1, 0.3, 0.4], np.geomspace(1e-3, 1.0, 9),
         [0.0, np.nan, 1.0], [0.0, 0.5, np.inf]])

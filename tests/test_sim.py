@@ -175,20 +175,28 @@ class TestSimulateRetirement:
         # means differ by discretization drift below twice the MC error bar
         assert fine.expected_time == pytest.approx(coarse.expected_time, rel=0.10)
 
-    def test_each_side_of_the_pair_is_one_policy_run(self, small_retire_solves):
+    @pytest.mark.parametrize("world, n, anti", [
+        ({}, 300, False), ({"power_nu": 3.0}, 300, False), ({}, 301, True),
+        ({"power_nu": 1.5}, 301, True), ({}, 1, False), ({"power_nu": 3.0}, 1, True)],
+        ids=["plain", "power_nu", "antithetic_odd", "power_nu_antithetic_odd",
+             "one_path", "one_path_power_nu_antithetic"])
+    def test_each_side_of_the_pair_is_one_policy_run(self, small_retire_solves,
+                                                     world, n, anti):
+        # the draws do not depend on the policy, so racing changes neither side
         pol, ben = small_retire_solves
-        p = baseline_retire_params()
-        ours, dl = sim.simulate_retirement(p, pol, ben, 10.0, 300, 0.1, seed=3)
-        assert sim.simulate_policy(p, pol, 10.0, 300, 0.1, 3) == ours
-        alone = sim.simulate_policy(p, ben, 10.0, 300, 0.1, 3)
+        p = baseline_retire_params(**world)
+        ours, dl = sim.simulate_retirement(p, pol, ben, 10.0, n, 0.1, 3, anti)
+        assert sim.simulate_policy(p, pol, 10.0, n, 0.1, 3, anti) == ours
+        alone = sim.simulate_policy(p, ben, 10.0, n, 0.1, 3, anti)
         assert dataclasses.replace(alone, policy="benchmark") == dl
+        assert ours.n_paths == dl.n_paths == n
 
 
-def synthetic_policy(boundary: float) -> RetireSolution:
+def synthetic_policy(boundary: float, n_xi: int = 41, z_half: float = 1.0) -> RetireSolution:
     """A hand-built solution: analytic controls and retirement boundary
     on linspace grids, so the engine is tested apart from the HJB solver."""
-    xi = np.linspace(0.0, 1.0, 41)
-    z = np.linspace(-1.0, 1.0, 17)
+    xi = np.linspace(0.0, 1.0, n_xi)
+    z = np.linspace(-z_half, z_half, 17)
     XI, ZZ = np.meshgrid(xi, z)
     y = 0.4 * (1.0 - XI) * (1.0 + 0.3 * np.tanh(ZZ))
     c = 0.004 + 0.004 * XI * (1.0 + 0.2 * ZZ)
@@ -200,7 +208,8 @@ def synthetic_policy(boundary: float) -> RetireSolution:
 
 class TestEngineOnSyntheticPolicy:
     """RetireStats pinned exactly, as recorded before the engine kept only
-    the working paths and read both controls with one lookup."""
+    the working paths and read both controls with one lookup (power_nu: as
+    recorded when its recovery uniforms became one full draw per step)."""
 
     CASES = {  # name: (boundary, world overrides, start, n_paths, dt, seed,
                #        antithetic, (expected_time, expected_share, retired_fraction))
@@ -209,7 +218,7 @@ class TestEngineOnSyntheticPolicy:
         "antithetic_odd": (0.3, {}, 10.0, 201, 0.25, 2, True,
                            (126.60074626865672, 0.39502682692862323, 0.9601990049751243)),
         "power_nu": (0.3, {"power_nu": 3.0}, 10.0, 200, 0.25, 3, False,
-                     (121.63375, 0.3942481195413368, 0.99)),
+                     (122.39625, 0.3928046291963062, 0.97)),
         "start_above_boundary": (0.3, {}, 400.0, 50, 0.25, 4, False, (0.0, 0.0, 1.0)),
         "some_reach_the_cap": (0.12, {}, 10.0, 200, 0.5, 5, False,
                                (177.3375, 0.3936513223791195, 0.82)),
@@ -234,6 +243,24 @@ class TestEngineOnSyntheticPolicy:
         run = {"start_w_over_i": 10.0, "n_paths": 10, "dt": 0.5, **run}
         with pytest.raises(ValidationError, match=field):
             sim.simulate_policy(baseline_retire_params(), synthetic_policy(0.3), **run, seed=1)
+
+    @pytest.mark.parametrize("first_retires", [True, False])
+    def test_side_retiring_at_step_zero_leaves_the_other_alone(self, first_retires):
+        # xi = 1/(1 + r*400) = 0.2 at the start: at or below the 0.3 boundary,
+        # above the 0.12 one, so one side empties at step 0 and the other works
+        p = baseline_retire_params()
+        early, late = synthetic_policy(0.3), synthetic_policy(0.12)
+        pair = (early, late) if first_retires else (late, early)
+        race = sim.simulate_retirement(p, *pair, 400.0, 60, 0.5, 9)
+        alone = [sim.simulate_policy(p, sol, 400.0, 60, 0.5, 9) for sol in pair]
+        assert [dataclasses.replace(s, policy="policy") for s in race] == alone
+        assert [s.expected_time == 0.0 for s in race] == [first_retires, not first_retires]
+
+    @pytest.mark.parametrize("axis, other", [("xi", dict(n_xi=31)), ("z", dict(z_half=1.5))])
+    def test_pair_on_different_grids_raises_naming_the_axis(self, axis, other):
+        with pytest.raises(ValidationError, match=f"^{axis} grid differs"):
+            sim.simulate_retirement(baseline_retire_params(), synthetic_policy(0.3),
+                                    synthetic_policy(0.3, **other), 10.0, 10, 0.5, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -260,9 +287,12 @@ class TestRealSolvePairPinned:
                            ("0x1.c44ff2645bda9p+6", "0x1.93fa68128ca01p-1",
                             "0x1.fae5a271f77ecp-1")),
         "power_nu": ({"power_nu": 3.0}, 300, 13, False,
-                     ("0x1.0afa06d3a06d4p+7", "0x1.f430a43764c37p-4", "0x1.9b4e81b4e81b5p-1"),
-                     ("0x1.7de2fc962fc96p+6", "0x1.9e46c219d2d91p-1", "0x1.fe4b17e4b17e5p-1")),
+                     ("0x1.03317e4b17e4bp+7", "0x1.e2a3f28bfb5ecp-4", "0x1.b69d0369d036ap-1"),
+                     ("0x1.79d999999999ap+6", "0x1.9e12198e3e52ep-1", "0x1.fe4b17e4b17e5p-1")),
     }
+    # power_nu expected times at 4000 paths, dt 0.25, seed 17, as recorded
+    # while each side drew its recovery factors per jumping working path
+    POWER_NU_BEFORE_COMMON_DRAWS = (131.0085, 92.44025)
 
     @pytest.mark.parametrize("case", CASES)
     def test_both_sides_pinned_exactly(self, case, solve_pair_21x15):
@@ -273,6 +303,20 @@ class TestRealSolvePairPinned:
                for s in pair]
         assert got == expected
         assert [(s.n_paths, s.policy) for s in pair] == [(n, "policy"), (n, "benchmark")]
+
+    def test_power_nu_means_kept_within_monte_carlo_error(self, solve_pair_21x15):
+        # Drawing the recoveries as one full uniform per step changes which
+        # random numbers reach each path, not their law.  A capped time lies
+        # in [0, 250], so its standard deviation is at most 125 and the
+        # standard error of a mean over n paths at most 125/sqrt(n); the
+        # difference of the two estimates, however correlated, has a
+        # standard deviation of at most twice that.  Allow three of those.
+        n = 4000
+        pair = sim.simulate_retirement(baseline_retire_params(power_nu=3.0),
+                                       *solve_pair_21x15, 10.0, n, 0.25, 17)
+        bound = 3.0 * 2.0 * 125.0 / math.sqrt(n)
+        for stats, before in zip(pair, self.POWER_NU_BEFORE_COMMON_DRAWS):
+            assert abs(stats.expected_time - before) <= bound
 
 
 class TestNonUniformGridRejected:
