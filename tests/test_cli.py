@@ -4,11 +4,13 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from sc_control import bank_full, bank_partial, cli, filtering, panel, retire
 from sc_control.errors import ValidationError
@@ -85,7 +87,9 @@ class TestCli:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 2
 
-    def test_solve_bank_full_writes_artifacts(self, tmp_path):
+    def test_solve_bank_full_writes_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = {"bank_params": {"mu": 0.1052, "alpha": 0.1159, "sigma": 0.0311,
                                "delta": 0.2330, "omega": 0.3150,
                                "kappa_min": 0.048, "issue_cost_K": 0.002,
@@ -103,6 +107,14 @@ class TestCli:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["subcommand"] == "solve-bank-full"
         assert manifest["config"] == cfg
+        env = manifest["environment"]
+        assert (env["python"], env["numpy"], env["scipy"]) == \
+            (platform.python_version(), np.__version__, scipy.__version__)
+        assert env["threads"] == {var: os.environ[var] for var in cli.THREAD_VARS
+                                  if var in os.environ}
+        assert env["threads"]["OMP_NUM_THREADS"] == "1"
+        assert "MKL_NUM_THREADS" not in env["threads"]
+        assert "environment" not in summary
 
     def test_rerun_from_manifest_reproduces_summary(self, tmp_path):
         cfg = {"theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3},

@@ -6,9 +6,10 @@ import types
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from sc_control import retire as rt
-from sc_control.errors import OutsideWorkRegion, ValidationError
+from sc_control.errors import NoConvergence, OutsideWorkRegion, ValidationError
 from sc_control.params import RetireGrid
 
 from conftest import baseline_retire_params
@@ -100,6 +101,61 @@ class TestAssembly:
         lf = a_xz + b_xi * st.ZZ + b_z * st.XI
         want = ((4.0 + 1e3 * active) * f - lf)[1:-1, 1:-1]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+class TestFixedPatternSolve:
+    """Every step after the first factors A[:, q] in the minimum-degree
+    column order q that the first step took from SuperLU, and returns what a
+    fresh factorisation under that ordering gives."""
+
+    @pytest.mark.parametrize("n_x, n_y", [(21, 15), (31, 21)])
+    @pytest.mark.parametrize("power_nu", [None, 3.0])
+    @pytest.mark.parametrize("variant", ["crra", "epstein-zin", "finite-horizon"])
+    def test_step_equals_a_fresh_minimum_degree_factorisation(self, variant, power_nu,
+                                                              n_x, n_y):
+        ez = variant == "epstein-zin"
+        p = baseline_retire_params(power_nu=power_nu, eis_psi=0.5 if ez else None)
+        st = rt._RetireStepper(p, RetireGrid(n_x=n_x, n_y=n_y), rt._Mode(p, recursive=ez),
+                               rt.IncomeJumpSpec.for_params(p))
+        obstacle = np.broadcast_to(st.obstacle, (n_y, n_x))
+        if variant == "finite-horizon":
+            u, dt_inv, rho = obstacle.copy(), 2.0, 1e5
+        else:
+            u, dt_inv, rho = np.maximum(math.log(p.B), obstacle), 4.0, 1e3
+        for _ in range(4):
+            A, rhs, _, _ = st.assemble(u, dt_inv, rho, (obstacle - u) > 0.0)
+            want = splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+            u, _, _ = st.step(u, dt_inv, rho)
+            assert np.array_equal(u.ravel(), want)
+
+    def test_one_ordering_per_solve(self, monkeypatch):
+        specs = []
+        real = rt.splu
+        monkeypatch.setattr(rt, "splu", lambda A, permc_spec: specs.append(permc_spec)
+                            or real(A, permc_spec=permc_spec))
+        sol = rt.penalty_solve_retire(baseline_retire_params(), RetireGrid(n_x=21, n_y=15))
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (sol.iterations - 1)
+
+
+class TestDampedPolish:
+    def test_running_out_of_steps_raises(self, monkeypatch):
+        class Chattering(rt._RetireStepper):
+            """Settles at once in the pseudo-time stages; each polish step
+            (dt_inv = 1/100) flips u by 2, so the half-step moves it by 1."""
+
+            flip = 1.0
+
+            def step(self, u, dt_inv, rho_pen):
+                zero = np.zeros_like(u)
+                if dt_inv > 0.01:
+                    return u, zero, zero
+                self.flip = -self.flip
+                return u + 2.0 * self.flip, zero, zero
+
+        monkeypatch.setattr(rt, "_RetireStepper", Chattering)
+        with pytest.raises(NoConvergence, match="polish") as exc:
+            rt.penalty_solve_retire(baseline_retire_params(), RetireGrid(n_x=11, n_y=5))
+        assert exc.value.residual == pytest.approx(1.0)
 
 
 class TestJumpExpectation:
