@@ -184,30 +184,26 @@ def _shift_sup(xs, V, sbar, cost_K):
     """sup over s in [0, sbar] of V(x+s) - s, minus K, exactly on the grid.
 
     V - s is piecewise linear between nodes so the sup is attained at a node
-    (or at s = 0); ties resolve toward smaller s because the running max is
-    strict.  Beyond the last node V continues with slope one, which adds
-    nothing.
+    (or at s = 0): at node i it is the max of W = V - x over the nodes j with
+    x_i <= x_j <= x_i + sbar.  Beyond the last node V continues with slope
+    one, which adds nothing.  Each window is covered by two power-of-two
+    blocks of a sparse table, whose maxima are exact.
     """
     W = V - xs
-    if sbar >= xs[-1] - xs[0]:
-        best = np.maximum.accumulate(W[::-1])[::-1]
-    else:
-        best = np.empty_like(W)
-        j_hi = np.searchsorted(xs, xs + sbar, side="right") - 1
-        # two-pointer sweep keeping a decreasing deque of candidate indices
-        from collections import deque
-
-        dq: deque = deque()
-        j = xs.size - 1
-        for i in range(xs.size - 1, -1, -1):
-            while j >= i:
-                while dq and W[dq[-1]] <= W[j]:
-                    dq.pop()
-                dq.append(j)
-                j -= 1
-            while dq and dq[0] > j_hi[i]:
-                dq.popleft()
-            best[i] = W[dq[0]] if dq else W[i]
+    n = W.size
+    start = np.arange(n)
+    end = np.searchsorted(xs, xs + sbar, side="right")  # one past each window
+    # row L of the table: the max of W over [i, min(i + 2**L, n) - 1]
+    table = [W]
+    while 2 ** len(table) <= n:
+        prev, half = table[-1], 2 ** (len(table) - 1)
+        row = prev.copy()
+        np.maximum(prev[:-half], prev[half:], out=row[:-half])
+        table.append(row)
+    level = np.frexp(end - start)[1] - 1  # floor(log2) of each window's length
+    flat = np.concatenate(table)
+    at = level * n
+    best = np.maximum(flat.take(at + start), flat.take(at + end - np.left_shift(1, level)))
     return best + xs - cost_K
 
 

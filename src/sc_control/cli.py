@@ -54,7 +54,7 @@ def _retire_grid(cfg: dict) -> RetireGrid:
     return from_dict(RetireGrid, cfg.get("grid", {}))
 
 
-def _write_manifest(out_dir, subcommand, cfg, args, extra=None):
+def _write_manifest(out_dir, subcommand, cfg, args):
     manifest = {
         "subcommand": subcommand,
         "config": cfg,
@@ -68,8 +68,6 @@ def _write_manifest(out_dir, subcommand, cfg, args, extra=None):
             "threads": {var: os.environ[var] for var in THREAD_VARS if var in os.environ},
         },
     }
-    if extra:
-        manifest.update(extra)
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)

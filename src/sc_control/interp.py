@@ -2,10 +2,10 @@
 
 A lookup locates each query's cell on each axis, as an index k (the end
 cells outside the grid) and the query's weight in [grid[k], grid[k+1]]
-clipped to [0, 1], and then blends the cell's nodes.  :func:`cell` locates
-by binary search on any increasing grid; :class:`UniformAxis` finds the
-same cells arithmetically on a uniform grid and reads a piecewise-linear
-curve on it exactly as ``np.interp`` does.
+clipped to [0, 1], and then blends the cell's nodes: :func:`lerp` on a
+curve, :func:`blend` on a surface.  :func:`cell` locates by binary search on
+any increasing grid; :class:`UniformAxis` finds the same cells
+arithmetically on a uniform grid.
 """
 
 from __future__ import annotations
@@ -111,29 +111,3 @@ class UniformAxis:
         k = self.index(q)
         lo = self.grid.take(k)
         return k, _weight(q, lo, self._width.take(k))
-
-    def curve(self, fp):
-        """The piecewise-linear curve through (grid, fp), for :meth:`interp`.
-
-        A stack of m curves ``fp`` (m, n) gives their cells one after the
-        other: curve j's cell k is entry j*(n - 1) + k.
-        """
-        fp = np.asarray(fp, dtype=float)
-        left, right = fp[..., :-1], fp[..., 1:]
-        return left.ravel(), right.ravel(), ((right - left) / self._width).ravel()
-
-    def interp(self, curve, k, q, offset=0):
-        """``np.interp(q, grid, fp)`` bit for bit, for finite fp, from q's cell k.
-
-        Inside cell k the value is slope*(q - grid[k]) + fp[k], np.interp's
-        formula; a q on the node grid[k + 1], or beyond the last node, takes
-        fp[k + 1], and a q on or below the first node takes fp[0].  On a
-        stack of curves, ``offset`` (a scalar or one per query) is the entry
-        of each query's curve's first cell: j*(n - 1) for curve j.
-        """
-        left, right, slope = curve
-        lo = self.grid.take(k)
-        at = k + offset
-        left_k = left.take(at)
-        b = np.where(q <= lo, left_k, slope.take(at) * (q - lo) + left_k)
-        return np.where(q >= self.grid.take(k + 1), right.take(at), b)

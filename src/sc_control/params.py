@@ -209,13 +209,11 @@ class BankGrid:
 class RetireGrid:
     """Discretization of the retirement solver: ``n_x`` nodes on xi in
     [0, 1] and ``n_y`` on z in z_bar +- 8 sigma_z (the domain follows from
-    the model), the penalty continuation schedule and the cap on
-    pseudo-time steps per penalty stage."""
+    the model) and the penalty continuation schedule."""
 
     n_x: int = 201
     n_y: int = 161
     penalty_schedule: tuple = (1e3, 1e4, 1e5)
-    max_iter: int = 600
 
     def __post_init__(self):
         _check_grid(self.n_x, self.n_y, self.penalty_schedule)

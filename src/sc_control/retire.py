@@ -55,6 +55,7 @@ from .errors import NoConvergence, OutsideWorkRegion, ValidationError
 from .params import RetireGrid, RetireParams, finite_number
 
 _H_DENOM_FLOOR = 1e-10
+MAX_STAGE_STEPS = 600  # pseudo-time steps a stationary penalty stage may take
 _N_QUAD = 32  # Gauss-Legendre nodes of the power jump-size density
 # (dz, dxi) offsets of the 9-point stencil's neighbours
 _OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))
@@ -417,7 +418,7 @@ def _solve_stationary(p: RetireParams, grid: RetireGrid, mode: _Mode,
         prev_resid = np.inf
         stalled = 0
         stage_tol = 1e-6 if rho_pen == final_rho else 1e-5
-        for it in range(grid.max_iter):
+        for it in range(MAX_STAGE_STEPS):
             dt_inv = 1.0 / dt
             u_new, y, c = stepper.step(u, dt_inv, rho_pen)
             change = float(np.max(np.abs(u_new - u)))

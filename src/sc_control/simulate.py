@@ -9,10 +9,11 @@ expected path coincides with the true one.
 
 Retirement paths: (W, I, Z) under the cointegrated dynamics with Poisson
 income jumps, feedback controls interpolated from a solved surface, stopping
-at the policy's retirement boundary.  Reported times are capped at 250
-years.  Each run draws from one generator seeded by ``seed``, and the
-policies of a race advance in lockstep on the same draws, so a summary is
-reproducible bit for bit from its inputs.
+at the policy's retirement boundary xi*(z).  Each step locates every path's
+z cell once and reads the boundary (linear in z) and both controls from it.
+Reported times are capped at 250 years.  Each run draws from one generator
+seeded by ``seed``, and the policies of a race advance in lockstep on the
+same draws, so a summary is reproducible bit for bit from its inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .bank_full import FullSolution
 from .bank_partial import PartialSolution
 from .errors import ValidationError
 from .filtering import filter_gain, kalman_step_continuous, riccati_variance
-from .interp import UniformAxis, blend
+from .interp import UniformAxis, blend, lerp
 from .params import BankParams, RetireParams, finite_number
 from .retire import RetireSolution, xi_of_wealth
 
@@ -100,8 +101,7 @@ def check_run_settings(n_paths, dt, horizon=RETIRE_TIME_CAP, start_w_over_i=0.0)
 
 
 def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
-                  dt: float, seed: int, x0: float | None = None,
-                  s0: float | None = None) -> PathBundle:
+                  dt: float, seed: int, x0: float | None = None) -> PathBundle:
     """Simulate bank equity paths under the solved policy.
 
     ``policy=None`` runs the raw reporting dynamics with no controls and no
@@ -115,8 +115,7 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
     times = np.arange(n_steps + 1) * dt
     noiseless = p.noise_m == 0.0
 
-    s0 = (p.s_infinity if s0 is None else s0)
-    s_path = riccati_variance(p, s0, times) if not noiseless else np.zeros_like(times)
+    s_path = np.zeros_like(times) if noiseless else riccati_variance(p, p.s_infinity, times)
     I_path, u1_path, u2_path = _policy_curves(policy, s_path)
 
     # states per path
@@ -207,8 +206,7 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
 
 def simulate_retirement(p: RetireParams, policy: RetireSolution,
                         benchmark: RetireSolution, start_w_over_i: float,
-                        n_paths: int, dt: float, seed: int,
-                        antithetic: bool = False) -> tuple:
+                        n_paths: int, dt: float, seed: int) -> tuple:
     """(RetireStats for policy, RetireStats for benchmark).
 
     Both policies race in the same cointegrated world (the dynamics of
@@ -220,14 +218,12 @@ def simulate_retirement(p: RetireParams, policy: RetireSolution,
     Both solutions must share their xi and z grids; a pair that does not
     raises ValidationError naming the axis.
     """
-    ours, bench = _race(p, (policy, benchmark), start_w_over_i, n_paths, dt, seed,
-                        antithetic)
+    ours, bench = _race(p, (policy, benchmark), start_w_over_i, n_paths, dt, seed)
     return ours, replace(bench, policy="benchmark")
 
 
 def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
-                    n_paths: int, dt: float, seed: int,
-                    antithetic: bool = False) -> RetireStats:
+                    n_paths: int, dt: float, seed: int) -> RetireStats:
     """Retirement timing of one solved policy in the world ``p``.
 
     Every step draws the two Brownian shocks and the jump indicators for all
@@ -238,7 +234,7 @@ def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
     RETIRE_TIME_CAP.  This is the one-policy case of the race that
     :func:`simulate_retirement` runs.
     """
-    (stats,) = _race(p, (sol,), start_w_over_i, n_paths, dt, seed, antithetic)
+    (stats,) = _race(p, (sol,), start_w_over_i, n_paths, dt, seed)
     return stats
 
 
@@ -254,7 +250,7 @@ def _shared_axes(sols):
 
 
 def _race(p: RetireParams, sols, start_w_over_i: float, n_paths: int, dt: float,
-          seed: int, antithetic: bool) -> list:
+          seed: int) -> list:
     """RetireStats of each solution in ``sols``, all advanced in lockstep.
 
     Path j of every side reads column j of each step's draws.  The working
@@ -262,13 +258,13 @@ def _race(p: RetireParams, sols, start_w_over_i: float, n_paths: int, dt: float,
     each step where some retire; the loop ends when none is left.  The
     cells are found arithmetically on the shared uniform xi and z grids, and
     each step's z cell serves both the retirement test and the one lookup of
-    both controls.  Side s reads its controls at z rows offset by s*n_z of
-    the stacked surfaces and its boundary at cells offset by s*(n_z - 1).
+    both controls.  Side s reads its boundary and its controls at z rows
+    offset by s*n_z of the stacked curves and surfaces.
     """
     check_run_settings(n_paths, dt, start_w_over_i=start_w_over_i)
     xi_axis, z_axis = _shared_axes(sols)
     n_z = z_axis.grid.size
-    boundary = z_axis.curve(np.stack([sol.xi_retire for sol in sols]))
+    boundary = np.concatenate([sol.xi_retire for sol in sols])
     controls = np.stack([np.concatenate([sol.y_star for sol in sols]),
                          np.concatenate([sol.c_star for sol in sols])])
     rng = np.random.default_rng(seed)
@@ -277,46 +273,41 @@ def _race(p: RetireParams, sols, start_w_over_i: float, n_paths: int, dt: float,
     # side s's results fill slots s*n_paths to (s + 1)*n_paths
     ret_time = np.full(n, RETIRE_TIME_CAP)
     shares = np.zeros(n)
-    # the working paths: their slots (ascending), draw columns, offsets
-    # into the stacked controls and boundaries, states and share sums
+    # the working paths: their slots (ascending), draw columns, row offsets
+    # into the stacked boundaries and controls, states and share sums
     slot = np.arange(n)
     a = slot % n_paths
-    side = slot // n_paths
-    rows, edges = side * n_z, side * (n_z - 1)
+    rows = slot // n_paths * n_z
     W = np.full(n, float(start_w_over_i))
     inc = np.ones(n)
     Z = np.full(n, p.z_bar)
     share_sum = np.zeros(n)
     sq = math.sqrt(dt)
-    half = n_paths // 2
     for k in range(n_steps):
         xi_q = xi_of_wealth(W / inc, p.r)
-        # one z cell serves the retirement test and both controls
+        # one z cell, on each side's rows, serves the retirement test and
+        # both controls
         i, w = z_axis.cell(Z)
-        hit = xi_q <= z_axis.interp(boundary, i, Z, edges)
+        i += rows
+        hit = xi_q <= lerp(boundary, i, w)
         if hit.any():
             # a path retiring at step k worked k steps; its share is their mean
             ret_time[slot[hit]] = k * dt
             if k > 0:
                 shares[slot[hit]] = share_sum[hit] / k
             keep = ~hit
-            slot, a, rows, edges, W, inc, Z, share_sum, xi_q, i, w = (
-                v[keep] for v in (slot, a, rows, edges, W, inc, Z, share_sum, xi_q, i, w))
+            slot, a, rows, W, inc, Z, share_sum, xi_q, i, w = (
+                v[keep] for v in (slot, a, rows, W, inc, Z, share_sum, xi_q, i, w))
             if slot.size == 0:
                 break
         total = W + inc / p.r
-        y, c = blend(controls, (i + rows, w), xi_axis.cell(xi_q)) * total
+        y, c = blend(controls, (i, w), xi_axis.cell(xi_q)) * total
         y = np.minimum(y, W)  # borrowing constraint in levels
         z1 = rng.standard_normal(n_paths)
         z2 = rng.standard_normal(n_paths)
         jumps = rng.random(n_paths) < p.jump_intensity * dt
         if p.power_nu is not None and jumps.any():
             recovery_u = rng.random(n_paths)
-        if antithetic:
-            # mirror the first half onto the second; an odd last path
-            # keeps its own draw
-            z1[half:2 * half] = -z1[:half]
-            z2[half:2 * half] = -z2[:half]
         share_sum += np.where(W > 1e-12, y / np.maximum(W, 1e-12), 0.0)
         dB1 = sq * z1[a]
         dB2 = sq * z2[a]

@@ -123,16 +123,26 @@ class TestDegenerateBoundary:
 
 
 class TestShiftSup:
+    @staticmethod
+    def brute_force(xs, V, sbar):
+        return [max(V[j] - (xs[j] - xs[i]) for j in range(i, xs.size)
+                    if xs[j] - xs[i] <= sbar) - 0.01 for i in range(xs.size)]
+
     def test_exact_line_search_against_brute_force(self):
         rng = np.random.default_rng(0)
         xs = np.sort(rng.uniform(0.0, 1.0, 40))
         V = np.cumsum(rng.uniform(0.5, 2.0, 40))  # increasing, slope <> 1
-        for sbar in (0.05, 0.3, 2.0):
-            got = bp._shift_sup(xs, V, sbar, cost_K=0.01)
-            for i in range(40):
-                cand = [V[j] - (xs[j] - xs[i]) for j in range(i, 40)
-                        if xs[j] - xs[i] <= sbar]
-                assert got[i] == pytest.approx(max(cand) - 0.01, abs=1e-12)
+        for sbar in (0.0, 0.05, 0.3, 2.0):
+            assert bp._shift_sup(xs, V, sbar, cost_K=0.01) == pytest.approx(
+                self.brute_force(xs, V, sbar), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_one_cell_window_against_brute_force(self, n):
+        # a dyadic grid: each node plus one cell is the next node exactly
+        xs = 0.25 * np.arange(n)
+        V = np.random.default_rng(n).normal(size=n)
+        assert bp._shift_sup(xs, V, 0.25, cost_K=0.01) == pytest.approx(
+            self.brute_force(xs, V, 0.25), abs=1e-12)
 
 
 class TestImpulseOperator:

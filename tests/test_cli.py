@@ -290,7 +290,7 @@ class TestCliSolverHandlers:
            "B": 2.0, "beta": 0.04, "mu_income": 0.005, "sigma_income": 0.10,
            "recovery": 0.8, "jump_intensity": 0.05, "mean_reversion": 0.15,
            "z_bar": 0.0}
-    RGRID = {"n_x": 61, "n_y": 41, "penalty_schedule": [1e3, 1e4, 1e5], "max_iter": 600}
+    RGRID = {"n_x": 61, "n_y": 41, "penalty_schedule": [1e3, 1e4, 1e5]}
 
     def bank_grid(self):
         s_inf = self.BANK["noise_m"] * self.BANK["sigma"] * (1 - self.BANK["rho"])

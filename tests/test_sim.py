@@ -144,22 +144,6 @@ class TestSimulateRetirement:
         b = sim.simulate_retirement(p, pol, ben, 10.0, 400, 0.1, seed=4)
         assert a[0] == b[0] and a[1] == b[1]
 
-    def test_antithetic_leaves_mean_within_error(self, small_retire_solves):
-        pol, ben = small_retire_solves
-        p = baseline_retire_params()
-        plain, _ = sim.simulate_retirement(p, pol, ben, 10.0, 3000, 0.1, seed=6)
-        anti, _ = sim.simulate_retirement(p, pol, ben, 10.0, 3000, 0.1, seed=6,
-                                          antithetic=True)
-        assert anti.expected_time == pytest.approx(plain.expected_time, rel=0.12)
-
-    def test_antithetic_odd_path_count_runs_and_reproduces(self, small_retire_solves):
-        pol, ben = small_retire_solves
-        p = baseline_retire_params()
-        a = sim.simulate_retirement(p, pol, ben, 10.0, 101, 0.1, seed=5, antithetic=True)
-        b = sim.simulate_retirement(p, pol, ben, 10.0, 101, 0.1, seed=5, antithetic=True)
-        assert a == b
-        assert a[0].n_paths == 101
-
     def test_times_capped(self, small_retire_solves):
         pol, ben = small_retire_solves
         p = baseline_retire_params()
@@ -175,19 +159,16 @@ class TestSimulateRetirement:
         # means differ by discretization drift below twice the MC error bar
         assert fine.expected_time == pytest.approx(coarse.expected_time, rel=0.10)
 
-    @pytest.mark.parametrize("world, n, anti", [
-        ({}, 300, False), ({"power_nu": 3.0}, 300, False), ({}, 301, True),
-        ({"power_nu": 1.5}, 301, True), ({}, 1, False), ({"power_nu": 3.0}, 1, True)],
-        ids=["plain", "power_nu", "antithetic_odd", "power_nu_antithetic_odd",
-             "one_path", "one_path_power_nu_antithetic"])
-    def test_each_side_of_the_pair_is_one_policy_run(self, small_retire_solves,
-                                                     world, n, anti):
+    @pytest.mark.parametrize("world, n", [
+        ({}, 300), ({"power_nu": 3.0}, 300), ({}, 1), ({"power_nu": 3.0}, 1)],
+        ids=["plain", "power_nu", "one_path", "one_path_power_nu"])
+    def test_each_side_of_the_pair_is_one_policy_run(self, small_retire_solves, world, n):
         # the draws do not depend on the policy, so racing changes neither side
         pol, ben = small_retire_solves
         p = baseline_retire_params(**world)
-        ours, dl = sim.simulate_retirement(p, pol, ben, 10.0, n, 0.1, 3, anti)
-        assert sim.simulate_policy(p, pol, 10.0, n, 0.1, 3, anti) == ours
-        alone = sim.simulate_policy(p, ben, 10.0, n, 0.1, 3, anti)
+        ours, dl = sim.simulate_retirement(p, pol, ben, 10.0, n, 0.1, 3)
+        assert sim.simulate_policy(p, pol, 10.0, n, 0.1, 3) == ours
+        alone = sim.simulate_policy(p, ben, 10.0, n, 0.1, 3)
         assert dataclasses.replace(alone, policy="benchmark") == dl
         assert ours.n_paths == dl.n_paths == n
 
@@ -212,25 +193,25 @@ class TestEngineOnSyntheticPolicy:
     recorded when its recovery uniforms became one full draw per step)."""
 
     CASES = {  # name: (boundary, world overrides, start, n_paths, dt, seed,
-               #        antithetic, (expected_time, expected_share, retired_fraction))
-        "plain": (0.3, {}, 10.0, 200, 0.25, 1, False,
-                  (125.84375, 0.3954291994494977, 0.97)),
-        "antithetic_odd": (0.3, {}, 10.0, 201, 0.25, 2, True,
-                           (126.60074626865672, 0.39502682692862323, 0.9601990049751243)),
-        "power_nu": (0.3, {"power_nu": 3.0}, 10.0, 200, 0.25, 3, False,
+               #        (expected_time, expected_share, retired_fraction))
+        "plain": (0.3, {}, 10.0, 200, 0.25, 1, (125.84375, 0.3954291994494977, 0.97)),
+        "power_nu": (0.3, {"power_nu": 3.0}, 10.0, 200, 0.25, 3,
                      (122.39625, 0.3928046291963062, 0.97)),
-        "start_above_boundary": (0.3, {}, 400.0, 50, 0.25, 4, False, (0.0, 0.0, 1.0)),
-        "some_reach_the_cap": (0.12, {}, 10.0, 200, 0.5, 5, False,
+        "start_above_boundary": (0.3, {}, 400.0, 50, 0.25, 4, (0.0, 0.0, 1.0)),
+        # the start's xi equals the boundary at the z = z_bar node, where
+        # the z cell's weight is 1: the tie retires every path at once
+        "start_on_boundary_at_a_node": (rt.xi_of_wealth(10.0, baseline_retire_params().r),
+                                        {}, 10.0, 50, 0.25, 7, (0.0, 0.0, 1.0)),
+        "some_reach_the_cap": (0.12, {}, 10.0, 200, 0.5, 5,
                                (177.3375, 0.3936513223791195, 0.82)),
-        "all_retire_early": (0.6, {}, 10.0, 150, 0.25, 6, False,
-                             (55.605, 0.3936361267332747, 1.0)),
+        "all_retire_early": (0.6, {}, 10.0, 150, 0.25, 6, (55.605, 0.3936361267332747, 1.0)),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_stats_pinned_exactly(self, case):
-        boundary, world, start, n, dt, seed, anti, expected = self.CASES[case]
+        boundary, world, start, n, dt, seed, expected = self.CASES[case]
         st = sim.simulate_policy(baseline_retire_params(**world), synthetic_policy(boundary),
-                                 start, n, dt, seed, anti)
+                                 start, n, dt, seed)
         assert (st.expected_time, st.expected_share, st.retired_fraction) == expected
         assert st.n_paths == n and st.policy == "policy"
 
@@ -276,17 +257,12 @@ class TestRealSolvePairPinned:
     RetireStats float pinned by float.hex as recorded while the cells were
     still found by binary search and the boundary by np.interp."""
 
-    CASES = {  # name: (world overrides, n_paths, seed, antithetic,
+    CASES = {  # name: (world overrides, n_paths, seed,
                #        (time, share, retired) hex for the policy, then the benchmark)
-        "plain": ({}, 300, 11, False,
+        "plain": ({}, 300, 11,
                   ("0x1.00006d3a06d3ap+7", "0x1.074d34ce408e0p-3", "0x1.ae147ae147ae1p-1"),
                   ("0x1.bc2b851eb851fp+6", "0x1.950b04d9ffd8fp-1", "0x1.f92c5f92c5f93p-1")),
-        "antithetic_odd": ({}, 301, 12, True,
-                           ("0x1.10cc1e9e31543p+7", "0x1.ec447c6902da1p-4",
-                            "0x1.9322ded49fe4dp-1"),
-                           ("0x1.c44ff2645bda9p+6", "0x1.93fa68128ca01p-1",
-                            "0x1.fae5a271f77ecp-1")),
-        "power_nu": ({"power_nu": 3.0}, 300, 13, False,
+        "power_nu": ({"power_nu": 3.0}, 300, 13,
                      ("0x1.03317e4b17e4bp+7", "0x1.e2a3f28bfb5ecp-4", "0x1.b69d0369d036ap-1"),
                      ("0x1.79d999999999ap+6", "0x1.9e12198e3e52ep-1", "0x1.fe4b17e4b17e5p-1")),
     }
@@ -296,9 +272,9 @@ class TestRealSolvePairPinned:
 
     @pytest.mark.parametrize("case", CASES)
     def test_both_sides_pinned_exactly(self, case, solve_pair_21x15):
-        world, n, seed, anti, *expected = self.CASES[case]
+        world, n, seed, *expected = self.CASES[case]
         pair = sim.simulate_retirement(baseline_retire_params(**world), *solve_pair_21x15,
-                                       10.0, n, 0.25, seed, anti)
+                                       10.0, n, 0.25, seed)
         got = [tuple(v.hex() for v in (s.expected_time, s.expected_share, s.retired_fraction))
                for s in pair]
         assert got == expected
