@@ -70,6 +70,36 @@ class TestUniformAxis:
         np.testing.assert_allclose(interp.lerp(fp, *axis.cell(q)), np.interp(q, grid, fp),
                                    rtol=1e-15, atol=0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1),
+           q=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+    def test_lerp_in_the_cell_matches_np_interp_on_random_curves(self, n, seed, q):
+        grid = np.linspace(-1.44, 1.44, n)
+        fp = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+        axis = UniformAxis(grid, "z")
+        assert same_bits(interp.lerp(fp, *axis.cell(grid)), fp)
+        q = np.asarray(q)
+        np.testing.assert_allclose(interp.lerp(fp, *axis.cell(q)), np.interp(q, grid, fp),
+                                   rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("grid", retire_axes(), ids=lambda g: f"{g[0]:.2g}..{g[-1]:.2g}/{g.size}")
+    def test_stacked_lerp_reads_each_curve_through_its_row_offset(self, grid):
+        # the race stacks both sides' boundaries and reads side s at the z
+        # cell's index plus s * n_z
+        axis = UniformAxis(grid, "z")
+        rng = np.random.default_rng(grid.size + 1)
+        q = edge_queries(grid)
+        k, w = axis.cell(q)
+        fps = [rng.uniform(0.0, 1.0, grid.size), np.linspace(0.7, 0.3, grid.size),
+               np.round(rng.uniform(0.3, 0.8, grid.size) * 20.0) / 20.0]
+        stacked = np.concatenate(fps)
+        for s, fp in enumerate(fps):
+            assert same_bits(interp.lerp(stacked, k + s * grid.size, w), interp.lerp(fp, k, w))
+        # queries of different curves mixed in one call
+        side = np.arange(q.size) % len(fps)
+        want = np.choose(side, [interp.lerp(fp, k, w) for fp in fps])
+        assert same_bits(interp.lerp(stacked, k + side * grid.size, w), want)
+
     @pytest.mark.parametrize("grid", [
         [0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.1, 0.3, 0.4], np.geomspace(1e-3, 1.0, 9),
         [0.0, np.nan, 1.0], [0.0, 0.5, np.inf]])

@@ -160,8 +160,9 @@ class TestSimulateRetirement:
         assert fine.expected_time == pytest.approx(coarse.expected_time, rel=0.10)
 
     @pytest.mark.parametrize("world, n", [
-        ({}, 300), ({"power_nu": 3.0}, 300), ({}, 1), ({"power_nu": 3.0}, 1)],
-        ids=["plain", "power_nu", "one_path", "one_path_power_nu"])
+        ({}, 300), ({"power_nu": 3.0}, 300), ({}, 301), ({"power_nu": 1.5}, 301),
+        ({}, 1), ({"power_nu": 3.0}, 1)],
+        ids=["plain", "power_nu", "odd", "power_nu_odd", "one_path", "one_path_power_nu"])
     def test_each_side_of_the_pair_is_one_policy_run(self, small_retire_solves, world, n):
         # the draws do not depend on the policy, so racing changes neither side
         pol, ben = small_retire_solves
@@ -195,6 +196,9 @@ class TestEngineOnSyntheticPolicy:
     CASES = {  # name: (boundary, world overrides, start, n_paths, dt, seed,
                #        (expected_time, expected_share, retired_fraction))
         "plain": (0.3, {}, 10.0, 200, 0.25, 1, (125.84375, 0.3954291994494977, 0.97)),
+        # recorded while the boundary was still read by the np.interp twin
+        "odd": (0.3, {}, 10.0, 201, 0.25, 2,
+                (124.45522388059702, 0.39563078566541354, 0.9651741293532339)),
         "power_nu": (0.3, {"power_nu": 3.0}, 10.0, 200, 0.25, 3,
                      (122.39625, 0.3928046291963062, 0.97)),
         "start_above_boundary": (0.3, {}, 400.0, 50, 0.25, 4, (0.0, 0.0, 1.0)),
@@ -262,6 +266,10 @@ class TestRealSolvePairPinned:
         "plain": ({}, 300, 11,
                   ("0x1.00006d3a06d3ap+7", "0x1.074d34ce408e0p-3", "0x1.ae147ae147ae1p-1"),
                   ("0x1.bc2b851eb851fp+6", "0x1.950b04d9ffd8fp-1", "0x1.f92c5f92c5f93p-1")),
+        # recorded while the boundary was still read by the np.interp twin
+        "odd": ({}, 301, 12,
+                ("0x1.fcd653594d653p+6", "0x1.ed2615ee11d75p-4", "0x1.9d5799f0b0e75p-1"),
+                ("0x1.c1fae5a271f78p+6", "0x1.94081fb83d7b3p-1", "0x1.f77eb9689c7dep-1")),
         "power_nu": ({"power_nu": 3.0}, 300, 13,
                      ("0x1.03317e4b17e4bp+7", "0x1.e2a3f28bfb5ecp-4", "0x1.b69d0369d036ap-1"),
                      ("0x1.79d999999999ap+6", "0x1.9e12198e3e52ep-1", "0x1.fe4b17e4b17e5p-1")),
