@@ -126,10 +126,6 @@ def candidate_value_f2(X, u2: float, roots):
 def hitting_cdf(X, t: float, p: BankParams, kappa: float | None = None):
     """P[first passage of X to kappa <= t | X_0 = X] (reflection principle)."""
     ctx = _Ctx(p, kappa=kappa)
-    return _hitting_cdf(ctx, X, t)
-
-
-def _hitting_cdf(ctx: _Ctx, X, t: float):
     X = np.asarray(X, dtype=float)
     if np.any(X < ctx.kappa):
         raise ValidationError("X must be >= kappa")
@@ -446,11 +442,6 @@ def optimal_action(X: float, sol: FullSolution) -> Action:
     if X >= sol.u2:
         return Action("pay_dividend", amount=X - sol.u2)
     return Action("wait")
-
-
-def issuance_top_up(X: float, sol: FullSolution) -> float:
-    """Amount issued at completion of a pending order: max(u2 - X, 0)."""
-    return max(sol.u2 - X, 0.0)
 
 
 def hjb_residual(sol: FullSolution, X):

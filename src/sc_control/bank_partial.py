@@ -575,16 +575,6 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     )
 
 
-def extract_regions(sol: PartialSolution) -> dict:
-    """Boundary curves per S-slice: I(S), u1(S) (nan if RR empty), u2(S)."""
-    return {
-        "S": sol.ss.copy(),
-        "I": sol.barrier_I.copy(),
-        "u1": sol.barrier_u1.copy(),
-        "u2": sol.barrier_u2.copy(),
-    }
-
-
 _SWEEP_FRACTIONS = (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)  # of s_inf, for the S-row
 # "S" is the state variance; every other name is a BankParams field, except
 # S_bar, which the perturbed records reset to their default

@@ -42,28 +42,25 @@ from .filtering import as_series, log_likelihood
 
 # keep 1 + sigma*rho/m away from the singular curve after jittering
 _TRANSFORM_BAND = 0.02
+# uniform prior boxes of (alpha, sigma, m, rho); jittered particles are
+# projected back into them (both lower bounds of sigma and m are > 0)
+PRIOR_BOX = ((-0.1, 0.4), (0.005, 0.25), (0.001, 0.15), (-0.95, 0.95))
+# Liu-West shrinkage a, in (0, 1)
+SHRINKAGE_A = 0.98
+# resample when the effective sample size falls below this fraction of N
+RESAMPLE_THRESHOLD = 2.0 / 3.0
 
 
 @dataclass
 class PfConfig:
-    """Particle-filter controls; priors are uniform boxes per parameter."""
+    """Particle-filter controls: the cloud size and the seed of its draws."""
 
     n_particles: int = 2000
-    shrinkage_a: float = 0.98
-    resample_threshold: float = 2.0 / 3.0
-    alpha_range: tuple = (-0.1, 0.4)
-    sigma_range: tuple = (0.005, 0.25)
-    m_range: tuple = (0.001, 0.15)
-    rho_range: tuple = (-0.95, 0.95)
     seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.n_particles, numbers.Integral) or self.n_particles < 100:
             raise ValidationError(f"n_particles={self.n_particles!r} must be an integer >= 100")
-        if not 0.0 < self.shrinkage_a < 1.0:
-            raise ValidationError("shrinkage a must lie in (0, 1)")
-        if not 0.0 < self.resample_threshold <= 1.0:
-            raise ValidationError("resample_threshold must lie in (0, 1]")
 
 
 @dataclass
@@ -95,36 +92,27 @@ def init_cloud(obs0: float, cfg: PfConfig) -> ParticleCloud:
     """Draw the initial cloud from the prior boxes, state at obs0."""
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_particles
-    theta = np.column_stack(
-        [
-            rng.uniform(*cfg.alpha_range, n),
-            rng.uniform(*cfg.sigma_range, n),
-            rng.uniform(*cfg.m_range, n),
-            rng.uniform(*cfg.rho_range, n),
-        ]
-    )
-    _project_theta(theta, cfg)
+    theta = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in PRIOR_BOX])
+    _project_theta(theta)
     state = obs0 + theta[:, 2] * rng.standard_normal(n)
     w = np.full(n, 1.0 / n)
     return ParticleCloud(state=state, theta=theta, weights=w, k=0, rng=rng)
 
 
-def _project_theta(theta: np.ndarray, cfg: PfConfig) -> None:
-    """Clip parameters into the admissible box, in place.
+def _project_theta(theta: np.ndarray) -> None:
+    """Clip parameters into the prior box, in place.
 
     Also pushes rho off the singular curve 1 + sigma*rho/m = 0 (the curve
     crosses the box; jittered particles must not land on it).
     """
-    np.clip(theta[:, 0], *cfg.alpha_range, out=theta[:, 0])
-    np.clip(theta[:, 1], max(cfg.sigma_range[0], 1e-6), cfg.sigma_range[1], out=theta[:, 1])
-    np.clip(theta[:, 2], max(cfg.m_range[0], 1e-6), cfg.m_range[1], out=theta[:, 2])
-    np.clip(theta[:, 3], *cfg.rho_range, out=theta[:, 3])
+    for j, (lo, hi) in enumerate(PRIOR_BOX):
+        np.clip(theta[:, j], lo, hi, out=theta[:, j])
     tfac = 1.0 + theta[:, 1] * theta[:, 3] / theta[:, 2]
     bad = np.abs(tfac) < _TRANSFORM_BAND
     if np.any(bad):
         side = np.where(tfac[bad] >= 0.0, _TRANSFORM_BAND, -_TRANSFORM_BAND)
         theta[bad, 3] = (side - 1.0) * theta[bad, 2] / theta[bad, 1]
-        np.clip(theta[:, 3], *cfg.rho_range, out=theta[:, 3])
+        np.clip(theta[:, 3], *PRIOR_BOX[3], out=theta[:, 3])
 
 
 def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
@@ -137,7 +125,7 @@ def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
     return np.searchsorted(cumw, positions, side="left")
 
 
-def pf_step(cloud: ParticleCloud, obs_prev: float, obs: float, cfg: PfConfig) -> ParticleCloud:
+def pf_step(cloud: ParticleCloud, obs_prev: float, obs: float) -> ParticleCloud:
     """One SIR step consuming observation M_k^ac (with M_{k-1}^ac given)."""
     rng = cloud.rng
     alpha, sigma, m, rho = (cloud.theta[:, j] for j in range(4))
@@ -164,7 +152,7 @@ def pf_step(cloud: ParticleCloud, obs_prev: float, obs: float, cfg: PfConfig) ->
     w /= total
 
     # (4) Liu-West jittering toward the weighted mean
-    a = cfg.shrinkage_a
+    a = SHRINKAGE_A
     theta_bar = w @ cloud.theta
     dev = cloud.theta - theta_bar
     cov = (dev * w[:, None]).T @ dev
@@ -172,12 +160,12 @@ def pf_step(cloud: ParticleCloud, obs_prev: float, obs: float, cfg: PfConfig) ->
     jitter = rng.multivariate_normal(np.zeros(4), cov, size=cloud.theta.shape[0],
                                      method="eigh")
     theta_new = a * cloud.theta + (1.0 - a) * theta_bar + jitter
-    _project_theta(theta_new, cfg)
+    _project_theta(theta_new)
 
     # (5) systematic resampling below the effective-size threshold
     n = w.size
     n_res = cloud.n_resamples
-    if 1.0 / np.sum(w**2) < cfg.resample_threshold * n:
+    if 1.0 / np.sum(w**2) < RESAMPLE_THRESHOLD * n:
         idx = _systematic_resample(w, rng)
         state_new = state_new[idx]
         theta_new = theta_new[idx]
@@ -199,7 +187,7 @@ def estimate_theta(series, cfg: PfConfig) -> dict:
     cloud = init_cloud(float(series[0]), cfg)
     history = np.empty((series.size - 1, 4))
     for k in range(1, series.size):
-        cloud = pf_step(cloud, float(series[k - 1]), float(series[k]), cfg)
+        cloud = pf_step(cloud, float(series[k - 1]), float(series[k]))
         history[k - 1] = cloud.theta_mean()
     theta_hat = cloud.theta_mean()
     alpha, sigma, m, rho = (float(v) for v in theta_hat)

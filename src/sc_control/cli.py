@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, bank_full, bank_partial, calibrate, filtering, panel, retire, simulate
-from .errors import ScControlError
+from .errors import ScControlError, ValidationError
 from .params import BankGrid, BankParams, RetireGrid, RetireParams, check_fields, from_dict
 
 
@@ -128,7 +128,10 @@ def _cmd_calibrate(cfg, args, out_dir):
         series = filtering.series_from_csv(cfg["series_csv"])
     else:
         series = np.asarray(cfg["series"], dtype=float)
-    pf_cfg = from_dict(calibrate.PfConfig, {**cfg.get("pf", {}), "seed": args.seed})
+    block = cfg.get("pf", {})
+    if "seed" in block:  # --seed alone seeds the draws
+        raise ValidationError("pf.seed is not accepted: the particle-filter seed is --seed")
+    pf_cfg = from_dict(calibrate.PfConfig, {**block, "seed": args.seed})
     result = calibrate.estimate_theta(series, pf_cfg)
     hist = result.pop("history")
     _write_csv(out_dir, "theta_history.csv",
@@ -158,9 +161,8 @@ def _cmd_solve_bank_partial(cfg, args, out_dir):
     region_names = np.array(["dead", "RR", "CR", "DR"])
     _write_csv(out_dir, "surface.csv", ["X_hat", "S", "V", "region"],
                [*np.meshgrid(sol.xs, sol.ss), sol.V, region_names[sol.regions]])
-    curves = bank_partial.extract_regions(sol)
     _write_csv(out_dir, "boundaries.csv", ["S", "I", "u1", "u2"],
-               [curves["S"], curves["I"], curves["u1"], curves["u2"]])
+               [sol.ss, sol.barrier_I, sol.barrier_u1, sol.barrier_u2])
     return {
         "kappa1": sol.kappa1, "omega1": sol.omega1,
         # "residuals" has always published line_sup_error, and the benchmark's
@@ -217,13 +219,6 @@ def _cmd_simulate_bank(cfg, args, out_dir):
     else:
         policy = bank_full.solve_barriers(p)
     bundle = simulate.simulate_bank(p, policy, **run, seed=args.seed)
-    if cfg.get("dump_paths", False):  # large output; off by default
-        k = np.arange(bundle.times.size)
-        for name, arr in (("true_equity", bundle.true_equity),
-                          ("expected_equity", bundle.expected_equity)):
-            _write_csv(out_dir, f"paths_{name}.csv",
-                       ["t"] + [f"path{i}" for i in range(arr.shape[0])],
-                       [bundle.times] + [arr[i] for i in range(arr.shape[0])])
     liq = bundle.liquidation_time
     return {
         "tracking_error": bundle.tracking_error(),
@@ -286,10 +281,29 @@ _HANDLERS = {
 }
 SUBCOMMANDS = tuple(_HANDLERS)
 
+# the top-level config keys each handler reads
+_RETIRE_KEYS = ("retire_params", "grid")
+_CONFIG_KEYS = {
+    "filter": ("theta", "series", "series_csv"),
+    "calibrate": ("series", "series_csv", "panel_csv", "bank_id", "pf"),
+    "solve-bank-full": ("bank_params", "n_plot"),
+    "solve-bank-partial": ("bank_params", "grid"),
+    "solve-retire": _RETIRE_KEYS,
+    "solve-retire-finite": _RETIRE_KEYS + ("dt",),
+    "solve-retire-ez": _RETIRE_KEYS,
+    "simulate-bank": ("bank_params", "grid", "horizon", "n_paths", "dt"),
+    "simulate-retire": _RETIRE_KEYS + ("start_w_over_i", "n_paths", "dt"),
+    "elasticity": ("bank_params", "grid", "parameters", "rel_step"),
+}
+
 
 def run(subcommand: str, config: dict, out_dir: str, seed: int = 0,
         strict: bool = False) -> dict:
-    """Programmatic entry point used by the CLI and tests."""
+    """Programmatic entry point used by the CLI and tests.
+
+    A config key the subcommand does not read raises ValidationError naming it.
+    """
+    check_fields(subcommand, config, _CONFIG_KEYS[subcommand], ())
     ns = argparse.Namespace(seed=seed, strict=strict)
     os.makedirs(out_dir, exist_ok=True)
     summary = _HANDLERS[subcommand](config, ns, out_dir)

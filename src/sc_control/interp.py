@@ -72,14 +72,16 @@ class UniformAxis:
     search's answer; comparing q with the guessed cell's two nodes moves it
     there, so :meth:`cell` returns exactly what :func:`cell` returns, for
     every q (NaN and queries outside the grid included).  A grid with fewer
-    than two nodes, or whose nodes stray from grid[0] + i*step by more than
-    UNIFORM_TOLERANCE of a step, raises ValidationError naming ``name``.
+    than two nodes or a node that is not finite, or whose nodes stray from
+    grid[0] + i*step by more than UNIFORM_TOLERANCE of a step, raises
+    ValidationError naming ``name``.
     """
 
     def __init__(self, grid, name: str):
         grid = np.asarray(grid, dtype=float)
         n = grid.size
-        step = (grid[-1] - grid[0]) / (n - 1) if n >= 2 else 0.0
+        # a non-finite node fails here, before any arithmetic on it
+        step = (grid[-1] - grid[0]) / (n - 1) if n >= 2 and np.isfinite(grid).all() else 0.0
         if not (step > 0.0 and np.all(np.abs(grid - (grid[0] + step * np.arange(n)))
                                       <= UNIFORM_TOLERANCE * step)):
             raise ValidationError(f"{name} grid is not uniform: {n} nodes from "

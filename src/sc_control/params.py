@@ -14,10 +14,9 @@ is ``mean_reversion``, distinct from ``BankParams.kappa_min`` and
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import (
     DiscountTooLow,
@@ -219,19 +218,6 @@ class RetireGrid:
         _check_grid(self.n_x, self.n_y, self.penalty_schedule)
 
 
-_DERIVED_RETIRE = ("theta", "K_bar")
-_JSON_TYPES = {cls.__name__: cls for cls in (BankParams, RetireParams, BankGrid, RetireGrid)}
-
-
-def to_json(params) -> str:
-    """Serialize a parameter record to a JSON document (field names as-is)."""
-    d = asdict(params)
-    for k in _DERIVED_RETIRE:
-        d.pop(k, None)
-    d["__type__"] = type(params).__name__
-    return json.dumps(d, indent=2, sort_keys=True)
-
-
 def check_fields(label: str, d: dict, known, required) -> None:
     """Raise ValidationError naming the keys of ``d`` outside ``known``, or
     else the ``required`` keys it lacks; ``label`` names the block."""
@@ -262,11 +248,3 @@ def from_dict(cls, d: dict):
         d = {**d, "penalty_schedule": tuple(d["penalty_schedule"])}
     return cls(**d)
 
-
-def from_json(doc: str):
-    """Inverse of :func:`to_json`; re-runs validation on construction."""
-    d = json.loads(doc)
-    kind = d.pop("__type__", None)
-    if kind not in _JSON_TYPES:
-        raise ValidationError(f"unknown or missing __type__ {kind!r}")
-    return from_dict(_JSON_TYPES[kind], d)

@@ -303,5 +303,3 @@ class TestValueFunction:
         assert sol.action(0.5 * (sol.u1 + sol.u2)).kind == "wait"
         assert sol.action(sol.u1 - 1e-6).kind == "order_equity"
         assert sol.action(sol.kappa - 0.01).kind == "liquidate"
-        assert bf.issuance_top_up(sol.u2 - 0.03, sol) == pytest.approx(0.03)
-        assert bf.issuance_top_up(sol.u2 + 0.03, sol) == 0.0

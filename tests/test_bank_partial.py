@@ -242,11 +242,10 @@ class TestPenaltySolve:
 
     def test_region_ordering_where_recap_active(self, bank_partial_solution):
         sol = bank_partial_solution
-        curves = bp.extract_regions(sol)
-        has_rr = np.isfinite(curves["u1"])
+        has_rr = np.isfinite(sol.barrier_u1)
         assert np.any(has_rr)
-        assert np.all(curves["I"][has_rr] < curves["u1"][has_rr])
-        assert np.all(curves["u1"][has_rr] < curves["u2"][has_rr] + 1e-12)
+        assert np.all(sol.barrier_I[has_rr] < sol.barrier_u1[has_rr])
+        assert np.all(sol.barrier_u1[has_rr] < sol.barrier_u2[has_rr] + 1e-12)
 
     def test_barriers_tighten_at_small_variance(self, bank_partial_solution):
         sol = bank_partial_solution

@@ -28,7 +28,7 @@ class TestPfStep:
         cloud = cb.ParticleCloud(state=np.zeros(n), theta=theta,
                                  weights=np.full(n, 1.0 / n),
                                  rng=np.random.default_rng(0))
-        out = cb.pf_step(cloud, 0.0, 0.01, cfg)
+        out = cb.pf_step(cloud, 0.0, 0.01)
         # identical parameters and identical priors: the importance ratio is
         # a deterministic function of the sampled state, but the weighted
         # mean stays finite and normalized
@@ -39,12 +39,12 @@ class TestPfStep:
         cfg = small_cfg(n=100)
         cloud = cb.init_cloud(0.0, cfg)
         with np.errstate(invalid="ignore"), pytest.raises(DegenerateCloud):
-            cb.pf_step(cloud, 0.0, np.inf, cfg)
+            cb.pf_step(cloud, 0.0, np.inf)
 
-    def test_resampling_resets_weights_to_uniform(self):
-        cfg = cb.PfConfig(n_particles=200, seed=1, resample_threshold=1.0)
-        cloud = cb.init_cloud(0.0, cfg)
-        out = cb.pf_step(cloud, 0.0, 0.02, cfg)
+    def test_resampling_resets_weights_to_uniform(self, monkeypatch):
+        monkeypatch.setattr(cb, "RESAMPLE_THRESHOLD", 1.0)
+        cloud = cb.init_cloud(0.0, cb.PfConfig(n_particles=200, seed=1))
+        out = cb.pf_step(cloud, 0.0, 0.02)
         assert out.n_resamples == 1
         assert np.allclose(out.weights, 1.0 / 200)
         assert out.effective_size == pytest.approx(200.0)
@@ -61,23 +61,22 @@ class TestPfStep:
         assert abs(np.mean(drift)) < 0.01 * np.std(
             np.abs(drift)) + 0.01  # relative drift below 1%
 
-    def test_jitter_with_a_near_one_and_zero_covariance_is_identity(self):
-        cfg = cb.PfConfig(n_particles=200, seed=2, shrinkage_a=0.999999,
-                          resample_threshold=1e-9)
-        n = cfg.n_particles
+    def test_jitter_with_a_near_one_and_zero_covariance_is_identity(self, monkeypatch):
+        monkeypatch.setattr(cb, "SHRINKAGE_A", 0.999999)
+        monkeypatch.setattr(cb, "RESAMPLE_THRESHOLD", 1e-9)
+        n = 200
         theta = np.tile(np.array(TRUTH), (n, 1))  # zero spread -> zero cov
         cloud = cb.ParticleCloud(state=np.zeros(n), theta=theta,
                                  weights=np.full(n, 1.0 / n),
                                  rng=np.random.default_rng(3))
-        out = cb.pf_step(cloud, 0.0, 0.01, cfg)
+        out = cb.pf_step(cloud, 0.0, 0.01)
         assert np.allclose(out.theta, theta, atol=1e-6)
 
     def test_projection_keeps_particles_admissible(self):
-        cfg = small_cfg(seed=4)
         theta = np.array([[0.0, 0.05, 0.03, -0.62],   # near singular curve
                           [0.5, 0.3, 0.2, 1.2],       # outside boxes
                           [0.0, -0.1, -0.1, 0.0]])
-        cb._project_theta(theta, cfg)
+        cb._project_theta(theta)
         assert np.all(theta[:, 1] > 0) and np.all(theta[:, 2] > 0)
         assert np.all(np.abs(theta[:, 3]) < 1.0)
         tfac = 1.0 + theta[:, 1] * theta[:, 3] / theta[:, 2]

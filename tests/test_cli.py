@@ -194,6 +194,51 @@ class TestCli:
         assert err["error"] == "ValidationError"
         assert typo in err["message"]
 
+    @pytest.mark.parametrize("sub, key", [
+        ("filter", "serie"), ("calibrate", "seed"), ("solve-bank-full", "n_plots"),
+        ("solve-bank-partial", "grids"), ("solve-retire", "retire_param"),
+        ("solve-retire-finite", "horizon_T"), ("solve-retire-ez", "eis_psi"),
+        ("simulate-bank", "n_path"), ("simulate-bank", "dump_paths"),
+        ("simulate-retire", "start_w"), ("elasticity", "parameter")])
+    def test_unknown_top_level_key_exits_1_naming_it(self, tmp_path, monkeypatch, sub, key):
+        # the check comes before the handler, which must not run
+        monkeypatch.setitem(cli._HANDLERS, sub, None)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: 7}))
+        out_dir = tmp_path / "out"
+        assert cli.main([sub, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert (err["error"], err["message"]) == \
+            ("ValidationError", f"unknown fields for {sub}: ['{key}']")
+        assert not (out_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize("workload", ["bank-pde", "retire-hjb", "paths"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_benchmark_config_passes_the_key_check(self, tmp_path, monkeypatch,
+                                                         workload, seed):
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import workloads
+
+        ran = []
+        for sub in cli.SUBCOMMANDS:  # record each call in place of solving
+            monkeypatch.setitem(cli._HANDLERS, sub,
+                                lambda cfg, args, out, sub=sub: ran.append(sub) or {})
+        for op in workloads.build(workload, seed):
+            for k, (cfg, s) in enumerate(op.calls):
+                cli.run(op.subcommand, cfg, str(tmp_path / op.name / str(k)), seed=s)
+        assert sorted(set(ran)) == sorted(cli.SUBCOMMANDS)
+
+    def test_seed_in_the_pf_block_exits_1_naming_the_seed_option(self, tmp_path):
+        cfg = {"series": [0.0, 0.01, 0.02, 0.03], "pf": {"n_particles": 200, "seed": 5}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert "pf.seed" in err["message"] and "--seed" in err["message"]
+        assert not (out_dir / "summary.json").exists()
+
     # json writes NaN and Infinity, which json.load reads back as floats
     @pytest.mark.parametrize("field, theta", [
         ("rho", {"rho": 1.5}), ("rho", {"rho": -1.5}), ("sigma", {"sigma": -0.05}),

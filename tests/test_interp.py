@@ -102,7 +102,8 @@ class TestUniformAxis:
 
     @pytest.mark.parametrize("grid", [
         [0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.1, 0.3, 0.4], np.geomspace(1e-3, 1.0, 9),
-        [0.0, np.nan, 1.0], [0.0, 0.5, np.inf]])
+        [0.0, np.nan, 1.0], [0.0, 0.5, np.inf], [-np.inf, 0.0, 1.0]])
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic on the nodes
     def test_non_uniform_grid_rejected_naming_it(self, grid):
         with pytest.raises(ValidationError, match="^xi grid is not uniform"):
             UniformAxis(grid, "xi")

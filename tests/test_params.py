@@ -66,25 +66,6 @@ def test_gridspec_invariants():
         pm.RetireGrid(penalty_schedule=())
 
 
-def test_json_round_trip_bank():
-    p = table_bank_params()
-    doc = pm.to_json(p)
-    assert pm.from_json(doc) == p
-
-
-def test_json_round_trip_retire():
-    p = baseline_retire_params(power_nu=2.0, eis_psi=0.5, horizon_T=50.0)
-    q = pm.from_json(pm.to_json(p))
-    assert q == p
-    assert q.K_bar == p.K_bar
-
-
-def test_json_unknown_field_rejected():
-    doc = pm.to_json(table_bank_params()).replace('"mu"', '"mu_typo"')
-    with pytest.raises(ValidationError):
-        pm.from_json(doc)
-
-
 def test_from_dict_names_unknown_missing_and_nan_fields():
     d = dataclasses.asdict(table_bank_params())
     with pytest.raises(ValidationError, match="sigmaa"):
@@ -110,11 +91,6 @@ def test_from_dict_rejects_non_finite_numbers_naming_the_field(cls, key, val):
         pm.from_dict(cls, {**base, key: val})
 
 
-def test_grid_json_round_trip():
-    for grid in (pm.BankGrid(x_lo=-0.03, stretching="geometric"), pm.RetireGrid(n_x=61)):
-        assert pm.from_json(pm.to_json(grid)) == grid
-
-
 @settings(max_examples=60, deadline=None)
 @given(mu=st.floats(-0.05, 0.15), alpha=st.floats(-0.05, 0.2),
        sigma=st.floats(0.005, 0.3), spread=st.floats(0.001, 0.3),
@@ -125,4 +101,3 @@ def test_validate_is_idempotent_on_valid_records(mu, alpha, sigma, spread,
                       delta=max(mu, alpha) + spread, omega=omega,
                       kappa_min=kappa, noise_m=0.01, rho=-0.3)
     assert pm.from_dict(pm.BankParams, dataclasses.asdict(p)) == p
-    assert math.isclose(pm.from_json(pm.to_json(p)).delta, p.delta)

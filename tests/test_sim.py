@@ -79,12 +79,39 @@ class TestSimulateBank:
         assert np.array_equal(a.true_equity, b.true_equity, equal_nan=True)
         assert np.array_equal(a.dividends_paid, b.dividends_paid)
 
-    def test_issuance_completion_tops_up_to_barrier(self, fig_solution):
-        p = fig_bank_params()
-        bundle = sim.simulate_bank(p, fig_solution, horizon=20.0, n_paths=300,
-                                   dt=p.delay_Delta / 8.0, seed=21,
-                                   x0=fig_solution.u1 * 1.02)
-        assert bundle.issuances.sum() > 0
+    def test_issuance_completion_tops_up_to_barrier(self, fig_solution, monkeypatch):
+        # two paths start below u1 and order at step 0; the shocks are zero
+        # except one kick that lifts path 1 above u2 while its order is pending
+        p, sol = fig_bank_params(), fig_solution
+        dt = p.delay_Delta / 8.0
+        kick = 2.0 * (sol.u2 - sol.u1) / ((1.0 + sol.u1) * p.sigma * math.sqrt(dt))
+
+        class Shocks:
+            calls = 0
+
+            def standard_normal(self, n):
+                z = np.zeros(n)
+                if self.calls == 2:  # the asset shock of step 1
+                    z[1] = kick
+                self.calls += 1
+                return z
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Shocks())
+        bundle = sim.simulate_bank(p, sol, horizon=1.0, n_paths=2, dt=dt, seed=0,
+                                   x0=0.5 * (sol.kappa + sol.u1))
+        k = 8  # the order completes at the start of step Delta/dt
+        D = bundle.debt[k]
+        E = bundle.true_equity
+        assert E[1, k] / D > sol.u2
+        assert np.array_equal(bundle.issuances, [1, 1])
+
+        def after_step(e):  # the noiseless step from equity e at step k's start
+            return e + (p.alpha * e + (p.alpha - p.mu) * D) * dt
+
+        # path 0 is lifted to u2 * D_k; path 1, already above u2, gets nothing
+        assert E[0, k + 1] == pytest.approx(after_step(sol.u2 * D), rel=1e-14)
+        assert E[1, k + 1] == pytest.approx(after_step(E[1, k]), rel=1e-14)
+        assert np.array_equal(bundle.expected_equity, E)
 
 
 class TestBankPathsPinned:
