@@ -1,0 +1,63 @@
+"""sha256 of every file the benchmark operations write, to check byte identity.
+
+Builds the operations of ``perfbench/workloads.build(workload, seed)`` and
+runs each of their calls through ``sc_control.cli.run`` into a temporary
+directory.  Prints one JSON object: per operation, the sha256 of each file
+written, keyed ``<call index>/<file name>``.  ``manifest.json`` is left out,
+because it records the output path and the library versions.
+
+``sc_control`` is imported from ``PYTHONPATH``, so the digests of another
+checkout come from the same workloads with that checkout's ``src``:
+
+    PYTHONPATH=src python scripts/output_digests.py --workload bank-pde --seed 0
+    PYTHONPATH=../other/src python scripts/output_digests.py --workload bank-pde --seed 0
+
+Two checkouts that print the same object write the same bytes.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
+
+import workloads  # noqa: E402
+from sc_control import cli  # noqa: E402
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def digests(workload: str, seed: int) -> dict:
+    """{op name: {"<call>/<file>": sha256}} for every operation of the workload."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for op in workloads.build(workload, seed):
+            files = {}
+            for k, (cfg, cli_seed) in enumerate(op.calls):
+                call_dir = os.path.join(tmp, op.name, str(k))
+                cli.run(op.subcommand, cfg, call_dir, seed=cli_seed)
+                for name in sorted(os.listdir(call_dir)):
+                    if name != "manifest.json":
+                        files[f"{k}/{name}"] = _sha256(os.path.join(call_dir, name))
+            out[op.name] = files
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
+                    help="workload to run (repeatable; default: all three)")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    names = args.workload or list(workloads.WORKLOADS)
+    print(json.dumps({w: digests(w, args.seed) for w in names}, indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -51,28 +51,14 @@ _LINE_TOL = 5e-7  # line sweeps stop below this relative change, surface sweeps 
 _LINE_MAX_SWEEPS = 40  # cap on the line sweeps and on the surface refinement sweeps
 
 
-@dataclass(frozen=True)
-class LiquidationRule:
-    """Regulator rule: close the bank when X_hat <= I(S)."""
-
-    kappa_min: float
-    conf_a: float
-
-    def barrier(self, S):
-        return liquidation_barrier(S, self)
-
-    def payoff(self, S, omega: float):
-        """Shareholder payoff density omega*psi(I(S), S) at liquidation."""
-        return omega * psi(self.barrier(S), S)
-
-
-def liquidation_barrier(S, rule: LiquidationRule):
-    """I(S) = -1 + (1+kappa) exp(S/2 - Phi^{-1}(a) sqrt(S))."""
+def liquidation_barrier(S, p: BankParams):
+    """I(S) = -1 + (1+kappa_min) exp(S/2 - Phi^{-1}(conf_a) sqrt(S)), the
+    regulator's rule: close the bank when X_hat <= I(S)."""
     S = np.asarray(S, dtype=float)
     if np.any(S < 0.0):
         raise ValidationError("S must be >= 0")
-    q = ndtri(rule.conf_a)
-    out = -1.0 + (1.0 + rule.kappa_min) * np.exp(0.5 * S - q * np.sqrt(S))
+    q = ndtri(p.conf_a)
+    out = -1.0 + (1.0 + p.kappa_min) * np.exp(0.5 * S - q * np.sqrt(S))
     return out if out.ndim else float(out)
 
 
@@ -100,10 +86,9 @@ def psi(x, y):
 def degenerate_boundary_params(p: BankParams):
     """(kappa1, omega1) of the fully observed model on the invariant line."""
     s_inf = p.s_infinity
-    rule = LiquidationRule(p.kappa_min, p.conf_a)
     if s_inf == 0.0:
         return p.kappa_min, p.omega
-    kappa1 = float(liquidation_barrier(s_inf, rule))
+    kappa1 = float(liquidation_barrier(s_inf, p))
     omega1 = p.omega * float(psi(kappa1, s_inf)) / kappa1
     return kappa1, omega1
 
@@ -138,8 +123,7 @@ def default_grid(p: BankParams, n_x: int = 401, n_s: int = 81) -> BankGrid:
     s_inf = p.s_infinity
     if s_inf <= 0.0:
         raise ValidationError("partially observed solver requires noise_m > 0")
-    rule = LiquidationRule(p.kappa_min, p.conf_a)
-    x_lo = float(min(liquidation_barrier(np.asarray([p.S_bar, s_inf]), rule).min(), p.kappa_min))
+    x_lo = float(min(liquidation_barrier(np.asarray([p.S_bar, s_inf]), p).min(), p.kappa_min))
     x_hi = 5.0 * max(p.kappa_min, 0.13)
     return BankGrid(x_lo=x_lo - 0.005, x_hi=x_hi, n_x=n_x,
                     y_lo=s_inf / 20.0, y_hi=p.S_bar, n_y=n_s,
@@ -256,7 +240,6 @@ class _SliceProblem:
 
     def __init__(self, p: BankParams, xs: np.ndarray):
         self.p = p
-        self.rule = LiquidationRule(p.kappa_min, p.conf_a)
         self.xs = xs
         self.dm = p.delta - p.mu
         self.am = p.alpha - p.mu
@@ -284,7 +267,7 @@ class _SliceProblem:
         xs = self.xs
         n = xs.size
         k = s.size
-        x_b = liquidation_barrier(s, self.rule)
+        x_b = liquidation_barrier(s, self.p)
         v_b = self.p.omega * psi(x_b, s)
         i0 = np.searchsorted(xs, x_b, side="right")
         if np.any(i0 >= n - 2):
@@ -459,7 +442,6 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     xs = sp.xs
     ss, line_idx = _s_grid(p, grid)
     n_s, n_x = ss.size, xs.size
-    rule = sp.rule
     kappa1, omega1, full_line, line_vals = _line_data(p, xs)
 
     V = np.zeros((n_s, n_x))
@@ -497,8 +479,9 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
 
     # numeric solve of the invariant-line slice (diagnostic; frozen-P sweeps)
     s_line = float(ss[line_idx])
-    x_b = float(liquidation_barrier(s_line, rule))
-    v_num = np.maximum(rule.payoff(s_line, p.omega) + (xs - x_b), rule.payoff(s_line, p.omega))
+    x_b = float(liquidation_barrier(s_line, p))
+    v_b = p.omega * psi(x_b, s_line)  # the liquidation payoff
+    v_num = np.maximum(v_b + (xs - x_b), v_b)
     V_line_saved = V[line_idx].copy()
     for sweep in range(_LINE_MAX_SWEEPS):
         V[line_idx] = v_num  # the line's own P references this iterate
@@ -545,7 +528,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
         raise NoConvergence("surface refinement did not converge",
                             residual=residual)
 
-    barrier_I = np.asarray(liquidation_barrier(ss, rule))
+    barrier_I = np.asarray(liquidation_barrier(ss, p))
     barrier_u1 = np.full(n_s, np.nan)
     barrier_u2 = np.full(n_s, np.nan)
     for j in range(n_s):
@@ -582,44 +565,67 @@ _ELASTICITY_PARAMETERS = ("S",) + tuple(
     f.name for f in fields(BankParams) if f.name != "S_bar")
 
 
-def check_elasticity_settings(param_name, rel_step) -> None:
-    """Raise ValidationError naming an unusable elasticity parameter or step."""
-    if param_name not in _ELASTICITY_PARAMETERS:
-        raise ValidationError(f"param_name={param_name!r} has no elasticity; "
-                              f"valid: {', '.join(_ELASTICITY_PARAMETERS)}")
-    if not (finite_number(rel_step) and rel_step > 0.0):
-        raise ValidationError(f"rel_step={rel_step!r} must be a finite number > 0")
-
-
-def _line_outputs(q: BankParams, grid: BankGrid | None, x_eval=None) -> dict:
-    """{u1, u2, I, V} of ``q`` on its invariant line, in closed form: V on
-    the X axis of ``grid`` (of q's default grid when None) at ``x_eval``
-    (the dividend barrier when None)."""
+def _closed_form_line(q: BankParams, grid: BankGrid | None):
+    """(xs, kappa1, full_line, line_vals) of ``q``'s invariant line on the X
+    axis of ``grid`` (of q's default grid when None), with no PDE solve."""
     xs = _x_grid(default_grid(q) if grid is None else grid)
     kappa1, _, full_line, line_vals = _line_data(q, xs)
-    x_eval = full_line.u2 if x_eval is None else x_eval
-    # PartialSolution.value on the line: the row below has weight 0
+    return xs, kappa1, full_line, line_vals
+
+
+def _line_outputs(xs, kappa1, full_line, line_vals, x_eval) -> dict:
+    """{u1, u2, I, V} of an invariant line whose row of V on the nodes ``xs``
+    is ``line_vals``: V at ``x_eval`` as ``PartialSolution.value`` reads it
+    on the line, where the row below has weight 0."""
     v = lerp(line_vals, *cell(xs, np.atleast_1d(x_eval)))
     return {"u1": full_line.u1, "u2": full_line.u2, "I": kappa1, "V": float(v[0])}
 
 
-def elasticity_base(p: BankParams, grid: BankGrid | None = None,
-                    baseline: PartialSolution | None = None) -> dict:
-    """The base outputs {u1, u2, I, V} of the non-S elasticities: read off
-    ``baseline`` when given, else in closed form on the line of ``grid``.
-    One call serves every parameter of a run."""
-    if baseline is None:
-        return _line_outputs(p, grid)
+def _variance_elasticity(p: BankParams, baseline: PartialSolution) -> dict:
+    """The S row, read off the solved surface over the S/s_inf sweep."""
+    s_inf = p.s_infinity
     x_ref = baseline.full_line.u2
-    return {"u1": baseline.full_line.u1, "u2": x_ref, "I": baseline.kappa1,
-            "V": float(baseline.value(x_ref, baseline.params.s_infinity))}
+    out = {"u1": [], "u2": [], "I": [], "V": []}
+    for frac in _SWEEP_FRACTIONS:
+        S0 = frac * s_inf
+        dS = 0.25 * s_inf
+        for name, fn in (
+            ("I", lambda s: float(liquidation_barrier(s, p))),
+            ("u1", lambda s: float(np.interp(s, baseline.ss, baseline.barrier_u1))),
+            ("u2", lambda s: float(np.interp(s, baseline.ss, baseline.barrier_u2))),
+            ("V", lambda s: float(baseline.value(x_ref, s))),
+        ):
+            hi, lo, mid = fn(S0 + dS), fn(S0 - dS), fn(S0)
+            denom = abs(mid) if name == "I" else mid
+            if denom == 0.0 or not np.isfinite(hi - lo):
+                out[name].append(np.nan)
+            else:
+                out[name].append((hi - lo) / (2.0 * dS) * S0 / denom)
+    return {k: float(np.nanmean(v)) for k, v in out.items()}
 
 
-def elasticity(p: BankParams, param_name: str, rel_step: float = 0.01,
+def _line_elasticity(p: BankParams, name: str, rel_step: float, grid: BankGrid | None,
+                     base: dict) -> dict:
+    """The row of a BankParams field, from two perturbed closed-form lines."""
+    value0 = getattr(p, name)
+    step = rel_step * abs(value0) if value0 != 0.0 else rel_step
+    hi_out, lo_out = (
+        _line_outputs(*_closed_form_line(replace(p, **{name: v, "S_bar": None}), grid),
+                      base["u2"])
+        for v in (value0 + step, value0 - step))
+    din = 2.0 * step / (abs(value0) if name == "rho" else value0) if value0 != 0.0 else 2.0 * step
+    result = {}
+    for out in ("u1", "u2", "I", "V"):
+        dout = hi_out[out] - lo_out[out]
+        denom = abs(base[out]) if out == "I" else base[out]
+        result[out] = float((dout / denom) / din) if denom != 0.0 else np.nan
+    return result
+
+
+def elasticity(p: BankParams, names, rel_step: float = 0.01,
                grid: BankGrid | None = None,
-               baseline: PartialSolution | None = None,
-               base_outputs: dict | None = None) -> dict:
-    """Central-difference elasticities of {u1, u2, I, V} at the long-run S.
+               baseline: PartialSolution | None = None) -> dict:
+    """Central-difference elasticities {name: {u1, u2, I, V}} at the long-run S.
 
     For parameters other than ``S`` the outputs are read on the invariant
     line, where S tracks its long-run level m*sigma*(1-rho) through the
@@ -628,57 +634,34 @@ def elasticity(p: BankParams, param_name: str, rel_step: float = 0.01,
     and the line's row of V in closed form, so no PDE is solved: V is that
     row on the X axis of ``grid`` (of each perturbed record's default grid
     when None), interpolated as ``PartialSolution.value`` interpolates on
-    the line, at the baseline dividend barrier.  The grid's S axis does not
-    act on these rows.  ``base_outputs``, when given, is what
-    :func:`elasticity_base` returns for ``(p, grid, baseline)``; a caller
-    that needs several parameters computes it once.
+    the line, at the base dividend barrier.  The grid's S axis does not act
+    on these rows.  The base outputs are computed once for all the rows:
+    off the line of ``baseline`` when there is one, else in closed form on
+    the line of ``grid``.
     For ``S`` the surface itself varies in S: the elasticity is read off
-    ``baseline`` (solved on ``grid`` when None), averaged over the
-    documented sweep S/s_inf in {1, 1.5, ..., 4}, the comparative-statics
-    range of the uncertainty panel, using quarter-s_inf central differences
-    (barrier curves are grid-quantized, so tighter steps would alias).
+    ``baseline`` (solved on ``grid`` when None and ``S`` is listed),
+    averaged over the documented sweep S/s_inf in {1, 1.5, ..., 4}, the
+    comparative-statics range of the uncertainty panel, using quarter-s_inf
+    central differences (barrier curves are grid-quantized, so tighter steps
+    would alias).
     Denominators use |output| wherever the quantity may change sign (I and
-    rho per the stated convention).  Names and steps are checked before any
-    solve.
+    rho per the stated convention).  Every name and the step are checked
+    before any solve.
     """
-    check_elasticity_settings(param_name, rel_step)
-    if param_name == "S":
-        if baseline is None:
-            baseline = penalty_solve(p, grid)
-        s_inf = p.s_infinity
-        x_ref = baseline.full_line.u2
-        rule = LiquidationRule(p.kappa_min, p.conf_a)
-        out = {"u1": [], "u2": [], "I": [], "V": []}
-        for frac in _SWEEP_FRACTIONS:
-            S0 = frac * s_inf
-            dS = 0.25 * s_inf
-            for name, fn in (
-                ("I", lambda s: float(liquidation_barrier(s, rule))),
-                ("u1", lambda s: float(np.interp(s, baseline.ss, baseline.barrier_u1))),
-                ("u2", lambda s: float(np.interp(s, baseline.ss, baseline.barrier_u2))),
-                ("V", lambda s: float(baseline.value(x_ref, s))),
-            ):
-                hi, lo, mid = fn(S0 + dS), fn(S0 - dS), fn(S0)
-                denom = abs(mid) if name == "I" else mid
-                if denom == 0.0 or not np.isfinite(hi - lo):
-                    out[name].append(np.nan)
-                else:
-                    out[name].append((hi - lo) / (2.0 * dS) * S0 / denom)
-        return {k: float(np.nanmean(v)) for k, v in out.items()}
-
-    base_out = (elasticity_base(p, grid, baseline) if base_outputs is None
-                else base_outputs)
-    x_ref = base_out["u2"]
-    value0 = getattr(p, param_name)
-    step = rel_step * abs(value0) if value0 != 0.0 else rel_step
-    hi_out = _line_outputs(replace(p, **{param_name: value0 + step, "S_bar": None}), grid, x_ref)
-    lo_out = _line_outputs(replace(p, **{param_name: value0 - step, "S_bar": None}), grid, x_ref)
-    result = {}
-    use_abs_in = param_name == "rho"
-    din = 2.0 * step / (abs(value0) if use_abs_in and value0 != 0.0 else value0) \
-        if value0 != 0.0 else 2.0 * step
-    for name in ("u1", "u2", "I", "V"):
-        dout = hi_out[name] - lo_out[name]
-        denom = abs(base_out[name]) if name == "I" else base_out[name]
-        result[name] = float((dout / denom) / din) if denom != 0.0 else np.nan
-    return result
+    for name in names:
+        if name not in _ELASTICITY_PARAMETERS:
+            raise ValidationError(f"param_name={name!r} has no elasticity; "
+                                  f"valid: {', '.join(_ELASTICITY_PARAMETERS)}")
+    if not (finite_number(rel_step) and rel_step > 0.0):
+        raise ValidationError(f"rel_step={rel_step!r} must be a finite number > 0")
+    if "S" in names and baseline is None:
+        baseline = penalty_solve(p, grid)
+    base = None
+    if any(name != "S" for name in names):
+        xs, kappa1, full_line, line_vals = (
+            _closed_form_line(p, grid) if baseline is None else
+            (baseline.xs, baseline.kappa1, baseline.full_line, baseline.V[baseline.line_index]))
+        base = _line_outputs(xs, kappa1, full_line, line_vals, full_line.u2)
+    return {name: _variance_elasticity(p, baseline) if name == "S"
+            else _line_elasticity(p, name, rel_step, grid, base)
+            for name in names}

@@ -125,8 +125,8 @@ def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
     return np.searchsorted(cumw, positions, side="left")
 
 
-def pf_step(cloud: ParticleCloud, obs_prev: float, obs: float) -> ParticleCloud:
-    """One SIR step consuming observation M_k^ac (with M_{k-1}^ac given)."""
+def pf_step(cloud: ParticleCloud, obs: float) -> ParticleCloud:
+    """One SIR step consuming observation M_k^ac; each particle carries its M_{k-1}."""
     rng = cloud.rng
     alpha, sigma, m, rho = (cloud.theta[:, j] for j in range(4))
     c = alpha - 0.5 * sigma**2
@@ -187,7 +187,7 @@ def estimate_theta(series, cfg: PfConfig) -> dict:
     cloud = init_cloud(float(series[0]), cfg)
     history = np.empty((series.size - 1, 4))
     for k in range(1, series.size):
-        cloud = pf_step(cloud, float(series[k - 1]), float(series[k]))
+        cloud = pf_step(cloud, float(series[k]))
         history[k - 1] = cloud.theta_mean()
     theta_hat = cloud.theta_mean()
     alpha, sigma, m, rho = (float(v) for v in theta_hat)

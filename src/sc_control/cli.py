@@ -114,7 +114,11 @@ def _cmd_calibrate(cfg, args, out_dir):
     moments = None
     if "panel_csv" in cfg:
         ingested = panel.ingest_panel(cfg["panel_csv"], strict=args.strict)
-        banks = ingested["banks"]
+        banks, diagnostics = ingested["banks"], ingested["diagnostics"]
+        if not banks:
+            raise ValidationError(
+                f"panel {cfg['panel_csv']!r} has no usable bank: {len(diagnostics)} rows or "
+                f"banks rejected" + "".join(f"; {d}" for d in diagnostics[:3]))
         bank_id = cfg.get("bank_id") or sorted(banks)[0]
         if bank_id not in banks:
             raise KeyError(f"bank {bank_id!r} not in panel")
@@ -123,7 +127,7 @@ def _cmd_calibrate(cfg, args, out_dir):
                    for k in ("return_mean_quarterly", "return_std_quarterly",
                              "alpha_hat_annual", "sigma_hat_annual")}
         moments["bank_id"] = bank_id
-        moments["diagnostics"] = ingested["diagnostics"]
+        moments["diagnostics"] = diagnostics
     elif "series_csv" in cfg:
         series = filtering.series_from_csv(cfg["series_csv"])
     else:
@@ -254,17 +258,8 @@ def _cmd_elasticity(cfg, args, out_dir):
     grid = _bank_grid(cfg, p, n_x=201, n_s=41)
     names = cfg.get("parameters", ["S", "sigma", "noise_m", "omega", "rho",
                                    "delay_Delta", "issue_cost_K"])
-    rel_step = cfg.get("rel_step", 0.01)
-    for name in names:
-        bank_partial.check_elasticity_settings(name, rel_step)
-    # only the S row reads the surface; the others are closed form on the line
-    baseline = bank_partial.penalty_solve(p, grid) if "S" in names else None
-    # the base outputs of the other rows, once per run
-    base = bank_partial.elasticity_base(p, grid, baseline) if set(names) - {"S"} else None
-    rows = {name: bank_partial.elasticity(p, name, rel_step=rel_step, grid=grid,
-                                          baseline=baseline, base_outputs=base)
-            for name in names}
-    return {"elasticities": rows}
+    return {"elasticities": bank_partial.elasticity(p, names, rel_step=cfg.get("rel_step", 0.01),
+                                                    grid=grid)}
 
 
 _HANDLERS = {

@@ -73,6 +73,9 @@ def ingest_panel(path, strict: bool = False) -> dict:
                     equity_issuance=float(rec["equity_issuance"]),
                     market_equity=float(rec["market_equity"]),
                 )
+                for col in COLUMNS[2:]:
+                    if not math.isfinite(getattr(row, col)):
+                        raise ValidationError(f"{col}={getattr(row, col)!r} is not finite")
                 if row.total_assets <= 0.0:
                     raise ValidationError("total_assets must be > 0")
                 if row.tier1_equity > row.total_assets:

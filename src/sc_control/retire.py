@@ -52,6 +52,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence, OutsideWorkRegion, ValidationError
+from .interp import cell, lerp
 from .params import RetireGrid, RetireParams, finite_number
 
 _H_DENOM_FLOOR = 1e-10
@@ -530,14 +531,13 @@ def implicit_human_capital(sol: RetireSolution, w: float, income: float,
     """V_I / V_w = (1/r)(1 + (1-xi) u_xi) / (1 - xi u_xi) in the work region."""
     p = sol.params
     xi = float(xi_of_wealth(w / income, p.r))
-    j = int(np.clip(np.searchsorted(sol.z, z), 1, sol.z.size - 1))
     xi_star = float(np.interp(z, sol.z, sol.xi_retire))
     if xi <= xi_star:
         raise OutsideWorkRegion(f"(w/I={w / income:.3g}, z={z:.3g}) is retired")
-    row = sol.u[j]
     h = sol.xi[1] - sol.xi[0]
     i = int(np.clip(np.searchsorted(sol.xi, xi), 1, sol.xi.size - 2))
-    u_xi = (row[i + 1] - row[i - 1]) / (2.0 * h)
+    # central differences in xi on every z row, blended across z's cell
+    u_xi = float(lerp((sol.u[:, i + 1] - sol.u[:, i - 1]) / (2.0 * h), *cell(sol.z, z)))
     return (1.0 + (1.0 - xi) * u_xi) / (p.r * max(1.0 - xi * u_xi, 1e-12))
 
 

@@ -28,10 +28,9 @@ def _report(criterion, label, ok, detail=""):
 
 def test_criterion_1_liquidation_barrier():
     p = table_bank_params()
-    rule = bp.LiquidationRule(p.kappa_min, p.conf_a)
-    bp.liquidation_barrier(p.s_infinity, rule)  # warm-up
+    bp.liquidation_barrier(p.s_infinity, p)  # warm-up
     t0 = time.perf_counter()
-    val = bp.liquidation_barrier(p.s_infinity, rule)
+    val = bp.liquidation_barrier(p.s_infinity, p)
     elapsed = time.perf_counter() - t0
     ok_val = _report(1, "I(m sigma (1-rho)) = 1.15% +- 0.02pp",
                      abs(val - 0.0115) <= 2e-4, f"(got {val:.6f})")
@@ -164,9 +163,8 @@ def test_criterion_7_comparative_statics_signs(bank_partial_solution,
                       all(b < a for a, b in zip(vals02, vals02[1:])))
     # barrier monotone decreasing below the knee for a > 1/2
     from scipy.special import ndtri
-    rule = bp.LiquidationRule(p.kappa_min, 0.8)
     ss = np.linspace(1e-6, 0.99 * ndtri(0.8) ** 2, 200)
-    dI = np.diff(np.asarray(bp.liquidation_barrier(ss, rule)))
+    dI = np.diff(np.asarray(bp.liquidation_barrier(ss, table_bank_params(conf_a=0.8))))
     ok_I = _report(7, "I(S) decreasing on S < (Phi^-1(a))^2 for a = 0.8",
                    bool(np.all(dI < 0)))
     # V-elasticity sign pattern at the same capital level
@@ -192,7 +190,7 @@ def test_criterion_7_comparative_statics_signs(bank_partial_solution,
     grid = bp.default_grid(p, n_x=201, n_s=41)
     ok_zero = True
     for name in ("omega", "delay_Delta", "issue_cost_K"):
-        out = bp.elasticity(p, name, rel_step=0.05, grid=grid, baseline=sol)
+        out = bp.elasticity(p, [name], rel_step=0.05, grid=grid, baseline=sol)[name]
         ok_zero &= out["I"] == 0.0
     ok_zero = _report(7, "I-elasticities exactly zero for omega, Delta, K",
                       ok_zero)
@@ -204,7 +202,7 @@ def test_criterion_7_comparative_statics_signs(bank_partial_solution,
 
 
 def test_criterion_8_barrier_elasticity_magnitude(bank_partial_solution):
-    out = bp.elasticity(table_bank_params(), "S", baseline=bank_partial_solution)
+    out = bp.elasticity(table_bank_params(), ["S"], baseline=bank_partial_solution)["S"]
     ok = _report(8, "elasticity of I wrt S = -3.756 +- 20%",
                  abs(out["I"] - (-3.756)) <= 0.20 * 3.756,
                  f"(got {out['I']:.3f}; sweep S/s_inf in {{1,...,4}})")

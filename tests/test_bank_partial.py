@@ -41,7 +41,7 @@ def psi_quadrature_oracle(x, y):
 def node_above_barrier(p, S, base):
     """(x_lo, h) of a uniform X grid with base's spacing and a node 1% of a
     cell above I(S), where the cut cell is too short for the one-sided stencil."""
-    x_b = bp.liquidation_barrier(S, bp.LiquidationRule(p.kappa_min, p.conf_a))
+    x_b = bp.liquidation_barrier(S, p)
     h = (base.x_hi - base.x_lo) / (base.n_x - 1)
     k = math.ceil((x_b + 0.01 * h - base.x_lo) / h)
     return x_b + 0.01 * h - k * h, h
@@ -49,23 +49,22 @@ def node_above_barrier(p, S, base):
 
 class TestLiquidationBarrier:
     def test_zero_variance_returns_kappa(self):
-        rule = bp.LiquidationRule(0.048, 0.7993)
-        assert bp.liquidation_barrier(0.0, rule) == pytest.approx(0.048, abs=1e-12)
+        p = table_bank_params(kappa_min=0.048, conf_a=0.7993)
+        assert bp.liquidation_barrier(0.0, p) == pytest.approx(0.048, abs=1e-12)
 
     def test_long_run_barrier_matches_calibrated_value(self):
         p = table_bank_params()
-        rule = bp.LiquidationRule(p.kappa_min, p.conf_a)
-        val = bp.liquidation_barrier(p.s_infinity, rule)
+        val = bp.liquidation_barrier(p.s_infinity, p)
         assert val == pytest.approx(0.0115, abs=2e-4)  # kappa-hat 1.15%
 
     def test_monotonicity_pattern_by_confidence(self):
         # a > 1/2: decreasing below (Phi^-1(a))^2, increasing above;
         # a < 1/2: increasing everywhere
         for a, kappa in ((0.8, 0.048), (0.2, 0.048)):
-            rule = bp.LiquidationRule(kappa, a)
+            p = table_bank_params(kappa_min=kappa, conf_a=a)
             s_knee = ndtri(a) ** 2
             ss = np.linspace(1e-6, max(2.5 * s_knee, 0.2), 4001)
-            vals = np.asarray(bp.liquidation_barrier(ss, rule))
+            vals = np.asarray(bp.liquidation_barrier(ss, p))
             dI = np.diff(vals)
             if a > 0.5:
                 below = ss[:-1] < s_knee * 0.999
@@ -83,10 +82,9 @@ class TestPsi:
 
     def test_matches_quadrature_oracles_at_barrier(self):
         p = table_bank_params()
-        rule = bp.LiquidationRule(p.kappa_min, p.conf_a)
         for s_mult in (0.5, 1.0, 3.0):
             S = s_mult * p.s_infinity
-            x = float(bp.liquidation_barrier(S, rule))
+            x = float(bp.liquidation_barrier(S, p))
             # kink-split adaptive quadrature resolves the integral exactly;
             # plain 64-node Gauss-Hermite stalls near 1e-4 on the kink
             assert bp.psi(x, S) == pytest.approx(psi_quadrature_oracle(x, S),
@@ -171,11 +169,10 @@ class TestPenaltySolve:
     def test_boundary_value_on_liquidation_curve(self, bank_partial_solution):
         sol = bank_partial_solution
         p = sol.params
-        rule = bp.LiquidationRule(p.kappa_min, p.conf_a)
         for j in (2, sol.line_index + 5, sol.ss.size - 2):
             S = float(sol.ss[j])
-            i0 = int(np.searchsorted(sol.xs, bp.liquidation_barrier(S, rule)))
-            payoff = p.omega * bp.psi(float(bp.liquidation_barrier(S, rule)), S)
+            i0 = int(np.searchsorted(sol.xs, bp.liquidation_barrier(S, p)))
+            payoff = p.omega * bp.psi(float(bp.liquidation_barrier(S, p)), S)
             assert sol.V[j, max(i0 - 1, 0)] == pytest.approx(payoff, rel=5e-2)
 
     def test_value_dominates_liquidation_payoff(self, bank_partial_solution):
@@ -275,8 +272,7 @@ class TestPenaltySolve:
         p = table_bank_params()
         base = bp.default_grid(p, n_x=41, n_s=7)
         ss, _ = bp._s_grid(p, base)
-        rule = bp.LiquidationRule(p.kappa_min, p.conf_a)
-        x_b = bp.liquidation_barrier(ss[0], rule)
+        x_b = bp.liquidation_barrier(ss[0], p)
         x_lo, h = node_above_barrier(p, ss[0], base)
         grid = dataclasses.replace(base, x_lo=x_lo, x_hi=x_lo + (base.n_x - 1) * h,
                                    stretching="uniform")
@@ -285,7 +281,7 @@ class TestPenaltySolve:
         assert sol.xs[i0] - x_b < 0.05 * h
         assert np.all(np.isfinite(sol.V))
         assert sol.regions[0, i0] == 0
-        assert sol.V[0, i0] == pytest.approx(rule.payoff(ss[0], p.omega), rel=1e-12)
+        assert sol.V[0, i0] == pytest.approx(p.omega * bp.psi(x_b, ss[0]), rel=1e-12)
         assert np.all(sol.regions[0, i0 + 1:] > 0)
 
     def test_noiseless_collapse_toward_fully_observed(self):
@@ -320,7 +316,7 @@ class TestSliceAssembly:
         assert systems.snap[0] and not systems.snap[-1]
         i0 = int(systems.i0[0])
         out = bp._impulse_slice(sp, S0, lambda x, S: np.maximum(x, 0.0) + 0.1)
-        payoff = sp.rule.payoff(S0, p.omega)
+        payoff = p.omega * bp.psi(bp.liquidation_barrier(S0, p), S0)
         np.testing.assert_array_equal(out[:i0 + 1], np.full(i0 + 1, payoff))
         assert np.all(out[i0 + 1:] > payoff)
 
@@ -426,13 +422,13 @@ class TestElasticity:
         p = table_bank_params()
         grid = bp.default_grid(p, n_x=201, n_s=41)
         for name in ("omega", "delay_Delta", "issue_cost_K"):
-            out = bp.elasticity(p, name, rel_step=0.05, grid=grid,
-                                baseline=bank_partial_solution)
+            out = bp.elasticity(p, [name], rel_step=0.05, grid=grid,
+                                baseline=bank_partial_solution)[name]
             assert out["I"] == pytest.approx(0.0, abs=1e-12)
 
     def test_barrier_elasticity_wrt_variance(self, bank_partial_solution):
-        out = bp.elasticity(table_bank_params(), "S",
-                            baseline=bank_partial_solution)
+        out = bp.elasticity(table_bank_params(), ["S"],
+                            baseline=bank_partial_solution)["S"]
         assert out["I"] == pytest.approx(-3.756, rel=0.20)
 
 
@@ -481,7 +477,7 @@ class TestClosedFormElasticity:
             grid = None
         with monkeypatch.context() as m:
             m.setattr(bp, "penalty_solve", _no_solve)
-            got = bp.elasticity(p, name, grid=grid, baseline=baseline)
+            got = bp.elasticity(p, [name], grid=grid, baseline=baseline)[name]
         want = pde_read_rows(p, name, 0.01, grid,
                              baseline if baseline is not None else small_baselines["grid"])
         assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
@@ -490,7 +486,7 @@ class TestClosedFormElasticity:
         monkeypatch.setattr(bp, "penalty_solve", _no_solve)
         p = table_bank_params()
         grid = bp.default_grid(p, n_x=21, n_s=7)
-        assert bp.elasticity(p, "omega", grid=grid)["I"] == 0.0
+        assert bp.elasticity(p, ["omega"], grid=grid)["omega"]["I"] == 0.0
         cfg = {"bank_params": {f: getattr(p, f) for f in (
                    "mu", "alpha", "sigma", "delta", "omega", "kappa_min", "issue_cost_K",
                    "delay_Delta", "noise_m", "rho", "conf_a")},
@@ -498,12 +494,30 @@ class TestClosedFormElasticity:
         out = cli.run("elasticity", cfg, str(tmp_path))
         assert set(out["elasticities"]) == {"sigma", "omega"}
 
+    def test_mixed_names_share_one_baseline(self, monkeypatch):
+        p = table_bank_params()
+        grid = bp.default_grid(p, n_x=21, n_s=7)
+        names = ["sigma", "S", "omega", "rho"]
+        calls = []
+        solve = bank_full.solve_barriers
+        with monkeypatch.context() as m:
+            m.setattr(bank_full, "solve_barriers",
+                      lambda *a, **k: calls.append(a) or solve(*a, **k))
+            table = bp.elasticity(p, names, grid=grid)
+        # the line of the S baseline's solve, then two perturbed lines per other name
+        assert len(calls) == 1 + 2 * 3
+        assert list(table) == names
+        for name in names:
+            alone = bp.elasticity(p, [name], grid=grid)[name]
+            assert {k: v.hex() for k, v in table[name].items()} == \
+                {k: v.hex() for k, v in alone.items()}
+
     @pytest.mark.parametrize("name", ["sigmaa", "S_bar", "", None])
     def test_unknown_parameter_rejected_before_any_solve(self, monkeypatch, name):
         monkeypatch.setattr(bp, "penalty_solve", _no_solve)
         monkeypatch.setattr(bank_full, "solve_barriers", _no_solve)
         with pytest.raises(ValidationError, match=re.escape(f"param_name={name!r}")) as err:
-            bp.elasticity(table_bank_params(), name)
+            bp.elasticity(table_bank_params(), [name])
         assert "valid: S, mu, alpha, sigma" in str(err.value)
         assert "S_bar" not in str(err.value).split("valid:")[1]
 
@@ -513,7 +527,7 @@ class TestClosedFormElasticity:
         monkeypatch.setattr(bank_full, "solve_barriers", _no_solve)
         for name in ("S", "sigma"):
             with pytest.raises(ValidationError, match="rel_step=.* must be a finite number > 0"):
-                bp.elasticity(table_bank_params(), name, rel_step=rel_step)
+                bp.elasticity(table_bank_params(), [name], rel_step=rel_step)
 
 
 def _no_solve(*args, **kwargs):

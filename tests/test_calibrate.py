@@ -28,7 +28,7 @@ class TestPfStep:
         cloud = cb.ParticleCloud(state=np.zeros(n), theta=theta,
                                  weights=np.full(n, 1.0 / n),
                                  rng=np.random.default_rng(0))
-        out = cb.pf_step(cloud, 0.0, 0.01)
+        out = cb.pf_step(cloud, 0.01)
         # identical parameters and identical priors: the importance ratio is
         # a deterministic function of the sampled state, but the weighted
         # mean stays finite and normalized
@@ -39,12 +39,12 @@ class TestPfStep:
         cfg = small_cfg(n=100)
         cloud = cb.init_cloud(0.0, cfg)
         with np.errstate(invalid="ignore"), pytest.raises(DegenerateCloud):
-            cb.pf_step(cloud, 0.0, np.inf)
+            cb.pf_step(cloud, np.inf)
 
     def test_resampling_resets_weights_to_uniform(self, monkeypatch):
         monkeypatch.setattr(cb, "RESAMPLE_THRESHOLD", 1.0)
         cloud = cb.init_cloud(0.0, cb.PfConfig(n_particles=200, seed=1))
-        out = cb.pf_step(cloud, 0.0, 0.02)
+        out = cb.pf_step(cloud, 0.02)
         assert out.n_resamples == 1
         assert np.allclose(out.weights, 1.0 / 200)
         assert out.effective_size == pytest.approx(200.0)
@@ -69,7 +69,7 @@ class TestPfStep:
         cloud = cb.ParticleCloud(state=np.zeros(n), theta=theta,
                                  weights=np.full(n, 1.0 / n),
                                  rng=np.random.default_rng(3))
-        out = cb.pf_step(cloud, 0.0, 0.01)
+        out = cb.pf_step(cloud, 0.01)
         assert np.allclose(out.theta, theta, atol=1e-6)
 
     def test_projection_keeps_particles_admissible(self):

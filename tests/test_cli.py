@@ -68,6 +68,23 @@ class TestIngestPanel:
         assert b2["degenerate_volatility"]
         assert b2["return_std_quarterly"] == 0.0
 
+    @pytest.mark.parametrize("column, value", [
+        ("total_assets", "nan"), ("total_assets", "inf"), ("market_equity", "-inf")])
+    def test_non_finite_number_rejected_with_row_number(self, tmp_path, column, value):
+        lines = TOY_CSV.splitlines()
+        row = dict(zip(lines[0].split(","), lines[2].split(",")), **{column: value})
+        lines[2] = ",".join(row.values())
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"row 3: {column}={value} is not finite"
+        out = panel.ingest_panel(path)
+        assert out["diagnostics"] == [message]
+        b1 = out["banks"]["b1"]
+        assert b1["n_quarters"] == 2
+        assert math.isfinite(b1["return_mean_quarterly"])
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            panel.ingest_panel(path, strict=True)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text("a,b\n1,2\n")
@@ -324,6 +341,23 @@ class TestCli:
         assert "alpha_hat_annual" in summary["panel_moments"]
 
 
+    @pytest.mark.parametrize("rows, cause", [
+        ([], "0 rows or banks rejected"),
+        (["b1,1999-Q3,-1.0,1.0,0,0,1.0", "b1,1999-Q4,nan,1.0,0,0,1.0"],
+         "2 rows or banks rejected; row 2: total_assets must be > 0; "
+         "row 3: total_assets=nan is not finite")])
+    def test_calibrate_panel_without_a_usable_bank_exits_1(self, tmp_path, rows, cause):
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join([TOY_CSV.splitlines()[0], *rows]) + "\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"panel_csv": str(path)}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"] == f"panel {str(path)!r} has no usable bank: {cause}"
+
+
 class TestCliSolverHandlers:
     """Tiny-grid end-to-end runs of the remaining subcommands."""
 
@@ -483,7 +517,7 @@ class TestCliSolverHandlers:
         p = from_dict(BankParams, self.BANK)
         grid = bank_partial.default_grid(p, n_x=201, n_s=41)
         for name in names:
-            alone = bank_partial.elasticity(p, name, rel_step=0.01, grid=grid)
+            alone = bank_partial.elasticity(p, [name], rel_step=0.01, grid=grid)[name]
             assert {k: v.hex() for k, v in out["elasticities"][name].items()} == \
                 {k: v.hex() for k, v in alone.items()}
         # and the figures recorded when each call still recomputed its base

@@ -398,6 +398,31 @@ class TestImplicitHumanCapital:
         limit = (1.0 + u_xi0) / sol.params.r
         assert np.isfinite(limit)
 
+    @staticmethod
+    def row_formula(sol, w, j):
+        """The ratio read on z row j alone (income 1)."""
+        xi = float(rt.xi_of_wealth(w, sol.params.r))
+        h = sol.xi[1] - sol.xi[0]
+        i = int(np.clip(np.searchsorted(sol.xi, xi), 1, sol.xi.size - 2))
+        u_xi = (sol.u[j, i + 1] - sol.u[j, i - 1]) / (2.0 * h)
+        return (1.0 + (1.0 - xi) * u_xi) / (sol.params.r * max(1.0 - xi * u_xi, 1e-12))
+
+    def test_a_node_reads_its_own_row(self, retire_baseline):
+        sol = retire_baseline
+        rows = (0, 1, sol.z.size // 2, sol.z.size - 1)
+        w = 0.5 * min(sol.wealth_threshold(float(sol.z[j])) for j in rows)
+        for j in rows:
+            got = rt.implicit_human_capital(sol, w, 1.0, float(sol.z[j]))
+            assert got.hex() == self.row_formula(sol, w, j).hex()
+
+    def test_between_nodes_lies_between_the_rows(self, retire_baseline):
+        sol = retire_baseline
+        w = 0.5 * min(sol.wealth_threshold(z) for z in sol.z[:2])
+        row0, row1 = self.row_formula(sol, w, 0), self.row_formula(sol, w, 1)
+        assert row0 != row1
+        mid = rt.implicit_human_capital(sol, w, 1.0, float(0.5 * (sol.z[0] + sol.z[1])))
+        assert min(row0, row1) < mid < max(row0, row1)
+
     def test_outside_work_region_raises(self, retire_baseline):
         sol = retire_baseline
         w_star = sol.wealth_threshold(0.0)

@@ -21,6 +21,7 @@ def run_script(name, *args):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 @pytest.mark.parametrize("script, args, csv, header, key", [
@@ -37,3 +38,17 @@ def test_script_writes_csv_and_summary(tmp_path, script, args, csv, header, key)
     summary = json.loads((out / "summary.json").read_text())
     assert key in summary
     assert (out / "manifest.json").exists()
+
+
+def test_output_digests_cover_every_op_of_the_workload():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    proc = run_script("output_digests.py", "--workload", "bank-pde", "--seed", "1")
+    digests = json.loads(proc.stdout)["bank-pde"]
+    assert set(digests) == {op.name for op in workloads.build("bank-pde", 1)}
+    for files in digests.values():
+        assert files and not any(name.endswith("manifest.json") for name in files)
+        assert all(len(sha) == 64 for sha in files.values())
