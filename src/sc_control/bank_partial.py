@@ -645,9 +645,12 @@ def elasticity(p: BankParams, names, rel_step: float = 0.01,
     central differences (barrier curves are grid-quantized, so tighter steps
     would alias).
     Denominators use |output| wherever the quantity may change sign (I and
-    rho per the stated convention).  Every name and the step are checked
-    before any solve.
+    rho per the stated convention).  ``names`` is a list or tuple; it, every
+    name in it and the step are checked before any solve.
     """
+    if not isinstance(names, (list, tuple)):
+        raise ValidationError(f"names must be a list or tuple of parameter names, "
+                              f"not {type(names).__name__}")
     for name in names:
         if name not in _ELASTICITY_PARAMETERS:
             raise ValidationError(f"param_name={name!r} has no elasticity; "

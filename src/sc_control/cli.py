@@ -23,6 +23,7 @@ import scipy
 
 from . import __version__, bank_full, bank_partial, calibrate, filtering, panel, retire, simulate
 from .errors import ScControlError, ValidationError
+from .interp import cell, lerp
 from .params import BankGrid, BankParams, RetireGrid, RetireParams, check_fields, from_dict
 
 
@@ -81,15 +82,29 @@ def _write_json(out_dir, name, payload):
     return path
 
 
+# rows formatted per write: a block's strings take far less memory than a
+# whole large file's would
+_CSV_BLOCK_ROWS = 4096
+
+
+def _csv_cells(flat):
+    """The cells of a 1-D block of one column: numbers as repr(float), str
+    values (label columns) as they are; a numeric block is formatted in one pass."""
+    if flat.dtype.kind in "biuf":
+        return list(map(float.__repr__, flat.astype(float).tolist()))
+    return [v if isinstance(v, str) else repr(float(v)) for v in flat.tolist()]
+
+
 def _write_csv(out_dir, name, header, columns):
-    """One row per entry of the equal-size columns (2-D ones read row-major):
-    numbers as repr(float), str values (label columns) as they are."""
+    """One row per entry of the equal-size columns (2-D ones read row-major)."""
     path = os.path.join(out_dir, name)
-    cols = [np.ravel(c).tolist() for c in columns]
+    flat = [np.ravel(c) for c in columns]
+    n_rows = max((c.size for c in flat), default=0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols, strict=True):
-            fh.write(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = (_csv_cells(c[start:start + _CSV_BLOCK_ROWS]) for c in flat)
+            fh.write("".join([",".join(row) + "\n" for row in zip(*block, strict=True)]))
     return path
 
 
@@ -121,7 +136,7 @@ def _cmd_calibrate(cfg, args, out_dir):
                 f"banks rejected" + "".join(f"; {d}" for d in diagnostics[:3]))
         bank_id = cfg.get("bank_id") or sorted(banks)[0]
         if bank_id not in banks:
-            raise KeyError(f"bank {bank_id!r} not in panel")
+            raise ValidationError(f"bank {bank_id!r} not in panel")
         series = banks[bank_id]["log_total_assets"]
         moments = {k: banks[bank_id][k]
                    for k in ("return_mean_quarterly", "return_std_quarterly",
@@ -206,8 +221,8 @@ def _cmd_solve_retire_finite(cfg, args, out_dir):
     p = _retire_params(cfg)
     sol = retire.finite_horizon_solve(p, _retire_grid(cfg), dt=cfg.get("dt", 0.25))
     _retire_csvs(sol, out_dir)
-    idx0 = int(np.argmin(np.abs(sol.z)))
-    thresholds = retire.wealth_to_income(sol.xi_retire_by_age[:, idx0], p.r)
+    # each age's boundary blended across the cell of z = 0, as wealth_threshold reads it
+    thresholds = retire.wealth_to_income(lerp(sol.xi_retire_by_age, *cell(sol.z, 0.0)), p.r)
     _write_csv(out_dir, "threshold_by_age.csv", ["age", "w_retire_over_I"],
                [sol.ages, thresholds])
     return {"threshold_t0": float(thresholds[0]), "iterations": sol.iterations}

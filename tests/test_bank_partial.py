@@ -521,6 +521,20 @@ class TestClosedFormElasticity:
         assert "valid: S, mu, alpha, sigma" in str(err.value)
         assert "S_bar" not in str(err.value).split("valid:")[1]
 
+    NOT_A_LIST = {"str": lambda: "sigma", "generator": lambda: (n for n in ["omega"]),
+                  "set": lambda: {"omega"}}
+
+    @pytest.mark.parametrize("kind", NOT_A_LIST)
+    def test_names_other_than_a_list_or_tuple_rejected_before_any_solve(self, monkeypatch,
+                                                                         kind):
+        # a bare string would be read letter by letter, and a generator would
+        # be used up by the name check and give an empty table
+        monkeypatch.setattr(bp, "penalty_solve", _no_solve)
+        monkeypatch.setattr(bank_full, "solve_barriers", _no_solve)
+        with pytest.raises(ValidationError, match=f"^names must be a list or tuple of "
+                                                  f"parameter names, not {kind}$"):
+            bp.elasticity(table_bank_params(), self.NOT_A_LIST[kind]())
+
     @pytest.mark.parametrize("rel_step", [0.0, -0.01, math.nan, math.inf, "0.01", None])
     def test_unusable_step_rejected_before_any_solve(self, monkeypatch, rel_step):
         monkeypatch.setattr(bp, "penalty_solve", _no_solve)

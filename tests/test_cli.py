@@ -14,7 +14,7 @@ import scipy
 
 from sc_control import bank_full, bank_partial, cli, filtering, panel, retire
 from sc_control.errors import ValidationError
-from sc_control.params import BankParams, from_dict
+from sc_control.params import BankParams, RetireGrid, RetireParams, from_dict
 
 TOY_CSV = """bank_id,quarter,total_assets,tier1_equity,dividends,equity_issuance,market_equity
 b1,1999-Q3,100.0,10.0,0.5,0.0,12.0
@@ -340,6 +340,16 @@ class TestCli:
         assert summary["panel_moments"]["bank_id"] == "bx"
         assert "alpha_hat_annual" in summary["panel_moments"]
 
+    def test_calibrate_unknown_bank_id_exits_1(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text(TOY_CSV)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"panel_csv": str(path), "bank_id": "bx"}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err == {"error": "ValidationError", "message": "bank 'bx' not in panel"}
+
 
     @pytest.mark.parametrize("rows, cause", [
         ([], "0 rows or banks rejected"),
@@ -414,6 +424,25 @@ class TestCliSolverHandlers:
                           "grid": self.RGRID, "dt": 1.0}, str(tmp_path / "c"))
         assert (tmp_path / "c" / "threshold_by_age.csv").exists()
         assert out_fh["threshold_t0"] > 0
+
+    @pytest.mark.parametrize("n_y", [21, 20])
+    def test_threshold_by_age_reads_the_cell_of_z_0(self, tmp_path, n_y):
+        ret = {**self.RET, "horizon_T": 10.0}
+        grid = {"n_x": 31, "n_y": n_y}
+        cli.run("solve-retire-finite", {"retire_params": ret, "grid": grid, "dt": 1.0},
+                str(tmp_path))
+        got = np.loadtxt(tmp_path / "threshold_by_age.csv", delimiter=",", skiprows=1)[:, 1]
+        p = from_dict(RetireParams, ret)
+        sol = retire.finite_horizon_solve(p, from_dict(RetireGrid, grid), dt=1.0)
+        rows = retire.wealth_to_income(sol.xi_retire_by_age, p.r)
+        j = n_y // 2
+        if n_y % 2:  # a node on z = 0: its own row, bit for bit
+            assert sol.z[j] == 0.0
+            assert got.tobytes() == rows[:, j].tobytes()
+        else:  # z = 0 midway between two rows: between their thresholds
+            lo, hi = np.minimum(rows[:, j - 1], rows[:, j]), np.maximum(rows[:, j - 1], rows[:, j])
+            assert np.all((lo <= got) & (got <= hi))
+            assert np.any((lo < got) & (got < hi))
 
     def test_simulate_subcommands(self, tmp_path):
         out = cli.run("simulate-bank",
@@ -527,6 +556,7 @@ class TestCliSolverHandlers:
     @pytest.mark.parametrize("run, message", [
         ({"parameters": ["S", "sigmaa"]}, "param_name='sigmaa' has no elasticity"),
         ({"parameters": ["S_bar"]}, "param_name='S_bar' has no elasticity"),
+        ({"parameters": "sigma"}, "names must be a list or tuple of parameter names, not str"),
         ({"parameters": ["S", "sigma"], "rel_step": 0}, "rel_step=0 must be")])
     def test_unusable_elasticity_settings_exit_1_before_solving(self, tmp_path, monkeypatch,
                                                                 run, message):

@@ -1,6 +1,7 @@
 """Retirement solver: constants, jump expectation, control clamps, obstacle
 consistency, benchmark reduction, recursive-utility equivalence, horizon."""
 
+import functools
 import math
 import types
 
@@ -124,17 +125,48 @@ class TestFixedPatternSolve:
             u, dt_inv, rho = np.maximum(math.log(p.B), obstacle), 4.0, 1e3
         for _ in range(4):
             A, rhs, _, _ = st.assemble(u, dt_inv, rho, (obstacle - u) > 0.0)
-            want = splu(A, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+            want = splu(A, permc_spec="MMD_AT_PLUS_A", panel_size=rt._PANEL_SIZE).solve(rhs)
             u, _, _ = st.step(u, dt_inv, rho)
             assert np.array_equal(u.ravel(), want)
 
     def test_one_ordering_per_solve(self, monkeypatch):
-        specs = []
+        calls = []
         real = rt.splu
-        monkeypatch.setattr(rt, "splu", lambda A, permc_spec: specs.append(permc_spec)
-                            or real(A, permc_spec=permc_spec))
+        monkeypatch.setattr(rt, "splu", lambda A, permc_spec, **kw: calls.append((permc_spec, kw))
+                            or real(A, permc_spec=permc_spec, **kw))
         sol = rt.penalty_solve_retire(baseline_retire_params(), RetireGrid(n_x=21, n_y=15))
-        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (sol.iterations - 1)
+        assert [spec for spec, _ in calls] == (["MMD_AT_PLUS_A"]
+                                               + ["NATURAL"] * (sol.iterations - 1))
+        assert all(kw == {"panel_size": rt._PANEL_SIZE} for _, kw in calls)
+
+
+class TestPanelWidthTolerance:
+    """The narrow SuperLU panel changes only the order in which the
+    factorisation sums, not the pivots or the fill.  Against SuperLU's
+    default panel (``panel_size=None``, the 20 columns every retire solve
+    used before) the step counts and the retirement set stay identical, u
+    moves by at most 1e-12 and the controls by at most 1e-11."""
+
+    SOLVES = {
+        "crra": lambda grid: rt.penalty_solve_retire(baseline_retire_params(), grid),
+        "epstein-zin": lambda grid: rt.epstein_zin_solve(baseline_retire_params(eis_psi=0.5),
+                                                         grid),
+        "finite-horizon": lambda grid: rt.finite_horizon_solve(
+            baseline_retire_params(horizon_T=50.0), grid, dt=0.5),
+    }
+
+    @pytest.mark.parametrize("variant", SOLVES)
+    def test_default_panel_agrees_within_the_stated_tolerance(self, variant, monkeypatch):
+        solve = functools.partial(self.SOLVES[variant], RetireGrid(n_x=31, n_y=21))
+        narrow = solve()
+        monkeypatch.setattr(rt, "_PANEL_SIZE", None)
+        wide = solve()
+        assert narrow.iterations == wide.iterations
+        assert np.array_equal(narrow.retired, wide.retired)
+        assert np.array_equal(narrow.xi_retire, wide.xi_retire)
+        np.testing.assert_allclose(narrow.u, wide.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(narrow.y_star, wide.y_star, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(narrow.c_star, wide.c_star, rtol=0, atol=1e-11)
 
 
 class TestDampedPolish:
@@ -428,6 +460,40 @@ class TestImplicitHumanCapital:
         w_star = sol.wealth_threshold(0.0)
         with pytest.raises(OutsideWorkRegion):
             rt.implicit_human_capital(sol, w_star * 1.5, 1.0, 0.0)
+
+
+class TestMpcCurve:
+    """The consumption rows are blended across z's cell, as
+    wealth_threshold reads the boundary; an even n_y leaves z = 0 between
+    two rows."""
+
+    W = np.linspace(1.0, 20.0, 39)
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return rt.penalty_solve_retire(baseline_retire_params(), RetireGrid(n_x=31, n_y=20))
+
+    def row_formula(self, sol, j):
+        """The MPC read on z row j alone."""
+        r = sol.params.r
+        c_bar = np.interp(rt.xi_of_wealth(self.W, r)[::-1], sol.xi, sol.c_star[j])[::-1]
+        return np.diff(c_bar * (self.W + 1.0 / r)) / np.diff(self.W)
+
+    def test_a_node_reads_its_own_row(self, sol):
+        for j in (0, 1, sol.z.size // 2, sol.z.size - 1):
+            _, got = rt.mpc_curve(sol, float(sol.z[j]), self.W)
+            assert got.tobytes() == self.row_formula(sol, j).tobytes()
+
+    def test_between_nodes_lies_between_the_rows(self, sol):
+        j = sol.z.size // 2
+        assert sol.z[j - 1] < 0.0 < sol.z[j]
+        row0, row1 = self.row_formula(sol, j - 1), self.row_formula(sol, j)
+        _, mid = rt.mpc_curve(sol, 0.0, self.W)
+        apart = row0 != row1
+        assert apart.any()
+        assert np.all((np.minimum(row0, row1) < mid)[apart])
+        assert np.all((mid < np.maximum(row0, row1))[apart])
+        np.testing.assert_array_equal(mid[~apart], row0[~apart])
 
 
 class TestGridRefinement:
