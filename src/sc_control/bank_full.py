@@ -205,6 +205,10 @@ def delayed_value_H(X, u2: float, p: BankParams,
 
 
 def _H(ctx: _Ctx, X, u2: float):
+    if not ctx.Delta > 0.0:
+        # the value of a delayed issuance integrates over (0, Delta]
+        raise ValidationError(f"delay_Delta={ctx.Delta!r} must be > 0 for an issuance "
+                              f"with execution delay")
     X = np.asarray(X, dtype=float)
     scalar = X.ndim == 0
     X = np.atleast_1d(X)

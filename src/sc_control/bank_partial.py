@@ -105,11 +105,9 @@ class PartialSolution:
     barrier_I: np.ndarray     # I(S) per slice
     barrier_u1: np.ndarray    # recapitalization boundary per slice (nan if RR empty)
     barrier_u2: np.ndarray    # dividend boundary per slice
-    kappa1: float
-    omega1: float
     line_index: int           # slice index of the invariant line
     line_sup_error: float     # sup rel. error of numeric line slice vs closed form
-    full_line: bank_full.FullSolution
+    full_line: bank_full.FullSolution  # the line's policy; its kappa, omega are kappa1, omega1
     iterations: int
     residual: float           # final relative change of the refinement sweeps
 
@@ -415,7 +413,7 @@ def impulse_operator(sol: PartialSolution, start) -> float:
 
 
 def _line_data(p: BankParams, xs: np.ndarray):
-    """(kappa1, omega1, full_line, V on the invariant line at the nodes xs).
+    """(full_line, V on the invariant line at the nodes xs).
 
     On S = s_inf the model is the fully observed one under (kappa1, omega1):
     the row is the semi-explicit value function, omega1*kappa1 at and below
@@ -425,7 +423,7 @@ def _line_data(p: BankParams, xs: np.ndarray):
     full_line = bank_full.solve_barriers(p, kappa=kappa1, omega=omega1)
     line_vals = np.asarray(bank_full.value_function(np.maximum(xs, kappa1), full_line))
     line_vals[xs <= kappa1] = omega1 * kappa1
-    return kappa1, omega1, full_line, line_vals
+    return full_line, line_vals
 
 
 def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolution:
@@ -442,7 +440,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     xs = sp.xs
     ss, line_idx = _s_grid(p, grid)
     n_s, n_x = ss.size, xs.size
-    kappa1, omega1, full_line, line_vals = _line_data(p, xs)
+    full_line, line_vals = _line_data(p, xs)
 
     V = np.zeros((n_s, n_x))
     regions = np.zeros((n_s, n_x), dtype=np.int8)
@@ -450,8 +448,8 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
 
     # invariant line: closed-form Dirichlet data
     V[line_idx] = line_vals
-    regions[line_idx, xs <= kappa1] = 0
-    regions[line_idx, (xs > kappa1) & (xs <= full_line.u1)] = 1
+    regions[line_idx, xs <= full_line.kappa] = 0
+    regions[line_idx, (xs > full_line.kappa) & (xs <= full_line.u1)] = 1
     regions[line_idx, (xs > full_line.u1) & (xs < full_line.u2)] = 2
     regions[line_idx, xs >= full_line.u2] = 3
     solved[line_idx] = True
@@ -497,7 +495,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
         raise NoConvergence("invariant-line sweep did not converge", residual=change)
     V[line_idx] = V_line_saved
     denom = 1.0 + np.abs(xs)
-    live = xs > kappa1 + 1e-9
+    live = xs > full_line.kappa + 1e-9
     line_sup_error = float(np.max(np.abs(v_num - V_line_saved)[live] / denom[live]))
 
     # march the two sub-domains away from the line, then refine with the
@@ -552,7 +550,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     return PartialSolution(
         params=p, xs=xs, ss=ss, V=V, regions=regions,
         barrier_I=barrier_I, barrier_u1=barrier_u1, barrier_u2=barrier_u2,
-        kappa1=kappa1, omega1=omega1, line_index=line_idx,
+        line_index=line_idx,
         line_sup_error=line_sup_error,
         full_line=full_line, iterations=total_iters, residual=residual,
     )
@@ -566,19 +564,18 @@ _ELASTICITY_PARAMETERS = ("S",) + tuple(
 
 
 def _closed_form_line(q: BankParams, grid: BankGrid | None):
-    """(xs, kappa1, full_line, line_vals) of ``q``'s invariant line on the X
-    axis of ``grid`` (of q's default grid when None), with no PDE solve."""
+    """(xs, full_line, line_vals) of ``q``'s invariant line on the X axis of
+    ``grid`` (of q's default grid when None), with no PDE solve."""
     xs = _x_grid(default_grid(q) if grid is None else grid)
-    kappa1, _, full_line, line_vals = _line_data(q, xs)
-    return xs, kappa1, full_line, line_vals
+    return (xs, *_line_data(q, xs))
 
 
-def _line_outputs(xs, kappa1, full_line, line_vals, x_eval) -> dict:
+def _line_outputs(xs, full_line, line_vals, x_eval) -> dict:
     """{u1, u2, I, V} of an invariant line whose row of V on the nodes ``xs``
     is ``line_vals``: V at ``x_eval`` as ``PartialSolution.value`` reads it
     on the line, where the row below has weight 0."""
     v = lerp(line_vals, *cell(xs, np.atleast_1d(x_eval)))
-    return {"u1": full_line.u1, "u2": full_line.u2, "I": kappa1, "V": float(v[0])}
+    return {"u1": full_line.u1, "u2": full_line.u2, "I": full_line.kappa, "V": float(v[0])}
 
 
 def _variance_elasticity(p: BankParams, baseline: PartialSolution) -> dict:
@@ -661,10 +658,10 @@ def elasticity(p: BankParams, names, rel_step: float = 0.01,
         baseline = penalty_solve(p, grid)
     base = None
     if any(name != "S" for name in names):
-        xs, kappa1, full_line, line_vals = (
+        xs, full_line, line_vals = (
             _closed_form_line(p, grid) if baseline is None else
-            (baseline.xs, baseline.kappa1, baseline.full_line, baseline.V[baseline.line_index]))
-        base = _line_outputs(xs, kappa1, full_line, line_vals, full_line.u2)
+            (baseline.xs, baseline.full_line, baseline.V[baseline.line_index]))
+        base = _line_outputs(xs, full_line, line_vals, full_line.u2)
     return {name: _variance_elasticity(p, baseline) if name == "S"
             else _line_elasticity(p, name, rel_step, grid, base)
             for name in names}

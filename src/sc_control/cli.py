@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import numbers
 import os
 import platform
 import sys
@@ -163,8 +164,11 @@ def _cmd_calibrate(cfg, args, out_dir):
 
 def _cmd_solve_bank_full(cfg, args, out_dir):
     p = _bank_params(cfg)
+    n_plot = cfg.get("n_plot", 301)
+    if not isinstance(n_plot, numbers.Integral) or isinstance(n_plot, bool) or n_plot < 2:
+        raise ValidationError(f"n_plot={n_plot!r} must be an integer >= 2")
     sol = bank_full.solve_barriers(p)
-    xs = np.linspace(sol.kappa, 3.0 * sol.u2, int(cfg.get("n_plot", 301)))
+    xs = np.linspace(sol.kappa, 3.0 * sol.u2, n_plot)
     _write_csv(out_dir, "value_function.csv", ["X", "V", "action"],
                [xs, sol.value(xs), [sol.action(float(x)).kind for x in xs]])
     return {
@@ -183,7 +187,7 @@ def _cmd_solve_bank_partial(cfg, args, out_dir):
     _write_csv(out_dir, "boundaries.csv", ["S", "I", "u1", "u2"],
                [sol.ss, sol.barrier_I, sol.barrier_u1, sol.barrier_u2])
     return {
-        "kappa1": sol.kappa1, "omega1": sol.omega1,
+        "kappa1": sol.full_line.kappa, "omega1": sol.full_line.omega,
         # "residuals" has always published line_sup_error, and the benchmark's
         # reference summary pins that value; sol.residual is the refinement
         # sweeps' final change
@@ -234,7 +238,8 @@ def _cmd_simulate_bank(cfg, args, out_dir):
            "dt": cfg.get("dt", p.delay_Delta / 8.0)}
     simulate.check_run_settings(**run)  # before the solve, not after it
     if p.noise_m > 0.0:
-        policy = bank_partial.penalty_solve(p, _bank_grid(cfg, p))
+        # the paths stay on the invariant line, so they run the line's policy
+        policy = bank_partial.penalty_solve(p, _bank_grid(cfg, p)).full_line
     else:
         policy = bank_full.solve_barriers(p)
     bundle = simulate.simulate_bank(p, policy, **run, seed=args.seed)

@@ -229,12 +229,33 @@ def check_fields(label: str, d: dict, known, required) -> None:
         raise ValidationError(f"missing fields for {label}: {missing}")
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _type_error(f, val) -> str | None:
+    """Why ``val`` cannot be the value of field ``f``, or None if it can."""
+    kind = f.type if isinstance(f.type, str) else f.type.__name__
+    if val is None:
+        return None if f.default is None else "must not be null"
+    if kind.startswith("float") and not _real(val):
+        return "must be a real number"
+    if kind == "int" and not (isinstance(val, numbers.Integral) and not isinstance(val, bool)):
+        return "must be an integer"
+    if kind == "tuple" and not (isinstance(val, (list, tuple)) and all(map(_real, val))):
+        return "must be a list of numbers"
+    return None
+
+
 def from_dict(cls, d: dict):
     """Build the record ``cls`` from a plain dict (e.g. a JSON config block).
 
-    Unknown and missing fields, and non-finite numbers (NaN or infinite,
-    also inside a list), raise :class:`ValidationError` naming the field;
-    construction then validates the record's invariants.
+    Unknown and missing fields, non-finite numbers (NaN or infinite, also
+    inside a list), and values of the wrong type raise
+    :class:`ValidationError` naming the field: a bool or a string for a
+    number, a non-integer for an ``int``, a penalty schedule that is not a
+    list of numbers, or a null where the default is not null.  Construction
+    then validates the record's invariants.
     """
     known = [f for f in fields(cls) if f.init]
     check_fields(cls.__name__, d, [f.name for f in known],
@@ -244,6 +265,9 @@ def from_dict(cls, d: dict):
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (val if isinstance(val, (list, tuple)) else [val])):
             raise ValidationError(f"field {key} is not finite: {val!r}")
+    for f in known:
+        if f.name in d and (why := _type_error(f, d[f.name])):
+            raise ValidationError(f"field {f.name} {why}, not {d[f.name]!r}")
     if "penalty_schedule" in d:
         d = {**d, "penalty_schedule": tuple(d["penalty_schedule"])}
     return cls(**d)

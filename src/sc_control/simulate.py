@@ -3,9 +3,11 @@
 Bank paths: correlated asset/signal shocks, Euler-Maruyama on log assets,
 continuous-time Kalman filtering of the signal, and the solved policy's
 dividend/issuance/liquidation rules with the execution-delay bookkeeping
-(no dividends while an issuance is pending, regulator stop at
-X_hat <= I(S_t)).  With zero accounting noise the filter is bypassed and the
-expected path coincides with the true one.
+(no dividends while an issuance is pending).  Paths start at the invariant
+variance s_inf, a fixed point of the Riccati flow, so S_t = s_inf and the
+policy is the fully observed one under (kappa1, omega1), with the regulator
+stop at X_hat <= kappa1.  With zero accounting noise the filter is bypassed
+and the expected path coincides with the true one.
 
 Retirement paths: (W, I, Z) under the cointegrated dynamics with Poisson
 income jumps, feedback controls interpolated from a solved surface, stopping
@@ -25,9 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank_full import FullSolution
-from .bank_partial import PartialSolution
 from .errors import ValidationError
-from .filtering import filter_gain, kalman_step_continuous, riccati_variance
+from .filtering import filter_gain, kalman_step_continuous
 from .interp import UniformAxis, blend, lerp
 from .params import BankParams, RetireParams, finite_number
 from .retire import RetireSolution, xi_of_wealth
@@ -70,24 +71,6 @@ class RetireStats:
     retired_fraction: float
 
 
-def _policy_curves(policy, s_path):
-    """(I, u1, u2) along the variance path, for either solution type."""
-    if isinstance(policy, PartialSolution):
-        u1 = np.where(np.isfinite(policy.barrier_u1), policy.barrier_u1, -np.inf)
-        return tuple(np.interp(s_path, policy.ss, curve)
-                     for curve in (policy.barrier_I, u1, policy.barrier_u2))
-    if isinstance(policy, FullSolution):
-        levels = (policy.kappa, policy.u1 if policy.has_recapitalization else -np.inf,
-                  policy.u2)
-    elif policy is None:
-        # raw dynamics: no controls and no regulator stop (the book-equity
-        # tracking figure simulates the uncontrolled reporting process)
-        levels = (-np.inf, -np.inf, np.inf)
-    else:
-        raise ValidationError(f"unsupported policy type {type(policy)!r}")
-    return tuple(np.full(s_path.shape, level) for level in levels)
-
-
 def check_run_settings(n_paths, dt, horizon=RETIRE_TIME_CAP, start_w_over_i=0.0) -> None:
     """Raise ValidationError naming the first unusable Monte Carlo setting."""
     if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
@@ -104,9 +87,19 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
                   dt: float, seed: int, x0: float | None = None) -> PathBundle:
     """Simulate bank equity paths under the solved policy.
 
-    ``policy=None`` runs the raw reporting dynamics with no controls and no
-    liquidation (the configuration of the book-equity tracking figure).
+    ``policy`` is a :class:`FullSolution` (for a partially observed bank,
+    ``PartialSolution.full_line``) or None, which runs the raw reporting
+    dynamics with no controls and no liquidation (the configuration of the
+    book-equity tracking figure).
     """
+    if isinstance(policy, FullSolution):
+        Ib, u1b, u2b = (policy.kappa, policy.u1 if policy.has_recapitalization else -math.inf,
+                        policy.u2)
+    elif policy is None:
+        Ib, u1b, u2b = -math.inf, -math.inf, math.inf
+    else:
+        raise ValidationError(f"policy must be a FullSolution or None, not "
+                              f"{type(policy).__name__}")
     check_run_settings(n_paths, dt, horizon=horizon)
     if p.delay_Delta > 0.0 and dt > p.delay_Delta / 8.0 + 1e-15:
         raise ValidationError("dt must be <= Delta/8")
@@ -114,13 +107,11 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt
     noiseless = p.noise_m == 0.0
-
-    s_path = np.zeros_like(times) if noiseless else riccati_variance(p, p.s_infinity, times)
-    I_path, u1_path, u2_path = _policy_curves(policy, s_path)
+    S = p.s_infinity  # every path starts on the invariant line and stays there
 
     # states per path
     if x0 is None:
-        x0 = u2_path[0]  # start at the dividend barrier
+        x0 = u2b  # start at the dividend barrier
         if not np.isfinite(x0):
             x0 = p.kappa_min + 0.05
     D0 = 1.0
@@ -146,9 +137,7 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
     rho_c = math.sqrt(max(0.0, 1.0 - p.rho**2))
     for k in range(n_steps):
         t = times[k]
-        S = float(s_path[k])
         Dk = debt[k]
-        Ib, u1b, u2b = I_path[k], u1_path[k], u2_path[k]
         a = alive
 
         # policy at the step's start (hysteresis: act when strictly inside)

@@ -1,5 +1,10 @@
-"""Shared parameter records, expensive session-scoped solves and an array digest."""
+"""Shared parameter records, expensive session-scoped solves and an array digest.
 
+Each retire problem that more than one test reads is solved once per session
+by the fixture that names it.
+"""
+
+import functools
 import hashlib
 
 import numpy as np
@@ -63,6 +68,39 @@ def retire_baseline(retire_grid):
 def retire_benchmark(retire_grid):
     return retire.penalty_solve_retire(
         baseline_retire_params(mean_reversion=0.0), retire_grid)
+
+
+@pytest.fixture(scope="session")
+def retire_ez(retire_grid):
+    """The Epstein-Zin solve on the 151 x 101 grid at EIS ``psi``: call it with
+    psi; each psi is solved once."""
+    return functools.cache(lambda psi: retire.epstein_zin_solve(
+        baseline_retire_params(eis_psi=psi), retire_grid))
+
+
+@pytest.fixture(scope="session")
+def horizon_solution(retire_grid):
+    """Finite horizon T = 50 at dt 0.5 on the 151 x 101 grid."""
+    return retire.finite_horizon_solve(baseline_retire_params(horizon_T=50.0),
+                                       retire_grid, dt=0.5)
+
+
+@pytest.fixture(scope="session")
+def retire_small_grid():
+    return retire.default_retire_grid(n_xi=101, n_z=81)
+
+
+@pytest.fixture(scope="session")
+def retire_small_baseline(retire_small_grid):
+    """The baseline (gamma = 3) solve on the 101 x 81 grid."""
+    return retire.penalty_solve_retire(baseline_retire_params(), retire_small_grid)
+
+
+@pytest.fixture(scope="session")
+def retire_coarse_baseline():
+    """The baseline solve on the 76 x 51 grid, half the 151 x 101 spacing."""
+    return retire.penalty_solve_retire(baseline_retire_params(),
+                                       retire.default_retire_grid(n_xi=76, n_z=51))
 
 
 @pytest.fixture(scope="session")

@@ -151,13 +151,13 @@ def test_criterion_7_comparative_statics_signs(bank_partial_solution,
     sol = bank_partial_solution
     s_inf = p.s_infinity
     # value monotone in S at the liquidation-sensitive capital level 2*kappa1
-    x_ref = 2.0 * sol.kappa1
+    x_ref = 2.0 * sol.full_line.kappa
     vals = [sol.value(x_ref, f * s_inf) for f in (1.0, 2.0, 3.0, 4.0)]
     ok_up = _report(7, "V increasing in S at a = 0.8 (X = 2 kappa1)",
                     all(b > a for a, b in zip(vals, vals[1:])))
     p02 = table_bank_params(conf_a=0.2)
     sol02 = bp.penalty_solve(p02, bp.default_grid(p02, n_x=301, n_s=61))
-    x02 = 2.0 * sol02.kappa1
+    x02 = 2.0 * sol02.full_line.kappa
     vals02 = [sol02.value(x02, f * s_inf) for f in (1.0, 2.0, 3.0, 4.0)]
     ok_down = _report(7, "V decreasing in S at a = 0.2",
                       all(b < a for a, b in zip(vals02, vals02[1:])))
@@ -209,8 +209,9 @@ def test_criterion_8_barrier_elasticity_magnitude(bank_partial_solution):
     assert ok
 
 
-def test_criterion_9_retirement_properties(retire_grid, retire_baseline,
-                                           retire_benchmark):
+def test_criterion_9_retirement_properties(retire_baseline, retire_benchmark, retire_ez,
+                                           horizon_solution, retire_small_grid,
+                                           retire_small_baseline, retire_coarse_baseline):
     sol, bench = retire_baseline, retire_benchmark
     # (i) non-participation target with share rising above it
     j0 = int(np.argmin(np.abs(sol.z)))
@@ -232,10 +233,10 @@ def test_criterion_9_retirement_properties(retire_grid, retire_baseline,
                     bool(np.all(np.diff(mpc) < 1e-4)
                          and np.all(mpc < mpc_b + 1e-12)))
     # (iii) thresholds decreasing in gamma and in psi
-    small = rt.default_retire_grid(n_xi=101, n_z=81)
     th_gamma = []
     for g in (2.0, 3.0, 4.0):
-        s = rt.penalty_solve_retire(baseline_retire_params(gamma=g), small)
+        s = retire_small_baseline if g == 3.0 else rt.penalty_solve_retire(
+            baseline_retire_params(gamma=g), retire_small_grid)
         th_gamma.append(s.wealth_threshold())
     ok_gamma = _report(9, "(iii) retirement threshold decreasing in gamma",
                        th_gamma[0] > th_gamma[1] > th_gamma[2],
@@ -243,28 +244,24 @@ def test_criterion_9_retirement_properties(retire_grid, retire_baseline,
                        f"operator yields the opposite ordering)")
     th_psi = [retire_baseline.wealth_threshold()]
     for psi in (0.5, 0.8):
-        s = rt.epstein_zin_solve(baseline_retire_params(eis_psi=psi), retire_grid)
-        th_psi.append(s.wealth_threshold())
+        th_psi.append(retire_ez(psi).wealth_threshold())
     ok_psi = _report(9, "(iii) retirement threshold decreasing in EIS psi",
                      th_psi[0] > th_psi[1] > th_psi[2],
                      f"(got {[round(t, 1) for t in th_psi]})")
     # (iv) finite-horizon threshold decreasing with age, ~0 at the deadline
-    fh = rt.finite_horizon_solve(baseline_retire_params(horizon_T=50.0),
-                                 retire_grid, dt=0.5)
+    fh = horizon_solution
     th_age = rt.wealth_to_income(fh.xi_retire_by_age[:, j0], 0.01)
     coarse = th_age[:: len(th_age) // 10]
     ok_iv = _report(9, "(iv) finite-horizon threshold decreasing in age, "
                        "zero at the deadline",
                     bool(np.all(np.diff(coarse) <= 1e-9) and th_age[-1] <= 1e-6))
     # (v) recursive utility at psi = 1/gamma equals the CRRA solve
-    ez = rt.epstein_zin_solve(baseline_retire_params(eis_psi=1.0 / 3.0),
-                              retire_grid)
+    ez = retire_ez(1.0 / 3.0)
     gap = float(np.max(np.abs(ez.u - sol.u)))
     ok_v = _report(9, "(v) psi = 1/gamma recursive solve equals CRRA to 1e-6",
                    gap <= 1e-6, f"(sup gap {gap:.2e})")
     # grid-refinement stability of the free boundaries
-    coarse_sol = rt.penalty_solve_retire(baseline_retire_params(),
-                                         rt.default_retire_grid(n_xi=76, n_z=51))
+    coarse_sol = retire_coarse_baseline
     jc = int(np.argmin(np.abs(coarse_sol.z)))
     cell = coarse_sol.xi[1] - coarse_sol.xi[0]
     moved = abs(coarse_sol.xi_retire[jc] - sol.xi_retire[j0])

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from sc_control import bank_full as bf
-from sc_control.errors import NoBracket, NoSolution
+from sc_control import bank_full as bf, bank_partial
+from sc_control.errors import NoBracket, NoSolution, ValidationError
 from sc_control.params import BankParams
 
-from conftest import fig_bank_params
+from conftest import fig_bank_params, table_bank_params
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +252,18 @@ class TestSolveBarriers:
         no_recap = bf.solve_dividend_only(p)
         for X in (0.05, 0.08, 0.12):
             assert fig_solution.value(X) >= no_recap.value(X) - 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solve", [
+        bf.solve_barriers, bf.solve_dividend_only,
+        lambda p: bf.delayed_value_H(0.08, 0.11, p),
+        lambda p: bank_partial.penalty_solve(p, bank_partial.default_grid(p, n_x=21, n_s=7))],
+        ids=["solve_barriers", "solve_dividend_only", "delayed_value_H", "penalty_solve"])
+    def test_zero_delay_raises_naming_it(self, solve):
+        # the delayed issuance value has no zero-delay form: a clean rejection,
+        # with no divide-by-zero warning on the way
+        with pytest.raises(ValidationError, match="delay_Delta=0.0"):
+            solve(table_bank_params(delay_Delta=0.0))
 
 
 class TestValueFunction:

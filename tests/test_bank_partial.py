@@ -151,8 +151,7 @@ class TestImpulseOperator:
         fl = sol.full_line
         for X in (0.02, 0.04, fl.u1, 0.09):
             pv = bp.impulse_operator(sol, (X, s_inf))
-            hv = bank_full.delayed_value_H(X, fl.u2, p, kappa=sol.kappa1,
-                                           omega=sol.omega1)
+            hv = bank_full.delayed_value_H(X, fl.u2, p, kappa=fl.kappa, omega=fl.omega)
             assert abs(pv - hv) / abs(hv) <= 1e-3
 
     def test_monotone_in_ratio(self, bank_partial_solution):
@@ -437,7 +436,7 @@ def pde_read_rows(p, name, rel_step, grid, baseline):
     x_ref = baseline.full_line.u2
 
     def outputs_at(sol):
-        return {"u1": sol.full_line.u1, "u2": sol.full_line.u2, "I": sol.kappa1,
+        return {"u1": sol.full_line.u1, "u2": sol.full_line.u2, "I": sol.full_line.kappa,
                 "V": float(sol.value(x_ref, sol.params.s_infinity))}
 
     v0 = getattr(p, name)

@@ -502,6 +502,49 @@ class TestCliSolverHandlers:
         assert err["error"] == "ValidationError"
         assert "field sigma is not finite" in err["message"]
 
+    @pytest.mark.parametrize("block, field, value", [
+        ("retire_params", "gamma", "3"), ("retire_params", "gamma", True),
+        ("retire_params", "gamma", None), ("grid", "n_x", 11.5), ("grid", "n_x", 11.0),
+        ("grid", "n_x", True), ("grid", "penalty_schedule", 100000.0),
+        ("grid", "penalty_schedule", [1e3, "1e5"]), ("grid", "penalty_schedule", [False])])
+    def test_mistyped_config_value_exits_1_naming_it(self, tmp_path, block, field, value):
+        cfg = {"retire_params": self.RET, "grid": self.RGRID}
+        cfg[block] = {**cfg[block], field: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main(["solve-retire", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"field {field} ")
+        assert not (out_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize("subcommand", ["solve-bank-full", "solve-bank-partial"])
+    def test_zero_delay_exits_1_naming_it(self, tmp_path, subcommand):
+        cfg = {"bank_params": {**self.BANK, "delay_Delta": 0.0}}
+        if subcommand == "solve-bank-partial":
+            cfg["grid"] = self.bank_grid()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith("delay_Delta=0.0")
+
+    @pytest.mark.parametrize("n_plot", [0, 1, 2.5, True, "301", None])
+    def test_unusable_n_plot_exits_1_before_solving(self, tmp_path, monkeypatch, n_plot):
+        monkeypatch.setattr(bank_full, "solve_barriers", lambda *a, **k: pytest.fail("solved"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bank_params": self.BANK, "n_plot": n_plot}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["solve-bank-full", "--config", str(cfg_path),
+                         "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"n_plot={n_plot!r}")
+        assert not (out_dir / "value_function.csv").exists()
+
     def test_bank_surface_csv_reads_back_to_the_solution(self, tmp_path, table_b_small):
         sol = table_b_small
         grid = bank_partial.default_grid(sol.params, n_x=21, n_s=7)

@@ -91,6 +91,11 @@ def test_from_dict_rejects_non_finite_numbers_naming_the_field(cls, key, val):
         pm.from_dict(cls, {**base, key: val})
 
 
+def test_from_dict_takes_null_where_the_default_is_null():
+    d = {**dataclasses.asdict(table_bank_params()), "S_bar": None}
+    assert pm.from_dict(pm.BankParams, d) == table_bank_params()
+
+
 @settings(max_examples=60, deadline=None)
 @given(mu=st.floats(-0.05, 0.15), alpha=st.floats(-0.05, 0.2),
        sigma=st.floats(0.005, 0.3), spread=st.floats(0.001, 0.3),

@@ -326,14 +326,13 @@ class TestPenaltySolve:
 
 
 class TestRecursiveUtility:
-    def test_psi_inverse_gamma_equals_crra(self, retire_grid, retire_baseline):
-        p = baseline_retire_params(eis_psi=1.0 / 3.0)
-        ez = rt.epstein_zin_solve(p, retire_grid)
+    def test_psi_inverse_gamma_equals_crra(self, retire_ez, retire_baseline):
+        ez = retire_ez(1.0 / 3.0)
         assert float(np.max(np.abs(ez.u - retire_baseline.u))) <= 1e-6
 
-    def test_consumption_foc_residual_at_nodes(self, retire_grid):
-        p = baseline_retire_params(eis_psi=0.5)
-        sol = rt.epstein_zin_solve(p, retire_grid)
+    def test_consumption_foc_residual_at_nodes(self, retire_ez):
+        sol = retire_ez(0.5)
+        p = sol.params
         mode = rt._Mode(p, recursive=True)
         h = sol.xi[1] - sol.xi[0]
         u_xi = np.gradient(sol.u, h, axis=1)
@@ -346,13 +345,11 @@ class TestRecursiveUtility:
         capped = sol.c_star[work] >= 0.999
         assert float(np.max(np.abs(res[~capped]))) <= 1e-10
 
-    def test_higher_eis_lowers_threshold(self, retire_grid, retire_baseline):
+    def test_higher_eis_lowers_threshold(self, retire_ez, retire_baseline):
         th_crra = retire_baseline.wealth_threshold()
         prev = th_crra
         for psi in (0.5, 0.8):
-            sol = rt.epstein_zin_solve(baseline_retire_params(eis_psi=psi),
-                                       retire_grid)
-            th = sol.wealth_threshold()
+            th = retire_ez(psi).wealth_threshold()
             assert th < prev
             prev = th
 
@@ -370,12 +367,6 @@ class TestRecursiveUtility:
     def test_unit_eis_rejected(self):
         with pytest.raises(ValidationError):
             rt._Mode(baseline_retire_params(eis_psi=1.0), recursive=True)
-
-
-@pytest.fixture(scope="module")
-def horizon_solution(retire_grid):
-    p = baseline_retire_params(horizon_T=50.0)
-    return rt.finite_horizon_solve(p, retire_grid, dt=0.5)
 
 
 class TestFiniteHorizon:
@@ -497,10 +488,9 @@ class TestMpcCurve:
 
 
 class TestGridRefinement:
-    def test_boundaries_stable_under_mesh_halving(self):
-        p = baseline_retire_params()
-        coarse = rt.penalty_solve_retire(p, rt.default_retire_grid(n_xi=76, n_z=51))
-        fine = rt.penalty_solve_retire(p, rt.default_retire_grid(n_xi=151, n_z=101))
+    def test_boundaries_stable_under_mesh_halving(self, retire_coarse_baseline,
+                                                  retire_baseline):
+        coarse, fine = retire_coarse_baseline, retire_baseline
         j0c = int(np.argmin(np.abs(coarse.z)))
         j0f = int(np.argmin(np.abs(fine.z)))
         dxi_coarse = coarse.xi[1] - coarse.xi[0]

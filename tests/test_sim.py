@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sc_control import bank_full, filtering, retire as rt, simulate as sim
+from sc_control import bank_full, retire as rt, simulate as sim
 from sc_control.errors import ValidationError
 from sc_control.params import BankParams
 from sc_control.retire import RetireSolution
@@ -131,28 +131,25 @@ class TestBankPathsPinned:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_fields_pinned_exactly(self, case, table_b_small, monkeypatch):
+    def test_fields_pinned_exactly(self, case, table_b_small):
         horizon, seed, digests = self.CASES[case]
         p = table_bank_params()
-        calls = []
-        riccati = sim.riccati_variance
-        for module in (sim, filtering):
-            monkeypatch.setattr(module, "riccati_variance",
-                                lambda *args: calls.append(args) or riccati(*args))
-        policy = table_b_small if case == "partial" else None
+        policy = table_b_small.full_line if case == "partial" else None
         bundle = sim.simulate_bank(p, policy, horizon, 64, p.delay_Delta / 8, seed)
         assert tuple(digest(getattr(bundle, f)) for f in self.FIELDS) == digests
         assert (bundle.dividend_in_delay, bundle.seed, bundle.dt) == (0, seed, 0.0625)
-        # the variance path is computed once per run, not once per step
-        assert len(calls) == 1
+
+    def test_partial_solution_rejected_naming_its_type(self, table_b_small):
+        # the paths run the invariant line's policy, table_b_small.full_line
+        p = table_bank_params()
+        with pytest.raises(ValidationError, match="PartialSolution"):
+            sim.simulate_bank(p, table_b_small, 1.0, 4, p.delay_Delta / 8, seed=0)
 
 
 @pytest.fixture(scope="module")
-def small_retire_solves():
-    grid = rt.default_retire_grid(n_xi=101, n_z=81)
-    pol = rt.penalty_solve_retire(baseline_retire_params(), grid)
-    ben = rt.penalty_solve_retire(baseline_retire_params(mean_reversion=0.0), grid)
-    return pol, ben
+def small_retire_solves(retire_small_grid, retire_small_baseline):
+    ben = rt.penalty_solve_retire(baseline_retire_params(mean_reversion=0.0), retire_small_grid)
+    return retire_small_baseline, ben
 
 
 class TestSimulateRetirement:
