@@ -236,7 +236,7 @@ def _cmd_simulate_bank(cfg, args, out_dir):
     p = _bank_params(cfg)
     run = {"horizon": cfg.get("horizon", 20.0), "n_paths": cfg.get("n_paths", 200),
            "dt": cfg.get("dt", p.delay_Delta / 8.0)}
-    simulate.check_run_settings(**run)  # before the solve, not after it
+    simulate.check_bank_run(p, **run)  # before the solve, not after it
     if p.noise_m > 0.0:
         # the paths stay on the invariant line, so they run the line's policy
         policy = bank_partial.penalty_solve(p, _bank_grid(cfg, p)).full_line

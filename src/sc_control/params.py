@@ -169,9 +169,13 @@ class RetireParams:
         return k
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def finite_number(x) -> bool:
-    """True for a real number that is neither infinite nor NaN."""
-    return isinstance(x, numbers.Real) and math.isfinite(x)
+    """True for a real number, not a bool, that is neither infinite nor NaN."""
+    return _real(x) and math.isfinite(x)
 
 
 def _check_grid(n_x: int, n_y: int, penalty_schedule) -> None:
@@ -227,10 +231,6 @@ def check_fields(label: str, d: dict, known, required) -> None:
     missing = [name for name in required if name not in d]
     if missing:
         raise ValidationError(f"missing fields for {label}: {missing}")
-
-
-def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _type_error(f, val) -> str | None:

@@ -7,7 +7,10 @@ dividend/issuance/liquidation rules with the execution-delay bookkeeping
 variance s_inf, a fixed point of the Riccati flow, so S_t = s_inf and the
 policy is the fully observed one under (kappa1, omega1), with the regulator
 stop at X_hat <= kappa1.  With zero accounting noise the filter is bypassed
-and the expected path coincides with the true one.
+and the expected path coincides with the true one.  No path matrix is kept:
+a run returns the states at the horizon and, for each step, the count, mean
+and sum of squared deviations of the live paths' log asset gap, from which
+the tracking error is merged.  Memory is O(n_paths + n_steps).
 
 Retirement paths: (W, I, Z) under the cointegrated dynamics with Poisson
 income jumps, feedback controls interpolated from a solved surface, stopping
@@ -38,11 +41,15 @@ RETIRE_TIME_CAP = 250.0
 
 @dataclass
 class PathBundle:
-    """Simulated bank paths and bookkeeping."""
+    """Simulated bank paths: states at the horizon, per-step gap moments and
+    bookkeeping."""
 
     times: np.ndarray
-    true_equity: np.ndarray       # (n_paths, n_times)
-    expected_equity: np.ndarray   # (n_paths, n_times)
+    true_equity: np.ndarray       # (n_paths,) at the horizon, nan if liquidated
+    expected_equity: np.ndarray   # (n_paths,) at the horizon, nan if liquidated
+    # (3, n_times): per step, the live paths' count, mean and sum of squared
+    # deviations of log(E + D) - log(E_hat + D)
+    gap_moments: np.ndarray
     debt: np.ndarray              # (n_times,)
     liquidation_time: np.ndarray  # (n_paths,) nan if none
     dividends_paid: np.ndarray    # (n_paths,) cumulative, undiscounted
@@ -51,13 +58,19 @@ class PathBundle:
     seed: int
     dt: float
 
-    def tracking_error(self) -> float:
-        """Std of log(true total assets) - log(expected total assets)."""
-        alive = ~np.isnan(self.true_equity)
-        t_assets = self.true_equity + self.debt
-        e_assets = self.expected_equity + self.debt
-        diff = np.log(t_assets[alive]) - np.log(e_assets[alive])
-        return float(np.std(diff))
+    def tracking_error(self, start: int = 0) -> float:
+        """Std of log(true total assets) - log(expected total assets) over the
+        live paths of steps ``start`` to the horizon.
+
+        The steps' moments merge by the pairwise update of Chan, Golub and
+        LeVeque (1983): the pooled sum of squares is each step's own plus its
+        count times its mean's squared distance from the pooled mean.  A NaN
+        gap gives NaN; a noiseless run gives 0.0.
+        """
+        n, mean, m2 = self.gap_moments[:, start:]
+        total = n.sum()
+        pooled = (n * mean).sum() / total
+        return math.sqrt((m2.sum() + (n * (mean - pooled) ** 2).sum()) / total)
 
 
 @dataclass
@@ -73,14 +86,25 @@ class RetireStats:
 
 def check_run_settings(n_paths, dt, horizon=RETIRE_TIME_CAP, start_w_over_i=0.0) -> None:
     """Raise ValidationError naming the first unusable Monte Carlo setting."""
-    if not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+    if not isinstance(n_paths, numbers.Integral) or isinstance(n_paths, bool) or n_paths < 1:
         raise ValidationError(f"n_paths={n_paths!r} must be an integer >= 1")
     if not (finite_number(dt) and dt > 0.0):
         raise ValidationError(f"dt={dt!r} must be a finite number > 0")
     if not (finite_number(horizon) and horizon > 0.0):
         raise ValidationError(f"horizon={horizon!r} must be a finite number > 0")
+    if horizon < dt:  # a whole number of steps is not required
+        raise ValidationError(f"dt={dt!r} is longer than horizon={horizon!r}: "
+                              "no step would be simulated")
     if not (finite_number(start_w_over_i) and start_w_over_i >= 0.0):
         raise ValidationError(f"start_w_over_i={start_w_over_i!r} must be a finite number >= 0")
+
+
+def check_bank_run(p: BankParams, horizon, n_paths, dt) -> None:
+    """check_run_settings, plus the bank's step bound dt <= Delta/8."""
+    check_run_settings(n_paths, dt, horizon=horizon)
+    if p.delay_Delta > 0.0 and dt > p.delay_Delta / 8.0 + 1e-15:
+        raise ValidationError(f"dt={dt!r} must be <= Delta/8 = {p.delay_Delta / 8.0!r} "
+                              f"(delay_Delta={p.delay_Delta!r})")
 
 
 def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
@@ -100,9 +124,7 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
     else:
         raise ValidationError(f"policy must be a FullSolution or None, not "
                               f"{type(policy).__name__}")
-    check_run_settings(n_paths, dt, horizon=horizon)
-    if p.delay_Delta > 0.0 and dt > p.delay_Delta / 8.0 + 1e-15:
-        raise ValidationError("dt must be <= Delta/8")
+    check_bank_run(p, horizon, n_paths, dt)
     rng = np.random.default_rng(seed)
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt
@@ -127,11 +149,16 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
     divs = np.zeros(n_paths)
     n_issue = np.zeros(n_paths, dtype=int)
     viol = 0
+    gap_moments = np.zeros((3, n_steps + 1))
 
-    true_eq = np.full((n_paths, n_steps + 1), np.nan)
-    exp_eq = np.full((n_paths, n_steps + 1), np.nan)
-    true_eq[:, 0] = E
-    exp_eq[:, 0] = E_hat
+    def record_gap(k, live):
+        """Column k of gap_moments from the live paths' states at step k."""
+        g = np.log(E[live] + debt[k]) - np.log(E_hat[live] + debt[k])
+        if g.size:
+            mean = g.mean()
+            gap_moments[:, k] = g.size, mean, np.square(g - mean).sum()
+
+    record_gap(0, alive)
 
     sqdt = math.sqrt(dt)
     rho_c = math.sqrt(max(0.0, 1.0 - p.rho**2))
@@ -184,13 +211,13 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
             E_hat[a] += (p.alpha * E_hat[a] + (p.alpha - p.mu) * Dk) * dt \
                 + (E_hat[a] + Dk) * filter_gain(S, p) * innovation[a]
         M = M + dM
+        record_gap(k + 1, a)
 
-        true_eq[a, k + 1] = E[a]
-        exp_eq[a, k + 1] = E_hat[a]
-
-    return PathBundle(times=times, true_equity=true_eq, expected_equity=exp_eq,
-                      debt=debt, liquidation_time=liq_time, dividends_paid=divs,
-                      issuances=n_issue, dividend_in_delay=viol, seed=seed, dt=dt)
+    return PathBundle(times=times, true_equity=np.where(alive, E, np.nan),
+                      expected_equity=np.where(alive, E_hat, np.nan),
+                      gap_moments=gap_moments, debt=debt, liquidation_time=liq_time,
+                      dividends_paid=divs, issuances=n_issue, dividend_in_delay=viol,
+                      seed=seed, dt=dt)
 
 
 def simulate_retirement(p: RetireParams, policy: RetireSolution,

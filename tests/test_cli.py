@@ -463,9 +463,15 @@ class TestCliSolverHandlers:
         ("simulate-retire", "dt", {"dt": -0.5}),
         ("simulate-retire", "dt", {"dt": "0.1"}),
         ("simulate-retire", "start_w_over_i", {"start_w_over_i": -5}),
+        ("simulate-retire", "n_paths", {"n_paths": True}),
+        ("simulate-retire", "dt", {"dt": True}),
+        ("simulate-retire", "start_w_over_i", {"start_w_over_i": True}),
         ("simulate-bank", "n_paths", {"n_paths": 0}),
         ("simulate-bank", "dt", {"dt": 0}),
-        ("simulate-bank", "horizon", {"horizon": 0})])
+        ("simulate-bank", "horizon", {"horizon": 0}),
+        ("simulate-bank", "n_paths", {"n_paths": True}),
+        ("simulate-bank", "dt", {"dt": True}),
+        ("simulate-bank", "horizon", {"horizon": True})])
     def test_unusable_run_settings_exit_1_naming_them(self, tmp_path, subcommand, field, run):
         params = ({"retire_params": self.RET} if subcommand == "simulate-retire"
                   else {"bank_params": self.BANK})
@@ -478,7 +484,48 @@ class TestCliSolverHandlers:
         assert err["message"].startswith(f"{field}=")
         assert not (out_dir / "summary.json").exists()
 
-    @pytest.mark.parametrize("dt", [0, -0.5, 20])
+    @pytest.mark.parametrize("subcommand, run, named", [
+        ("simulate-bank", {"horizon": 0.01}, "dt=0.0625 is longer than horizon=0.01"),
+        ("simulate-retire", {"dt": 300.0}, "dt=300.0 is longer than horizon=250.0")])
+    def test_horizon_shorter_than_one_step_exits_1_naming_both(self, tmp_path, subcommand,
+                                                                run, named):
+        params = ({"retire_params": self.RET} if subcommand == "simulate-retire"
+                  else {"bank_params": self.BANK})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**params, **run}))
+        out_dir = tmp_path / "out"
+        assert cli.main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(named)
+        assert not (out_dir / "summary.json").exists()
+
+    def test_bank_dt_above_delta_over_8_exits_1_before_solving(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bank_partial, "penalty_solve", lambda *a, **k: pytest.fail("solved"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bank_params": self.BANK, "grid": self.bank_grid(),
+                                        "dt": 0.2}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["simulate-bank", "--config", str(cfg_path),
+                         "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith("dt=0.2 must be <= Delta/8 = 0.0625")
+
+    def test_traced_bank_run_counts_every_path_step(self, tmp_path, monkeypatch):
+        # the benchmark's trace reads the path count from the horizon states
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import tracing
+
+        n_paths, dt, horizon = 7, 0.0625, 1.5
+        with tracing.Tracer() as tracer:
+            cli.run("simulate-bank", {"bank_params": {**self.BANK, "noise_m": 0.0},
+                                      "horizon": horizon, "n_paths": n_paths, "dt": dt},
+                    str(tmp_path))
+        (span,) = [s for s in tracer.spans if s.name == "simulate.simulate_bank"]
+        assert span.counts["path_steps"] == round(horizon / dt) * n_paths
+
+    @pytest.mark.parametrize("dt", [0, -0.5, 20, True])
     def test_unusable_finite_horizon_dt_exits_1_naming_it(self, tmp_path, dt):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"retire_params": {**self.RET, "horizon_T": 5.0},

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,15 +32,14 @@ class TestSimulateBank:
         p = fig_bank_params()
         bundle = sim.simulate_bank(p, fig_solution, horizon=5.0, n_paths=50,
                                    dt=p.delay_Delta / 8.0, seed=3)
-        alive = ~np.isnan(bundle.true_equity)
-        assert np.allclose(bundle.true_equity[alive],
-                           bundle.expected_equity[alive], atol=1e-12)
+        assert np.array_equal(bundle.true_equity, bundle.expected_equity, equal_nan=True)
+        assert bundle.tracking_error() == 0.0
 
     def test_coincide_at_start_and_no_delay_dividends(self, fig_solution):
         p = fig_bank_params()
         bundle = sim.simulate_bank(p, fig_solution, horizon=10.0, n_paths=100,
                                    dt=p.delay_Delta / 8.0, seed=5)
-        assert np.allclose(bundle.true_equity[:, 0], bundle.expected_equity[:, 0])
+        assert np.array_equal(bundle.gap_moments[:, 0], (100, 0.0, 0.0))
         assert bundle.dividend_in_delay == 0
 
     def test_tracking_error_near_long_run_level(self):
@@ -52,16 +52,16 @@ class TestSimulateBank:
         target = np.sqrt(p.s_infinity)
         # compare on the second half of the horizon (stationary regime)
         half = bundle.times.size // 2
-        t_assets = bundle.true_equity[:, half:] + bundle.debt[half:]
-        e_assets = bundle.expected_equity[:, half:] + bundle.debt[half:]
-        alive = ~np.isnan(t_assets) & (t_assets > 0) & (e_assets > 0)
-        err = np.std(np.log(t_assets[alive]) - np.log(e_assets[alive]))
-        assert err == pytest.approx(target, rel=0.30)
+        assert bundle.tracking_error(start=half) == pytest.approx(target, rel=0.30)
 
     def test_dt_guard(self, fig_solution):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^dt=0\.2 must be <= Delta/8 = 0\.0625"):
             sim.simulate_bank(fig_bank_params(), fig_solution, horizon=1.0,
                               n_paths=10, dt=0.2, seed=1)
+
+    @pytest.mark.parametrize("horizon, dt", [(20.0, 0.3), (1.0, 1.0), (1.5, 1.0)])
+    def test_horizon_need_not_be_a_whole_number_of_steps(self, horizon, dt):
+        sim.check_run_settings(10, dt, horizon=horizon)
 
     @pytest.mark.parametrize("field, run", [
         ("n_paths", dict(n_paths=0)), ("n_paths", dict(n_paths=2.5)),
@@ -77,6 +77,7 @@ class TestSimulateBank:
         a = sim.simulate_bank(p, fig_solution, 5.0, 40, p.delay_Delta / 8, seed=9)
         b = sim.simulate_bank(p, fig_solution, 5.0, 40, p.delay_Delta / 8, seed=9)
         assert np.array_equal(a.true_equity, b.true_equity, equal_nan=True)
+        assert np.array_equal(a.gap_moments, b.gap_moments)
         assert np.array_equal(a.dividends_paid, b.dividends_paid)
 
     def test_issuance_completion_tops_up_to_barrier(self, fig_solution, monkeypatch):
@@ -97,35 +98,41 @@ class TestSimulateBank:
                 return z
 
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Shocks())
-        bundle = sim.simulate_bank(p, sol, horizon=1.0, n_paths=2, dt=dt, seed=0,
-                                   x0=0.5 * (sol.kappa + sol.u1))
+
+        def run(n_steps):  # each run draws the same shocks from a new Shocks
+            return sim.simulate_bank(p, sol, horizon=n_steps * dt, n_paths=2, dt=dt,
+                                     seed=0, x0=0.5 * (sol.kappa + sol.u1))
+
         k = 8  # the order completes at the start of step Delta/dt
-        D = bundle.debt[k]
-        E = bundle.true_equity
-        assert E[1, k] / D > sol.u2
-        assert np.array_equal(bundle.issuances, [1, 1])
+        before, after = run(k), run(k + 1)
+        D = after.debt[k]
+        E = before.true_equity  # the states at step k's start
+        assert E[1] / D > sol.u2
+        assert np.array_equal(before.issuances, [0, 0])
+        assert np.array_equal(after.issuances, [1, 1])
 
         def after_step(e):  # the noiseless step from equity e at step k's start
             return e + (p.alpha * e + (p.alpha - p.mu) * D) * dt
 
         # path 0 is lifted to u2 * D_k; path 1, already above u2, gets nothing
-        assert E[0, k + 1] == pytest.approx(after_step(sol.u2 * D), rel=1e-14)
-        assert E[1, k + 1] == pytest.approx(after_step(E[1, k]), rel=1e-14)
-        assert np.array_equal(bundle.expected_equity, E)
+        assert after.true_equity[0] == pytest.approx(after_step(sol.u2 * D), rel=1e-14)
+        assert after.true_equity[1] == pytest.approx(after_step(E[1]), rel=1e-14)
+        assert np.array_equal(after.expected_equity, after.true_equity)
 
 
 class TestBankPathsPinned:
-    """Every PathBundle field of two filtered runs under Table-B noise, pinned
-    bit for bit: any change to the arithmetic of the path loop or of the
-    continuous filter step shows here."""
+    """Every PathBundle array of two filtered runs under Table-B noise but the
+    gap moments, pinned bit for bit: any change to the arithmetic of the path
+    loop or of the continuous filter step shows here.  The equity pins are
+    of the horizon states."""
 
     FIELDS = ("times", "true_equity", "expected_equity", "debt", "liquidation_time",
               "dividends_paid", "issuances")
     CASES = {  # name: (horizon, seed, digests in FIELDS order)
-        "raw": (2.0, 3, ("5103c58a64d135c4", "464685bbdf63a48e", "0d8909d4ac10eb17",
+        "raw": (2.0, 3, ("5103c58a64d135c4", "7e16730590311dc2", "e5b18ef6609eba3f",
                          "99cb3d6fbd5bebed", "b76c8aea636974cb", "076a27c79e5ace2a",
                          "076a27c79e5ace2a")),
-        "partial": (5.0, 5, ("84ee6e75d9a4db09", "c7d83c39523bbb4f", "072e5ea72c3d1c47",
+        "partial": (5.0, 5, ("84ee6e75d9a4db09", "2fa84c706c769bf6", "a188da5ed7aec413",
                              "2eceeca9caf814a4", "dd60cf2e8ca6ff8b", "61233b383bb0bf73",
                              "7bd93742cb8310ca")),
     }
@@ -144,6 +151,57 @@ class TestBankPathsPinned:
         p = table_bank_params()
         with pytest.raises(ValidationError, match="PartialSolution"):
             sim.simulate_bank(p, table_b_small, 1.0, 4, p.delay_Delta / 8, seed=0)
+
+
+class TestStreamedTrackingError:
+    """The tracking error merged from per-step gap moments, checked against
+    the standard deviation over the full path matrices."""
+
+    @pytest.mark.parametrize("case", ["raw", "partial"])
+    def test_matches_the_std_over_the_path_matrices(self, case, table_b_small):
+        # a shorter horizon draws the same shocks, so the run of k steps
+        # gives column k of the matrices; the start state is column 0
+        p = table_bank_params()
+        policy = table_b_small.full_line if case == "partial" else None
+        x0 = 0.5 * (policy.kappa + policy.u1) if policy else p.kappa_min + 0.05
+        dt, n_paths, K = p.delay_Delta / 8, 64, 40
+        runs = [sim.simulate_bank(p, policy, k * dt, n_paths, dt, seed=2, x0=x0)
+                for k in range(1, K + 1)]
+        true_eq = np.column_stack([np.full(n_paths, x0 * runs[-1].debt[0])]
+                                  + [r.true_equity for r in runs])
+        exp_eq = np.column_stack([np.full(n_paths, x0 * runs[-1].debt[0])]
+                                 + [r.expected_equity for r in runs])
+        if policy:  # some paths are liquidated, so the mask matters
+            assert 0 < np.isnan(true_eq[:, -1]).sum() < n_paths
+
+        def matrix_std(start):
+            alive = ~np.isnan(true_eq[:, start:])
+            t_assets = true_eq[:, start:] + runs[-1].debt[start:]
+            e_assets = exp_eq[:, start:] + runs[-1].debt[start:]
+            return float(np.std(np.log(t_assets[alive]) - np.log(e_assets[alive])))
+
+        assert runs[-1].tracking_error() == pytest.approx(matrix_std(0), rel=1e-15, abs=0)
+        assert runs[-1].tracking_error(start=K // 2) == pytest.approx(
+            matrix_std(K // 2), rel=1e-15, abs=0)
+
+    def test_nan_gap_gives_nan(self):
+        # total assets start below zero, so every log gap is NaN
+        p = table_bank_params()
+        with np.errstate(invalid="ignore"):
+            bundle = sim.simulate_bank(p, None, 1.0, 4, p.delay_Delta / 8, seed=0, x0=-2.0)
+        assert math.isnan(bundle.tracking_error())
+
+    def test_memory_does_not_grow_with_paths_times_steps(self):
+        # 2,000 paths x 320 steps: one (n_paths, n_steps + 1) float matrix
+        # takes 5 MB, so a run that stores paths breaks the ceiling
+        p = table_bank_params()
+        tracemalloc.start()
+        try:
+            sim.simulate_bank(p, None, 20.0, 2000, p.delay_Delta / 8, seed=0).tracking_error()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 @pytest.fixture(scope="module")
