@@ -53,12 +53,24 @@ Epstein-Zin and 50-year finite-horizon solves went from 2.37 s to 2.04 s,
 5.3e-14 and c* by 6.3e-16.  The stated tolerance, which the tests hold
 against the default panel, is 1e-12 on u and 1e-11 on the controls, with
 identical step counts, retirement sets and boundaries.
+
+With mean_reversion = 0 neither a coefficient nor the obstacle nor the
+jump map depends on z, and the z edges are Neumann, so u is constant in z
+up to roundoff.  Each public solve then runs the same stepper on three z rows,
+the fewest a RetireGrid takes, and repeats row 0 onto the requested z grid;
+the step count and residual are those of the three-row solve.  Against the
+full-grid solve the stated tolerance, tested, is 1e-12 on u and 1e-11 on
+the controls, with identical step counts, retirement sets, boundaries and
+z grid (measured at 101x81: u 4.0e-14, y* 7.8e-14, c* 6.2e-16).  The 76x51
+benchmark solve of the simulate-retire paths benchmark took 0.31-0.53 s
+on every row and takes 0.02-0.04 s on three, first solves in fresh
+processes on a shared 2-vCPU VM.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,6 +155,7 @@ class RetireSolution:
     mode: str = "crra"
     ages: np.ndarray | None = None          # finite-horizon: age grid
     xi_retire_by_age: np.ndarray | None = None
+    stalled_stages: int = 0        # penalty stages left after 25 stalled steps
 
     def wealth_threshold(self, z_val: float = 0.0) -> float:
         """w*/I: retire when wealth-to-income exceeds this (z-slice)."""
@@ -203,6 +216,12 @@ class _Mode:
         return self.k**self.ipsi * np.exp(-(1.0 - self.ipsi) * u) * c ** (-self.ipsi) - base
 
 
+def z_nodes(p: RetireParams, n_y: int) -> np.ndarray:
+    """The solver's z grid: n_y nodes on z_bar +- 8 sigma_z."""
+    half = 8.0 * p.sigma_z
+    return np.linspace(p.z_bar - half, p.z_bar + half, n_y)
+
+
 class _RetireStepper:
     """Assembles and solves one implicit penalized pseudo-time step."""
 
@@ -212,8 +231,7 @@ class _RetireStepper:
         self.mode = mode
         self.jump = jump
         self.xi = np.linspace(0.0, 1.0, grid.n_x)
-        half = 8.0 * p.sigma_z
-        self.z = np.linspace(p.z_bar - half, p.z_bar + half, grid.n_y)
+        self.z = z_nodes(p, grid.n_y)
         self.h = self.xi[1] - self.xi[0]
         self.hz = self.z[1] - self.z[0]
         # floor the obstacle half a cell short of xi = 1, where it is -inf
@@ -428,6 +446,7 @@ def _solve_stationary(p: RetireParams, grid: RetireGrid, mode: _Mode,
     u = np.full((grid.n_y, grid.n_x), math.log(p.B))
     u = np.maximum(u, stepper.obstacle)
     total_iters = 0
+    stalled_stages = 0
     residual = np.inf
     final_rho = grid.penalty_schedule[-1]
     for rho_pen in grid.penalty_schedule:
@@ -446,6 +465,7 @@ def _solve_stationary(p: RetireParams, grid: RetireGrid, mode: _Mode,
                 break
             stalled = stalled + 1 if residual > 0.8 * prev_resid else 0
             if stalled >= 25:
+                stalled_stages += 1
                 break  # limit cycle; the damped polish below resolves it
             dt = min(dt * 1.25, 50.0) if residual <= prev_resid * 2.0 else max(dt * 0.5, 0.05)
             prev_resid = min(prev_resid, residual)
@@ -474,6 +494,7 @@ def _solve_stationary(p: RetireParams, grid: RetireGrid, mode: _Mode,
         params=p, xi=stepper.xi, z=stepper.z, u=u, y_star=y, c_star=c,
         retired=retired, xi_retire=xi_ret, xi_participate=xi_np,
         iterations=total_iters, residual=residual, mode=label,
+        stalled_stages=stalled_stages,
     )
 
 
@@ -497,14 +518,41 @@ def _boundaries(stepper, y, retired):
     return xi_ret, xi_np
 
 
+def _z_free_solve(core, p: RetireParams, grid: RetireGrid, *args) -> RetireSolution:
+    """``core(p, grid, *args)``, solved on three z rows when no coefficient
+    depends on z.
+
+    With mean_reversion = 0 neither the coefficients, the obstacle nor the
+    jump map read z, and the z edges are Neumann, so u is constant in z up
+    to roundoff.  The stepper then runs on the fewest rows a RetireGrid
+    takes, and row 0 of each surface and boundary is repeated onto the
+    requested z grid (writeable copies); the steps and residual are those
+    of the three-row solve.
+    """
+    if p.mean_reversion != 0.0:
+        return core(p, grid, *args)
+    sol = core(p, replace(grid, n_y=3), *args)
+    n_z = grid.n_y
+
+    def rows(a, axis=0):
+        return np.repeat(a.take([0], axis=axis), n_z, axis=axis)
+
+    return replace(
+        sol, z=z_nodes(p, n_z), u=rows(sol.u), y_star=rows(sol.y_star),
+        c_star=rows(sol.c_star), retired=rows(sol.retired), xi_retire=rows(sol.xi_retire),
+        xi_participate=rows(sol.xi_participate),
+        xi_retire_by_age=(None if sol.xi_retire_by_age is None
+                          else rows(sol.xi_retire_by_age, axis=1)))
+
+
 def penalty_solve_retire(p: RetireParams, grid: RetireGrid = RetireGrid()) -> RetireSolution:
     """Infinite-horizon CRRA solve."""
-    return _solve_stationary(p, grid, _Mode(p, recursive=False), "crra")
+    return _z_free_solve(_solve_stationary, p, grid, _Mode(p, recursive=False), "crra")
 
 
 def epstein_zin_solve(p: RetireParams, grid: RetireGrid = RetireGrid()) -> RetireSolution:
     """Recursive-utility solve (Duffie-Epstein aggregator, EIS psi)."""
-    return _solve_stationary(p, grid, _Mode(p, recursive=True), "epstein-zin")
+    return _z_free_solve(_solve_stationary, p, grid, _Mode(p, recursive=True), "epstein-zin")
 
 
 def finite_horizon_solve(p: RetireParams, grid: RetireGrid = RetireGrid(),
@@ -515,6 +563,10 @@ def finite_horizon_solve(p: RetireParams, grid: RetireGrid = RetireGrid(),
     if not (finite_number(dt) and dt > 0.0 and round(p.horizon_T / dt) >= 1):
         raise ValidationError(f"dt={dt!r} must be a finite number > 0 with "
                               f"round(horizon_T/dt) >= 1 (horizon_T={p.horizon_T!r})")
+    return _z_free_solve(_solve_finite, p, grid, dt)
+
+
+def _solve_finite(p: RetireParams, grid: RetireGrid, dt: float) -> RetireSolution:
     mode = _Mode(p, recursive=p.eis_psi is not None)
     jump = IncomeJumpSpec.for_params(p)
     stepper = _RetireStepper(p, grid, mode, jump)

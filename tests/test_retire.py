@@ -190,6 +190,118 @@ class TestDampedPolish:
         assert exc.value.residual == pytest.approx(1.0)
 
 
+class TestStalledStages:
+    """A penalty stage that stalls for 25 steps hands over to the next one
+    and is counted on the solution."""
+
+    @staticmethod
+    def solve(monkeypatch, stalling):
+        class Stalling(rt._RetireStepper):
+            """Settles at once, except in the pseudo-time steps of the stages
+            whose penalty is in ``stalling``: those move u by 1e-3*dt, a
+            residual of 1e-3 at every step."""
+
+            def step(self, u, dt_inv, rho_pen):
+                zero = np.zeros_like(u)
+                if dt_inv > 0.01 and rho_pen in stalling:
+                    return u + 1e-3 / dt_inv, zero, zero
+                return u, zero, zero
+
+        monkeypatch.setattr(rt, "_RetireStepper", Stalling)
+        return rt.penalty_solve_retire(baseline_retire_params(), RetireGrid(n_x=11, n_y=5))
+
+    @pytest.mark.parametrize("stalling", [(), (1e4,), (1e3, 1e5)])
+    def test_each_stalled_stage_counted(self, monkeypatch, stalling):
+        sol = self.solve(monkeypatch, stalling)
+        assert sol.stalled_stages == len(stalling)
+        # a stalled stage ends after 1 + 25 steps, a settled one after 1;
+        # then one polish step
+        assert sol.iterations == 26 * len(stalling) + (3 - len(stalling)) + 1
+
+    def test_converged_solves_record_none(self, retire_baseline, horizon_solution):
+        assert retire_baseline.stalled_stages == 0
+        assert horizon_solution.stalled_stages == 0
+
+
+class TestZFreeSolve:
+    """With mean_reversion = 0 the public solves run on three z rows and
+    repeat row 0 onto the grid.  Against the private cores on the full grid
+    the step counts, retirement sets, boundaries and z grid are identical,
+    u agrees within 1e-12 and the controls within 1e-11."""
+
+    CASES = {
+        "crra": ({}, lambda p, grid: rt.penalty_solve_retire(p, grid),
+                 lambda p, grid: rt._solve_stationary(p, grid, rt._Mode(p, False), "crra")),
+        "epstein-zin": ({"eis_psi": 0.5}, lambda p, grid: rt.epstein_zin_solve(p, grid),
+                        lambda p, grid: rt._solve_stationary(p, grid, rt._Mode(p, True),
+                                                             "epstein-zin")),
+        "power_nu": ({"power_nu": 3.0}, lambda p, grid: rt.penalty_solve_retire(p, grid),
+                     lambda p, grid: rt._solve_stationary(p, grid, rt._Mode(p, False), "crra")),
+        "finite-horizon": ({"horizon_T": 10.0},
+                           lambda p, grid: rt.finite_horizon_solve(p, grid, dt=0.5),
+                           lambda p, grid: rt._solve_finite(p, grid, 0.5)),
+    }
+
+    @staticmethod
+    @functools.cache
+    def solves(variant, n_x, n_y):
+        """(public, full-grid) solves of the mean_reversion = 0 variant."""
+        overrides, public, full_grid = TestZFreeSolve.CASES[variant]
+        p = baseline_retire_params(mean_reversion=0.0, **overrides)
+        grid = RetireGrid(n_x=n_x, n_y=n_y)
+        return public(p, grid), full_grid(p, grid)
+
+    @pytest.mark.parametrize("n_x, n_y", [(21, 15), (41, 31)])
+    @pytest.mark.parametrize("variant", CASES)
+    def test_agrees_with_the_full_grid_solve(self, variant, n_x, n_y):
+        z_free, full = self.solves(variant, n_x, n_y)
+        assert z_free.iterations == full.iterations
+        assert z_free.z.tobytes() == full.z.tobytes()
+        assert z_free.retired.shape == (n_y, n_x)
+        for name in ("retired", "xi_retire", "xi_participate", "xi_retire_by_age"):
+            a, b = getattr(z_free, name), getattr(full, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        np.testing.assert_allclose(z_free.u, full.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z_free.y_star, full.y_star, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(z_free.c_star, full.c_star, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("variant", CASES)
+    def test_full_grid_solve_is_z_constant(self, variant):
+        # no z-dependence may leak into the operator when mean_reversion = 0
+        _, full = self.solves(variant, 41, 31)
+        assert float(np.max(np.std(full.u, axis=0))) < 1e-12
+
+    @pytest.mark.parametrize("variant", CASES)
+    def test_returned_arrays_are_writeable_copies(self, variant):
+        overrides, public, _ = self.CASES[variant]
+        sol = public(baseline_retire_params(mean_reversion=0.0, **overrides),
+                     RetireGrid(n_x=11, n_y=5))
+        for name in ("u", "y_star", "c_star", "retired", "xi_retire", "xi_participate",
+                     "xi_retire_by_age"):
+            a = getattr(sol, name)
+            if a is None:
+                continue
+            assert a.flags.writeable and a.flags.owndata, name
+            by_z = np.moveaxis(a, 1 if name == "xi_retire_by_age" else 0, 0)
+            before = by_z.copy()
+            by_z[0] = ~by_z[0] if a.dtype == bool else -7.0  # z row 0 alone moves
+            assert not np.array_equal(by_z[0], before[0]), name
+            assert np.array_equal(by_z[1:], before[1:], equal_nan=True), name
+
+    @pytest.mark.parametrize("mean_reversion, rows", [(0.15, 15), (0.0, 3)])
+    def test_factored_rows(self, monkeypatch, mean_reversion, rows):
+        # the z-free rule reads mean_reversion only: with z-dependence the
+        # whole n_y x n_x system is factored
+        shapes = []
+        real = rt.splu
+        monkeypatch.setattr(rt, "splu", lambda A, **kw: shapes.append(A.shape) or real(A, **kw))
+        sol = rt.penalty_solve_retire(baseline_retire_params(mean_reversion=mean_reversion),
+                                      RetireGrid(n_x=21, n_y=15))
+        assert len(shapes) == sol.iterations
+        assert set(shapes) == {(rows * 21, rows * 21)}
+        assert sol.u.shape == (15, 21)
+
+
 class TestJumpExpectation:
     def test_zero_income_share_is_constant(self):
         p = baseline_retire_params()
@@ -237,10 +349,10 @@ class TestOptimalControls:
         assert c <= p.r + 1e-15
 
     def test_one_factor_benchmark_reduction(self, retire_benchmark):
-        # mean_reversion = 0 and sigma = sigma_z: z-independent solution and
-        # the control formula collapses to the single-factor h
+        # mean_reversion = 0 and sigma = sigma_z: the control formula
+        # collapses to the single-factor h (the solve's z-constancy is
+        # checked on the full grid in TestZFreeSolve)
         sol = retire_benchmark
-        assert float(np.max(np.std(sol.u, axis=0))) < 1e-8
         p = sol.params
         j = sol.z.size // 2
         i = np.searchsorted(sol.xi, 0.7)

@@ -343,21 +343,28 @@ class TestRealSolvePairPinned:
     RetireStats float pinned by float.hex as recorded while the cells were
     still found by binary search and the boundary by np.interp.  The shares
     were re-recorded when the solves moved to a two-column SuperLU panel,
-    which moved u by roundoff and each share by 4 to 48 ulp."""
+    which moved u by roundoff and each share by 4 to 48 ulp, and the
+    benchmark shares again when the mean_reversion = 0 solve moved to three
+    z rows repeated onto the grid (1 to 2 ulp)."""
 
     CASES = {  # name: (world overrides, n_paths, seed,
                #        (time, share, retired) hex for the policy, then the benchmark)
         "plain": ({}, 300, 11,
                   ("0x1.00006d3a06d3ap+7", "0x1.074d34ce408c8p-3", "0x1.ae147ae147ae1p-1"),
-                  ("0x1.bc2b851eb851fp+6", "0x1.950b04d9ffd8ap-1", "0x1.f92c5f92c5f93p-1")),
+                  ("0x1.bc2b851eb851fp+6", "0x1.950b04d9ffd8cp-1", "0x1.f92c5f92c5f93p-1")),
         # recorded while the boundary was still read by the np.interp twin
         "odd": ({}, 301, 12,
                 ("0x1.fcd653594d653p+6", "0x1.ed2615ee11d45p-4", "0x1.9d5799f0b0e75p-1"),
-                ("0x1.c1fae5a271f78p+6", "0x1.94081fb83d7afp-1", "0x1.f77eb9689c7dep-1")),
+                ("0x1.c1fae5a271f78p+6", "0x1.94081fb83d7b0p-1", "0x1.f77eb9689c7dep-1")),
         "power_nu": ({"power_nu": 3.0}, 300, 13,
                      ("0x1.03317e4b17e4bp+7", "0x1.e2a3f28bfb5bcp-4", "0x1.b69d0369d036ap-1"),
-                     ("0x1.79d999999999ap+6", "0x1.9e12198e3e52ap-1", "0x1.fe4b17e4b17e5p-1")),
+                     ("0x1.79d999999999ap+6", "0x1.9e12198e3e52bp-1", "0x1.fe4b17e4b17e5p-1")),
     }
+    # benchmark-side expected shares as recorded while the mean_reversion = 0
+    # solve ran on every z row of the grid
+    BENCHMARK_SHARE_BEFORE_Z_FREE = {"plain": "0x1.950b04d9ffd8ap-1",
+                                     "odd": "0x1.94081fb83d7afp-1",
+                                     "power_nu": "0x1.9e12198e3e52ap-1"}
     # power_nu expected times at 4000 paths, dt 0.25, seed 17, as recorded
     # while each side drew its recovery factors per jumping working path
     POWER_NU_BEFORE_COMMON_DRAWS = (131.0085, 92.44025)
@@ -371,6 +378,18 @@ class TestRealSolvePairPinned:
                for s in pair]
         assert got == expected
         assert [(s.n_paths, s.policy) for s in pair] == [(n, "policy"), (n, "benchmark")]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_benchmark_share_kept_within_roundoff_of_the_full_grid_solve(
+            self, case, solve_pair_21x15):
+        # The three-row benchmark solve moves y* from the full-grid one by
+        # roundoff only (test_retire.TestZFreeSolve), and every retirement
+        # step and time stays the same, so each share moves at that order
+        world, n, seed, *_ = self.CASES[case]
+        _, bench = sim.simulate_retirement(baseline_retire_params(**world),
+                                           *solve_pair_21x15, 10.0, n, 0.25, seed)
+        before = float.fromhex(self.BENCHMARK_SHARE_BEFORE_Z_FREE[case])
+        assert abs(bench.expected_share - before) <= 1e-13 * abs(before)
 
     def test_power_nu_means_kept_within_monte_carlo_error(self, solve_pair_21x15):
         # Drawing the recoveries as one full uniform per step changes which
