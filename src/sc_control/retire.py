@@ -56,15 +56,16 @@ identical step counts, retirement sets and boundaries.
 
 With mean_reversion = 0 neither a coefficient nor the obstacle nor the
 jump map depends on z, and the z edges are Neumann, so u is constant in z
-up to roundoff.  Each public solve then runs the same stepper on three z rows,
-the fewest a RetireGrid takes, and repeats row 0 onto the requested z grid;
-the step count and residual are those of the three-row solve.  Against the
-full-grid solve the stated tolerance, tested, is 1e-12 on u and 1e-11 on
-the controls, with identical step counts, retirement sets, boundaries and
-z grid (measured at 101x81: u 4.0e-14, y* 7.8e-14, c* 6.2e-16).  The 76x51
-benchmark solve of the simulate-retire paths benchmark took 0.31-0.53 s
-on every row and takes 0.02-0.04 s on three, first solves in fresh
-processes on a shared 2-vCPU VM.
+up to roundoff.  Each public solve then runs the same stepper on three z
+rows, the fewest a RetireGrid takes, and repeats row 0 onto the requested
+z grid; the step count and residual are those of the three-row solve.
+Against the full-grid solve the stated tolerance, which the tests hold, is
+1e-12 on u and 1e-11 on the controls, with identical step counts,
+retirement sets, boundaries and z grid (measured at 101x81: u 4.0e-14, y*
+7.8e-14, c* 6.2e-16).  The 76x51 mean_reversion = 0 solve of the paths
+benchmark's simulate-retire op took 0.32-0.47 s on all 51 rows and takes
+0.021-0.041 s on three (first solves in fresh processes, shared 2-vCPU
+VM), with the same 45 steps.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ class _Mode:
         return self.k**self.ipsi * np.exp(-(1.0 - self.ipsi) * u) * c ** (-self.ipsi) - base
 
 
-def z_nodes(p: RetireParams, n_y: int) -> np.ndarray:
+def _z_nodes(p: RetireParams, n_y: int) -> np.ndarray:
     """The solver's z grid: n_y nodes on z_bar +- 8 sigma_z."""
     half = 8.0 * p.sigma_z
     return np.linspace(p.z_bar - half, p.z_bar + half, n_y)
@@ -231,7 +232,7 @@ class _RetireStepper:
         self.mode = mode
         self.jump = jump
         self.xi = np.linspace(0.0, 1.0, grid.n_x)
-        self.z = z_nodes(p, grid.n_y)
+        self.z = _z_nodes(p, grid.n_y)
         self.h = self.xi[1] - self.xi[0]
         self.hz = self.z[1] - self.z[0]
         # floor the obstacle half a cell short of xi = 1, where it is -inf
@@ -519,16 +520,10 @@ def _boundaries(stepper, y, retired):
 
 
 def _z_free_solve(core, p: RetireParams, grid: RetireGrid, *args) -> RetireSolution:
-    """``core(p, grid, *args)``, solved on three z rows when no coefficient
-    depends on z.
-
-    With mean_reversion = 0 neither the coefficients, the obstacle nor the
-    jump map read z, and the z edges are Neumann, so u is constant in z up
-    to roundoff.  The stepper then runs on the fewest rows a RetireGrid
-    takes, and row 0 of each surface and boundary is repeated onto the
-    requested z grid (writeable copies); the steps and residual are those
-    of the three-row solve.
-    """
+    """``core(p, grid, *args)``; with mean_reversion = 0, where u is constant
+    in z, solved on three z rows with row 0 of each surface and boundary
+    repeated onto the grid's z nodes as writeable copies.  The steps and
+    residual are those of the three-row solve."""
     if p.mean_reversion != 0.0:
         return core(p, grid, *args)
     sol = core(p, replace(grid, n_y=3), *args)
@@ -538,7 +533,7 @@ def _z_free_solve(core, p: RetireParams, grid: RetireGrid, *args) -> RetireSolut
         return np.repeat(a.take([0], axis=axis), n_z, axis=axis)
 
     return replace(
-        sol, z=z_nodes(p, n_z), u=rows(sol.u), y_star=rows(sol.y_star),
+        sol, z=_z_nodes(p, n_z), u=rows(sol.u), y_star=rows(sol.y_star),
         c_star=rows(sol.c_star), retired=rows(sol.retired), xi_retire=rows(sol.xi_retire),
         xi_participate=rows(sol.xi_participate),
         xi_retire_by_age=(None if sol.xi_retire_by_age is None

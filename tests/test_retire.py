@@ -229,13 +229,13 @@ class TestZFreeSolve:
     the step counts, retirement sets, boundaries and z grid are identical,
     u agrees within 1e-12 and the controls within 1e-11."""
 
-    CASES = {
-        "crra": ({}, lambda p, grid: rt.penalty_solve_retire(p, grid),
+    CASES = {  # name: (parameter overrides, public solve, full-grid core)
+        "crra": ({}, rt.penalty_solve_retire,
                  lambda p, grid: rt._solve_stationary(p, grid, rt._Mode(p, False), "crra")),
-        "epstein-zin": ({"eis_psi": 0.5}, lambda p, grid: rt.epstein_zin_solve(p, grid),
+        "epstein-zin": ({"eis_psi": 0.5}, rt.epstein_zin_solve,
                         lambda p, grid: rt._solve_stationary(p, grid, rt._Mode(p, True),
                                                              "epstein-zin")),
-        "power_nu": ({"power_nu": 3.0}, lambda p, grid: rt.penalty_solve_retire(p, grid),
+        "power_nu": ({"power_nu": 3.0}, rt.penalty_solve_retire,
                      lambda p, grid: rt._solve_stationary(p, grid, rt._Mode(p, False), "crra")),
         "finite-horizon": ({"horizon_T": 10.0},
                            lambda p, grid: rt.finite_horizon_solve(p, grid, dt=0.5),
