@@ -121,30 +121,72 @@ class TestSimulateBank:
 
 
 class TestBankPathsPinned:
-    """Every PathBundle array of two filtered runs under Table-B noise but the
-    gap moments, pinned bit for bit: any change to the arithmetic of the path
-    loop or of the continuous filter step shows here.  The equity pins are
-    of the horizon states."""
+    """Every PathBundle array of bank runs, pinned bit for bit: any change to
+    the arithmetic of the path loop, of the continuous filter step or of the
+    order in which the live paths read the draws shows here.  The equity
+    pins are of the horizon states.
+
+    Besides a raw and a controlled run under Table-B noise, the cases cover
+    a start just above the barrier (51 of 64 paths liquidated, 28 of them at
+    step 1), a start on it (every path liquidated at step 0, so no path is left
+    to step), a noiseless run with dividends and completed issuances, and
+    an odd path count."""
 
     FIELDS = ("times", "true_equity", "expected_equity", "debt", "liquidation_time",
-              "dividends_paid", "issuances")
-    CASES = {  # name: (horizon, seed, digests in FIELDS order)
-        "raw": (2.0, 3, ("5103c58a64d135c4", "7e16730590311dc2", "e5b18ef6609eba3f",
-                         "99cb3d6fbd5bebed", "b76c8aea636974cb", "076a27c79e5ace2a",
-                         "076a27c79e5ace2a")),
-        "partial": (5.0, 5, ("84ee6e75d9a4db09", "2fa84c706c769bf6", "a188da5ed7aec413",
-                             "2eceeca9caf814a4", "dd60cf2e8ca6ff8b", "61233b383bb0bf73",
-                             "7bd93742cb8310ca")),
+              "dividends_paid", "issuances", "gap_moments")
+    # name: (policy, x0 - kappa or None for the default start, horizon,
+    #        n_paths, seed, digests in FIELDS order)
+    CASES = {
+        "raw": ("none", None, 2.0, 64, 3, (
+            "5103c58a64d135c4", "7e16730590311dc2", "e5b18ef6609eba3f", "99cb3d6fbd5bebed",
+            "b76c8aea636974cb", "076a27c79e5ace2a", "076a27c79e5ace2a", "a9b05a60fc9e62c6")),
+        "partial": ("line", None, 5.0, 64, 5, (
+            "84ee6e75d9a4db09", "2fa84c706c769bf6", "a188da5ed7aec413", "2eceeca9caf814a4",
+            "dd60cf2e8ca6ff8b", "61233b383bb0bf73", "7bd93742cb8310ca", "76f48aa70e9fb2c6")),
+        "above_barrier": ("line", 0.001, 5.0, 64, 7, (
+            "84ee6e75d9a4db09", "a02d613220e93ee5", "dac11fb0e7a170c8", "2eceeca9caf814a4",
+            "57fc3ba404e1ecdf", "0f881ef4ecd1db64", "e013333c82f7e1c0", "6d5aa5ebd63daa82")),
+        "on_barrier": ("line", 0.0, 2.0, 64, 1, (
+            "5103c58a64d135c4", "b76c8aea636974cb", "b76c8aea636974cb", "99cb3d6fbd5bebed",
+            "076a27c79e5ace2a", "076a27c79e5ace2a", "076a27c79e5ace2a", "39232cccccb66a6c")),
+        "noiseless": ("full", None, 10.0, 64, 2, (
+            "e30579e9a3e508eb", "5a8f6711f56f5ed9", "5a8f6711f56f5ed9", "da727e2fa83bf2a0",
+            "702dd1f160102176", "887b6af7a5ccffc1", "0fab8ff176e407c7", "53cfed915146a7aa")),
+        "odd_paths": ("line", None, 5.0, 63, 5, (
+            "84ee6e75d9a4db09", "0c44f7e1e5a8e4bb", "8901c06ac316f542", "2eceeca9caf814a4",
+            "e0a463adcc37b7c0", "98e32c22bb86103e", "6b26569946060a07", "56069420879d87f0")),
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_fields_pinned_exactly(self, case, table_b_small):
-        horizon, seed, digests = self.CASES[case]
-        p = table_bank_params()
-        policy = table_b_small.full_line if case == "partial" else None
-        bundle = sim.simulate_bank(p, policy, horizon, 64, p.delay_Delta / 8, seed)
+    def test_fields_pinned_exactly(self, case, table_b_small, fig_solution):
+        kind, above, horizon, n_paths, seed, digests = self.CASES[case]
+        p, policy = table_bank_params(), table_b_small.full_line
+        if kind == "none":
+            policy = None
+        elif kind == "full":
+            p, policy = fig_bank_params(), fig_solution
+        x0 = None if above is None else policy.kappa + above
+        bundle = sim.simulate_bank(p, policy, horizon, n_paths, p.delay_Delta / 8, seed, x0=x0)
         assert tuple(digest(getattr(bundle, f)) for f in self.FIELDS) == digests
         assert (bundle.dividend_in_delay, bundle.seed, bundle.dt) == (0, seed, 0.0625)
+
+    def test_cases_reach_what_they_cover(self, table_b_small, fig_solution):
+        p, line = table_bank_params(), table_b_small.full_line
+        dt = p.delay_Delta / 8
+
+        def liquidated(bundle):
+            return ~np.isnan(bundle.liquidation_time)
+
+        above = sim.simulate_bank(p, line, 5.0, 64, dt, 7, x0=line.kappa + 0.001)
+        assert liquidated(above).sum() == 51
+        assert np.count_nonzero(above.liquidation_time == dt) == 28
+        on = sim.simulate_bank(p, line, 2.0, 64, dt, 1, x0=line.kappa)
+        assert np.array_equal(on.liquidation_time, np.zeros(64))
+        assert np.all(np.isnan(on.true_equity)) and not on.gap_moments[:, 1:].any()
+        fp = fig_bank_params()
+        noiseless = sim.simulate_bank(fp, fig_solution, 10.0, 64, dt, 2)
+        assert noiseless.dividends_paid.min() >= 0 and np.count_nonzero(noiseless.dividends_paid)
+        assert noiseless.issuances.sum() > 0 and liquidated(noiseless).any()
 
     def test_partial_solution_rejected_naming_its_type(self, table_b_small):
         # the paths run the invariant line's policy, table_b_small.full_line
