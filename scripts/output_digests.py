@@ -12,7 +12,11 @@ checkout come from the same workloads with that checkout's ``src``:
     PYTHONPATH=src python scripts/output_digests.py --workload bank-pde --seed 0
     PYTHONPATH=../other/src python scripts/output_digests.py --workload bank-pde --seed 0
 
-Two checkouts that print the same object write the same bytes.
+Two checkouts that print the same object write the same bytes.  ``--op``
+(repeatable) digests only the named operations, so a check of one engine
+skips the others' runs:
+
+    PYTHONPATH=src python scripts/output_digests.py --workload paths --op simulate_bank
 """
 
 import argparse
@@ -33,11 +37,14 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def digests(workload: str, seed: int) -> dict:
-    """{op name: {"<call>/<file>": sha256}} for every operation of the workload."""
+def digests(workload: str, seed: int, ops=None) -> dict:
+    """{op name: {"<call>/<file>": sha256}} for every operation of the workload,
+    or for those whose names are in ``ops``."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for op in workloads.build(workload, seed):
+            if ops is not None and op.name not in ops:
+                continue
             files = {}
             for k, (cfg, cli_seed) in enumerate(op.calls):
                 call_dir = os.path.join(tmp, op.name, str(k))
@@ -54,9 +61,12 @@ def main(argv=None):
     ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
                     help="workload to run (repeatable; default: all three)")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--op", action="append", choices=workloads.OPS,
+                    help="operation to digest (repeatable; default: every one)")
     args = ap.parse_args(argv)
     names = args.workload or list(workloads.WORKLOADS)
-    print(json.dumps({w: digests(w, args.seed) for w in names}, indent=2, sort_keys=True))
+    print(json.dumps({w: digests(w, args.seed, args.op) for w in names},
+                     indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":
