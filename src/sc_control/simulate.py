@@ -7,10 +7,16 @@ dividend/issuance/liquidation rules with the execution-delay bookkeeping
 variance s_inf, a fixed point of the Riccati flow, so S_t = s_inf and the
 policy is the fully observed one under (kappa1, omega1), with the regulator
 stop at X_hat <= kappa1.  With zero accounting noise the filter is bypassed
-and the expected path coincides with the true one.  No path matrix is kept:
-a run returns the states at the horizon and, for each step, the count, mean
-and sum of squared deviations of the live paths' log asset gap, from which
-the tracking error is merged.  Memory is O(n_paths + n_steps).
+and the expected path coincides with the true one.  Only the live paths are
+stepped: their ids and states sit in arrays kept in ascending path order and
+compacted at each step where some path is liquidated, and the per-path
+results are written back through the ids.  Every step still draws both
+normals for all ``n_paths`` paths and a live path reads its own column, so
+the draw stream and every output are those of a loop over all paths; the
+loop stops once no path is live.  No path matrix is kept: a run returns the
+states at the horizon and, for each step, the count, mean and sum of squared
+deviations of the live paths' log asset gap, from which the tracking error
+is merged.  Memory is O(n_paths + n_steps).
 
 Retirement paths: (W, I, Z) under the cointegrated dynamics with Poisson
 income jumps, feedback controls interpolated from a solved surface, stopping
@@ -131,90 +137,95 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
     noiseless = p.noise_m == 0.0
     S = p.s_infinity  # every path starts on the invariant line and stays there
 
-    # states per path
     if x0 is None:
         x0 = u2b  # start at the dividend barrier
         if not np.isfinite(x0):
             x0 = p.kappa_min + 0.05
     D0 = 1.0
     debt = D0 * np.exp(p.mu * times)
+    delay_steps = int(round(p.delay_Delta / dt))
+    # per-path results, written through the live paths' ids
+    liq_time = np.full(n_paths, np.nan)
+    divs = np.zeros(n_paths)
+    n_issue = np.zeros(n_paths, dtype=int)
+    true_equity = np.full(n_paths, np.nan)
+    expected_equity = np.full(n_paths, np.nan)
+    viol = 0
+    gap_moments = np.zeros((3, n_steps + 1))
+    # the live paths: their ids (ascending) and states
+    ids = np.arange(n_paths)
     M = np.zeros(n_paths)             # true log assets (without controls)
     M_hat = np.zeros(n_paths)         # filtered
     E = np.full(n_paths, x0 * D0)     # true equity with controls
     E_hat = np.full(n_paths, x0 * D0)
-    alive = np.ones(n_paths, bool)
     pend_step = np.full(n_paths, -1, dtype=np.int64)  # completion step index
-    delay_steps = int(round(p.delay_Delta / dt))
-    liq_time = np.full(n_paths, np.nan)
-    divs = np.zeros(n_paths)
-    n_issue = np.zeros(n_paths, dtype=int)
-    viol = 0
-    gap_moments = np.zeros((3, n_steps + 1))
 
-    def record_gap(k, live):
+    def record_gap(k):
         """Column k of gap_moments from the live paths' states at step k."""
-        g = np.log(E[live] + debt[k]) - np.log(E_hat[live] + debt[k])
-        if g.size:
-            mean = g.mean()
-            gap_moments[:, k] = g.size, mean, np.square(g - mean).sum()
+        g = np.log(E + debt[k]) - np.log(E_hat + debt[k])
+        mean = g.mean()
+        gap_moments[:, k] = g.size, mean, np.square(g - mean).sum()
 
-    record_gap(0, alive)
+    record_gap(0)
 
     sqdt = math.sqrt(dt)
     rho_c = math.sqrt(max(0.0, 1.0 - p.rho**2))
     for k in range(n_steps):
         t = times[k]
         Dk = debt[k]
-        a = alive
 
         # policy at the step's start (hysteresis: act when strictly inside)
         X_hat = E_hat / Dk
-        liq = a & (X_hat <= Ib)
+        liq = X_hat <= Ib
         if liq.any():
-            liq_time[liq] = t
-            alive[liq] = False
-            a = alive
-        free = a & (pend_step < 0)
+            liq_time[ids[liq]] = t
+            keep = ~liq
+            ids, M, M_hat, E, E_hat, pend_step, X_hat = (
+                v[keep] for v in (ids, M, M_hat, E, E_hat, pend_step, X_hat))
+            if ids.size == 0:
+                break  # no path is left to step
+        free = pend_step < 0
         div = free & (X_hat > u2b)
         if div.any():
             viol += int(np.count_nonzero(div & (pend_step >= 0)))
             amount = (X_hat[div] - u2b) * Dk
-            divs[div] += amount
+            divs[ids[div]] += amount
             E_hat[div] -= amount
             E[div] -= amount
         order = free & ~div & (E_hat / Dk <= u1b)
         pend_step[order] = k + delay_steps
 
         # issuance completion at the step's start
-        comp = a & (pend_step == k)
+        comp = pend_step == k
         if comp.any():
             top = np.maximum(u2b * Dk - E_hat[comp], 0.0)
             E_hat[comp] += top
             E[comp] += top
-            n_issue[comp] += 1
+            n_issue[ids[comp]] += 1
             pend_step[comp] = -1
 
-        # shocks
-        zw = rng.standard_normal(n_paths)
-        zb = p.rho * zw + rho_c * rng.standard_normal(n_paths)
+        # shocks: every step draws both normals for all n_paths paths, so the
+        # stream does not depend on the liquidations; path j reads column j
+        zw = rng.standard_normal(n_paths)[ids]
+        zb = p.rho * zw + rho_c * rng.standard_normal(n_paths)[ids]
         dW = sqdt * zw
         dB = sqdt * zb
         dM = (p.alpha - 0.5 * p.sigma**2) * dt + p.sigma * dW
         # equity dynamics (true and filtered)
-        E[a] += (p.alpha * E[a] + (p.alpha - p.mu) * Dk) * dt \
-            + (E[a] + Dk) * p.sigma * dW[a]
+        E += (p.alpha * E + (p.alpha - p.mu) * Dk) * dt + (E + Dk) * p.sigma * dW
         if noiseless:
-            E_hat = E.copy()
+            E_hat = E.copy()  # dividends and top-ups write to both
         else:
             dZ = M * dt + p.noise_m * dB  # signal increment from the true level
             M_hat, innovation = kalman_step_continuous(M_hat, S, dZ, dt, p)
-            E_hat[a] += (p.alpha * E_hat[a] + (p.alpha - p.mu) * Dk) * dt \
-                + (E_hat[a] + Dk) * filter_gain(S, p) * innovation[a]
+            E_hat += (p.alpha * E_hat + (p.alpha - p.mu) * Dk) * dt \
+                + (E_hat + Dk) * filter_gain(S, p) * innovation
         M = M + dM
-        record_gap(k + 1, a)
+        record_gap(k + 1)
+    true_equity[ids] = E
+    expected_equity[ids] = E_hat
 
-    return PathBundle(times=times, true_equity=np.where(alive, E, np.nan),
-                      expected_equity=np.where(alive, E_hat, np.nan),
+    return PathBundle(times=times, true_equity=true_equity, expected_equity=expected_equity,
                       gap_moments=gap_moments, debt=debt, liquidation_time=liq_time,
                       dividends_paid=divs, issuances=n_issue, dividend_in_delay=viol,
                       seed=seed, dt=dt)
