@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, bank_full, bank_partial, calibrate, filtering, panel, retire, simulate
-from .errors import ScControlError, ValidationError
+from .errors import NoConvergence, ScControlError, ValidationError
 from .interp import cell, lerp
 from .params import BankGrid, BankParams, RetireGrid, RetireParams, check_fields, from_dict
 
@@ -210,11 +210,21 @@ def _retire_csvs(sol, out_dir):
                                         sol.params.r)])
 
 
+def _check_stalls(sol, args, name):
+    """Under --strict, raise NoConvergence for a stationary retire solve with
+    stalled penalty stages: those ended on a limit cycle, not on the stage
+    tolerance."""
+    if args.strict and sol.stalled_stages:
+        raise NoConvergence(f"{name}: {sol.stalled_stages} penalty stage(s) of the "
+                            f"{sol.mode} solve stalled for 25 steps", residual=sol.residual)
+
+
 def _cmd_solve_retire(cfg, args, out_dir, solver="penalty_solve_retire"):
     """solve-retire, and solve-retire-ez with solver="epstein_zin_solve"."""
     # the solver is looked up by name on each call, so a wrapper placed on
     # the module attribute (a tracer, a test double) sees the call
     sol = getattr(retire, solver)(_retire_params(cfg), _retire_grid(cfg))
+    _check_stalls(sol, args, "solve")
     _retire_csvs(sol, out_dir)
     return {"threshold_w_over_I": sol.wealth_threshold(),
             "participation_target": sol.participation_target(),
@@ -262,8 +272,10 @@ def _cmd_simulate_retire(cfg, args, out_dir):
            "n_paths": cfg.get("n_paths", 10000), "dt": cfg.get("dt", 0.05)}
     simulate.check_run_settings(**run)  # before the two solves, not after them
     policy = retire.penalty_solve_retire(p, grid)
+    _check_stalls(policy, args, "policy")
     bench_params = dataclasses.replace(p, mean_reversion=0.0)
     bench = retire.penalty_solve_retire(bench_params, grid)
+    _check_stalls(bench, args, "benchmark")
     ours, dl = simulate.simulate_retirement(p, policy, bench, **run, seed=args.seed)
     return {
         "policy": vars(ours),

@@ -149,6 +149,9 @@ class RetireParams:
         if self.sigma_z is None:
             # zero instantaneous stock/income correlation (the calibrated case)
             object.__setattr__(self, "sigma_z", self.sigma_stock)
+        if not (finite_number(self.sigma_z) and self.sigma_z > 0.0):
+            # the z grid spans z_bar +- 8 sigma_z
+            raise ValidationError(f"sigma_z={self.sigma_z!r} must be a finite number > 0")
         theta = (self.mu_stock - self.r) / self.sigma_stock
         k_bar = self.beta / self.gamma - (1.0 - self.gamma) / self.gamma * (
             self.r + theta**2 / (2.0 * self.gamma)

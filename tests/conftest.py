@@ -23,6 +23,24 @@ def digest(values) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
+def stalling_stepper(penalties, mean_reversions=None):
+    """A retire stepper that settles at once, except in the pseudo-time steps
+    of the stages whose penalty is in ``penalties`` (of the problems whose
+    mean_reversion is in ``mean_reversions``; None: of every problem).
+    Those move u by 1e-3*dt, a residual of 1e-3 at every step, so each such
+    stage stalls."""
+
+    class Stalling(retire._RetireStepper):
+        def step(self, u, dt_inv, rho_pen):
+            zero = np.zeros_like(u)
+            if dt_inv > 0.01 and rho_pen in penalties and (
+                    mean_reversions is None or self.p.mean_reversion in mean_reversions):
+                return u + 1e-3 / dt_inv, zero, zero
+            return u, zero, zero
+
+    return Stalling
+
+
 def fig_bank_params() -> BankParams:
     """Fully observed figure calibration."""
     return BankParams(mu=0.1052, alpha=0.1159, sigma=0.0311, delta=0.2330,

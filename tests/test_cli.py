@@ -13,8 +13,10 @@ import pytest
 import scipy
 
 from sc_control import bank_full, bank_partial, cli, filtering, panel, retire
-from sc_control.errors import ValidationError
+from sc_control.errors import NoConvergence, ValidationError
 from sc_control.params import BankParams, RetireGrid, RetireParams, from_dict
+
+from conftest import stalling_stepper
 
 TOY_CSV = """bank_id,quarter,total_assets,tier1_equity,dividends,equity_issuance,market_equity
 b1,1999-Q3,100.0,10.0,0.5,0.0,12.0
@@ -564,6 +566,39 @@ class TestCliSolverHandlers:
         err = json.loads((out_dir / "error.json").read_text())
         assert err["error"] == "ValidationError"
         assert err["message"].startswith(f"field {field} ")
+        assert not (out_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize("subcommand, extra, stalls_in, name", [
+        ("solve-retire", {}, None, "solve"),
+        ("solve-retire-ez", {"eis_psi": 0.5}, None, "solve"),
+        ("simulate-retire", {}, (0.15,), "policy"),
+        ("simulate-retire", {}, (0.0,), "benchmark")])
+    def test_stalled_stage_raises_under_strict_only(self, tmp_path, monkeypatch, subcommand,
+                                                    extra, stalls_in, name):
+        cfg = {"retire_params": {**self.RET, **extra}, "grid": {"n_x": 11, "n_y": 5}}
+        if subcommand == "simulate-retire":
+            cfg.update(n_paths=20, dt=0.5)
+        monkeypatch.setattr(retire, "_RetireStepper", stalling_stepper((1e4,), stalls_in))
+        with pytest.raises(NoConvergence, match=f"^{name}: 1 penalty stage"):
+            cli.run(subcommand, cfg, str(tmp_path / "strict"), strict=True)
+        assert not (tmp_path / "strict" / "summary.json").exists()
+        keys = {"simulate-retire": {"policy", "benchmark", "threshold_policy",
+                                    "threshold_benchmark"}}.get(
+            subcommand, {"threshold_w_over_I", "participation_target", "iterations", "residual"})
+        assert set(cli.run(subcommand, cfg, str(tmp_path / "lax"))) == keys
+        # nothing stalled: --strict passes
+        monkeypatch.setattr(retire, "_RetireStepper", stalling_stepper(()))
+        assert set(cli.run(subcommand, cfg, str(tmp_path / "ok"), strict=True)) == keys
+
+    @pytest.mark.parametrize("sigma_z", [0.0, math.nan, -0.18])
+    def test_unusable_sigma_z_exits_1_naming_it(self, tmp_path, sigma_z):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"retire_params": {**self.RET, "sigma_z": sigma_z},
+                                        "grid": {"n_x": 21, "n_y": 15}}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["solve-retire", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError" and "sigma_z" in err["message"]
         assert not (out_dir / "summary.json").exists()
 
     @pytest.mark.parametrize("subcommand", ["solve-bank-full", "solve-bank-partial"])

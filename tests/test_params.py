@@ -45,6 +45,13 @@ def test_leisure_preference_must_exceed_one():
         baseline_retire_params(B=1.0)
 
 
+@pytest.mark.parametrize("sigma_z", [0.0, math.nan, -0.18])
+def test_unusable_sigma_z_rejected_naming_it(sigma_z):
+    # the z grid spans z_bar +- 8 sigma_z: empty, undefined or reversed here
+    with pytest.raises(ValidationError, match=r"^sigma_z=.* must be a finite number > 0"):
+        baseline_retire_params(sigma_z=sigma_z)
+
+
 def test_negative_merton_constant_rejected():
     with pytest.raises(NegativeMertonConstant):
         baseline_retire_params(gamma=0.05, beta=0.001, mu_stock=2.0, sigma_stock=0.2)

@@ -13,7 +13,7 @@ from sc_control import retire as rt
 from sc_control.errors import NoConvergence, OutsideWorkRegion, ValidationError
 from sc_control.params import RetireGrid
 
-from conftest import baseline_retire_params
+from conftest import baseline_retire_params, stalling_stepper
 
 
 class TestMertonConstants:
@@ -196,18 +196,7 @@ class TestStalledStages:
 
     @staticmethod
     def solve(monkeypatch, stalling):
-        class Stalling(rt._RetireStepper):
-            """Settles at once, except in the pseudo-time steps of the stages
-            whose penalty is in ``stalling``: those move u by 1e-3*dt, a
-            residual of 1e-3 at every step."""
-
-            def step(self, u, dt_inv, rho_pen):
-                zero = np.zeros_like(u)
-                if dt_inv > 0.01 and rho_pen in stalling:
-                    return u + 1e-3 / dt_inv, zero, zero
-                return u, zero, zero
-
-        monkeypatch.setattr(rt, "_RetireStepper", Stalling)
+        monkeypatch.setattr(rt, "_RetireStepper", stalling_stepper(stalling))
         return rt.penalty_solve_retire(baseline_retire_params(), RetireGrid(n_x=11, n_y=5))
 
     @pytest.mark.parametrize("stalling", [(), (1e4,), (1e3, 1e5)])
