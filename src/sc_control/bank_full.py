@@ -123,23 +123,11 @@ def candidate_value_f2(X, u2: float, roots):
     return out if np.ndim(X) else float(out)
 
 
-def hitting_cdf(X, t: float, p: BankParams, kappa: float | None = None):
-    """P[first passage of X to kappa <= t | X_0 = X] (reflection principle)."""
-    ctx = _Ctx(p, kappa=kappa)
-    X = np.asarray(X, dtype=float)
-    if np.any(X < ctx.kappa):
-        raise ValidationError("X must be >= kappa")
-    if t <= 0.0:
-        raise ValidationError("t must be > 0")
-    d = np.log((1.0 + X) / (1.0 + ctx.kappa))
-    sq = ctx.sigma * math.sqrt(t)
-    out = 1.0 - ndtr((d + ctx.mum * t) / sq) \
-        + np.exp(-2.0 * ctx.mum * d / ctx.s2) * ndtr((-d + ctx.mum * t) / sq)
-    return out if out.ndim else float(out)
-
-
 def hitting_cdf_dX(X, t: float, p: BankParams, kappa: float | None = None):
-    """Analytic d/dX of the first-passage CDF."""
+    """Analytic d/dX of the first-passage CDF P[tau <= t | X_0 = X] of X to
+    kappa, 1 - Phi((d + mu_- t)/(sigma sqrt t)) + e^{-2 mu_- d/sigma^2}
+    Phi((-d + mu_- t)/(sigma sqrt t)) with d = ln((1+X)/(1+kappa)) (reflection
+    principle)."""
     ctx = _Ctx(p, kappa=kappa)
     X = np.asarray(X, dtype=float)
     d = np.log((1.0 + X) / (1.0 + ctx.kappa))
@@ -153,13 +141,8 @@ def hitting_cdf_dX(X, t: float, p: BankParams, kappa: float | None = None):
     return out if out.ndim else float(out)
 
 
-def hitting_density(X, t, p: BankParams, kappa: float | None = None):
-    """Analytic dp/dt: first-passage density of the log ratio."""
-    ctx = _Ctx(p, kappa=kappa)
-    return _hitting_density(ctx, X, t)
-
-
 def _hitting_density(ctx: _Ctx, X, t):
+    """Analytic dp/dt: first-passage density of the log ratio."""
     X = np.asarray(X, dtype=float)
     t = np.asarray(t, dtype=float)
     d = np.log((1.0 + X) / (1.0 + ctx.kappa))
@@ -195,13 +178,6 @@ def _hit_factor(ctx: _Ctx, X) -> np.ndarray:
             raise QuadratureFailure(f"hit integral error estimate {err:.2e}")
         out[live] = val
     return out
-
-
-def delayed_value_H(X, u2: float, p: BankParams,
-                    kappa: float | None = None, omega: float | None = None):
-    """Value at order time of an equity issuance completing after Delta."""
-    ctx = _Ctx(p, kappa=kappa, omega=omega)
-    return _H(ctx, X, u2)
 
 
 def _H(ctx: _Ctx, X, u2: float):
@@ -446,18 +422,3 @@ def optimal_action(X: float, sol: FullSolution) -> Action:
     if X >= sol.u2:
         return Action("pay_dividend", amount=X - sol.u2)
     return Action("wait")
-
-
-def hjb_residual(sol: FullSolution, X):
-    """(L0 V)(X) on the interior branch, analytic derivatives of f1."""
-    ctx = _Ctx(sol.params, kappa=sol.kappa, omega=sol.omega)
-    roots = (sol.lambda_minus, sol.lambda_plus)
-    X = np.asarray(X, dtype=float)
-    lam_m, lam_p = roots
-    u2 = sol.u2
-    V = candidate_value_f1(X, u2, roots)
-    Vx = candidate_value_f1_dX(X, u2, roots)
-    Vxx = (lam_p - 1.0) * (lam_m - 1.0) * (1.0 + X) ** (lam_m - 2.0) / ((lam_p - lam_m) * (1.0 + u2) ** (lam_m - 1.0)) \
-        - (lam_m - 1.0) * (lam_p - 1.0) * (1.0 + X) ** (lam_p - 2.0) / ((lam_p - lam_m) * (1.0 + u2) ** (lam_p - 1.0))
-    return 0.5 * ctx.s2 * (1.0 + X) ** 2 * Vxx + (ctx.alpha - ctx.mu) * (1.0 + X) * Vx \
-        - (ctx.delta - ctx.mu) * V

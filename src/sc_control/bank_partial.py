@@ -404,14 +404,6 @@ def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
     return u
 
 
-def impulse_operator(sol: PartialSolution, start) -> float:
-    """P V at a single point of a solved surface."""
-    x0, s0 = start
-    sp = _SliceProblem(sol.params, sol.xs)
-    vals = _impulse_slice(sp, float(s0), sol.value)
-    return float(np.interp(x0, sol.xs, vals))
-
-
 def _line_data(p: BankParams, xs: np.ndarray):
     """(full_line, V on the invariant line at the nodes xs).
 

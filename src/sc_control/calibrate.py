@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCloud, DegenerateRegressor, ValidationError
+from .errors import DegenerateCloud, ValidationError
 from .filtering import as_series, log_likelihood
 
 # keep 1 + sigma*rho/m away from the singular curve after jittering
@@ -202,19 +202,3 @@ def estimate_theta(series, cfg: PfConfig) -> dict:
         "seed": cfg.seed,
     }
 
-
-def ols_fit(x, y) -> dict:
-    """Least-squares fit y = a + b*x with R^2 (normal equations)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 3:
-        raise ValidationError("need matching vectors of length >= 3")
-    vx = np.var(x)
-    if vx == 0.0:
-        raise DegenerateRegressor("var(x) = 0")
-    b = float(np.cov(x, y, bias=True)[0, 1] / vx)
-    a = float(np.mean(y) - b * np.mean(x))
-    resid = y - a - b * x
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0.0 else 0.0
-    return {"a": a, "b": b, "r_squared": r2}

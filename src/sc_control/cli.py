@@ -135,7 +135,9 @@ def _cmd_calibrate(cfg, args, out_dir):
             raise ValidationError(
                 f"panel {cfg['panel_csv']!r} has no usable bank: {len(diagnostics)} rows or "
                 f"banks rejected" + "".join(f"; {d}" for d in diagnostics[:3]))
-        bank_id = cfg.get("bank_id") or sorted(banks)[0]
+        bank_id = cfg["bank_id"] if "bank_id" in cfg else sorted(banks)[0]
+        if not isinstance(bank_id, str):
+            raise ValidationError(f"bank_id={bank_id!r} must be a string")
         if bank_id not in banks:
             raise ValidationError(f"bank {bank_id!r} not in panel")
         series = banks[bank_id]["log_total_assets"]
@@ -226,6 +228,9 @@ def _cmd_solve_retire(cfg, args, out_dir, solver="penalty_solve_retire"):
     sol = getattr(retire, solver)(_retire_params(cfg), _retire_grid(cfg))
     _check_stalls(sol, args, "solve")
     _retire_csvs(sol, out_dir)
+    w, mpc = retire.mpc_curve(sol)
+    _write_csv(out_dir, "mpc.csv", ["w_over_I", "mpc", "human_capital_per_income"],
+               [w, mpc, retire.implicit_human_capital(sol, w, 1.0, 0.0)])
     return {"threshold_w_over_I": sol.wealth_threshold(),
             "participation_target": sol.participation_target(),
             "iterations": sol.iterations, "residual": sol.residual}

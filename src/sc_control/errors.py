@@ -33,10 +33,6 @@ class DegenerateCloud(ScControlError):
     """All particle weights underflowed; restart with a wider jitter."""
 
 
-class DegenerateRegressor(ScControlError):
-    """Regressor has zero variance."""
-
-
 class NoBracket(ScControlError):
     """Root bracketing failed (precondition violated)."""
 
@@ -56,6 +52,3 @@ class NoConvergence(ScControlError):
         super().__init__(message)
         self.residual = residual
 
-
-class OutsideWorkRegion(ScControlError):
-    """Requested point lies in the retirement region."""

@@ -227,15 +227,6 @@ def simulate_signal_series(theta, n: int, seed: int, m0: float = 0.0):
     return M, Mac
 
 
-def series_to_csv(path, series) -> None:
-    """Write a series as the two-column CSV (k, value)."""
-    series = np.asarray(series, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,value\n")
-        for k, val in enumerate(series):
-            fh.write(f"{k},{float(val)!r}\n")
-
-
 def series_from_csv(path) -> np.ndarray:
     """Read a (k, value) CSV back into an array ordered by k."""
     # a single data row reads as a 0-d record

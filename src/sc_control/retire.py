@@ -77,7 +77,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import NoConvergence, OutsideWorkRegion, ValidationError
+from .errors import NoConvergence, ValidationError
 from .interp import cell, lerp
 from .params import RetireGrid, RetireParams, finite_number
 
@@ -119,15 +119,6 @@ class IncomeJumpSpec:
         if p.power_nu is not None:
             return cls.power(p.power_nu)
         return cls.fixed(p.recovery)
-
-
-def merton_constants(p: RetireParams) -> dict:
-    """Sharpe ratio, Merton consumption rate, post-retirement coefficient."""
-    return {
-        "theta": p.theta,
-        "K_bar": p.K_bar,
-        "G_coefficient": p.B ** (1.0 - p.gamma) * p.K_bar ** (-p.gamma) / (1.0 - p.gamma),
-    }
 
 
 def retirement_obstacle(xi, p: RetireParams):
@@ -201,6 +192,8 @@ class _Mode:
         self.psi, self.ipsi, self.k = p.eis_psi, 1.0 / p.eis_psi, p.k_bar_psi()
 
     def consumption(self, u, one_minus_xiu):
+        """The consumption that solves the first-order condition
+        K^{1/psi} e^{-(1-1/psi)u} c^{-1/psi} = 1 - xi u_xi."""
         base = np.maximum(one_minus_xiu, 1e-12)
         return self.k * np.exp((1.0 - self.psi) * u) * base ** (-self.psi)
 
@@ -210,11 +203,6 @@ class _Mode:
         ipsi = self.ipsi
         return self.k**ipsi / (1.0 - ipsi) * np.exp(-(1.0 - ipsi) * u) \
             * c ** (1.0 - ipsi) - self.beta / (1.0 - ipsi)
-
-    def foc_residual(self, u, c, one_minus_xiu):
-        """Per-node consumption first-order-condition residual."""
-        base = np.maximum(one_minus_xiu, 1e-12)
-        return self.k**self.ipsi * np.exp(-(1.0 - self.ipsi) * u) * c ** (-self.ipsi) - base
 
 
 def _z_nodes(p: RetireParams, n_y: int) -> np.ndarray:
@@ -589,19 +577,18 @@ def _solve_finite(p: RetireParams, grid: RetireGrid, dt: float) -> RetireSolutio
     )
 
 
-def implicit_human_capital(sol: RetireSolution, w: float, income: float,
-                           z: float) -> float:
-    """V_I / V_w = (1/r)(1 + (1-xi) u_xi) / (1 - xi u_xi) in the work region."""
+def implicit_human_capital(sol: RetireSolution, w, income: float, z: float):
+    """V_I / V_w = (1/r)(1 + (1-xi) u_xi) / (1 - xi u_xi) at each wealth w
+    along the z-slice, nan where w/I is at or above the threshold w*/I."""
     p = sol.params
-    xi = float(xi_of_wealth(w / income, p.r))
-    xi_star = float(np.interp(z, sol.z, sol.xi_retire))
-    if xi <= xi_star:
-        raise OutsideWorkRegion(f"(w/I={w / income:.3g}, z={z:.3g}) is retired")
+    xi = xi_of_wealth(np.asarray(w, dtype=float) / income, p.r)
     h = sol.xi[1] - sol.xi[0]
-    i = int(np.clip(np.searchsorted(sol.xi, xi), 1, sol.xi.size - 2))
+    i = np.clip(np.searchsorted(sol.xi, xi), 1, sol.xi.size - 2)
     # central differences in xi on every z row, blended across z's cell
-    u_xi = float(lerp((sol.u[:, i + 1] - sol.u[:, i - 1]) / (2.0 * h), *cell(sol.z, z)))
-    return (1.0 + (1.0 - xi) * u_xi) / (p.r * max(1.0 - xi * u_xi, 1e-12))
+    u_xi = lerp(((sol.u[:, i + 1] - sol.u[:, i - 1]) / (2.0 * h)).T, *cell(sol.z, z))
+    out = (1.0 + (1.0 - xi) * u_xi) / (p.r * np.maximum(1.0 - xi * u_xi, 1e-12))
+    out = np.where(xi <= np.interp(z, sol.z, sol.xi_retire), np.nan, out)
+    return out if out.ndim else float(out)
 
 
 def mpc_curve(sol: RetireSolution, z_val: float = 0.0, w_grid=None):

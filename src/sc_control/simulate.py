@@ -6,11 +6,12 @@ dividend/issuance/liquidation rules with the execution-delay bookkeeping
 (no dividends while an issuance is pending).  Paths start at the invariant
 variance s_inf, a fixed point of the Riccati flow, so S_t = s_inf and the
 policy is the fully observed one under (kappa1, omega1), with the regulator
-stop at X_hat <= kappa1.  With zero accounting noise the filter is bypassed
-and the expected path coincides with the true one.  Only the live paths are
-stepped: their ids and states sit in arrays kept in ascending path order and
-compacted at each step where some path is liquidated, and the per-path
-results are written back through the ids.  Every step still draws both
+stop at X_hat <= kappa1.  With zero accounting noise the filter is bypassed,
+the expected path coincides with the true one, and the log assets that
+drive the signal are not stepped.  Only the live paths are stepped: their
+ids and states sit in arrays kept in ascending path order and compacted at
+each step where some path is liquidated, and the per-path results are
+written back through the ids.  Every step still draws both
 normals for all ``n_paths`` paths and a live path reads its own column, so
 the draw stream and every output are those of a loop over all paths; the
 loop stops once no path is live.  No path matrix is kept: a run returns the
@@ -154,7 +155,7 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
     gap_moments = np.zeros((3, n_steps + 1))
     # the live paths: their ids (ascending) and states
     ids = np.arange(n_paths)
-    M = np.zeros(n_paths)             # true log assets (without controls)
+    M = np.zeros(n_paths)             # true log assets (without controls), for the filter
     M_hat = np.zeros(n_paths)         # filtered
     E = np.full(n_paths, x0 * D0)     # true equity with controls
     E_hat = np.full(n_paths, x0 * D0)
@@ -207,20 +208,19 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
         # shocks: every step draws both normals for all n_paths paths, so the
         # stream does not depend on the liquidations; path j reads column j
         zw = rng.standard_normal(n_paths)[ids]
-        zb = p.rho * zw + rho_c * rng.standard_normal(n_paths)[ids]
+        zb = rng.standard_normal(n_paths)  # read by the filter only
         dW = sqdt * zw
-        dB = sqdt * zb
-        dM = (p.alpha - 0.5 * p.sigma**2) * dt + p.sigma * dW
         # equity dynamics (true and filtered)
         E += (p.alpha * E + (p.alpha - p.mu) * Dk) * dt + (E + Dk) * p.sigma * dW
         if noiseless:
             E_hat = E.copy()  # dividends and top-ups write to both
         else:
+            dB = sqdt * (p.rho * zw + rho_c * zb[ids])
             dZ = M * dt + p.noise_m * dB  # signal increment from the true level
             M_hat, innovation = kalman_step_continuous(M_hat, S, dZ, dt, p)
             E_hat += (p.alpha * E_hat + (p.alpha - p.mu) * Dk) * dt \
                 + (E_hat + Dk) * filter_gain(S, p) * innovation
-        M = M + dM
+            M = M + ((p.alpha - 0.5 * p.sigma**2) * dt + p.sigma * dW)
         record_gap(k + 1)
     true_equity[ids] = E
     expected_equity[ids] = E_hat
@@ -241,28 +241,17 @@ def simulate_retirement(p: RetireParams, policy: RetireSolution,
     controls ignore z.  The two sides advance in lockstep on one stream of
     draws, so path j of either side sees the same shocks, jumps and (under
     ``power_nu``) recovery factors: common random numbers, with or without
-    ``power_nu``.  Each side equals its lone :func:`simulate_policy` run.
-    Both solutions must share their xi and z grids; a pair that does not
-    raises ValidationError naming the axis.
+    ``power_nu``.  Every step draws the two Brownian shocks and the jump
+    indicators for all ``n_paths`` paths (retired ones included), then,
+    under ``power_nu`` and only at a step where some indicator is set, a
+    recovery uniform for every path.  The draws thus depend only on
+    ``(seed, dt, n_paths, p)``, never on the policies, so each side's stats
+    equal those of a race of that side alone.  Retired paths stop; times are
+    capped at RETIRE_TIME_CAP.  Both solutions must share their xi and z
+    grids; a pair that does not raises ValidationError naming the axis.
     """
     ours, bench = _race(p, (policy, benchmark), start_w_over_i, n_paths, dt, seed)
     return ours, replace(bench, policy="benchmark")
-
-
-def simulate_policy(p: RetireParams, sol: RetireSolution, start_w_over_i: float,
-                    n_paths: int, dt: float, seed: int) -> RetireStats:
-    """Retirement timing of one solved policy in the world ``p``.
-
-    Every step draws the two Brownian shocks and the jump indicators for all
-    ``n_paths`` paths (retired ones included), then, under ``power_nu`` and
-    only at a step where some indicator is set, a recovery uniform for every
-    path.  The draws thus depend only on ``(seed, dt, n_paths, p)``, never
-    on the policy.  Retired paths stop; times are capped at
-    RETIRE_TIME_CAP.  This is the one-policy case of the race that
-    :func:`simulate_retirement` runs.
-    """
-    (stats,) = _race(p, (sol,), start_w_over_i, n_paths, dt, seed)
-    return stats
 
 
 def _shared_axes(sols):

@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sc_control import bank_partial, retire
+from sc_control import bank_partial, retire, simulate
 from sc_control.params import BankParams, RetireParams
 
 
@@ -21,6 +21,12 @@ def digest(values) -> str:
     digest fixes every entry of an output exactly.
     """
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+def race_alone(p, sol, start_w_over_i, n_paths, dt, seed):
+    """RetireStats of one solved policy racing alone in the world ``p``."""
+    (stats,) = simulate._race(p, (sol,), start_w_over_i, n_paths, dt, seed)
+    return stats
 
 
 def stalling_stepper(penalties, mean_reversions=None):

@@ -16,7 +16,7 @@ from sc_control import bank_full, bank_partial as bp, calibrate as cb
 from sc_control import filtering as fl, retire as rt, simulate as sim
 from sc_control.params import BankParams
 
-from conftest import baseline_retire_params, fig_bank_params, table_bank_params
+from conftest import baseline_retire_params, fig_bank_params, race_alone, table_bank_params
 from test_filtering import joint_gaussian_oracle, rk4_riccati
 
 
@@ -282,8 +282,8 @@ def test_criterion_10_retirement_monte_carlo(retire_grid, retire_baseline,
     bench_times = {0.15: dl.expected_time}
     for alpha in (0.05, 0.25):
         world = baseline_retire_params(mean_reversion=alpha)
-        bench_times[alpha] = sim.simulate_policy(world, retire_benchmark, 10.0,
-                                                 10000, 0.05, seed=11).expected_time
+        bench_times[alpha] = race_alone(world, retire_benchmark, 10.0,
+                                        10000, 0.05, seed=11).expected_time
     elapsed = time.perf_counter() - t0
     ok_ours = _report(10, "our-policy expected time = 129y +- 20%",
                       abs(ours.expected_time - 129.0) <= 0.2 * 129.0,

@@ -1,5 +1,9 @@
 """Fully observed model: root identities, first-passage oracle, delayed
-value oracle, barrier solve, and value-function structure."""
+value oracle, barrier solve, and value-function structure.
+
+The first-passage CDF and the interior HJB operator have closed forms that
+the solver never evaluates; they live here as the oracles of its
+derivative, density and value function."""
 
 import math
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from sc_control import bank_full as bf, bank_partial
@@ -31,6 +36,35 @@ def laplace_hit_oracle(p, X, lam, t, kappa=None):
     sq = p.sigma * math.sqrt(t)
     return (math.exp(d * (th - mum) / p.sigma**2) * norm.cdf((-d - th * t) / sq)
             + math.exp(-d * (th + mum) / p.sigma**2) * norm.cdf((-d + th * t) / sq))
+
+
+def hitting_cdf(X, t, p):
+    """P[first passage of X to kappa_min <= t | X_0 = X] (reflection principle)."""
+    mum = p.alpha - p.mu - 0.5 * p.sigma**2
+    d = np.log((1.0 + np.asarray(X, dtype=float)) / (1.0 + p.kappa_min))
+    sq = p.sigma * math.sqrt(t)
+    return 1.0 - ndtr((d + mum * t) / sq) \
+        + np.exp(-2.0 * mum * d / p.sigma**2) * ndtr((-d + mum * t) / sq)
+
+
+def hjb_residual(sol, X):
+    """(L0 V)(X) on the interior branch f1, its derivatives in closed form."""
+    p = sol.params
+    lam_m, lam_p = roots = (sol.lambda_minus, sol.lambda_plus)
+    X = np.asarray(X, dtype=float)
+    u2 = sol.u2
+    V = bf.candidate_value_f1(X, u2, roots)
+    Vx = bf.candidate_value_f1_dX(X, u2, roots)
+    Vxx = (lam_p - 1.0) * (lam_m - 1.0) / (lam_p - lam_m) \
+        * ((1.0 + X) ** (lam_m - 2.0) / (1.0 + u2) ** (lam_m - 1.0)
+           - (1.0 + X) ** (lam_p - 2.0) / (1.0 + u2) ** (lam_p - 1.0))
+    return 0.5 * p.sigma**2 * (1.0 + X) ** 2 * Vxx + (p.alpha - p.mu) * (1.0 + X) * Vx \
+        - (p.delta - p.mu) * V
+
+
+def delayed_value_H(X, u2, p, kappa=None, omega=None):
+    """The solver's value of a pending issuance order."""
+    return bf._H(bf._Ctx(p, kappa=kappa, omega=omega), X, u2)
 
 
 class TestLambdaRoots:
@@ -93,32 +127,32 @@ class TestCandidates:
 class TestHittingCdf:
     def test_at_barrier_is_one(self):
         p = fig_bank_params()
-        assert bf.hitting_cdf(p.kappa_min, 0.5, p) == pytest.approx(1.0, abs=1e-12)
+        assert hitting_cdf(p.kappa_min, 0.5, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_far_away_is_zero(self):
         p = fig_bank_params()
-        assert bf.hitting_cdf(5.0, 0.5, p) == pytest.approx(0.0, abs=1e-12)
+        assert hitting_cdf(5.0, 0.5, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_monte_carlo_oracle(self):
         # bridge-corrected Euler MC, 400k paths, dt = 1e-3, seed 42 (frozen):
         # p_mc(0.08, 0.5) = 0.122460 +- 0.000518
         p = fig_bank_params()
-        assert abs(bf.hitting_cdf(0.08, 0.5, p) - 0.122460) <= 3 * 0.000518
+        assert abs(hitting_cdf(0.08, 0.5, p) - 0.122460) <= 3 * 0.000518
 
     def test_derivatives_match_finite_differences(self):
         p = fig_bank_params()
         for X, t in [(0.06, 0.3), (0.1, 0.5)]:
             h = 1e-6
-            fd_x = (bf.hitting_cdf(X + h, t, p) - bf.hitting_cdf(X - h, t, p)) / (2 * h)
+            fd_x = (hitting_cdf(X + h, t, p) - hitting_cdf(X - h, t, p)) / (2 * h)
             assert bf.hitting_cdf_dX(X, t, p) == pytest.approx(fd_x, rel=1e-5)
-            fd_t = (bf.hitting_cdf(X, t + h, p) - bf.hitting_cdf(X, t - h, p)) / (2 * h)
-            assert bf.hitting_density(X, t, p) == pytest.approx(fd_t, rel=1e-5)
+            fd_t = (hitting_cdf(X, t + h, p) - hitting_cdf(X, t - h, p)) / (2 * h)
+            assert bf._hitting_density(bf._Ctx(p), X, t) == pytest.approx(fd_t, rel=1e-5)
 
 
 class TestDelayedValueH:
     def test_boundary_value_is_liquidation_payoff(self, fig_solution):
         p = fig_bank_params()
-        val = bf.delayed_value_H(p.kappa_min, fig_solution.u2, p)
+        val = delayed_value_H(p.kappa_min, fig_solution.u2, p)
         assert val == pytest.approx(p.omega * p.kappa_min, abs=1e-12)
 
     def test_hit_integral_matches_laplace_oracle(self, fig_solution):
@@ -129,7 +163,7 @@ class TestDelayedValueH:
         for X in (0.05, 0.06, 0.09):
             quad_val, _ = quad(
                 lambda t: math.exp(-(p.delta - p.mu) * t)
-                * float(bf.hitting_density(X, t, p)), 0, p.delay_Delta,
+                * float(bf._hitting_density(bf._Ctx(p), X, t)), 0, p.delay_Delta,
                 epsabs=1e-13, limit=200)
             assert quad_val == pytest.approx(
                 laplace_hit_oracle(p, X, p.delta - p.mu, p.delay_Delta), abs=1e-10)
@@ -142,12 +176,12 @@ class TestDelayedValueH:
         roots = bf.lambda_roots(p)
         for X in (0.06, 0.08):
             expected = bf.candidate_value_f1(u2, u2, roots) - (u2 - X) - p.issue_cost_K
-            assert bf.delayed_value_H(X, u2, p) == pytest.approx(expected, abs=1e-4)
+            assert delayed_value_H(X, u2, p) == pytest.approx(expected, abs=1e-4)
 
     def test_increasing_and_concave_below_u1(self, fig_solution):
         p = fig_bank_params()
         xs = np.linspace(p.kappa_min + 1e-4, fig_solution.u1, 60)
-        vals = bf.delayed_value_H(xs, fig_solution.u2, p)
+        vals = delayed_value_H(xs, fig_solution.u2, p)
         assert np.all(np.diff(vals) > 0)
         assert np.all(np.diff(vals, 2) < 1e-10)
 
@@ -228,14 +262,14 @@ class TestSolveBarriers:
         assert p.kappa_min < sol.u1 < sol.u2 < sol.u0
         roots = (sol.lambda_minus, sol.lambda_plus)
         xs = np.linspace(p.kappa_min, sol.u2, 2001)
-        gap = bf.candidate_value_f1(xs, sol.u2, roots) - bf.delayed_value_H(xs, sol.u2, p)
+        gap = bf.candidate_value_f1(xs, sol.u2, roots) - delayed_value_H(xs, sol.u2, p)
         assert gap.min() >= -1e-8              # H <= f1 on [kappa, u2]
         assert abs(gap.min()) <= 1e-8           # with tangency contact
         h = 1e-6
         slope_gap = (bf.candidate_value_f1(sol.u1 + h, sol.u2, roots)
                      - bf.candidate_value_f1(sol.u1 - h, sol.u2, roots)
-                     - float(bf.delayed_value_H(sol.u1 + h, sol.u2, p))
-                     + float(bf.delayed_value_H(sol.u1 - h, sol.u2, p))) / (2 * h)
+                     - float(delayed_value_H(sol.u1 + h, sol.u2, p))
+                     + float(delayed_value_H(sol.u1 - h, sol.u2, p))) / (2 * h)
         assert slope_gap == pytest.approx(0.0, abs=1e-5)
 
     def test_huge_issuance_cost_has_no_tangency(self):
@@ -256,7 +290,7 @@ class TestSolveBarriers:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("solve", [
         bf.solve_barriers, bf.solve_dividend_only,
-        lambda p: bf.delayed_value_H(0.08, 0.11, p),
+        lambda p: delayed_value_H(0.08, 0.11, p),
         lambda p: bank_partial.penalty_solve(p, bank_partial.default_grid(p, n_x=21, n_s=7))],
         ids=["solve_barriers", "solve_dividend_only", "delayed_value_H", "penalty_solve"])
     def test_zero_delay_raises_naming_it(self, solve):
@@ -286,7 +320,7 @@ class TestValueFunction:
 
     def test_hjb_residual_on_continuation_region(self, fig_solution):
         xs = np.linspace(fig_solution.u1, fig_solution.u2, 501)
-        res = bf.hjb_residual(fig_solution, xs)
+        res = hjb_residual(fig_solution, xs)
         assert np.max(np.abs(res)) <= 1e-8
 
     def test_globally_concave_except_kink(self, fig_solution):

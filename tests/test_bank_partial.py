@@ -17,6 +17,12 @@ from sc_control.errors import NoConvergence, ValidationError
 from conftest import table_bank_params
 
 
+def impulse_at(sol, x0, s0):
+    """P V at one point of a solved surface, from the solver's slice."""
+    vals = bp._impulse_slice(bp._SliceProblem(sol.params, sol.xs), float(s0), sol.value)
+    return float(np.interp(x0, sol.xs, vals))
+
+
 def psi_gauss_hermite_oracle(x, y, n=64):
     """64-node Gauss-Hermite quadrature of E[((x+1)e^{-y/2+u sqrt y} - 1)^+]."""
     nodes, weights = roots_hermitenorm(n)
@@ -150,14 +156,14 @@ class TestImpulseOperator:
         s_inf = p.s_infinity
         fl = sol.full_line
         for X in (0.02, 0.04, fl.u1, 0.09):
-            pv = bp.impulse_operator(sol, (X, s_inf))
-            hv = bank_full.delayed_value_H(X, fl.u2, p, kappa=fl.kappa, omega=fl.omega)
+            pv = impulse_at(sol, X, s_inf)
+            hv = bank_full._H(bank_full._Ctx(p, kappa=fl.kappa, omega=fl.omega), X, fl.u2)
             assert abs(pv - hv) / abs(hv) <= 1e-3
 
     def test_monotone_in_ratio(self, bank_partial_solution):
         sol = bank_partial_solution
         s0 = 2.0 * sol.params.s_infinity
-        vals = [bp.impulse_operator(sol, (x, s0)) for x in (0.03, 0.06, 0.1, 0.2)]
+        vals = [impulse_at(sol, x, s0) for x in (0.03, 0.06, 0.1, 0.2)]
         assert np.all(np.diff(vals) > 0)
 
 
@@ -264,7 +270,7 @@ class TestPenaltySolve:
         # I(5) is about 0.96, past x_hi = 0.65; the path falls back inside
         # after one step, and the guard checks every step
         with pytest.raises(ValidationError, match="barrier outside"):
-            bp.impulse_operator(table_b_small, (0.1, 5.0))
+            impulse_at(table_b_small, 0.1, 5.0)
 
     def test_barrier_on_a_node_is_dirichlet(self):
         # place a node of a uniform X grid a hair above I(S) on the lowest S-slice

@@ -1,11 +1,11 @@
-"""Particle-filter and regression-helper tests."""
+"""Particle-filter tests."""
 
 import numpy as np
 import pytest
 
 from sc_control import calibrate as cb
 from sc_control import filtering as fl
-from sc_control.errors import DegenerateCloud, DegenerateRegressor, ValidationError
+from sc_control.errors import DegenerateCloud, ValidationError
 
 TRUTH = (0.04, 0.05, 0.03, -0.30)
 
@@ -142,37 +142,3 @@ class TestEstimateTheta:
             errs_early.append(rmse[:100].mean())
             errs_late.append(rmse[-100:].mean())
         assert np.mean(errs_late) < np.mean(errs_early)
-
-
-class TestOlsFit:
-    def test_identity_line(self):
-        x = np.arange(10.0)
-        out = cb.ols_fit(x, x)
-        assert out["a"] == pytest.approx(0.0, abs=1e-12)
-        assert out["b"] == pytest.approx(1.0, abs=1e-12)
-        assert out["r_squared"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_response(self):
-        x = np.arange(8.0)
-        out = cb.ols_fit(x, np.full(8, 3.3))
-        assert out["b"] == pytest.approx(0.0, abs=1e-12)
-        assert out["r_squared"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_normal_equation_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            x = rng.standard_normal(5)
-            y = rng.standard_normal(5)
-            out = cb.ols_fit(x, y)
-            A = np.column_stack([np.ones(5), x])
-            coef = np.linalg.solve(A.T @ A, A.T @ y)
-            assert out["a"] == pytest.approx(coef[0], abs=1e-10)
-            assert out["b"] == pytest.approx(coef[1], abs=1e-10)
-
-    def test_degenerate_regressor_rejected(self):
-        with pytest.raises(DegenerateRegressor):
-            cb.ols_fit(np.ones(5), np.arange(5.0))
-
-    def test_short_input_rejected(self):
-        with pytest.raises(ValidationError):
-            cb.ols_fit([1.0, 2.0], [1.0, 2.0])

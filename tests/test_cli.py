@@ -352,6 +352,21 @@ class TestCli:
         err = json.loads((out_dir / "error.json").read_text())
         assert err == {"error": "ValidationError", "message": "bank 'bx' not in panel"}
 
+    @pytest.mark.parametrize("bank_id, message", [
+        ("", "bank '' not in panel"), (0, "bank_id=0 must be a string"),
+        (False, "bank_id=False must be a string")])
+    def test_calibrate_falsy_bank_id_is_not_the_first_bank(self, tmp_path, bank_id, message):
+        # a given id is used as given: only an absent one defaults to the first bank
+        path = tmp_path / "panel.csv"
+        path.write_text(TOY_CSV)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"panel_csv": str(path), "bank_id": bank_id}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err == {"error": "ValidationError", "message": message}
+        assert not (out_dir / "summary.json").exists()
+
 
     @pytest.mark.parametrize("rows, cause", [
         ([], "0 rows or banks rejected"),
@@ -426,6 +441,29 @@ class TestCliSolverHandlers:
                           "grid": self.RGRID, "dt": 1.0}, str(tmp_path / "c"))
         assert (tmp_path / "c" / "threshold_by_age.csv").exists()
         assert out_fh["threshold_t0"] > 0
+
+    @pytest.mark.parametrize("subcommand, extra", [
+        ("solve-retire", {}), ("solve-retire-ez", {"eis_psi": 0.5})])
+    def test_mpc_csv_is_the_mpc_and_human_capital_curves(self, tmp_path, subcommand, extra):
+        ret, grid = {**self.RET, **extra}, {"n_x": 21, "n_y": 15}
+        summary = cli.run(subcommand, {"retire_params": ret, "grid": grid}, str(tmp_path))
+        assert set(summary) == {"threshold_w_over_I", "participation_target", "iterations",
+                                "residual"}
+        assert sorted(os.listdir(tmp_path)) == ["boundaries.csv", "manifest.json", "mpc.csv",
+                                                "summary.json", "surface.csv"]
+        lines = (tmp_path / "mpc.csv").read_text().splitlines()
+        assert lines[0] == "w_over_I,mpc,human_capital_per_income"
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+        solve = retire.epstein_zin_solve if extra else retire.penalty_solve_retire
+        sol = solve(from_dict(RetireParams, ret), from_dict(RetireGrid, grid))
+        w, mpc = retire.mpc_curve(sol)
+        expected = np.stack([w, mpc, retire.implicit_human_capital(sol, w, 1.0, 0.0)])
+        assert got.tobytes() == expected.tobytes()
+        # the default w grid stops short of the threshold; past it the curve is nan
+        w_star = sol.wealth_threshold()
+        assert w[-1] < w_star
+        retired = retire.implicit_human_capital(sol, [1.01 * w_star, 1.5 * w_star], 1.0, 0.0)
+        assert np.isnan(retired).all()
 
     @pytest.mark.parametrize("n_y", [21, 20])
     def test_threshold_by_age_reads_the_cell_of_z_0(self, tmp_path, n_y):

@@ -337,13 +337,13 @@ class TestSimulateSeries:
     def test_csv_round_trip(self, tmp_path):
         _, obs = fl.simulate_signal_series(THETA_TEST, n=20, seed=4)
         path = tmp_path / "series.csv"
-        fl.series_to_csv(path, obs)
+        path.write_text("k,value\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(obs.tolist())))
         back = fl.series_from_csv(path)
         assert np.array_equal(back, obs)
 
     def test_csv_with_one_row(self, tmp_path):
         path = tmp_path / "series.csv"
-        fl.series_to_csv(path, [1.5])
+        path.write_text("k,value\n0,1.5\n")
         assert np.array_equal(fl.series_from_csv(path), [1.5])
 
     def test_requires_positive_length(self):

@@ -10,27 +10,25 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from sc_control import retire as rt
-from sc_control.errors import NoConvergence, OutsideWorkRegion, ValidationError
+from sc_control.errors import NoConvergence, ValidationError
 from sc_control.params import RetireGrid
 
 from conftest import baseline_retire_params, stalling_stepper
 
 
+def foc_residual(mode, u, c, one_minus_xiu):
+    """Per-node residual of the consumption first-order condition
+    K^{1/psi} e^{-(1-1/psi)u} c^{-1/psi} = 1 - xi u_xi, which the solver's
+    closed-form consumption solves."""
+    base = np.maximum(one_minus_xiu, 1e-12)
+    return mode.k**mode.ipsi * np.exp(-(1.0 - mode.ipsi) * u) * c ** (-mode.ipsi) - base
+
+
 class TestMertonConstants:
     def test_baseline_values(self):
-        out = rt.merton_constants(baseline_retire_params())
-        assert out["theta"] == pytest.approx(0.22222222222222222, abs=1e-15)
-        assert out["K_bar"] == pytest.approx(0.025486968449931413, abs=1e-15)
         p = baseline_retire_params()
-        assert out["G_coefficient"] == pytest.approx(
-            p.B ** (1 - p.gamma) * p.K_bar ** (-p.gamma) / (1 - p.gamma), rel=1e-14)
-
-    def test_unit_leisure_removes_premium_scale(self):
-        # B -> 1+ makes the post-retirement coefficient the working-Merton one
-        p = baseline_retire_params(B=1.0 + 1e-12)
-        out = rt.merton_constants(p)
-        assert out["G_coefficient"] == pytest.approx(
-            p.K_bar ** (-p.gamma) / (1 - p.gamma), rel=1e-9)
+        assert p.theta == pytest.approx(0.22222222222222222, abs=1e-15)
+        assert p.K_bar == pytest.approx(0.025486968449931413, abs=1e-15)
 
     def test_recursive_rate_reduces_at_psi_inverse_gamma(self):
         p = baseline_retire_params(eis_psi=1.0 / 3.0)
@@ -439,8 +437,8 @@ class TestRecursiveUtility:
         u_xi = np.gradient(sol.u, h, axis=1)
         work = ~sol.retired
         work[:, -1] = False  # the income cap binds at xi = 1 by design
-        res = mode.foc_residual(sol.u[work], sol.c_star[work],
-                                (1.0 - sol.xi[None, :] * u_xi)[work])
+        res = foc_residual(mode, sol.u[work], sol.c_star[work],
+                           (1.0 - sol.xi[None, :] * u_xi)[work])
         # the closed-form consumption satisfies its Euler condition exactly
         # wherever the cap and floor are inactive
         capped = sol.c_star[work] >= 0.999
@@ -462,7 +460,7 @@ class TestRecursiveUtility:
             rng.uniform(0.1, 2.0, 200)
         for a, b in ((crra.consumption(u, base), rec.consumption(u, base)),
                      (crra.flow_terms(u, c), rec.flow_terms(u, c)),
-                     (crra.foc_residual(u, c, base), rec.foc_residual(u, c, base))):
+                     (foc_residual(crra, u, c, base), foc_residual(rec, u, c, base))):
             np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
     def test_unit_eis_rejected(self):
@@ -547,11 +545,19 @@ class TestImplicitHumanCapital:
         mid = rt.implicit_human_capital(sol, w, 1.0, float(0.5 * (sol.z[0] + sol.z[1])))
         assert min(row0, row1) < mid < max(row0, row1)
 
-    def test_outside_work_region_raises(self, retire_baseline):
+    def test_outside_work_region_is_nan(self, retire_baseline):
         sol = retire_baseline
         w_star = sol.wealth_threshold(0.0)
-        with pytest.raises(OutsideWorkRegion):
-            rt.implicit_human_capital(sol, w_star * 1.5, 1.0, 0.0)
+        assert math.isnan(rt.implicit_human_capital(sol, w_star * 1.5, 1.0, 0.0))
+
+    def test_a_wealth_grid_reads_as_its_points(self, retire_baseline):
+        sol = retire_baseline
+        w_star = sol.wealth_threshold(0.0)
+        ws = np.linspace(0.5, 1.5 * w_star, 25)
+        got = rt.implicit_human_capital(sol, ws, 1.0, 0.0)
+        one_by_one = [rt.implicit_human_capital(sol, float(w), 1.0, 0.0) for w in ws]
+        assert got.tobytes() == np.array(one_by_one).tobytes()
+        assert np.array_equal(np.isnan(got), ws >= w_star)
 
 
 class TestMpcCurve:

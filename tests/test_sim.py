@@ -12,7 +12,8 @@ from sc_control.errors import ValidationError
 from sc_control.params import BankParams
 from sc_control.retire import RetireSolution
 
-from conftest import baseline_retire_params, digest, fig_bank_params, table_bank_params
+from conftest import (baseline_retire_params, digest, fig_bank_params, race_alone,
+                      table_bank_params)
 
 
 @pytest.fixture(scope="module")
@@ -292,8 +293,8 @@ class TestSimulateRetirement:
         pol, ben = small_retire_solves
         p = baseline_retire_params(**world)
         ours, dl = sim.simulate_retirement(p, pol, ben, 10.0, n, 0.1, 3)
-        assert sim.simulate_policy(p, pol, 10.0, n, 0.1, 3) == ours
-        alone = sim.simulate_policy(p, ben, 10.0, n, 0.1, 3)
+        assert race_alone(p, pol, 10.0, n, 0.1, 3) == ours
+        alone = race_alone(p, ben, 10.0, n, 0.1, 3)
         assert dataclasses.replace(alone, policy="benchmark") == dl
         assert ours.n_paths == dl.n_paths == n
 
@@ -338,8 +339,8 @@ class TestEngineOnSyntheticPolicy:
     @pytest.mark.parametrize("case", CASES)
     def test_stats_pinned_exactly(self, case):
         boundary, world, start, n, dt, seed, expected = self.CASES[case]
-        st = sim.simulate_policy(baseline_retire_params(**world), synthetic_policy(boundary),
-                                 start, n, dt, seed)
+        st = race_alone(baseline_retire_params(**world), synthetic_policy(boundary),
+                        start, n, dt, seed)
         assert (st.expected_time, st.expected_share, st.retired_fraction) == expected
         assert st.n_paths == n and st.policy == "policy"
 
@@ -351,7 +352,7 @@ class TestEngineOnSyntheticPolicy:
     def test_unusable_run_settings_raise_naming_them(self, field, run):
         run = {"start_w_over_i": 10.0, "n_paths": 10, "dt": 0.5, **run}
         with pytest.raises(ValidationError, match=field):
-            sim.simulate_policy(baseline_retire_params(), synthetic_policy(0.3), **run, seed=1)
+            race_alone(baseline_retire_params(), synthetic_policy(0.3), **run, seed=1)
 
     @pytest.mark.parametrize("first_retires", [True, False])
     def test_side_retiring_at_step_zero_leaves_the_other_alone(self, first_retires):
@@ -361,7 +362,7 @@ class TestEngineOnSyntheticPolicy:
         early, late = synthetic_policy(0.3), synthetic_policy(0.12)
         pair = (early, late) if first_retires else (late, early)
         race = sim.simulate_retirement(p, *pair, 400.0, 60, 0.5, 9)
-        alone = [sim.simulate_policy(p, sol, 400.0, 60, 0.5, 9) for sol in pair]
+        alone = [race_alone(p, sol, 400.0, 60, 0.5, 9) for sol in pair]
         assert [dataclasses.replace(s, policy="policy") for s in race] == alone
         assert [s.expected_time == 0.0 for s in race] == [first_retires, not first_retires]
 
@@ -455,5 +456,5 @@ class TestNonUniformGridRejected:
         grid = getattr(sol, axis).copy()
         grid[3] += 0.3 * (grid[4] - grid[3])  # still increasing, no longer uniform
         with pytest.raises(ValidationError, match=f"^{axis} grid is not uniform"):
-            sim.simulate_policy(baseline_retire_params(), dataclasses.replace(sol, **{axis: grid}),
-                                10.0, 10, 0.5, seed=1)
+            race_alone(baseline_retire_params(), dataclasses.replace(sol, **{axis: grid}),
+                       10.0, 10, 0.5, seed=1)
