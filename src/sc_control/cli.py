@@ -252,11 +252,10 @@ def _cmd_simulate_bank(cfg, args, out_dir):
     run = {"horizon": cfg.get("horizon", 20.0), "n_paths": cfg.get("n_paths", 200),
            "dt": cfg.get("dt", p.delay_Delta / 8.0)}
     simulate.check_bank_run(p, **run)  # before the solve, not after it
-    if p.noise_m > 0.0:
-        # the paths stay on the invariant line, so they run the line's policy
-        policy = bank_partial.penalty_solve(p, _bank_grid(cfg, p)).full_line
-    else:
-        policy = bank_full.solve_barriers(p)
+    if "grid" in cfg:  # checked, but nothing is solved on it
+        from_dict(BankGrid, cfg["grid"])
+    # the paths stay on the invariant line, so they run the line's closed-form policy
+    policy = bank_full.solve_barriers(p, *bank_partial.degenerate_boundary_params(p))
     bundle = simulate.simulate_bank(p, policy, **run, seed=args.seed)
     liq = bundle.liquidation_time
     return {

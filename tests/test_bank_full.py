@@ -272,6 +272,22 @@ class TestSolveBarriers:
                      + float(delayed_value_H(sol.u1 - h, sol.u2, p))) / (2 * h)
         assert slope_gap == pytest.approx(0.0, abs=1e-5)
 
+    def test_quoted_u1_band_holds_no_tangency(self, fig_solution):
+        # acceptance 2's stated cause: the smooth-fit residual f1' - H' of the
+        # printed system vanishes at the solved u1 (6.2227%) and nowhere in
+        # the quoted band 6.44% +- 0.15pp
+        p, sol = fig_bank_params(), fig_solution
+        ctx = bf._Ctx(p)
+        roots = (ctx.lam_m, ctx.lam_p)
+
+        def smooth_fit(X):
+            return np.abs(bf.candidate_value_f1_dX(X, sol.u2, roots) - bf._H_dX(ctx, X, sol.u2))
+
+        assert sol.u1 == pytest.approx(0.062227, abs=5e-7)
+        assert smooth_fit(sol.u1) < 1e-6
+        band = np.linspace(0.0644 - 0.0015, 0.0644 + 0.0015, 31)
+        assert np.all(smooth_fit(band) > 1e-3)
+
     def test_huge_issuance_cost_has_no_tangency(self):
         p0 = fig_bank_params()
         p = BankParams(**{**p0.__dict__, "issue_cost_K": 5.0, "S_bar": None})

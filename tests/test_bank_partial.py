@@ -462,6 +462,34 @@ def small_baselines():
             "other": bp.penalty_solve(p, bp.default_grid(p, n_x=31, n_s=9))}
 
 
+class TestSigmaSignOnTheLine:
+    """Acceptance 7's stated cause: on the invariant line, with no PDE solve,
+    the closed-form value at X = 2*kappa1 moves with each parameter as the
+    acceptance test expects, except that it falls in sigma."""
+
+    EXPECTED = {"noise_m": +1, "omega": +1, "rho": -1, "delay_Delta": -1,
+                "issue_cost_K": -1, "sigma": -1}
+
+    @staticmethod
+    def line(q):
+        return bank_full.solve_barriers(q, *bp.degenerate_boundary_params(q))
+
+    def test_v_slope_signs(self):
+        p = table_bank_params()
+        base = self.line(p)
+        x_ref = 2.0 * base.kappa
+        v0 = bank_full.value_function(x_ref, base)
+        for name, sign in self.EXPECTED.items():
+            # each parameter moved +-5%, as the acceptance fixture moves it
+            step = 0.05 * abs(getattr(p, name))
+            hi, lo = (self.line(dataclasses.replace(p, **{name: getattr(p, name) + d,
+                                                          "S_bar": None}))
+                      for d in (step, -step))
+            slope = (bank_full.value_function(x_ref, hi)
+                     - bank_full.value_function(x_ref, lo)) / v0
+            assert np.sign(slope) == sign, (name, slope)
+
+
 class TestClosedFormElasticity:
     """The non-S rows come from the invariant line without a PDE solve, and
     equal byte for byte the rows once read off two perturbed solves."""

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 import scipy
 
-from sc_control import bank_full, bank_partial, cli, filtering, panel, retire
+from sc_control import bank_full, bank_partial, cli, filtering, panel, retire, simulate
 from sc_control.errors import NoConvergence, ValidationError
-from sc_control.params import BankParams, RetireGrid, RetireParams, from_dict
+from sc_control.params import BankGrid, BankParams, RetireGrid, RetireParams, from_dict
 
 from conftest import stalling_stepper
 
@@ -541,7 +541,7 @@ class TestCliSolverHandlers:
         assert not (out_dir / "summary.json").exists()
 
     def test_bank_dt_above_delta_over_8_exits_1_before_solving(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(bank_partial, "penalty_solve", lambda *a, **k: pytest.fail("solved"))
+        monkeypatch.setattr(bank_full, "solve_barriers", lambda *a, **k: pytest.fail("solved"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bank_params": self.BANK, "grid": self.bank_grid(),
                                         "dt": 0.2}))
@@ -551,6 +551,50 @@ class TestCliSolverHandlers:
         err = json.loads((out_dir / "error.json").read_text())
         assert err["error"] == "ValidationError"
         assert err["message"].startswith("dt=0.2 must be <= Delta/8 = 0.0625")
+
+    def test_noisy_bank_run_matches_the_pde_line_policy(self, tmp_path, monkeypatch):
+        # the penalty solve's full_line is the closed-form line policy the run solves
+        cfg = {"bank_params": self.BANK, "horizon": 5.0, "n_paths": 200,
+               "grid": self.bank_grid()}
+        p = from_dict(BankParams, self.BANK)
+        line = bank_partial.penalty_solve(p, from_dict(BankGrid, self.bank_grid())).full_line
+        ours = cli.run("simulate-bank", cfg, str(tmp_path / "ours"), seed=3)
+        simulate_bank = simulate.simulate_bank
+        monkeypatch.setattr(simulate, "simulate_bank",
+                            lambda p, policy, **run: simulate_bank(p, line, **run))
+        pde = cli.run("simulate-bank", cfg, str(tmp_path / "pde"), seed=3)
+        assert ours == pde
+        files = sorted(os.listdir(tmp_path / "ours"))
+        assert files == sorted(os.listdir(tmp_path / "pde"))
+        for name in set(files) - {"manifest.json"}:  # the manifest holds the out path
+            assert (tmp_path / "ours" / name).read_bytes() == \
+                (tmp_path / "pde" / name).read_bytes(), name
+
+    def test_noisy_bank_run_solves_nothing_on_its_grid(self, tmp_path, monkeypatch):
+        p = from_dict(BankParams, self.BANK)
+        off_line = {**self.bank_grid(), "y_lo": 2 * p.s_infinity}  # S range misses the line
+        with pytest.raises(ValidationError, match="straddle"):
+            bank_partial.penalty_solve(p, from_dict(BankGrid, off_line))
+        monkeypatch.setattr(bank_partial, "penalty_solve", lambda *a, **k: pytest.fail("solved"))
+        run = {"bank_params": self.BANK, "horizon": 2.0, "n_paths": 40}
+        summaries = [cli.run("simulate-bank", {**run, **grid}, str(tmp_path / str(i)), seed=1)
+                     for i, grid in enumerate([{}, {"grid": self.bank_grid()},
+                                               {"grid": off_line}])]
+        assert summaries[0] == summaries[1] == summaries[2]
+
+    @pytest.mark.parametrize("noise_m", [0.0285, 0.0])
+    def test_unknown_bank_grid_field_exits_1_naming_it(self, tmp_path, monkeypatch, noise_m):
+        monkeypatch.setattr(bank_full, "solve_barriers", lambda *a, **k: pytest.fail("solved"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bank_params": {**self.BANK, "noise_m": noise_m},
+                                        "grid": {**self.bank_grid(), "n_xx": 5}}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["simulate-bank", "--config", str(cfg_path),
+                         "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert (err["error"], err["message"]) == \
+            ("ValidationError", "unknown fields for BankGrid: ['n_xx']")
+        assert not (out_dir / "summary.json").exists()
 
     def test_traced_bank_run_counts_every_path_step(self, tmp_path, monkeypatch):
         # the benchmark's trace reads the path count from the horizon states

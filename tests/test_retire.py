@@ -605,6 +605,14 @@ class TestGridRefinement:
         assert abs(coarse.xi_participate[j0c] - fine.xi_participate[j0f]) \
             <= dxi_coarse + 1e-12
 
+    def test_gamma_ordering_is_not_a_grid_artifact(self):
+        # acceptance 9(iii)'s stated cause: on 51 x 41, as on its 101 x 81, the
+        # CRRA threshold rises with gamma, so the ordering is the operator's
+        grid = rt.default_retire_grid(n_xi=51, n_z=41)
+        th = [rt.penalty_solve_retire(baseline_retire_params(gamma=g), grid).wealth_threshold()
+              for g in (2.0, 3.0, 4.0)]
+        assert th[0] < th[1] < th[2]
+
 
 def boundaries_by_row(xi, y, retired):
     """The per-row definition of retire._boundaries, one slice at a time."""
