@@ -43,7 +43,7 @@ from scipy.special import ndtr, ndtri
 from . import bank_full
 from .errors import NoConvergence, ValidationError
 from .filtering import filter_gain, riccati_variance
-from .interp import bilinear, cell, lerp
+from .interp import bilinear, cell, lerp, read
 from .params import BankGrid, BankParams, finite_number
 
 _N_TIME = 64  # time steps of each delayed-issuance path over [0, Delta]
@@ -384,10 +384,10 @@ def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
     """P V on the whole X grid for a slice starting at variance S0.
 
     Backward parabolic solve over [0, Delta] along the deterministic S-path;
-    ``surface_lookup(x_array, S)`` must return already-solved values of V at
-    variance S (plus closed-form boundary payoff below I(S)).  Only the
-    terminal condition depends on V; the path's systems are assembled in one
-    pass.
+    ``surface_lookup(S)`` must return already-solved values of V at variance
+    S on the X grid's nodes (plus closed-form boundary payoff below I(S)).
+    Only the terminal condition depends on V; the path's systems are
+    assembled in one pass.
     """
     p = sp.p
     xs = sp.xs
@@ -397,7 +397,7 @@ def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
     steps = s_path[:-1]
     path = sp.banded_system(steps, filter_gain(steps, p) ** 2, 1.0 / dt)
     # terminal condition: exact line search over issuance sizes
-    v_term = surface_lookup(xs, float(s_path[-1]))
+    v_term = surface_lookup(float(s_path[-1]))
     u = _shift_sup(xs, v_term, p.issue_cap_sbar, p.issue_cost_K)
     for k in range(n_t - 1, -1, -1):
         u = path.solve(k, u / dt)
@@ -446,17 +446,16 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     regions[line_idx, xs >= full_line.u2] = 3
     solved[line_idx] = True
 
-    def lookup(x_arr, S):
-        # values at variance S, interpolated in S across solved slices; while
-        # marching, the short initial path segment inside the yet-unsolved
-        # slice clamps to the nearest solved neighbor (O(dS) startup error,
-        # removed by the refinement sweeps)
-        i = int(cell(ss, S)[0])
+    def row_at(S):
+        # the row of V at variance S, interpolated in S across solved slices;
+        # while marching, the short initial path segment inside the
+        # yet-unsolved slice clamps to the nearest solved neighbor (O(dS)
+        # startup error, removed by the refinement sweeps)
+        i, w = cell(ss, S)
         if solved[i] and solved[i + 1]:
-            return bilinear(xs, ss, V, x_arr, S)
+            return lerp(V.T, i, w)
         cand = np.where(solved)[0]
-        i_near = int(cand[np.argmin(np.abs(ss[cand] - S))])
-        return lerp(V[i_near], *cell(xs, x_arr))
+        return V[cand[np.argmin(np.abs(ss[cand] - S))]].copy()
 
     total_iters = 0
     residual = 0.0
@@ -475,7 +474,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     V_line_saved = V[line_idx].copy()
     for sweep in range(_LINE_MAX_SWEEPS):
         V[line_idx] = v_num  # the line's own P references this iterate
-        p_line = _impulse_slice(sp, s_line, lookup)
+        p_line = _impulse_slice(sp, s_line, row_at)
         v_new, _, sets[line_idx] = _solve_slice(sp, s_line, 0.0, np.zeros(n_x), p_line,
                                                 rho_pen, active=sets[line_idx])
         change = float(np.max(np.abs(v_new - v_num) / (1.0 + np.abs(v_num))))
@@ -501,7 +500,7 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
             dS = abs(ss[toward] - ss[j])
             b_drift = p.sigma**2 - filter_gain(S, p) ** 2
             adv = abs(b_drift) / dS
-            p_slice = _impulse_slice(sp, S, lookup)
+            p_slice = _impulse_slice(sp, S, row_at)
             v, reg, sets[j] = _solve_slice(sp, S, adv, adv * V[toward], p_slice, rho_pen,
                                            active=sets[j] if solved[j] else sets[toward])
             if sweep > 0:
@@ -566,8 +565,8 @@ def _line_outputs(xs, full_line, line_vals, x_eval) -> dict:
     """{u1, u2, I, V} of an invariant line whose row of V on the nodes ``xs``
     is ``line_vals``: V at ``x_eval`` as ``PartialSolution.value`` reads it
     on the line, where the row below has weight 0."""
-    v = lerp(line_vals, *cell(xs, np.atleast_1d(x_eval)))
-    return {"u1": full_line.u1, "u2": full_line.u2, "I": full_line.kappa, "V": float(v[0])}
+    v = read(xs, line_vals, x_eval)
+    return {"u1": full_line.u1, "u2": full_line.u2, "I": full_line.kappa, "V": float(v)}
 
 
 def _variance_elasticity(p: BankParams, baseline: PartialSolution) -> dict:
@@ -580,8 +579,8 @@ def _variance_elasticity(p: BankParams, baseline: PartialSolution) -> dict:
         dS = 0.25 * s_inf
         for name, fn in (
             ("I", lambda s: float(liquidation_barrier(s, p))),
-            ("u1", lambda s: float(np.interp(s, baseline.ss, baseline.barrier_u1))),
-            ("u2", lambda s: float(np.interp(s, baseline.ss, baseline.barrier_u2))),
+            ("u1", lambda s: float(read(baseline.ss, baseline.barrier_u1, s))),
+            ("u2", lambda s: float(read(baseline.ss, baseline.barrier_u2, s))),
             ("V", lambda s: float(baseline.value(x_ref, s))),
         ):
             hi, lo, mid = fn(S0 + dS), fn(S0 - dS), fn(S0)

@@ -16,11 +16,18 @@ sample M_{k-1}^(i) and parameters Theta^(i):
     (a point-mass particle makes the filtered variance collapse to this),
  2. sample M_k^(i) from that Gaussian (the proposal),
  3. weight update with the importance ratio
-        p(M_k^ac | M_k) * p(M_k | M_{k-1}) / p(M_k | M_{k-1}, M_k^ac),
-    whose denominator is exactly the proposal of step 2; by Bayes the ratio
-    collapses to the one-step predictive density p(M_k^ac | M_{k-1}), so the
-    weights do not depend on the sampled state and stay well-behaved even
-    for tiny measurement noise,
+        N(M_k^ac; M_k, m^2) * p(M_k | M_{k-1}) / q(M_k),
+    where q is the proposal of step 2.  The measurement density in the
+    numerator leaves out the correlation rho between the measurement and
+    state shocks, which the proposal keeps, so the ratio collapses to the
+    one-step predictive density N(M_k^ac; M_{k-1} + c, D) only at rho = 0.
+    At rho != 0 it varies with the sampled state: 400 particles with
+    identical state and Theta at rho = -0.3 get log-weights with s.d. 0.21
+    (range 2.1), against a range of 2e-15 at rho = 0.  Weighting by the
+    predictive density instead is a change of estimator, not of roundoff:
+    on the five 400-observation series of the recovery acceptance test the
+    mean m moves from 0.0190 to 0.0198 and the mean of
+    q = m^2 + m sigma rho from 3.24e-4 to 3.91e-4,
  4. jittering of Theta toward the weighted mean with shrinkage a and added
     covariance (1-a^2)*Cov (keeps the spread constant), followed by a
     projection onto the admissible box that also keeps 1+sigma*rho/m away

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import numbers
 import os
@@ -24,7 +23,7 @@ import scipy
 
 from . import __version__, bank_full, bank_partial, calibrate, filtering, panel, retire, simulate
 from .errors import NoConvergence, ScControlError, ValidationError
-from .interp import cell, lerp
+from .interp import read
 from .params import BankGrid, BankParams, RetireGrid, RetireParams, check_fields, from_dict
 
 
@@ -221,11 +220,18 @@ def _check_stalls(sol, args, name):
                             f"{sol.mode} solve stalled for 25 steps", residual=sol.residual)
 
 
-def _cmd_solve_retire(cfg, args, out_dir, solver="penalty_solve_retire"):
-    """solve-retire, and solve-retire-ez with solver="epstein_zin_solve"."""
-    # the solver is looked up by name on each call, so a wrapper placed on
-    # the module attribute (a tracer, a test double) sees the call
-    sol = getattr(retire, solver)(_retire_params(cfg), _retire_grid(cfg))
+def _cmd_solve_retire(cfg, args, out_dir):
+    sol = retire.penalty_solve_retire(_retire_params(cfg), _retire_grid(cfg))
+    return _retire_outputs(sol, args, out_dir)
+
+
+def _cmd_solve_retire_ez(cfg, args, out_dir):
+    sol = retire.epstein_zin_solve(_retire_params(cfg), _retire_grid(cfg))
+    return _retire_outputs(sol, args, out_dir)
+
+
+def _retire_outputs(sol, args, out_dir):
+    """The files and summary of solve-retire and solve-retire-ez."""
     _check_stalls(sol, args, "solve")
     _retire_csvs(sol, out_dir)
     w, mpc = retire.mpc_curve(sol)
@@ -240,8 +246,8 @@ def _cmd_solve_retire_finite(cfg, args, out_dir):
     p = _retire_params(cfg)
     sol = retire.finite_horizon_solve(p, _retire_grid(cfg), dt=cfg.get("dt", 0.25))
     _retire_csvs(sol, out_dir)
-    # each age's boundary blended across the cell of z = 0, as wealth_threshold reads it
-    thresholds = retire.wealth_to_income(lerp(sol.xi_retire_by_age, *cell(sol.z, 0.0)), p.r)
+    # each age's boundary read at z = 0, as wealth_threshold reads it
+    thresholds = retire.wealth_to_income(read(sol.z, sol.xi_retire_by_age, 0.0), p.r)
     _write_csv(out_dir, "threshold_by_age.csv", ["age", "w_retire_over_I"],
                [sol.ages, thresholds])
     return {"threshold_t0": float(thresholds[0]), "iterations": sol.iterations}
@@ -305,7 +311,7 @@ _HANDLERS = {
     "solve-bank-partial": _cmd_solve_bank_partial,
     "solve-retire": _cmd_solve_retire,
     "solve-retire-finite": _cmd_solve_retire_finite,
-    "solve-retire-ez": functools.partial(_cmd_solve_retire, solver="epstein_zin_solve"),
+    "solve-retire-ez": _cmd_solve_retire_ez,
     "simulate-bank": _cmd_simulate_bank,
     "simulate-retire": _cmd_simulate_retire,
     "elasticity": _cmd_elasticity,

@@ -5,7 +5,9 @@ cells outside the grid) and the query's weight in [grid[k], grid[k+1]]
 clipped to [0, 1], and then blends the cell's nodes: :func:`lerp` on a
 curve, :func:`blend` on a surface.  :func:`cell` locates by binary search on
 any increasing grid; :class:`UniformAxis` finds the same cells
-arithmetically on a uniform grid.
+arithmetically on a uniform grid.  :func:`read` is the package's reader of
+a solved curve: ``lerp`` in ``cell``, except that a query on a node reads
+that node alone, so a NaN neighbour does not leak into it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,19 @@ def _weight(q, lo, width):
 def lerp(flat, k, t):
     """Linear interpolation between entries k and k + 1 of the last axis."""
     return (1.0 - t) * flat.take(k, axis=-1) + t * flat.take(k + 1, axis=-1)
+
+
+def read(grid, values, q):
+    """``values`` (last axis on ``grid``) read linearly at q, clamped to the
+    end nodes outside the grid.
+
+    A weight of exactly 0 or 1 returns that node's own value, whatever its
+    neighbour holds (``lerp`` would give ``0 * NaN``); elsewhere the value is
+    ``lerp``'s bit for bit.
+    """
+    k, t = cell(grid, q)
+    lo, hi = values.take(k, axis=-1), values.take(k + 1, axis=-1)
+    return np.where(t == 0.0, lo, np.where(t == 1.0, hi, (1.0 - t) * lo + t * hi))
 
 
 def blend(surface, row_cell, col_cell):

@@ -36,23 +36,18 @@ factorises with SuperLU under a minimum-degree ordering of A^T + A
 (``permc_spec="MMD_AT_PLUS_A"``) and keeps that column order q; every later
 step factorises A[:, q] with ``permc_spec="NATURAL"``, which gives the same
 factors as a fresh minimum-degree factorisation, and scatters the solution
-back.  Rows are not permuted: partial pivoting keeps choosing them.  On a
-2-vCPU VM this took the 101x81 solves from 1.51 s to 1.34 s (CRRA), from
-1.57 s to 1.46 s (Epstein-Zin) and from 2.31 s to 2.17 s (50-year finite
-horizon), with the outputs bit for bit those of a fresh minimum-degree
-factorisation at every step.
+back.  Rows are not permuted: partial pivoting keeps choosing them.  The
+outputs are bit for bit those of a fresh minimum-degree factorisation at
+every step.
 
 Both factorisations update two columns per panel (``_PANEL_SIZE``), not
 SuperLU's default 20, which is too wide for this stencil's small
 supernodes.  The ordering, the pivots and the fill stay the same, but the
 sums inside the factorisation run in another order, so the outputs are no
-longer bit for bit those of the default panel.  On a shared 2-vCPU VM a
-101x81 factorisation took 26.8 ms against 30.6 ms, and the 101x81 CRRA,
-Epstein-Zin and 50-year finite-horizon solves went from 2.37 s to 2.04 s,
-2.59 s to 2.08 s and 3.71 s to 3.21 s; u moved by at most 1.6e-14, y* by
-5.3e-14 and c* by 6.3e-16.  The stated tolerance, which the tests hold
-against the default panel, is 1e-12 on u and 1e-11 on the controls, with
-identical step counts, retirement sets and boundaries.
+longer bit for bit those of the default panel: at 101x81 u moves by at
+most 1.6e-14, y* by 5.3e-14 and c* by 6.3e-16.  The stated tolerance,
+which the tests hold against the default panel, is 1e-12 on u and 1e-11 on
+the controls, with identical step counts, retirement sets and boundaries.
 
 With mean_reversion = 0 neither a coefficient nor the obstacle nor the
 jump map depends on z, and the z edges are Neumann, so u is constant in z
@@ -62,10 +57,7 @@ z grid; the step count and residual are those of the three-row solve.
 Against the full-grid solve the stated tolerance, which the tests hold, is
 1e-12 on u and 1e-11 on the controls, with identical step counts,
 retirement sets, boundaries and z grid (measured at 101x81: u 4.0e-14, y*
-7.8e-14, c* 6.2e-16).  The 76x51 mean_reversion = 0 solve of the paths
-benchmark's simulate-retire op took 0.32-0.47 s on all 51 rows and takes
-0.021-0.041 s on three (first solves in fresh processes, shared 2-vCPU
-VM), with the same 45 steps.
+7.8e-14, c* 6.2e-16).
 """
 
 from __future__ import annotations
@@ -78,7 +70,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence, ValidationError
-from .interp import cell, lerp
+from .interp import read
 from .params import RetireGrid, RetireParams, finite_number
 
 _H_DENOM_FLOOR = 1e-10
@@ -151,12 +143,12 @@ class RetireSolution:
 
     def wealth_threshold(self, z_val: float = 0.0) -> float:
         """w*/I: retire when wealth-to-income exceeds this (z-slice)."""
-        xi_star = float(np.interp(z_val, self.z, self.xi_retire))
+        xi_star = float(read(self.z, self.xi_retire, z_val))
         return wealth_to_income(xi_star, self.params.r)
 
     def participation_target(self, z_val: float = 0.0) -> float:
         """(w/I)_0: below this ratio the stock position is zero."""
-        xi_np = float(np.interp(z_val, self.z, self.xi_participate))
+        xi_np = float(read(self.z, self.xi_participate, z_val))
         return wealth_to_income(xi_np, self.params.r)
 
 
@@ -584,22 +576,21 @@ def implicit_human_capital(sol: RetireSolution, w, income: float, z: float):
     xi = xi_of_wealth(np.asarray(w, dtype=float) / income, p.r)
     h = sol.xi[1] - sol.xi[0]
     i = np.clip(np.searchsorted(sol.xi, xi), 1, sol.xi.size - 2)
-    # central differences in xi on every z row, blended across z's cell
-    u_xi = lerp(((sol.u[:, i + 1] - sol.u[:, i - 1]) / (2.0 * h)).T, *cell(sol.z, z))
+    # central differences in xi on every z row, read at z
+    u_xi = read(sol.z, ((sol.u[:, i + 1] - sol.u[:, i - 1]) / (2.0 * h)).T, z)
     out = (1.0 + (1.0 - xi) * u_xi) / (p.r * np.maximum(1.0 - xi * u_xi, 1e-12))
-    out = np.where(xi <= np.interp(z, sol.z, sol.xi_retire), np.nan, out)
+    out = np.where(xi <= read(sol.z, sol.xi_retire, z), np.nan, out)
     return out if out.ndim else float(out)
 
 
 def mpc_curve(sol: RetireSolution, z_val: float = 0.0, w_grid=None):
-    """Marginal propensity to consume out of wealth along a z-slice (I = 1),
-    the consumption rows blended across z_val's cell."""
+    """Marginal propensity to consume out of wealth along a z-slice (I = 1):
+    consumption read at z_val across the rows, then at each wealth's xi."""
     p = sol.params
     if w_grid is None:
         w_grid = np.linspace(0.5, max(sol.wealth_threshold(z_val) * 0.9, 5.0), 121)
-    c_row = lerp(sol.c_star.T, *cell(sol.z, z_val))
-    xi_w = xi_of_wealth(w_grid, p.r)
-    c_bar = np.interp(xi_w[::-1], sol.xi, c_row)[::-1]
+    c_row = read(sol.z, sol.c_star.T, z_val)
+    c_bar = read(sol.xi, c_row, xi_of_wealth(w_grid, p.r))
     c = c_bar * (w_grid + 1.0 / p.r)
     return w_grid[:-1], np.diff(c) / np.diff(w_grid)
 

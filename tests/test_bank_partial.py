@@ -19,7 +19,8 @@ from conftest import table_bank_params
 
 def impulse_at(sol, x0, s0):
     """P V at one point of a solved surface, from the solver's slice."""
-    vals = bp._impulse_slice(bp._SliceProblem(sol.params, sol.xs), float(s0), sol.value)
+    vals = bp._impulse_slice(bp._SliceProblem(sol.params, sol.xs), float(s0),
+                             lambda s: sol.value(sol.xs, s))
     return float(np.interp(x0, sol.xs, vals))
 
 
@@ -320,7 +321,7 @@ class TestSliceAssembly:
         systems = sp.banded_system(s_path[:-1], bp.filter_gain(s_path[:-1], p) ** 2, 1.0 / dt)
         assert systems.snap[0] and not systems.snap[-1]
         i0 = int(systems.i0[0])
-        out = bp._impulse_slice(sp, S0, lambda x, S: np.maximum(x, 0.0) + 0.1)
+        out = bp._impulse_slice(sp, S0, lambda s: np.maximum(xs, 0.0) + 0.1)
         payoff = p.omega * bp.psi(bp.liquidation_barrier(S0, p), S0)
         np.testing.assert_array_equal(out[:i0 + 1], np.full(i0 + 1, payoff))
         assert np.all(out[i0 + 1:] > payoff)
@@ -330,7 +331,7 @@ class TestSliceAssembly:
         p = sol.params
         sp = bp._SliceProblem(p, sol.xs)
         S = float(sol.ss[sol.line_index])
-        p_line = bp._impulse_slice(sp, S, sol.value)
+        p_line = bp._impulse_slice(sp, S, lambda s: sol.value(sol.xs, s))
         rhs = np.zeros(sol.xs.size)
         v, _, active = bp._solve_slice(sp, S, 0.0, rhs, p_line, 1e5)
         assert active[0].any() and active[1].any()

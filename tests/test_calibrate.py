@@ -21,19 +21,23 @@ def test_particle_count_must_be_an_integer_of_at_least_100(n_particles):
 
 
 class TestPfStep:
-    def test_identical_particles_keep_uniform_weights(self):
+    @pytest.mark.parametrize("rho", [0.0, TRUTH[3]])
+    def test_identical_particles_keep_uniform_weights(self, rho):
         cfg = small_cfg()
         n = cfg.n_particles
-        theta = np.tile(np.array(TRUTH), (n, 1))
+        theta = np.tile(np.array(TRUTH[:3] + (rho,)), (n, 1))
         cloud = cb.ParticleCloud(state=np.zeros(n), theta=theta,
                                  weights=np.full(n, 1.0 / n),
                                  rng=np.random.default_rng(0))
         out = cb.pf_step(cloud, 0.01)
-        # identical parameters and identical priors: the importance ratio is
-        # a deterministic function of the sampled state, but the weighted
-        # mean stays finite and normalized
+        assert out.n_resamples == 0
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert out.effective_size > 0.3 * n
+        # at rho = 0 the importance ratio is the predictive density, the same
+        # for every particle; otherwise the measurement density leaves rho
+        # out and the proposal does not, so it varies with the sampled state
+        spread = np.ptp(np.log(out.weights))
+        assert spread <= 1e-12 if rho == 0.0 else spread > 0.05
 
     def test_infinite_observation_degenerates_the_cloud(self):
         cfg = small_cfg(n=100)

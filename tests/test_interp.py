@@ -1,5 +1,9 @@
 """Grid lookups: the arithmetic cell on uniform grids against the binary
-search, and the bilinear blend pinned bit for bit."""
+search, the curve reader's node rule, and the bilinear blend pinned bit for
+bit."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,8 +82,11 @@ class TestUniformAxis:
         fp = np.random.default_rng(seed).uniform(0.0, 1.0, n)
         axis = UniformAxis(grid, "z")
         assert same_bits(interp.lerp(fp, *axis.cell(grid)), fp)
+        assert same_bits(interp.read(grid, fp, grid), fp)
         q = np.asarray(q)
         np.testing.assert_allclose(interp.lerp(fp, *axis.cell(q)), np.interp(q, grid, fp),
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(interp.read(grid, fp, q), np.interp(q, grid, fp),
                                    rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("grid", retire_axes(), ids=lambda g: f"{g[0]:.2g}..{g[-1]:.2g}/{g.size}")
@@ -107,6 +114,66 @@ class TestUniformAxis:
     def test_non_uniform_grid_rejected_naming_it(self, grid):
         with pytest.raises(ValidationError, match="^xi grid is not uniform"):
             UniformAxis(grid, "xi")
+
+
+class TestRead:
+    """interp.read on a profile NaN at both ends, as xi_participate is on its
+    edge z rows."""
+
+    GRID = np.linspace(-1.0, 1.0, 5)
+    PROFILE = np.array([np.nan, 0.8, 0.7, 0.6, np.nan])
+
+    def test_a_node_reads_its_own_value_beside_a_nan(self):
+        g, fp = self.GRID, self.PROFILE
+        assert same_bits(interp.read(g, fp, g[[1, 2, 3]]), fp[[1, 2, 3]])
+        assert float(interp.read(g, fp, g[1])) == 0.8
+        assert float(interp.read(g, fp, g[3])) == 0.6
+        # lerp in the node's cell weighs the NaN to its left by 0
+        assert np.isnan(interp.lerp(fp, *interp.cell(g, g[1])))
+
+    def test_between_a_nan_and_a_node_reads_nan(self):
+        g, fp = self.GRID, self.PROFILE
+        q = np.array([np.nextafter(g[0], np.inf), 0.5 * (g[0] + g[1]),
+                      np.nextafter(g[1], -np.inf), 0.5 * (g[3] + g[4])])
+        assert np.isnan(interp.read(g, fp, q)).all()
+
+    def test_outside_the_grid_reads_the_end_node(self):
+        g = self.GRID
+        q = np.array([-np.inf, g[0] - 1.0, g[-1] + 1.0, np.inf])
+        assert np.isnan(interp.read(g, self.PROFILE, q)).all()
+        fp = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
+        assert same_bits(interp.read(g, fp, q), fp[[0, 0, -1, -1]])
+
+    def test_between_finite_nodes_equals_lerp_bit_for_bit(self):
+        g, fp = self.GRID, self.PROFILE
+        q = np.concatenate([np.linspace(g[1], g[3], 41)[1:-1],
+                            np.nextafter(g[[1, 2]], np.inf), np.nextafter(g[[2, 3]], -np.inf)])
+        got = interp.read(g, fp, q)
+        assert np.isfinite(got).all()
+        assert same_bits(got, interp.lerp(fp, *interp.cell(g, q)))
+
+    def test_a_stack_reads_each_row_on_the_last_axis(self):
+        g = self.GRID
+        rows = np.stack([self.PROFILE, np.linspace(0.9, 0.5, 5), self.PROFILE[::-1]])
+        q = edge_queries(g)
+        got = interp.read(g, rows, q)
+        assert got.shape == (3, q.size)
+        for row, want in zip(got, rows):
+            assert same_bits(row, interp.read(g, want, q))
+        assert same_bits(interp.read(g, rows, 0.0), rows[:, 2])
+
+
+def test_no_np_interp_in_the_package():
+    """Every linear read of a curve in the package goes through interp."""
+    found = []
+    for path in sorted(Path(interp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "interp"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")) \
+                    or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                        and any(a.name == "interp" for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "np.interp in the package: " + ", ".join(found)
 
 
 class TestBilinearPinned:

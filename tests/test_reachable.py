@@ -3,9 +3,8 @@
 A public module-level function or class of ``sc_control``, or a public
 method of a module-level class, must be referred to by ``src/`` or
 ``scripts/`` somewhere outside its own definition: as a name, an attribute,
-an import or a string constant (``cli`` looks a solver up by name with
-``getattr``).  A name only tests call is either a test oracle, which belongs
-in ``tests/``, or dead code.
+an import or a string constant.  A name only tests call is either a test
+oracle, which belongs in ``tests/``, or dead code.
 """
 
 import ast

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from sc_control import retire as rt
+from sc_control import interp, retire as rt
 from sc_control.errors import NoConvergence, ValidationError
 from sc_control.params import RetireGrid
 
@@ -560,10 +560,27 @@ class TestImplicitHumanCapital:
         assert np.array_equal(np.isnan(got), ws >= w_star)
 
 
+class TestProfileReads:
+    """The z-profiles of the 76 x 51 baseline read through interp.read."""
+
+    def test_participation_target_on_a_node_beside_a_nan_row(self, retire_coarse_baseline):
+        sol = retire_coarse_baseline
+        assert np.isnan(sol.xi_participate[1]) and np.isfinite(sol.xi_participate[2])
+        assert sol.participation_target(float(sol.z[2])) == 10.294117647058815
+        # lerp in the node's cell weighs row 1's NaN by 0
+        assert np.isnan(interp.lerp(sol.xi_participate, *interp.cell(sol.z, sol.z[2])))
+
+    def test_wealth_threshold_between_nodes_is_the_race_read(self, retire_coarse_baseline):
+        sol = retire_coarse_baseline
+        zq = np.concatenate([0.5 * (sol.z[1:] + sol.z[:-1]), 0.3 * sol.z[1:] + 0.7 * sol.z[:-1]])
+        race = interp.lerp(sol.xi_retire, *interp.UniformAxis(sol.z, "z").cell(zq))
+        got = np.array([sol.wealth_threshold(float(z)) for z in zq])
+        assert got.tobytes() == rt.wealth_to_income(race, sol.params.r).tobytes()
+
+
 class TestMpcCurve:
-    """The consumption rows are blended across z's cell, as
-    wealth_threshold reads the boundary; an even n_y leaves z = 0 between
-    two rows."""
+    """The consumption rows are read at z, as wealth_threshold reads the
+    boundary; an even n_y leaves z = 0 between two rows."""
 
     W = np.linspace(1.0, 20.0, 39)
 
@@ -574,8 +591,17 @@ class TestMpcCurve:
     def row_formula(self, sol, j):
         """The MPC read on z row j alone."""
         r = sol.params.r
-        c_bar = np.interp(rt.xi_of_wealth(self.W, r)[::-1], sol.xi, sol.c_star[j])[::-1]
+        c_bar = interp.read(sol.xi, sol.c_star[j], rt.xi_of_wealth(self.W, r))
         return np.diff(c_bar * (self.W + 1.0 / r)) / np.diff(self.W)
+
+    def test_xi_read_is_np_interp_to_roundoff(self, sol):
+        r = sol.params.r
+        for z in (0.0, float(sol.z[3]), 0.37):
+            _, got = rt.mpc_curve(sol, z, self.W)
+            c_row = interp.read(sol.z, sol.c_star.T, z)
+            c_bar = np.interp(rt.xi_of_wealth(self.W, r)[::-1], sol.xi, c_row)[::-1]
+            want = np.diff(c_bar * (self.W + 1.0 / r)) / np.diff(self.W)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_a_node_reads_its_own_row(self, sol):
         for j in (0, 1, sol.z.size // 2, sol.z.size - 1):
