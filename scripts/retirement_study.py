@@ -48,10 +48,11 @@ def main():
     print(f"threshold (benchmark)   w*/I = {ben.wealth_threshold():.1f}")
     with open(os.path.join(args.out, "boundaries.csv"), "w") as fh:
         fh.write("z,w_retire_over_I,w_target_over_I\n")
+        r = pol.params.r
         for j, z in enumerate(pol.z):
-            wt = rt.wealth_to_income(pol.xi_retire[j], 0.01)
+            wt = rt.wealth_to_income(pol.xi_retire[j], r)
             tp = pol.xi_participate[j]
-            tv = rt.wealth_to_income(tp, 0.01) if np.isfinite(tp) else float("nan")
+            tv = rt.wealth_to_income(tp, r) if np.isfinite(tp) else float("nan")
             fh.write(f"{float(z)!r},{wt!r},{tv!r}\n")
 
     if args.skip_sim:

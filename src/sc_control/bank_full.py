@@ -18,11 +18,13 @@ Numerics: Phi and its inverse are the double-precision Cephes routines
 (scipy.special.ndtr/ndtri, |error| < 1e-15 / < 1e-9).  The H integral uses
 adaptive Gauss-Kronrod (quad_vec) in the substituted variable t = e^u, which
 resolves the integrand's t->0 spike near the liquidation barrier.  The
-barrier search runs an outer bisection on u2 over the sign of the tangency
-residual min_X [f1 - H] with an inner bounded minimization for the tangency
-point, both to 1e-10; this mirrors the intermediate-value existence
-argument.  H_X is evaluated by central differences (h = 1e-6) of the smooth
-closed form.
+barrier search bisects u2 to a bracket under 1e-11 over the sign of the
+tangency residual min_X [f1 - H], taken on a 2401-node X grid with a
+parabolic vertex through the grid argmin; this mirrors the
+intermediate-value existence argument.  One bounded minimization of the
+quadrature-backed f1 - H (xatol 1e-11) then polishes the tangency point.
+H_X is evaluated by central differences (h = 1e-6) of the smooth closed
+form.
 """
 
 from __future__ import annotations
@@ -43,14 +45,6 @@ _GAP_NODES = 2401  # X nodes of the tangency-gap grid
 
 
 @dataclass(frozen=True)
-class Action:
-    """Feedback policy outcome at a ratio level."""
-
-    kind: str  # "order_equity" | "wait" | "pay_dividend" | "liquidate"
-    amount: float = 0.0
-
-
-@dataclass(frozen=True)
 class FullSolution:
     """Barriers and piecewise value function of the fully observed model."""
 
@@ -68,8 +62,15 @@ class FullSolution:
     def value(self, X):
         return value_function(X, self)
 
-    def action(self, X) -> Action:
-        return optimal_action(X, self)
+    def actions(self, X):
+        """Feedback policy at each ratio X: "liquidate" below kappa, else
+        "order_equity" at or below u1, "pay_dividend" at or above u2, and
+        "wait" between them (and at NaN)."""
+        X = np.asarray(X, dtype=float)
+        u1 = self.u1 if self.has_recapitalization else -np.inf
+        out = np.select([X < self.kappa, X <= u1, X >= self.u2],
+                        ["liquidate", "order_equity", "pay_dividend"], "wait")
+        return out if out.ndim else str(out)
 
 
 class _Ctx:
@@ -88,7 +89,7 @@ class _Ctx:
         self.s2 = p.sigma**2
         self.mum = self.alpha - self.mu - 0.5 * self.s2
         self.mup = self.alpha - self.mu + 0.5 * self.s2
-        self.lam_m, self.lam_p = lambda_roots(p)
+        self.roots = self.lam_m, self.lam_p = lambda_roots(p)
 
 
 def lambda_roots(p: BankParams):
@@ -123,12 +124,11 @@ def candidate_value_f2(X, u2: float, roots):
     return out if np.ndim(X) else float(out)
 
 
-def hitting_cdf_dX(X, t: float, p: BankParams, kappa: float | None = None):
+def hitting_cdf_dX(ctx: _Ctx, X, t: float):
     """Analytic d/dX of the first-passage CDF P[tau <= t | X_0 = X] of X to
     kappa, 1 - Phi((d + mu_- t)/(sigma sqrt t)) + e^{-2 mu_- d/sigma^2}
     Phi((-d + mu_- t)/(sigma sqrt t)) with d = ln((1+X)/(1+kappa)) (reflection
     principle)."""
-    ctx = _Ctx(p, kappa=kappa)
     X = np.asarray(X, dtype=float)
     d = np.log((1.0 + X) / (1.0 + ctx.kappa))
     sq = ctx.sigma * math.sqrt(t)
@@ -190,10 +190,9 @@ def _H(ctx: _Ctx, X, u2: float):
     X = np.atleast_1d(X)
     if np.any(X < ctx.kappa - 1e-15):
         raise ValidationError("X must be >= kappa")
-    roots = (ctx.lam_m, ctx.lam_p)
     d = np.log(np.maximum((1.0 + X) / (1.0 + ctx.kappa), 1.0))
     sq = ctx.sigma * math.sqrt(ctx.Delta)
-    A = candidate_value_f1(u2, u2, roots) - u2 - ctx.K - 1.0
+    A = candidate_value_f1(u2, u2, ctx.roots) - u2 - ctx.K - 1.0
     disc_a = math.exp(-(ctx.delta - ctx.alpha) * ctx.Delta)
     disc_m = math.exp(-(ctx.delta - ctx.mu) * ctx.Delta)
     t1 = disc_a * (1.0 + X) * ndtr((d + ctx.mup * ctx.Delta) / sq)
@@ -213,40 +212,33 @@ def _H_dX(ctx: _Ctx, X, u2: float):
     return (_H(ctx, X + h, u2) - _H(ctx, lo, u2)) / (X + h - lo)
 
 
-def solve_u0(p: BankParams, kappa: float | None = None, omega: float | None = None) -> float:
+def solve_u0(ctx: _Ctx) -> float:
     """Dividend-only barrier: unique root of f1(kappa; theta) = omega*kappa.
 
     f1(kappa; .) is strictly decreasing, so a bracket exists exactly when
     omega*kappa < (alpha-mu)/(delta-mu)*(1+kappa).
     """
-    ctx = _Ctx(p, kappa=kappa, omega=omega)
-    roots = (ctx.lam_m, ctx.lam_p)
     target = ctx.omega * ctx.kappa
     if target >= (ctx.alpha - ctx.mu) / (ctx.delta - ctx.mu) * (1.0 + ctx.kappa):
         raise NoBracket("omega*kappa >= f1(kappa; kappa): no dividend barrier")
     hi = ctx.kappa + 0.5
     for _ in range(60):
-        if candidate_value_f1(ctx.kappa, hi, roots) < target:
+        if candidate_value_f1(ctx.kappa, hi, ctx.roots) < target:
             break
         hi *= 2.0
     else:
         raise NoBracket("could not bracket u0")
-    return brentq(lambda th: candidate_value_f1(ctx.kappa, th, roots) - target,
+    return brentq(lambda th: candidate_value_f1(ctx.kappa, th, ctx.roots) - target,
                   ctx.kappa, hi, xtol=1e-12, rtol=1e-12)
 
 
-def check_conditions(p: BankParams, u0: float | None = None,
-                     kappa: float | None = None, omega: float | None = None) -> dict:
+def check_conditions(ctx: _Ctx, u0: float) -> dict:
     """Evaluate the five sufficient conditions for the tangency pair."""
-    ctx = _Ctx(p, kappa=kappa, omega=omega)
-    if u0 is None:
-        u0 = solve_u0(p, kappa=ctx.kappa, omega=ctx.omega)
-    roots = (ctx.lam_m, ctx.lam_p)
     k, om, K = ctx.kappa, ctx.omega, ctx.K
     am, dm, da = ctx.alpha - ctx.mu, ctx.delta - ctx.mu, ctx.delta - ctx.alpha
     slope_H = float(_H_dX(ctx, np.array([k + _DIFF_H]), u0)[0])
-    slope_f1 = float(candidate_value_f1_dX(k + _DIFF_H, u0, roots))
-    dpdx = float(hitting_cdf_dX(k, ctx.Delta, p, kappa=k))
+    slope_f1 = float(candidate_value_f1_dX(k + _DIFF_H, u0, ctx.roots))
+    dpdx = float(hitting_cdf_dX(ctx, k, ctx.Delta))
     lhs5 = da / dm * math.exp(am * ctx.Delta)
     rhs5 = (da / dm * math.exp(am * ctx.Delta) * (1.0 + k) - da / dm * (1.0 + u0) - K) * dpdx
     report = {
@@ -288,10 +280,10 @@ class _GapGrid:
         self.hit = ctx.omega * ctx.kappa * _hit_factor(ctx, self.xs)
 
     def _coeffs(self, u2: float):
-        lam_m, lam_p = self.ctx.lam_m, self.ctx.lam_p
+        lam_m, lam_p = self.ctx.roots
         c_m = (lam_p - 1.0) / (lam_m * (lam_p - lam_m) * (1.0 + u2) ** (lam_m - 1.0))
         c_p = -(lam_m - 1.0) / (lam_p * (lam_p - lam_m) * (1.0 + u2) ** (lam_p - 1.0))
-        A = candidate_value_f1(u2, u2, (lam_m, lam_p)) - u2 - self.ctx.K - 1.0
+        A = candidate_value_f1(u2, u2, self.ctx.roots) - u2 - self.ctx.K - 1.0
         return c_m, c_p, A
 
     def gap(self, u2: float) -> np.ndarray:
@@ -321,14 +313,16 @@ def solve_barriers(p: BankParams, kappa: float | None = None,
                    omega: float | None = None) -> FullSolution:
     """Solve the tangency system for (u1, u2) and assemble the solution.
 
-    Outer bisection on u2 in (kappa, u0) over the sign of min_X [f1 - H];
-    inner bounded minimization locates the tangency point u1.  Raises
-    :class:`NoSolution` when the residual never changes sign (e.g. the
-    issuance cost is so large that recapitalization is never optimal).
+    Bisection on u2 in (kappa, u0) over the sign of min_X [f1 - H] on the
+    gap grid, whose argmin (parabolic vertex) gives the tangency point u1;
+    one bounded minimization against the quadrature-backed H polishes u1.
+    Raises :class:`NoSolution` when the residual never changes sign (e.g.
+    the issuance cost is so large that recapitalization is never optimal).
     """
     ctx = _Ctx(p, kappa=kappa, omega=omega)
-    u0 = solve_u0(p, kappa=ctx.kappa, omega=ctx.omega)
-    report = check_conditions(p, u0, kappa=ctx.kappa, omega=ctx.omega)
+    u0 = solve_u0(ctx)
+    # before the gap grid, whose zero-delay divide would pre-empt _H's error
+    report = check_conditions(ctx, u0)
     grid = _GapGrid(ctx, u0)
 
     lo = ctx.kappa + 1e-4 * (u0 - ctx.kappa)
@@ -357,10 +351,9 @@ def solve_barriers(p: BankParams, kappa: float | None = None,
         raise NoSolution("bisection failed to locate the tangency")
     g, u1 = grid.min_gap(u2)
     # polish the tangency point against the quadrature-backed H
-    roots = (ctx.lam_m, ctx.lam_p)
     h = grid.xs[1] - grid.xs[0]
     res = minimize_scalar(
-        lambda X: float(candidate_value_f1(X, u2, roots) - _H(ctx, X, u2)),
+        lambda X: float(candidate_value_f1(X, u2, ctx.roots) - _H(ctx, X, u2)),
         bounds=(max(u1 - h, ctx.kappa), min(u1 + h, u2)),
         method="bounded", options={"xatol": 1e-11},
     )
@@ -380,12 +373,12 @@ def solve_dividend_only(p: BankParams, kappa: float | None = None,
                         omega: float | None = None) -> FullSolution:
     """No-issuance solution: value f1(X; u0) below u0, affine above."""
     ctx = _Ctx(p, kappa=kappa, omega=omega)
-    u0 = solve_u0(p, kappa=ctx.kappa, omega=ctx.omega)
+    u0 = solve_u0(ctx)
     return FullSolution(
         params=p, kappa=ctx.kappa, omega=ctx.omega,
         lambda_minus=ctx.lam_m, lambda_plus=ctx.lam_p,
         u0=u0, u1=None, u2=u0,
-        conditions_report=check_conditions(p, u0, kappa=ctx.kappa, omega=ctx.omega),
+        conditions_report=check_conditions(ctx, u0),
         has_recapitalization=False,
     )
 
@@ -393,7 +386,6 @@ def solve_dividend_only(p: BankParams, kappa: float | None = None,
 def value_function(X, sol: FullSolution):
     """Piecewise H / f1 / f2 evaluation of the solved value function."""
     ctx = _Ctx(sol.params, kappa=sol.kappa, omega=sol.omega)
-    roots = (sol.lambda_minus, sol.lambda_plus)
     X = np.asarray(X, dtype=float)
     scalar = X.ndim == 0
     X = np.atleast_1d(X)
@@ -407,18 +399,8 @@ def value_function(X, sol: FullSolution):
     if np.any(lo):
         out[lo] = _H(ctx, X[lo], sol.u2)
     if np.any(mid):
-        out[mid] = candidate_value_f1(X[mid], sol.u2, roots)
+        out[mid] = candidate_value_f1(X[mid], sol.u2, ctx.roots)
     if np.any(hively):
-        out[hively] = candidate_value_f2(X[hively], sol.u2, roots)
+        out[hively] = candidate_value_f2(X[hively], sol.u2, ctx.roots)
     return float(out[0]) if scalar else out
 
-
-def optimal_action(X: float, sol: FullSolution) -> Action:
-    """Feedback policy: order equity, wait, or pay the excess dividend."""
-    if X < sol.kappa:
-        return Action("liquidate")
-    if sol.has_recapitalization and X <= sol.u1:
-        return Action("order_equity", amount=0.0)
-    if X >= sol.u2:
-        return Action("pay_dividend", amount=X - sol.u2)
-    return Action("wait")

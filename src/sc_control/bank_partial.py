@@ -93,6 +93,11 @@ def degenerate_boundary_params(p: BankParams):
     return kappa1, omega1
 
 
+def line_policy(p: BankParams) -> bank_full.FullSolution:
+    """The fully observed policy of the invariant line, under (kappa1, omega1)."""
+    return bank_full.solve_barriers(p, *degenerate_boundary_params(p))
+
+
 @dataclass
 class PartialSolution:
     """Solved (X_hat, S) surface with regions and boundary curves."""
@@ -411,10 +416,10 @@ def _line_data(p: BankParams, xs: np.ndarray):
     the row is the semi-explicit value function, omega1*kappa1 at and below
     the barrier kappa1.  It is the solver's Dirichlet data.
     """
-    kappa1, omega1 = degenerate_boundary_params(p)
-    full_line = bank_full.solve_barriers(p, kappa=kappa1, omega=omega1)
+    full_line = line_policy(p)
+    kappa1 = full_line.kappa
     line_vals = np.asarray(bank_full.value_function(np.maximum(xs, kappa1), full_line))
-    line_vals[xs <= kappa1] = omega1 * kappa1
+    line_vals[xs <= kappa1] = full_line.omega * kappa1
     return full_line, line_vals
 
 
@@ -471,10 +476,9 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     x_b = float(liquidation_barrier(s_line, p))
     v_b = p.omega * psi(x_b, s_line)  # the liquidation payoff
     v_num = np.maximum(v_b + (xs - x_b), v_b)
-    V_line_saved = V[line_idx].copy()
     for sweep in range(_LINE_MAX_SWEEPS):
-        V[line_idx] = v_num  # the line's own P references this iterate
-        p_line = _impulse_slice(sp, s_line, row_at)
+        # a path from s_inf stays there, so the line's own P reads this iterate
+        p_line = _impulse_slice(sp, s_line, lambda S: v_num)
         v_new, _, sets[line_idx] = _solve_slice(sp, s_line, 0.0, np.zeros(n_x), p_line,
                                                 rho_pen, active=sets[line_idx])
         change = float(np.max(np.abs(v_new - v_num) / (1.0 + np.abs(v_num))))
@@ -484,10 +488,9 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
             break
     else:
         raise NoConvergence("invariant-line sweep did not converge", residual=change)
-    V[line_idx] = V_line_saved
     denom = 1.0 + np.abs(xs)
     live = xs > full_line.kappa + 1e-9
-    line_sup_error = float(np.max(np.abs(v_num - V_line_saved)[live] / denom[live]))
+    line_sup_error = float(np.max(np.abs(v_num - line_vals)[live] / denom[live]))
 
     # march the two sub-domains away from the line, then refine with the
     # nonlocal operator frozen at the previous full sweep

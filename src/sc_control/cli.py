@@ -171,7 +171,7 @@ def _cmd_solve_bank_full(cfg, args, out_dir):
     sol = bank_full.solve_barriers(p)
     xs = np.linspace(sol.kappa, 3.0 * sol.u2, n_plot)
     _write_csv(out_dir, "value_function.csv", ["X", "V", "action"],
-               [xs, sol.value(xs), [sol.action(float(x)).kind for x in xs]])
+               [xs, sol.value(xs), sol.actions(xs)])
     return {
         "lambda_minus": sol.lambda_minus, "lambda_plus": sol.lambda_plus,
         "u0": sol.u0, "u1": sol.u1, "u2": sol.u2,
@@ -261,7 +261,7 @@ def _cmd_simulate_bank(cfg, args, out_dir):
     if "grid" in cfg:  # checked, but nothing is solved on it
         from_dict(BankGrid, cfg["grid"])
     # the paths stay on the invariant line, so they run the line's closed-form policy
-    policy = bank_full.solve_barriers(p, *bank_partial.degenerate_boundary_params(p))
+    policy = bank_partial.line_policy(p)
     bundle = simulate.simulate_bank(p, policy, **run, seed=args.seed)
     liq = bundle.liquidation_time
     return {
@@ -304,33 +304,20 @@ def _cmd_elasticity(cfg, args, out_dir):
                                                     grid=grid)}
 
 
-_HANDLERS = {
-    "filter": _cmd_filter,
-    "calibrate": _cmd_calibrate,
-    "solve-bank-full": _cmd_solve_bank_full,
-    "solve-bank-partial": _cmd_solve_bank_partial,
-    "solve-retire": _cmd_solve_retire,
-    "solve-retire-finite": _cmd_solve_retire_finite,
-    "solve-retire-ez": _cmd_solve_retire_ez,
-    "simulate-bank": _cmd_simulate_bank,
-    "simulate-retire": _cmd_simulate_retire,
-    "elasticity": _cmd_elasticity,
-}
-SUBCOMMANDS = tuple(_HANDLERS)
-
-# the top-level config keys each handler reads
-_RETIRE_KEYS = ("retire_params", "grid")
-_CONFIG_KEYS = {
-    "filter": ("theta", "series", "series_csv"),
-    "calibrate": ("series", "series_csv", "panel_csv", "bank_id", "pf"),
-    "solve-bank-full": ("bank_params", "n_plot"),
-    "solve-bank-partial": ("bank_params", "grid"),
-    "solve-retire": _RETIRE_KEYS,
-    "solve-retire-finite": _RETIRE_KEYS + ("dt",),
-    "solve-retire-ez": _RETIRE_KEYS,
-    "simulate-bank": ("bank_params", "grid", "horizon", "n_paths", "dt"),
-    "simulate-retire": _RETIRE_KEYS + ("start_w_over_i", "n_paths", "dt"),
-    "elasticity": ("bank_params", "grid", "parameters", "rel_step"),
+# each subcommand's handler and the top-level config keys it reads
+SUBCOMMANDS = {
+    "filter": (_cmd_filter, ("theta", "series", "series_csv")),
+    "calibrate": (_cmd_calibrate, ("series", "series_csv", "panel_csv", "bank_id", "pf")),
+    "solve-bank-full": (_cmd_solve_bank_full, ("bank_params", "n_plot")),
+    "solve-bank-partial": (_cmd_solve_bank_partial, ("bank_params", "grid")),
+    "solve-retire": (_cmd_solve_retire, ("retire_params", "grid")),
+    "solve-retire-finite": (_cmd_solve_retire_finite, ("retire_params", "grid", "dt")),
+    "solve-retire-ez": (_cmd_solve_retire_ez, ("retire_params", "grid")),
+    "simulate-bank": (_cmd_simulate_bank,
+                      ("bank_params", "grid", "horizon", "n_paths", "dt")),
+    "simulate-retire": (_cmd_simulate_retire,
+                        ("retire_params", "grid", "start_w_over_i", "n_paths", "dt")),
+    "elasticity": (_cmd_elasticity, ("bank_params", "grid", "parameters", "rel_step")),
 }
 
 
@@ -340,10 +327,11 @@ def run(subcommand: str, config: dict, out_dir: str, seed: int = 0,
 
     A config key the subcommand does not read raises ValidationError naming it.
     """
-    check_fields(subcommand, config, _CONFIG_KEYS[subcommand], ())
+    handler, keys = SUBCOMMANDS[subcommand]
+    check_fields(subcommand, config, keys, ())
     ns = argparse.Namespace(seed=seed, strict=strict)
     os.makedirs(out_dir, exist_ok=True)
-    summary = _HANDLERS[subcommand](config, ns, out_dir)
+    summary = handler(config, ns, out_dir)
     _write_json(out_dir, "summary.json", summary)
     _write_manifest(out_dir, subcommand, config, ns)
     return summary

@@ -30,7 +30,8 @@ class SingularTransform(ScControlError):
 
 
 class DegenerateCloud(ScControlError):
-    """All particle weights underflowed; restart with a wider jitter."""
+    """All particle weights underflowed: every particle of the cloud gives the
+    observation zero likelihood."""
 
 
 class NoBracket(ScControlError):

@@ -297,8 +297,7 @@ class TestPenaltySolve:
         prev_gap = None
         for m in (1e-2, 1e-3, 1e-4):
             p = table_bank_params(noise_m=m, S_bar=None)
-            kappa1, omega1 = bp.degenerate_boundary_params(p)
-            line = bank_full.solve_barriers(p, kappa=kappa1, omega=omega1)
+            line = bp.line_policy(p)
             gap = abs(line.u1 - full.u1) + abs(line.u2 - full.u2)
             if prev_gap is not None:
                 assert gap < prev_gap
@@ -471,20 +470,16 @@ class TestSigmaSignOnTheLine:
     EXPECTED = {"noise_m": +1, "omega": +1, "rho": -1, "delay_Delta": -1,
                 "issue_cost_K": -1, "sigma": -1}
 
-    @staticmethod
-    def line(q):
-        return bank_full.solve_barriers(q, *bp.degenerate_boundary_params(q))
-
     def test_v_slope_signs(self):
         p = table_bank_params()
-        base = self.line(p)
+        base = bp.line_policy(p)
         x_ref = 2.0 * base.kappa
         v0 = bank_full.value_function(x_ref, base)
         for name, sign in self.EXPECTED.items():
             # each parameter moved +-5%, as the acceptance fixture moves it
             step = 0.05 * abs(getattr(p, name))
-            hi, lo = (self.line(dataclasses.replace(p, **{name: getattr(p, name) + d,
-                                                          "S_bar": None}))
+            hi, lo = (bp.line_policy(dataclasses.replace(p, **{name: getattr(p, name) + d,
+                                                               "S_bar": None}))
                       for d in (step, -step))
             slope = (bank_full.value_function(x_ref, hi)
                      - bank_full.value_function(x_ref, lo)) / v0

@@ -221,7 +221,7 @@ class TestCli:
         ("simulate-retire", "start_w"), ("elasticity", "parameter")])
     def test_unknown_top_level_key_exits_1_naming_it(self, tmp_path, monkeypatch, sub, key):
         # the check comes before the handler, which must not run
-        monkeypatch.setitem(cli._HANDLERS, sub, None)
+        monkeypatch.setitem(cli.SUBCOMMANDS, sub, (None, cli.SUBCOMMANDS[sub][1]))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: 7}))
         out_dir = tmp_path / "out"
@@ -239,9 +239,9 @@ class TestCli:
         import workloads
 
         ran = []
-        for sub in cli.SUBCOMMANDS:  # record each call in place of solving
-            monkeypatch.setitem(cli._HANDLERS, sub,
-                                lambda cfg, args, out, sub=sub: ran.append(sub) or {})
+        for sub, (_, keys) in list(cli.SUBCOMMANDS.items()):  # record each call, no solve
+            monkeypatch.setitem(cli.SUBCOMMANDS, sub,
+                                (lambda cfg, args, out, sub=sub: ran.append(sub) or {}, keys))
         for op in workloads.build(workload, seed):
             for k, (cfg, s) in enumerate(op.calls):
                 cli.run(op.subcommand, cfg, str(tmp_path / op.name / str(k)), seed=s)

@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script runs at a small size and writes the
 files the README names."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sc_control
+from sc_control import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(sc_control.__file__).resolve().parents[1])
@@ -38,6 +40,26 @@ def test_script_writes_csv_and_summary(tmp_path, script, args, csv, header, key)
     summary = json.loads((out / "summary.json").read_text())
     assert key in summary
     assert (out / "manifest.json").exists()
+
+
+def test_retirement_study_boundaries_are_those_of_solve_retire(tmp_path, monkeypatch):
+    # the study's boundaries.csv is the file solve-retire writes for the
+    # same record; the record's r moves off the study's 0.01 so that the
+    # wealth-to-income conversion must read it
+    spec = importlib.util.spec_from_file_location(
+        "retirement_study", ROOT / "scripts" / "retirement_study.py")
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    monkeypatch.setitem(study.BASE, "r", 0.02)
+    out = tmp_path / "study"
+    monkeypatch.setattr(sys, "argv", ["retirement_study.py", "--fast", "--skip-sim",
+                                      "--out", str(out)])
+    study.main()
+    cfg = {"retire_params": {**study.BASE, "mean_reversion": 0.15},
+           "grid": {"n_x": 101, "n_y": 81}}
+    cli.run("solve-retire", cfg, str(tmp_path / "cli"))
+    assert (out / "boundaries.csv").read_bytes() == \
+        (tmp_path / "cli" / "boundaries.csv").read_bytes()
 
 
 def _workloads():
