@@ -141,11 +141,10 @@ def hitting_cdf_dX(ctx: _Ctx, X, t: float):
     return out if out.ndim else float(out)
 
 
-def _hitting_density(ctx: _Ctx, X, t):
-    """Analytic dp/dt: first-passage density of the log ratio."""
-    X = np.asarray(X, dtype=float)
+def _hitting_density(ctx: _Ctx, d, t):
+    """Analytic dp/dt: first-passage density of the log ratio, at the
+    log-distance d = ln((1+X)/(1+kappa)) from the barrier."""
     t = np.asarray(t, dtype=float)
-    d = np.log((1.0 + X) / (1.0 + ctx.kappa))
     return d / (ctx.sigma * np.sqrt(2.0 * math.pi) * t**1.5) \
         * np.exp(-((d + ctx.mum * t) ** 2) / (2.0 * ctx.s2 * t))
 
@@ -154,23 +153,25 @@ def _hit_factor(ctx: _Ctx, X) -> np.ndarray:
     """E[e^{-(delta-mu) tau} 1{tau <= Delta}] by adaptive quadrature.
 
     Integrates e^{-(delta-mu)t} dp/dt over (0, Delta] in the substituted
-    variable t = e^u; returns 1 where X is at the barrier (tau = 0).
+    variable t = e^u; returns 1 where X is at the barrier (tau = 0).  The
+    log-distance to the barrier is taken once, outside the integrand.
     """
     X = np.atleast_1d(np.asarray(X, dtype=float))
     lam = ctx.delta - ctx.mu
     out = np.empty_like(X)
-    at_barrier = np.log((1.0 + X) / (1.0 + ctx.kappa)) < 1e-14
+    d = np.log((1.0 + X) / (1.0 + ctx.kappa))
+    at_barrier = d < 1e-14
     out[at_barrier] = 1.0
     live = ~at_barrier
     if np.any(live):
-        Xl = X[live]
+        d_live = d[live]
 
         def integrand(u):
             t = math.exp(u)
-            return np.exp(-lam * t) * _hitting_density(ctx, Xl, t) * t
+            return np.exp(-lam * t) * _hitting_density(ctx, d_live, t) * t
 
         # below exp(u_lo) the density underflows for every live X
-        d_min = float(np.min(np.log((1.0 + Xl) / (1.0 + ctx.kappa))))
+        d_min = float(np.min(d_live))
         t_lo = max(d_min**2 / (2.0 * ctx.s2 * 1400.0), 1e-300)
         val, err = quad_vec(integrand, math.log(t_lo), math.log(ctx.Delta),
                             epsabs=1e-10, epsrel=1e-10, limit=200)

@@ -237,8 +237,12 @@ class _SliceSystems:
 class _SliceProblem:
     """Shared coefficients of the per-slice obstacle problems on the X grid.
 
-    The S-independent parts of the operator (difference weights, (1+X)^2 and
-    the upwinded drift) are computed once here.
+    The S-independent parts of the operator are computed once here: the
+    negated difference weights, (1+X)^2 and the upwinded drift.  The drift is
+    kept as full-length interior vectors, ``dup`` (its forward-difference
+    weight on the columns where it points up, 0 elsewhere), ``ddn`` (its
+    backward-difference weight on the other columns, 0 elsewhere) and their
+    sum ``ddia`` for the diagonal, so a slice row takes it in one pass.
     """
 
     def __init__(self, p: BankParams, xs: np.ndarray):
@@ -246,7 +250,7 @@ class _SliceProblem:
         self.xs = xs
         self.dm = p.delta - p.mu
         self.am = p.alpha - p.mu
-        self.d2 = _diff_ops(xs)
+        self.neg_d2 = tuple(-w for w in _diff_ops(xs))
         self.xsq = (1.0 + xs[1:-1]) ** 2
         # the cut cell squares a single node, which rounds through libm pow
         self.xsq_cut = np.array([(1.0 + x) ** 2 for x in xs.tolist()])
@@ -254,9 +258,10 @@ class _SliceProblem:
         h_m = np.diff(xs)[:-1]
         h_p = np.diff(xs)[1:]
         drift = self.am * (1.0 + xs[1:-1])
-        self.up = drift >= 0.0
-        self.drift_up = drift[self.up] / h_p[self.up]
-        self.drift_dn = -drift[~self.up] / h_m[~self.up]
+        up = drift >= 0.0
+        self.dup = np.where(up, drift / h_p, 0.0)
+        self.ddn = np.where(up, 0.0, -drift / h_m)
+        self.ddia = self.dup + self.ddn
 
     def banded_system(self, s, cut_vol2, extra_diag) -> _SliceSystems:
         """Systems of -(L - extra_diag) V = rhs on the slices at variances ``s``.
@@ -266,6 +271,12 @@ class _SliceProblem:
         (Dirichlet when the barrier sits essentially on the node); the last
         row imposes V_X = 1.  ``cut_vol2`` is the squared volatility of each
         cut cell; the interior rows square each gain as a Python float.
+
+        Every interior row is written in place into the band arrays, the
+        drift vectors added or subtracted whole (a 0 leaves an entry as it
+        is); then each row's Dirichlet prefix, the nodes below its cut cell,
+        is overwritten with the identity row, and the cut cell with its
+        stencil.
         """
         xs = self.xs
         n = xs.size
@@ -278,23 +289,25 @@ class _SliceProblem:
 
         vol2 = np.array([g ** 2 for g in filter_gain(s, self.p).tolist()])
         diffc = 0.5 * vol2[:, None] * self.xsq
-        d2_l, d2_c, d2_r = self.d2
-        sub = -diffc * d2_l
-        dia = -diffc * d2_c + self.dm + extra_diag
-        sup = -diffc * d2_r
-        up = self.up
-        sup[:, up] -= self.drift_up
-        dia[:, up] += self.drift_up
-        dia[:, ~up] += self.drift_dn
-        sub[:, ~up] -= self.drift_dn
-        live = np.arange(1, n - 1) > i0[:, None]
-        d = np.ones((k, n))
-        dl = np.zeros((k, n - 1))
-        du = np.zeros((k, n - 1))
-        d[:, 1:-1] = np.where(live, dia, 1.0)
-        dl[:, :-1] = np.where(live, sub, 0.0)
-        du[:, 1:] = np.where(live, sup, 0.0)
+        neg_l, neg_c, neg_r = self.neg_d2
+        d = np.empty((k, n))
+        dl = np.empty((k, n - 1))
+        du = np.empty((k, n - 1))
+        dia, sub, sup = d[:, 1:-1], dl[:, :-1], du[:, 1:]
+        np.multiply(diffc, neg_l, out=sub)
+        sub -= self.ddn
+        np.multiply(diffc, neg_c, out=dia)
+        dia += self.dm
+        dia += extra_diag
+        dia += self.ddia
+        np.multiply(diffc, neg_r, out=sup)
+        sup -= self.dup
+        d[:, -1] = 1.0
         dl[:, -1] = -1.0  # far field: V_X = 1
+        for row, i in enumerate(i0.tolist()):
+            d[row, :i] = 1.0
+            dl[row, :i] = 0.0
+            du[row, :i] = 0.0
 
         # Shortley-Weller one-sided stencil at the cut cell i0
         h_sw = xs[i0] - x_b

@@ -19,7 +19,7 @@ from sc_control import bank_full as bf, bank_partial
 from sc_control.errors import NoBracket, NoSolution, ValidationError
 from sc_control.params import BankParams
 
-from conftest import fig_bank_params, table_bank_params
+from conftest import digest, fig_bank_params, table_bank_params
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +163,8 @@ class TestHittingCdf:
             fd_x = (hitting_cdf(X + h, t, p) - hitting_cdf(X - h, t, p)) / (2 * h)
             assert bf.hitting_cdf_dX(bf._Ctx(p), X, t) == pytest.approx(fd_x, rel=1e-5)
             fd_t = (hitting_cdf(X, t + h, p) - hitting_cdf(X, t - h, p)) / (2 * h)
-            assert bf._hitting_density(bf._Ctx(p), X, t) == pytest.approx(fd_t, rel=1e-5)
+            d = math.log((1.0 + X) / (1.0 + p.kappa_min))
+            assert bf._hitting_density(bf._Ctx(p), d, t) == pytest.approx(fd_t, rel=1e-5)
 
 
 class TestDelayedValueH:
@@ -178,12 +179,24 @@ class TestDelayedValueH:
         u2 = fig_solution.u2
         roots = (fig_solution.lambda_minus, fig_solution.lambda_plus)
         for X in (0.05, 0.06, 0.09):
+            d = math.log((1.0 + X) / (1.0 + p.kappa_min))
             quad_val, _ = quad(
                 lambda t: math.exp(-(p.delta - p.mu) * t)
-                * float(bf._hitting_density(bf._Ctx(p), X, t)), 0, p.delay_Delta,
+                * float(bf._hitting_density(bf._Ctx(p), d, t)), 0, p.delay_Delta,
                 epsabs=1e-13, limit=200)
             assert quad_val == pytest.approx(
                 laplace_hit_oracle(p, X, p.delta - p.mu, p.delay_Delta), abs=1e-10)
+
+    def test_hit_integral_is_pinned(self):
+        # digests recorded before the integrand took the log-distance: the
+        # gap grid's column, and the at-barrier 1.0 beside a live node 1e-3
+        # above the barrier
+        p = fig_bank_params()
+        ctx = bf._Ctx(p)
+        assert digest(bf._GapGrid(ctx, bf.solve_u0(ctx)).hit) == "8da6c86bae8d935b"
+        hit = bf._hit_factor(ctx, [ctx.kappa, ctx.kappa + 1e-3, 0.2])
+        assert hit[0] == 1.0 and 0.0 < hit[2] < hit[1] < 1.0
+        assert digest(hit) == "a1e6a230cbb0ec38"
 
     def test_zero_delay_limit_is_costly_topup(self, fig_solution):
         # Delta -> 0+: H -> V(u2) - (u2 - X) - K for X < u2

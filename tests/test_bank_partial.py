@@ -14,7 +14,7 @@ from scipy.special import ndtri, roots_hermitenorm
 from sc_control import bank_full, bank_partial as bp, cli
 from sc_control.errors import NoConvergence, ValidationError
 
-from conftest import table_bank_params
+from conftest import digest, table_bank_params
 
 
 def impulse_at(sol, x0, s0):
@@ -306,7 +306,42 @@ class TestPenaltySolve:
         assert prev_gap < 1e-2
 
 
+def path_systems(p):
+    """The assembled systems of the delayed-issuance path from the lowest
+    variance of p's default 401x81 grid (64 steps)."""
+    grid = bp.default_grid(p)
+    sp = bp._SliceProblem(p, bp._x_grid(grid))
+    S0 = float(bp._s_grid(p, grid)[0][0])
+    s_path = bp.riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, bp._N_TIME + 1))
+    steps = s_path[:-1]
+    dt = p.delay_Delta / bp._N_TIME
+    return sp.banded_system(steps, bp.filter_gain(steps, p) ** 2, 1.0 / dt)
+
+
 class TestSliceAssembly:
+    """The slice systems, pinned byte for byte to digests recorded before the
+    rows were written in place."""
+
+    FIELDS = ("dl", "d", "du", "i0", "snap", "v_b", "cut_b", "cut_d")
+    # the first live node moves from 71 to 98 along the path; the barrier
+    # snaps to a node twice
+    PATH = ("bddadc0e4e8e186a", "3399c8dcc6afd653", "8817a76da6a76640", "fb6ed3ad65ccf073",
+            "d5e12dfe11d1b56a", "ebc31fca7d101ab8", "c671c50b04119709", "076a27c79e5ace2a")
+    # alpha < mu: the drift is downwind on every column and at every cut cell
+    DOWNWIND = ("8198cdcace94e729", "5dd4d05df8e5e5e9", "a96a102cf41a00a7", "fb6ed3ad65ccf073",
+                "d5e12dfe11d1b56a", "ebc31fca7d101ab8", "c671c50b04119709", "5ab03aa854cf6e64")
+
+    @pytest.mark.parametrize("overrides, pins", [({}, PATH), ({"alpha": 0.09}, DOWNWIND)],
+                             ids=["drift-up", "drift-down"])
+    def test_path_systems_are_pinned(self, overrides, pins):
+        systems = path_systems(table_bank_params(**overrides))
+        assert systems.d.shape == (bp._N_TIME, 401)
+        assert tuple(digest(getattr(systems, f)) for f in self.FIELDS) == pins
+
+    def test_table_b_small_surface_is_pinned(self, table_b_small):
+        assert (digest(table_b_small.V), digest(table_b_small.regions)) \
+            == ("20fc01b68f9c1464", "86481585f969b004")
+
     def test_impulse_path_starting_on_a_node_is_dirichlet_there(self):
         # I(S0) sits a hair below a node: the march's last step (at S0)
         # takes the snap branch, so P V is the liquidation payoff up to i0
