@@ -251,9 +251,7 @@ class _SliceProblem:
         self.dm = p.delta - p.mu
         self.am = p.alpha - p.mu
         self.neg_d2 = tuple(-w for w in _diff_ops(xs))
-        self.xsq = (1.0 + xs[1:-1]) ** 2
-        # the cut cell squares a single node, which rounds through libm pow
-        self.xsq_cut = np.array([(1.0 + x) ** 2 for x in xs.tolist()])
+        self.xsq = (1.0 + xs) ** 2
         # first-order term upwinded by the sign of the drift
         h_m = np.diff(xs)[:-1]
         h_p = np.diff(xs)[1:]
@@ -263,14 +261,15 @@ class _SliceProblem:
         self.ddn = np.where(up, 0.0, -drift / h_m)
         self.ddia = self.dup + self.ddn
 
-    def banded_system(self, s, cut_vol2, extra_diag) -> _SliceSystems:
+    def banded_system(self, s, extra_diag) -> _SliceSystems:
         """Systems of -(L - extra_diag) V = rhs on the slices at variances ``s``.
 
         Rows below the barrier I(S) are Dirichlet at the liquidation payoff;
         the first node above it takes the Shortley-Weller one-sided stencil
         (Dirichlet when the barrier sits essentially on the node); the last
-        row imposes V_X = 1.  ``cut_vol2`` is the squared volatility of each
-        cut cell; the interior rows square each gain as a Python float.
+        row imposes V_X = 1.  The gain of each variance is computed once and
+        squared as a Python float, for the interior rows and the cut cell
+        alike.
 
         Every interior row is written in place into the band arrays, the
         drift vectors added or subtracted whole (a 0 leaves an entry as it
@@ -288,7 +287,7 @@ class _SliceProblem:
             raise ValidationError("liquidation barrier outside the X grid")
 
         vol2 = np.array([g ** 2 for g in filter_gain(s, self.p).tolist()])
-        diffc = 0.5 * vol2[:, None] * self.xsq
+        diffc = 0.5 * vol2[:, None] * self.xsq[1:-1]
         neg_l, neg_c, neg_r = self.neg_d2
         d = np.empty((k, n))
         dl = np.empty((k, n - 1))
@@ -313,7 +312,7 @@ class _SliceProblem:
         h_sw = xs[i0] - x_b
         hp = xs[i0 + 1] - xs[i0]
         snap = h_sw < 0.05 * hp
-        diffc_b = 0.5 * cut_vol2 * self.xsq_cut[i0]
+        diffc_b = 0.5 * vol2 * self.xsq[i0]
         drift_b = self.am * (1.0 + xs[i0])
         c_b = 2.0 * diffc_b / (h_sw * (h_sw + hp))
         c_r = 2.0 * diffc_b / (hp * (h_sw + hp))
@@ -344,7 +343,7 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
     """
     xs = sp.xs
     n = xs.size
-    system = sp.banded_system(np.array([S]), np.array([filter_gain(S, sp.p) ** 2]), extra_diag)
+    system = sp.banded_system(np.array([S]), extra_diag)
     i0, snap = int(system.i0[0]), bool(system.snap[0])
     b0 = system.rhs(0, rhs_extra.copy())
     start = i0 + 1
@@ -413,7 +412,7 @@ def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
     dt = p.delay_Delta / n_t
     s_path = riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, n_t + 1))
     steps = s_path[:-1]
-    path = sp.banded_system(steps, filter_gain(steps, p) ** 2, 1.0 / dt)
+    path = sp.banded_system(steps, 1.0 / dt)
     # terminal condition: exact line search over issuance sizes
     v_term = surface_lookup(float(s_path[-1]))
     u = _shift_sup(xs, v_term, p.issue_cap_sbar, p.issue_cost_K)

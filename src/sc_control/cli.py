@@ -55,6 +55,21 @@ def _retire_grid(cfg: dict) -> RetireGrid:
     return from_dict(RetireGrid, cfg.get("grid", {}))
 
 
+def _series_source(cfg, keys):
+    """The one key of ``keys`` that the config sets (None if none); a config
+    that sets more than one raises ValidationError naming them."""
+    given = [k for k in keys if k in cfg]
+    if len(given) > 1:
+        raise ValidationError(f"conflicting series sources {given}: set only one")
+    return given[0] if given else None
+
+
+def _series(cfg, source):
+    if source == "series_csv":
+        return filtering.series_from_csv(cfg["series_csv"])
+    return np.asarray(cfg["series"], dtype=float)
+
+
 def _write_manifest(out_dir, subcommand, cfg, args):
     manifest = {
         "subcommand": subcommand,
@@ -112,10 +127,7 @@ def _cmd_filter(cfg, args, out_dir):
     block = cfg["theta"]
     check_fields("theta", block, filtering.THETA_FIELDS, filtering.THETA_FIELDS)
     theta = tuple(block[k] for k in filtering.THETA_FIELDS)
-    if "series_csv" in cfg:
-        series = filtering.series_from_csv(cfg["series_csv"])
-    else:
-        series = np.asarray(cfg["series"], dtype=float)
+    series = _series(cfg, _series_source(cfg, ("series", "series_csv")))
     states = filtering.filter_series(series, theta)
     ll = filtering.log_likelihood(series, theta, states=states)
     _write_csv(out_dir, "filtered.csv",
@@ -126,8 +138,11 @@ def _cmd_filter(cfg, args, out_dir):
 
 
 def _cmd_calibrate(cfg, args, out_dir):
+    source = _series_source(cfg, ("series", "series_csv", "panel_csv"))
+    if "bank_id" in cfg and source != "panel_csv":
+        raise ValidationError("bank_id picks a bank of panel_csv, which is not set")
     moments = None
-    if "panel_csv" in cfg:
+    if source == "panel_csv":
         ingested = panel.ingest_panel(cfg["panel_csv"], strict=args.strict)
         banks, diagnostics = ingested["banks"], ingested["diagnostics"]
         if not banks:
@@ -145,11 +160,10 @@ def _cmd_calibrate(cfg, args, out_dir):
                              "alpha_hat_annual", "sigma_hat_annual")}
         moments["bank_id"] = bank_id
         moments["diagnostics"] = diagnostics
-    elif "series_csv" in cfg:
-        series = filtering.series_from_csv(cfg["series_csv"])
     else:
-        series = np.asarray(cfg["series"], dtype=float)
+        series = _series(cfg, source)
     block = cfg.get("pf", {})
+    check_fields("pf", block, ("n_particles", "seed"), ())
     if "seed" in block:  # --seed alone seeds the draws
         raise ValidationError("pf.seed is not accepted: the particle-filter seed is --seed")
     pf_cfg = from_dict(calibrate.PfConfig, {**block, "seed": args.seed})

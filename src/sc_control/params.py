@@ -226,8 +226,11 @@ class RetireGrid:
 
 
 def check_fields(label: str, d: dict, known, required) -> None:
-    """Raise ValidationError naming the keys of ``d`` outside ``known``, or
-    else the ``required`` keys it lacks; ``label`` names the block."""
+    """Raise ValidationError if ``d`` is not a dict, or naming the keys of
+    ``d`` outside ``known``, or else the ``required`` keys it lacks;
+    ``label`` names the block."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{label} must be a JSON object, not {type(d).__name__}")
     unknown = set(d) - set(known)
     if unknown:
         raise ValidationError(f"unknown fields for {label}: {sorted(unknown)}")

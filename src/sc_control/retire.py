@@ -31,14 +31,15 @@ condition u(., T) = obstacle; it penalizes with the last entry of
 
 Every step of a solve has the same 9-point sparsity pattern, so the stepper
 builds it once (CSC index arrays plus one gather from the stacked per-offset
-entries) and each step only gathers values into it.  The first step
-factorises with SuperLU under a minimum-degree ordering of A^T + A
-(``permc_spec="MMD_AT_PLUS_A"``) and keeps that column order q; every later
-step factorises A[:, q] with ``permc_spec="NATURAL"``, which gives the same
-factors as a fresh minimum-degree factorisation, and scatters the solution
-back.  Rows are not permuted: partial pivoting keeps choosing them.  The
-outputs are bit for bit those of a fresh minimum-degree factorisation at
-every step.
+entries) and each step only gathers values into it.  SuperLU's
+minimum-degree column order of A^T + A (``permc_spec="MMD_AT_PLUS_A"``),
+with its elimination-tree postorder, depends on the pattern alone, so the
+stepper takes that order q once, at construction, by factorising the
+pattern with 9 on the diagonal and -1 off it.  Every step factorises A[:, q]
+with ``permc_spec="NATURAL"``, which gives the same factors as a fresh
+minimum-degree factorisation of A, and scatters the solution back.  Rows
+are not permuted: partial pivoting keeps choosing them.  The outputs are
+bit for bit those of a fresh minimum-degree factorisation at every step.
 
 Both factorisations update two columns per panel (``_PANEL_SIZE``), not
 SuperLU's default 20, which is too wide for this stencil's small
@@ -70,7 +71,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence, ValidationError
-from .interp import read
+from .interp import lerp, read
 from .params import RetireGrid, RetireParams, finite_number
 
 _H_DENOM_FLOOR = 1e-10
@@ -242,11 +243,19 @@ class _RetireStepper:
             rows.append(r)
             cols.append(r + dz * n_x + dx)
             src.append(k * n + r)
-        self._pattern = sp.csc_matrix(
+        pat = self._pattern = sp.csc_matrix(
             (np.concatenate(src), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-        # (column order q, gather into A[:, q], A[:, q]) once the first step
-        # has taken SuperLU's ordering
-        self._order = None
+        # minimum degree on A^T + A: the 9-point stencil's pattern is
+        # symmetric, and this ordering fills less than the default COLAMD.
+        # It depends on the pattern only, so any non-singular values give
+        # it: 9 on the diagonal (the stack's first n entries), -1 off it.
+        probe = sp.csc_matrix((np.where(pat.data < n, 9.0, -1.0), pat.indices, pat.indptr),
+                              shape=pat.shape)
+        self._q = np.argsort(splu(probe, permc_spec="MMD_AT_PLUS_A",
+                                  panel_size=_PANEL_SIZE).perm_c)
+        # A[:, q] on the pattern, and the gather that fills it from the stack
+        by_q = pat[:, self._q]
+        self._gather, self._Aq = by_q.data, by_q.astype(float)
 
     def derivatives(self, u):
         h, hz = self.h, self.hz
@@ -287,7 +296,7 @@ class _RetireStepper:
         g = p.gamma
         total = np.zeros_like(u)
         for w, (idx, t, denom) in zip(self.jump.weights, self._jump_maps):
-            u_map = (1.0 - t) * u[:, idx] + t * u[:, idx + 1]
+            u_map = lerp(u, idx, t)
             total += w * denom ** (1.0 - g) / (1.0 - g) \
                 * np.exp((1.0 - g) * (u_map - u))
         return p.jump_intensity * total
@@ -387,36 +396,15 @@ class _RetireStepper:
         np.negative(entries[1:], out=entries[1:])
         return entries.ravel(), rhs.ravel(), y, c
 
-    def assemble(self, u, dt_inv, rho_pen, active):
-        """Sparse system (dt_inv + rho*chi - A) u_new = dt_inv*u + flow + ...
-        in natural node order, on a copy of the fixed pattern."""
-        entries, rhs, y, c = self._stencil(u, dt_inv, rho_pen, active)
-        pat = self._pattern
-        A = sp.csc_matrix((entries[pat.data], pat.indices, pat.indptr), shape=pat.shape,
-                          copy=True)
-        return A, rhs, y, c
-
     def step(self, u, dt_inv, rho_pen):
         active = (np.broadcast_to(self.obstacle, u.shape) - u) > 0.0
-        if self._order is None:
-            # minimum degree on A^T + A: the 9-point stencil's pattern is
-            # symmetric, and this ordering fills less than the default
-            # COLAMD.  It depends on the pattern only, so it is taken once.
-            A, rhs, y, c = self.assemble(u, dt_inv, rho_pen, active)
-            lu = splu(A, permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL_SIZE)
-            q = np.argsort(lu.perm_c)
-            by_q = self._pattern[:, q]
-            Aq = sp.csc_matrix((np.empty(by_q.nnz), by_q.indices, by_q.indptr),
-                               shape=by_q.shape)
-            self._order = q, by_q.data, Aq
-            return lu.solve(rhs).reshape(u.shape), y, c
+        entries, rhs, y, c = self._stencil(u, dt_inv, rho_pen, active)
         # factor A[:, q] as it stands: the same columns in the same order
         # give SuperLU's factors under the ordering bit for bit
-        q, gather, Aq = self._order
-        entries, rhs, y, c = self._stencil(u, dt_inv, rho_pen, active)
-        np.take(entries, gather, out=Aq.data)
+        np.take(entries, self._gather, out=self._Aq.data)
         u_new = np.empty_like(rhs)
-        u_new[q] = splu(Aq, permc_spec="NATURAL", panel_size=_PANEL_SIZE).solve(rhs)
+        u_new[self._q] = splu(self._Aq, permc_spec="NATURAL",
+                              panel_size=_PANEL_SIZE).solve(rhs)
         return u_new.reshape(u.shape), y, c
 
 

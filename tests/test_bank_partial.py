@@ -315,7 +315,7 @@ def path_systems(p):
     s_path = bp.riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, bp._N_TIME + 1))
     steps = s_path[:-1]
     dt = p.delay_Delta / bp._N_TIME
-    return sp.banded_system(steps, bp.filter_gain(steps, p) ** 2, 1.0 / dt)
+    return sp.banded_system(steps, 1.0 / dt)
 
 
 class TestSliceAssembly:
@@ -338,6 +338,26 @@ class TestSliceAssembly:
         assert systems.d.shape == (bp._N_TIME, 401)
         assert tuple(digest(getattr(systems, f)) for f in self.FIELDS) == pins
 
+    def test_path_systems_are_the_single_slice_systems(self):
+        # every row of every delayed-issuance path of the 401x81 Table-B grid
+        # is, bit for bit, the system a lone slice at that variance assembles;
+        # squaring the cut cells' gains apart from the interior rows' made 9
+        # of these 5248 rows differ
+        p = table_bank_params()
+        grid = bp.default_grid(p)
+        sp = bp._SliceProblem(p, bp._x_grid(grid))
+        dt = p.delay_Delta / bp._N_TIME
+        for S0 in bp._s_grid(p, grid)[0].tolist():
+            steps = bp.riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta,
+                                                           bp._N_TIME + 1))[:-1]
+            path = sp.banded_system(steps, 1.0 / dt)
+            for k in range(steps.size):
+                one = sp.banded_system(steps[k:k + 1], 1.0 / dt)
+                assert one.far == path.far
+                for f in self.FIELDS:
+                    assert getattr(one, f)[0].tobytes() == getattr(path, f)[k].tobytes(), \
+                        (S0, k, f)
+
     def test_table_b_small_surface_is_pinned(self, table_b_small):
         assert (digest(table_b_small.V), digest(table_b_small.regions)) \
             == ("20fc01b68f9c1464", "86481585f969b004")
@@ -352,7 +372,7 @@ class TestSliceAssembly:
         sp = bp._SliceProblem(p, xs)
         dt = p.delay_Delta / bp._N_TIME
         s_path = bp.riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, bp._N_TIME + 1))
-        systems = sp.banded_system(s_path[:-1], bp.filter_gain(s_path[:-1], p) ** 2, 1.0 / dt)
+        systems = sp.banded_system(s_path[:-1], 1.0 / dt)
         assert systems.snap[0] and not systems.snap[-1]
         i0 = int(systems.i0[0])
         out = bp._impulse_slice(sp, S0, lambda s: np.maximum(xs, 0.0) + 0.1)

@@ -231,6 +231,35 @@ class TestCli:
             ("ValidationError", f"unknown fields for {sub}: ['{key}']")
         assert not (out_dir / "summary.json").exists()
 
+    @pytest.mark.parametrize("sub, extra, keys", [
+        ("filter", {"theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3}},
+         ["series", "series_csv"]),
+        ("calibrate", {}, ["series", "series_csv"]),
+        ("calibrate", {"panel_csv": "panel.csv"}, ["series", "series_csv", "panel_csv"])])
+    def test_two_series_sources_exit_1_naming_them(self, tmp_path, sub, extra, keys):
+        # neither source silently wins over the other
+        csv = tmp_path / "series.csv"
+        csv.write_text("k,value\n0,0.0\n1,0.01\n2,0.02\n")
+        cfg = {"series": [0.01 * k for k in range(10)], "series_csv": str(csv), **extra}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main([sub, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert (err["error"], err["message"]) == \
+            ("ValidationError", f"conflicting series sources {keys}: set only one")
+        assert not (out_dir / "summary.json").exists()
+
+    def test_calibrate_bank_id_without_a_panel_exits_1(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"series": [0.0, 0.01, 0.02, 0.03], "bank_id": "b1"}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["calibrate", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err == {"error": "ValidationError",
+                       "message": "bank_id picks a bank of panel_csv, which is not set"}
+        assert not (out_dir / "summary.json").exists()
+
     @pytest.mark.parametrize("workload", ["bank-pde", "retire-hjb", "paths"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_benchmark_config_passes_the_key_check(self, tmp_path, monkeypatch,
@@ -402,6 +431,28 @@ class TestCliSolverHandlers:
         s_inf = self.BANK["noise_m"] * self.BANK["sigma"] * (1 - self.BANK["rho"])
         return {"x_lo": -0.03, "x_hi": 0.65, "n_x": 151, "y_lo": s_inf / 20,
                 "y_hi": 4 * s_inf, "n_y": 21, "stretching": "geometric"}
+
+    @pytest.mark.parametrize("sub, cfg, message", [
+        ("filter", {"theta": 5, "series": [0.1, 0.2]}, "theta must be a JSON object, not int"),
+        ("filter", {"theta": None, "series": [0.1, 0.2]},
+         "theta must be a JSON object, not NoneType"),
+        ("calibrate", {"series": [0.1, 0.2], "pf": 5}, "pf must be a JSON object, not int"),
+        ("solve-retire", {"retire_params": RET, "grid": 3},
+         "RetireGrid must be a JSON object, not int"),
+        ("solve-bank-partial", {"bank_params": BANK, "grid": None},
+         "BankGrid must be a JSON object, not NoneType"),
+        ("solve-bank-full", 7, "solve-bank-full must be a JSON object, not int"),
+        ("solve-bank-full", {"bank_params": [1, 2]},
+         "BankParams must be a JSON object, not list")])
+    def test_config_block_that_is_not_an_object_exits_1_naming_it(self, tmp_path, sub, cfg,
+                                                                    message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main([sub, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert (err["error"], err["message"]) == ("ValidationError", message)
+        assert not (out_dir / "summary.json").exists()
 
     def test_default_grids_round_trip_through_run(self, tmp_path):
         p = BankParams(**self.BANK)
