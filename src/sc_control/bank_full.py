@@ -17,14 +17,18 @@ with (u1, u2) solving the tangency system H = f1, H_X = f1_X.
 Numerics: Phi and its inverse are the double-precision Cephes routines
 (scipy.special.ndtr/ndtri, |error| < 1e-15 / < 1e-9).  The H integral uses
 adaptive Gauss-Kronrod (quad_vec) in the substituted variable t = e^u, which
-resolves the integrand's t->0 spike near the liquidation barrier.  The
-barrier search bisects u2 to a bracket under 1e-11 over the sign of the
-tangency residual min_X [f1 - H], taken on a 2401-node X grid with a
-parabolic vertex through the grid argmin; this mirrors the
-intermediate-value existence argument.  One bounded minimization of the
-quadrature-backed f1 - H (xatol 1e-11) then polishes the tangency point.
-H_X is evaluated by central differences (h = 1e-6) of the smooth closed
-form.
+resolves the integrand's t->0 spike near the liquidation barrier.  One live
+X integrates a scalar, so quad_vec takes its scalar path (errors measured
+with abs, no array per node); several live X integrate one vector.  Both
+give the same bits: the density squares by multiplication, as numpy squares
+an array, and for one element abs(x) equals norm(x) = sqrt(x*x) except at
+underflow, far below the tolerance.  The barrier search bisects u2 to a
+bracket under 1e-11 over the sign of the tangency residual min_X [f1 - H],
+taken on a 2401-node X grid with a parabolic vertex through the grid
+argmin; this mirrors the intermediate-value existence argument.  One
+bounded minimization of the quadrature-backed f1 - H (xatol 1e-11) then
+polishes the tangency point.  H_X is evaluated by central differences
+(h = 1e-6) of the smooth closed form.
 """
 
 from __future__ import annotations
@@ -143,10 +147,13 @@ def hitting_cdf_dX(ctx: _Ctx, X, t: float):
 
 def _hitting_density(ctx: _Ctx, d, t):
     """Analytic dp/dt: first-passage density of the log ratio, at the
-    log-distance d = ln((1+X)/(1+kappa)) from the barrier."""
+    log-distance d = ln((1+X)/(1+kappa)) from the barrier.  The exponent is
+    squared as e*e: a float's e**2 calls pow, which can round differently
+    from the product that an array's e**2 computes."""
     t = np.asarray(t, dtype=float)
+    e = d + ctx.mum * t
     return d / (ctx.sigma * np.sqrt(2.0 * math.pi) * t**1.5) \
-        * np.exp(-((d + ctx.mum * t) ** 2) / (2.0 * ctx.s2 * t))
+        * np.exp(-(e * e) / (2.0 * ctx.s2 * t))
 
 
 def _hit_factor(ctx: _Ctx, X) -> np.ndarray:
@@ -154,7 +161,10 @@ def _hit_factor(ctx: _Ctx, X) -> np.ndarray:
 
     Integrates e^{-(delta-mu)t} dp/dt over (0, Delta] in the substituted
     variable t = e^u; returns 1 where X is at the barrier (tau = 0).  The
-    log-distance to the barrier is taken once, outside the integrand.
+    log-distance to the barrier is taken once, outside the integrand.  With
+    one live X it is a float and the integrand a numpy scalar, so quad_vec
+    takes its scalar path; the result is bit for bit the one-element array
+    integral (see the module's Numerics).
     """
     X = np.atleast_1d(np.asarray(X, dtype=float))
     lam = ctx.delta - ctx.mu
@@ -165,6 +175,8 @@ def _hit_factor(ctx: _Ctx, X) -> np.ndarray:
     live = ~at_barrier
     if np.any(live):
         d_live = d[live]
+        if d_live.size == 1:
+            d_live = float(d_live[0])
 
         def integrand(u):
             t = math.exp(u)

@@ -271,11 +271,12 @@ class _SliceProblem:
         squared as a Python float, for the interior rows and the cut cell
         alike.
 
-        Every interior row is written in place into the band arrays, the
+        The interior rows are written in place into the band arrays, the
         drift vectors added or subtracted whole (a 0 leaves an entry as it
-        is); then each row's Dirichlet prefix, the nodes below its cut cell,
-        is overwritten with the identity row, and the cut cell with its
-        stencil.
+        is), only above the batch's lowest cut cell: every node at or below
+        it is some slice's Dirichlet row or cut cell.  Then each row's
+        Dirichlet prefix, the nodes below its cut cell, is written with the
+        identity row, and the cut cell with its stencil.
         """
         xs = self.xs
         n = xs.size
@@ -287,20 +288,22 @@ class _SliceProblem:
             raise ValidationError("liquidation barrier outside the X grid")
 
         vol2 = np.array([g ** 2 for g in filter_gain(s, self.p).tolist()])
-        diffc = 0.5 * vol2[:, None] * self.xsq[1:-1]
-        neg_l, neg_c, neg_r = self.neg_d2
+        m = int(i0.min()) + 1  # the lowest interior row of the batch
+        diffc = 0.5 * vol2[:, None] * self.xsq[m:-1]
+        neg_l, neg_c, neg_r = (w[m - 1:] for w in self.neg_d2)
         d = np.empty((k, n))
         dl = np.empty((k, n - 1))
         du = np.empty((k, n - 1))
-        dia, sub, sup = d[:, 1:-1], dl[:, :-1], du[:, 1:]
+        # node j's diagonal is d[j], its sub- and super-diagonal dl[j-1], du[j]
+        dia, sub, sup = d[:, m:-1], dl[:, m - 1:-1], du[:, m:]
         np.multiply(diffc, neg_l, out=sub)
-        sub -= self.ddn
+        sub -= self.ddn[m - 1:]
         np.multiply(diffc, neg_c, out=dia)
         dia += self.dm
         dia += extra_diag
-        dia += self.ddia
+        dia += self.ddia[m - 1:]
         np.multiply(diffc, neg_r, out=sup)
-        sup -= self.dup
+        sup -= self.dup[m - 1:]
         d[:, -1] = 1.0
         dl[:, -1] = -1.0  # far field: V_X = 1
         for row, i in enumerate(i0.tolist()):

@@ -37,31 +37,40 @@ def _load_config(path) -> dict:
         return json.load(fh)
 
 
+def _required(cfg: dict, key: str):
+    """cfg[key]; a config without the key raises ValidationError naming it."""
+    if key not in cfg:
+        raise ValidationError(f"missing config key {key!r}")
+    return cfg[key]
+
+
 def _bank_params(cfg: dict) -> BankParams:
-    return from_dict(BankParams, cfg["bank_params"])
+    return from_dict(BankParams, _required(cfg, "bank_params"), "bank_params")
 
 
 def _retire_params(cfg: dict) -> RetireParams:
-    return from_dict(RetireParams, cfg["retire_params"])
+    return from_dict(RetireParams, _required(cfg, "retire_params"), "retire_params")
 
 
 def _bank_grid(cfg: dict, p: BankParams, **size) -> BankGrid:
     if "grid" in cfg:
-        return from_dict(BankGrid, cfg["grid"])
+        return from_dict(BankGrid, cfg["grid"], "grid")
     return bank_partial.default_grid(p, **size)
 
 
 def _retire_grid(cfg: dict) -> RetireGrid:
-    return from_dict(RetireGrid, cfg.get("grid", {}))
+    return from_dict(RetireGrid, cfg.get("grid", {}), "grid")
 
 
 def _series_source(cfg, keys):
-    """The one key of ``keys`` that the config sets (None if none); a config
-    that sets more than one raises ValidationError naming them."""
+    """The one key of ``keys`` that the config sets; a config that sets none,
+    or more than one, raises ValidationError naming them."""
     given = [k for k in keys if k in cfg]
+    if not given:
+        raise ValidationError(f"missing series source: set one of {list(keys)}")
     if len(given) > 1:
         raise ValidationError(f"conflicting series sources {given}: set only one")
-    return given[0] if given else None
+    return given[0]
 
 
 def _series(cfg, source):
@@ -124,7 +133,7 @@ def _write_csv(out_dir, name, header, columns):
 
 
 def _cmd_filter(cfg, args, out_dir):
-    block = cfg["theta"]
+    block = _required(cfg, "theta")
     check_fields("theta", block, filtering.THETA_FIELDS, filtering.THETA_FIELDS)
     theta = tuple(block[k] for k in filtering.THETA_FIELDS)
     series = _series(cfg, _series_source(cfg, ("series", "series_csv")))
@@ -166,7 +175,7 @@ def _cmd_calibrate(cfg, args, out_dir):
     check_fields("pf", block, ("n_particles", "seed"), ())
     if "seed" in block:  # --seed alone seeds the draws
         raise ValidationError("pf.seed is not accepted: the particle-filter seed is --seed")
-    pf_cfg = from_dict(calibrate.PfConfig, {**block, "seed": args.seed})
+    pf_cfg = from_dict(calibrate.PfConfig, {**block, "seed": args.seed}, "pf")
     result = calibrate.estimate_theta(series, pf_cfg)
     hist = result.pop("history")
     _write_csv(out_dir, "theta_history.csv",
@@ -273,7 +282,7 @@ def _cmd_simulate_bank(cfg, args, out_dir):
            "dt": cfg.get("dt", p.delay_Delta / 8.0)}
     simulate.check_bank_run(p, **run)  # before the solve, not after it
     if "grid" in cfg:  # checked, but nothing is solved on it
-        from_dict(BankGrid, cfg["grid"])
+        from_dict(BankGrid, cfg["grid"], "grid")
     # the paths stay on the invariant line, so they run the line's closed-form policy
     policy = bank_partial.line_policy(p)
     bundle = simulate.simulate_bank(p, policy, **run, seed=args.seed)

@@ -253,7 +253,7 @@ def _type_error(f, val) -> str | None:
     return None
 
 
-def from_dict(cls, d: dict):
+def from_dict(cls, d: dict, label: str):
     """Build the record ``cls`` from a plain dict (e.g. a JSON config block).
 
     Unknown and missing fields, non-finite numbers (NaN or infinite, also
@@ -261,10 +261,11 @@ def from_dict(cls, d: dict):
     :class:`ValidationError` naming the field: a bool or a string for a
     number, a non-integer for an ``int``, a penalty schedule that is not a
     list of numbers, or a null where the default is not null.  Construction
-    then validates the record's invariants.
+    then validates the record's invariants.  ``label``, the config key the
+    block was read from, names it in the messages.
     """
     known = [f for f in fields(cls) if f.init]
-    check_fields(cls.__name__, d, [f.name for f in known],
+    check_fields(label, d, [f.name for f in known],
                  [f.name for f in known
                   if f.default is MISSING and f.default_factory is MISSING])
     for key, val in d.items():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import ndtr
 from scipy.stats import norm
 
@@ -216,6 +216,53 @@ class TestDelayedValueH:
         assert np.all(np.diff(vals, 2) < 1e-10)
 
 
+def array_hit_oracle(ctx, X):
+    """The hit integral of one live X through quad_vec's vector path: the
+    log-distance kept as a one-element array, as every call integrated it
+    before one node took the scalar path."""
+    lam = ctx.delta - ctx.mu
+    d = np.log((1.0 + np.array([X])) / (1.0 + ctx.kappa))
+
+    def integrand(u):
+        t = math.exp(u)
+        return np.exp(-lam * t) * bf._hitting_density(ctx, d, t) * t
+
+    t_lo = max(float(d[0]) ** 2 / (2.0 * ctx.s2 * 1400.0), 1e-300)
+    val, _ = quad_vec(integrand, math.log(t_lo), math.log(ctx.Delta),
+                      epsabs=1e-10, epsrel=1e-10, limit=200)
+    assert val.shape == (1,)
+    return val[0]
+
+
+class TestScalarHitIntegral:
+    @pytest.mark.parametrize("make_ctx", [
+        lambda: bf._Ctx(fig_bank_params()),
+        lambda: bf._Ctx(table_bank_params(),
+                        *bank_partial.degenerate_boundary_params(table_bank_params()))],
+        ids=["figure", "table_b_line"])
+    def test_one_node_equals_the_array_path_bit_for_bit(self, make_ctx):
+        ctx = make_ctx()
+        xs = np.linspace(ctx.kappa + 1e-12, bf.solve_u0(ctx), 200)
+        got = np.array([bf._hit_factor(ctx, [x])[0] for x in xs])
+        want = np.array([array_hit_oracle(ctx, x) for x in xs])
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_node_hands_quad_vec_a_scalar_integrand(self, monkeypatch):
+        # a one-element array integrand would take quad_vec's vector path again
+        kinds = []
+
+        def spy(f, a, b, **kw):
+            kinds.append(type(f(a)))
+            return quad_vec(f, a, b, **kw)
+
+        monkeypatch.setattr(bf, "quad_vec", spy)
+        ctx = bf._Ctx(fig_bank_params())
+        bf._hit_factor(ctx, [0.06])
+        bf._hit_factor(ctx, [ctx.kappa, 0.07])  # one live node beside the barrier
+        bf._hit_factor(ctx, [0.06, 0.07])
+        assert kinds == [np.float64, np.float64, np.ndarray]
+
+
 class TestSolveU0:
     def test_fig_value_against_bisection_oracle(self, fig_solution):
         p = fig_bank_params()
@@ -317,6 +364,54 @@ class TestSolveBarriers:
         assert smooth_fit(sol.u1) < 1e-6
         band = np.linspace(0.0644 - 0.0015, 0.0644 + 0.0015, 31)
         assert np.all(smooth_fit(band) > 1e-3)
+
+    # (u0, u1, u2) as recorded before a one-node hit integral took
+    # quad_vec's scalar path
+    FIGURE = ("0x1.cb75480167ff8p-4", "0x1.fdc32af068af0p-5", "0x1.caabb8d75aa1ep-4")
+    TABLE_B_LINE = ("0x1.0ff96e810a933p-3", "0x1.2072f770b1313p-4", "0x1.004d9027105e8p-3")
+    PERTURBED_LINES = [
+        ("0x1.0e45a7b660389p-3", "0x1.1dab1be906ebbp-4", "0x1.fe0aace4c6cd6p-4"),
+        ("0x1.14f002d5b046ap-3", "0x1.28cb0084d9610p-4", "0x1.034fe8b4e8506p-3"),
+        ("0x1.12323e57222a9p-3", "0x1.240210b0dfd88p-4", "0x1.026385da1dda2p-3"),
+        ("0x1.0fdcb97c0b804p-3", "0x1.20eb00e2ee283p-4", "0x1.008aad3bca574p-3"),
+        ("0x1.134eec20e3658p-3", "0x1.25a2d87bb5a37p-4", "0x1.024416ae5819ap-3"),
+        ("0x1.11fc35e49e040p-3", "0x1.22e362d90ffc5p-4", "0x1.014ff22abb347p-3"),
+        ("0x1.15f4d511a7d8ep-3", "0x1.28e9b85f5a00dp-4", "0x1.03e0281708e4ep-3"),
+        ("0x1.0ecf7fbe59ee4p-3", "0x1.1e033ce320014p-4", "0x1.fe1f2bef7aa4ep-4"),
+        ("0x1.11b06908fb11bp-3", "0x1.2269d11b85dc5p-4", "0x1.015005f799eb5p-3"),
+        ("0x1.0be24cfd6bffcp-3", "0x1.1a4554e478819p-4", "0x1.fa7f2658aea80p-4"),
+        ("0x1.0dfd9a7695199p-3", "0x1.1cb936f418dddp-4", "0x1.ff09e6fb64e4ap-4"),
+        ("0x1.1506cfd3c865bp-3", "0x1.27b2fe2622556p-4", "0x1.035269c706514p-3"),
+        ("0x1.0e2bf27177f09p-3", "0x1.1d192b71caa41p-4", "0x1.fdacd765a33f6p-4"),
+        ("0x1.129c8ca0263eep-3", "0x1.2330caf30d963p-4", "0x1.01ef22cd2e1edp-3"),
+        ("0x1.13240fb28a639p-3", "0x1.23db6296d663fp-4", "0x1.01f09cb80c04cp-3"),
+        ("0x1.0d3f26c4b1490p-3", "0x1.1ba6c10a73b9cp-4", "0x1.fcdbcc607cf96p-4"),
+        ("0x1.1229cb0aaa5f5p-3", "0x1.23a28499e5b21p-4", "0x1.01c97f96e8c4cp-3"),
+        ("0x1.0ef0b3bfa89c5p-3", "0x1.1e87b4cc1a06dp-4", "0x1.ff498b02d7e84p-4"),
+        ("0x1.0ed24ca38b248p-3", "0x1.1e4a4b06d6fe9p-4", "0x1.ff00358c3bb3dp-4"),
+        ("0x1.0c8a3c22ff2d6p-3", "0x1.1aa4c5da0d9c6p-4", "0x1.fbe342198bb49p-4"),
+    ]
+
+    @staticmethod
+    def hexes(sol):
+        return tuple(float.hex(v) for v in (sol.u0, sol.u1, sol.u2))
+
+    def test_barriers_are_pinned(self, fig_solution):
+        assert self.hexes(fig_solution) == self.FIGURE
+        assert self.hexes(bank_partial.line_policy(table_bank_params())) == self.TABLE_B_LINE
+
+    def test_perturbed_line_barriers_are_pinned(self):
+        # every field of the Table-B row scaled by 1 +- 0.5%
+        names = ("mu", "alpha", "sigma", "delta", "omega", "kappa_min", "issue_cost_K",
+                 "delay_Delta", "noise_m", "rho", "conf_a")
+        base = table_bank_params()
+        rng = np.random.default_rng(0)
+        got = []
+        for _ in self.PERTURBED_LINES:
+            scale = 1.0 + rng.uniform(-0.005, 0.005, len(names))
+            p = table_bank_params(**{k: getattr(base, k) * c for k, c in zip(names, scale)})
+            got.append(self.hexes(bank_partial.line_policy(p)))
+        assert got == self.PERTURBED_LINES
 
     def test_huge_issuance_cost_has_no_tangency(self):
         p0 = fig_bank_params()

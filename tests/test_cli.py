@@ -260,6 +260,27 @@ class TestCli:
                        "message": "bank_id picks a bank of panel_csv, which is not set"}
         assert not (out_dir / "summary.json").exists()
 
+    @pytest.mark.parametrize("sub, cfg, message", [
+        ("filter", {"series": [0.0, 0.01, 0.02]}, "missing config key 'theta'"),
+        ("filter", {"theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3}},
+         "missing series source: set one of ['series', 'series_csv']"),
+        *(("calibrate", cfg,
+           "missing series source: set one of ['series', 'series_csv', 'panel_csv']")
+          for cfg in ({}, {"pf": {"n_particles": 500}})),
+        *((sub, {}, "missing config key 'bank_params'")
+          for sub in ("solve-bank-full", "solve-bank-partial", "simulate-bank", "elasticity")),
+        *((sub, {}, "missing config key 'retire_params'")
+          for sub in ("solve-retire", "solve-retire-ez", "solve-retire-finite",
+                      "simulate-retire"))])
+    def test_missing_config_key_exits_1_naming_it(self, tmp_path, sub, cfg, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main([sub, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err == {"error": "ValidationError", "message": message}
+        assert not (out_dir / "summary.json").exists()
+
     @pytest.mark.parametrize("workload", ["bank-pde", "retire-hjb", "paths"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_every_benchmark_config_passes_the_key_check(self, tmp_path, monkeypatch,
@@ -438,12 +459,12 @@ class TestCliSolverHandlers:
          "theta must be a JSON object, not NoneType"),
         ("calibrate", {"series": [0.1, 0.2], "pf": 5}, "pf must be a JSON object, not int"),
         ("solve-retire", {"retire_params": RET, "grid": 3},
-         "RetireGrid must be a JSON object, not int"),
+         "grid must be a JSON object, not int"),
         ("solve-bank-partial", {"bank_params": BANK, "grid": None},
-         "BankGrid must be a JSON object, not NoneType"),
+         "grid must be a JSON object, not NoneType"),
         ("solve-bank-full", 7, "solve-bank-full must be a JSON object, not int"),
         ("solve-bank-full", {"bank_params": [1, 2]},
-         "BankParams must be a JSON object, not list")])
+         "bank_params must be a JSON object, not list")])
     def test_config_block_that_is_not_an_object_exits_1_naming_it(self, tmp_path, sub, cfg,
                                                                     message):
         cfg_path = tmp_path / "cfg.json"
@@ -460,7 +481,8 @@ class TestCliSolverHandlers:
                    retire.default_retire_grid(n_xi=21, n_z=15))
         bank, ret = (dict(dataclasses.asdict(g),
                           penalty_schedule=list(g.penalty_schedule)) for g in records)
-        assert [from_dict(type(g), d) for g, d in zip(records, (bank, ret))] == list(records)
+        assert [from_dict(type(g), d, "grid")
+                for g, d in zip(records, (bank, ret))] == list(records)
         out = cli.run("solve-bank-partial", {"bank_params": self.BANK, "grid": bank},
                       str(tmp_path / "a"))
         assert out["iterations"] == 39
@@ -506,7 +528,8 @@ class TestCliSolverHandlers:
         assert lines[0] == "w_over_I,mpc,human_capital_per_income"
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
         solve = retire.epstein_zin_solve if extra else retire.penalty_solve_retire
-        sol = solve(from_dict(RetireParams, ret), from_dict(RetireGrid, grid))
+        sol = solve(from_dict(RetireParams, ret, "retire_params"),
+                    from_dict(RetireGrid, grid, "grid"))
         w, mpc = retire.mpc_curve(sol)
         expected = np.stack([w, mpc, retire.implicit_human_capital(sol, w, 1.0, 0.0)])
         assert got.tobytes() == expected.tobytes()
@@ -523,8 +546,8 @@ class TestCliSolverHandlers:
         cli.run("solve-retire-finite", {"retire_params": ret, "grid": grid, "dt": 1.0},
                 str(tmp_path))
         got = np.loadtxt(tmp_path / "threshold_by_age.csv", delimiter=",", skiprows=1)[:, 1]
-        p = from_dict(RetireParams, ret)
-        sol = retire.finite_horizon_solve(p, from_dict(RetireGrid, grid), dt=1.0)
+        p = from_dict(RetireParams, ret, "retire_params")
+        sol = retire.finite_horizon_solve(p, from_dict(RetireGrid, grid, "grid"), dt=1.0)
         rows = retire.wealth_to_income(sol.xi_retire_by_age, p.r)
         j = n_y // 2
         if n_y % 2:  # a node on z = 0: its own row, bit for bit
@@ -607,8 +630,9 @@ class TestCliSolverHandlers:
         # the penalty solve's full_line is the closed-form line policy the run solves
         cfg = {"bank_params": self.BANK, "horizon": 5.0, "n_paths": 200,
                "grid": self.bank_grid()}
-        p = from_dict(BankParams, self.BANK)
-        line = bank_partial.penalty_solve(p, from_dict(BankGrid, self.bank_grid())).full_line
+        p = from_dict(BankParams, self.BANK, "bank_params")
+        grid = from_dict(BankGrid, self.bank_grid(), "grid")
+        line = bank_partial.penalty_solve(p, grid).full_line
         ours = cli.run("simulate-bank", cfg, str(tmp_path / "ours"), seed=3)
         simulate_bank = simulate.simulate_bank
         monkeypatch.setattr(simulate, "simulate_bank",
@@ -622,10 +646,10 @@ class TestCliSolverHandlers:
                 (tmp_path / "pde" / name).read_bytes(), name
 
     def test_noisy_bank_run_solves_nothing_on_its_grid(self, tmp_path, monkeypatch):
-        p = from_dict(BankParams, self.BANK)
+        p = from_dict(BankParams, self.BANK, "bank_params")
         off_line = {**self.bank_grid(), "y_lo": 2 * p.s_infinity}  # S range misses the line
         with pytest.raises(ValidationError, match="straddle"):
-            bank_partial.penalty_solve(p, from_dict(BankGrid, off_line))
+            bank_partial.penalty_solve(p, from_dict(BankGrid, off_line, "grid"))
         monkeypatch.setattr(bank_partial, "penalty_solve", lambda *a, **k: pytest.fail("solved"))
         run = {"bank_params": self.BANK, "horizon": 2.0, "n_paths": 40}
         summaries = [cli.run("simulate-bank", {**run, **grid}, str(tmp_path / str(i)), seed=1)
@@ -644,7 +668,7 @@ class TestCliSolverHandlers:
                          "--out", str(out_dir)]) == 1
         err = json.loads((out_dir / "error.json").read_text())
         assert (err["error"], err["message"]) == \
-            ("ValidationError", "unknown fields for BankGrid: ['n_xx']")
+            ("ValidationError", "unknown fields for grid: ['n_xx']")
         assert not (out_dir / "summary.json").exists()
 
     def test_traced_bank_run_counts_every_path_step(self, tmp_path, monkeypatch):
@@ -801,7 +825,7 @@ class TestCliSolverHandlers:
         # one base line and two perturbed lines per parameter
         assert len(calls) == 5
         # the rows equal standalone calls, which compute their own base
-        p = from_dict(BankParams, self.BANK)
+        p = from_dict(BankParams, self.BANK, "bank_params")
         grid = bank_partial.default_grid(p, n_x=201, n_s=41)
         for name in names:
             alone = bank_partial.elasticity(p, [name], rel_step=0.01, grid=grid)[name]

@@ -18,7 +18,7 @@ from conftest import baseline_retire_params, table_bank_params
 
 def test_table_row_accepted():
     p = table_bank_params()
-    assert pm.from_dict(pm.BankParams, dataclasses.asdict(p)) == p
+    assert pm.from_dict(pm.BankParams, dataclasses.asdict(p), "bank_params") == p
 
 
 def test_discount_not_above_drifts_rejected():
@@ -76,12 +76,12 @@ def test_gridspec_invariants():
 def test_from_dict_names_unknown_missing_and_nan_fields():
     d = dataclasses.asdict(table_bank_params())
     with pytest.raises(ValidationError, match="sigmaa"):
-        pm.from_dict(pm.BankParams, {**d, "sigmaa": 0.05})
+        pm.from_dict(pm.BankParams, {**d, "sigmaa": 0.05}, "bank_params")
     del d["sigma"]
     with pytest.raises(ValidationError, match="sigma"):
-        pm.from_dict(pm.BankParams, d)
+        pm.from_dict(pm.BankParams, d, "bank_params")
     with pytest.raises(ValidationError, match="n_x"):
-        pm.from_dict(pm.RetireGrid, {"n_x": math.nan})
+        pm.from_dict(pm.RetireGrid, {"n_x": math.nan}, "grid")
 
 
 @pytest.mark.parametrize("cls, key, val", [
@@ -95,12 +95,12 @@ def test_from_dict_rejects_non_finite_numbers_naming_the_field(cls, key, val):
             pm.RetireParams: {k: v for k, v in dataclasses.asdict(baseline_retire_params()).items()
                               if k not in ("theta", "K_bar")}}.get(cls, {})
     with pytest.raises(ValidationError, match=f"field {key} is not finite"):
-        pm.from_dict(cls, {**base, key: val})
+        pm.from_dict(cls, {**base, key: val}, "block")
 
 
 def test_from_dict_takes_null_where_the_default_is_null():
     d = {**dataclasses.asdict(table_bank_params()), "S_bar": None}
-    assert pm.from_dict(pm.BankParams, d) == table_bank_params()
+    assert pm.from_dict(pm.BankParams, d, "bank_params") == table_bank_params()
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,4 +112,4 @@ def test_validate_is_idempotent_on_valid_records(mu, alpha, sigma, spread,
     p = pm.BankParams(mu=mu, alpha=alpha, sigma=sigma,
                       delta=max(mu, alpha) + spread, omega=omega,
                       kappa_min=kappa, noise_m=0.01, rho=-0.3)
-    assert pm.from_dict(pm.BankParams, dataclasses.asdict(p)) == p
+    assert pm.from_dict(pm.BankParams, dataclasses.asdict(p), "bank_params") == p
