@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr, ndtri
 
-from . import bank_full
+from . import bank_full, parallel
 from .errors import NoConvergence, ValidationError
 from .filtering import filter_gain, riccati_variance
 from .interp import bilinear, cell, lerp, read
@@ -628,6 +628,19 @@ def _line_elasticity(p: BankParams, name: str, rel_step: float, grid: BankGrid |
     return result
 
 
+def _line_rows(p: BankParams, names, rel_step: float, grid: BankGrid | None,
+               baseline: PartialSolution | None) -> dict:
+    """The rows of ``names`` (S not among them), divided by one set of base
+    outputs: off the line of ``baseline`` when there is one, else in closed
+    form on the line of ``grid``.  The two give the same bytes when
+    ``baseline`` was solved on ``grid``."""
+    xs, full_line, line_vals = (
+        _closed_form_line(p, grid) if baseline is None else
+        (baseline.xs, baseline.full_line, baseline.V[baseline.line_index]))
+    base = _line_outputs(xs, full_line, line_vals, full_line.u2)
+    return {name: _line_elasticity(p, name, rel_step, grid, base) for name in names}
+
+
 def elasticity(p: BankParams, names, rel_step: float = 0.01,
                grid: BankGrid | None = None,
                baseline: PartialSolution | None = None) -> dict:
@@ -650,6 +663,10 @@ def elasticity(p: BankParams, names, rel_step: float = 0.01,
     comparative-statics range of the uncertainty panel, using quarter-s_inf
     central differences (barrier curves are grid-quantized, so tighter steps
     would alias).
+    When that solve is made and other names are listed too, their rows run
+    in a forked child (:func:`parallel.fork`) beside it, from the closed-form
+    line of ``grid``, the same bytes as the solve's line; an error of the
+    solve comes first, one of the rows once the ``S`` row is read.
     Denominators use |output| wherever the quantity may change sign (I and
     rho per the stated convention).  ``names`` is a list or tuple; it, every
     name in it and the step are checked before any solve.
@@ -663,14 +680,14 @@ def elasticity(p: BankParams, names, rel_step: float = 0.01,
                                   f"valid: {', '.join(_ELASTICITY_PARAMETERS)}")
     if not (finite_number(rel_step) and rel_step > 0.0):
         raise ValidationError(f"rel_step={rel_step!r} must be a finite number > 0")
-    if "S" in names and baseline is None:
-        baseline = penalty_solve(p, grid)
-    base = None
-    if any(name != "S" for name in names):
-        xs, full_line, line_vals = (
-            _closed_form_line(p, grid) if baseline is None else
-            (baseline.xs, baseline.full_line, baseline.V[baseline.line_index]))
-        base = _line_outputs(xs, full_line, line_vals, full_line.u2)
-    return {name: _variance_elasticity(p, baseline) if name == "S"
-            else _line_elasticity(p, name, rel_step, grid, base)
-            for name in names}
+    others = [name for name in names if name != "S"]
+    solve = "S" in names and baseline is None
+    # the rows never read the surface: they run in a child beside its solve
+    beside = parallel.fork if solve and others else parallel.inline
+    rows = {}
+    with beside(_line_rows, p, others, rel_step, grid, baseline) as join_rows:
+        if "S" in names:
+            rows["S"] = _variance_elasticity(p, penalty_solve(p, grid) if solve else baseline)
+        if others:
+            rows |= join_rows()
+    return {name: rows[name] for name in names}

@@ -2,7 +2,9 @@
 against the closed-form oracle, penalty solve properties, elasticities."""
 
 import dataclasses
+import json
 import math
+import os
 import re
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri, roots_hermitenorm
 
-from sc_control import bank_full, bank_partial as bp, cli
+from sc_control import bank_full, bank_partial as bp, cli, parallel
 from sc_control.errors import NoConvergence, ValidationError
 
 from conftest import digest, table_bank_params
@@ -169,6 +171,16 @@ class TestImpulseOperator:
 
 
 class TestPenaltySolve:
+    @pytest.mark.parametrize("n_x, n_y, n_s, line", [
+        (401, 81, 82, 19), (201, 41, 42, 10), (21, 7, 8, 3)])
+    def test_s_axis_has_the_line_as_an_extra_node(self, n_x, n_y, n_s, line):
+        # n_y counts intervals split at the invariant line, which is inserted
+        # as a node of its own
+        p = table_bank_params()
+        ss, line_idx = bp._s_grid(p, bp.default_grid(p, n_x=n_x, n_s=n_y))
+        assert (ss.size, line_idx) == (n_s, line)
+        assert ss[line_idx] == p.s_infinity
+
     def test_line_agreement_with_semi_explicit(self, bank_partial_solution):
         assert bank_partial_solution.line_sup_error <= 1e-3
 
@@ -585,16 +597,68 @@ class TestClosedFormElasticity:
         calls = []
         solve = bank_full.solve_barriers
         with monkeypatch.context() as m:
+            # inline, so the rows' searches are counted in this process
+            m.setattr(parallel, "fork", parallel.inline)
             m.setattr(bank_full, "solve_barriers",
                       lambda *a, **k: calls.append(a) or solve(*a, **k))
             table = bp.elasticity(p, names, grid=grid)
-        # the line of the S baseline's solve, then two perturbed lines per other name
-        assert len(calls) == 1 + 2 * 3
+        # the line of the S baseline's solve, the rows' own base line (solved
+        # beside it), then two perturbed lines per other name
+        assert len(calls) == 1 + 1 + 2 * 3
         assert list(table) == names
         for name in names:
             alone = bp.elasticity(p, [name], grid=grid)[name]
             assert {k: v.hex() for k, v in table[name].items()} == \
                 {k: v.hex() for k, v in alone.items()}
+
+    @pytest.mark.parametrize("n_x, n_s", [(21, 7), (31, 9)])
+    def test_forked_table_equals_the_rows_alone(self, n_x, n_s):
+        p = table_bank_params()
+        grid = bp.default_grid(p, n_x=n_x, n_s=n_s)
+        names = ["omega", "S", "sigma"]
+        table = bp.elasticity(p, names, grid=grid)
+        assert list(table) == names
+        alone = bp.elasticity(p, ["S"], grid=grid)
+        alone |= bp.elasticity(p, ["omega", "sigma"], grid=grid)
+        for name in names:
+            assert {k: v.hex() for k, v in table[name].items()} == \
+                {k: v.hex() for k, v in alone[name].items()}
+
+    def test_solve_error_comes_first_and_leaves_no_child(self, tmp_path):
+        p = table_bank_params()
+        # an S range wholly above the invariant line
+        grid = dataclasses.replace(bp.default_grid(p, n_x=21, n_s=7),
+                                   y_lo=2.0 * p.s_infinity)
+        cfg = {"bank_params": {f: getattr(p, f) for f in (
+                   "mu", "alpha", "sigma", "delta", "omega", "kappa_min", "issue_cost_K",
+                   "delay_Delta", "noise_m", "rho", "conf_a")},
+               "grid": dataclasses.asdict(grid), "parameters": ["S", "sigma"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main(["elasticity", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert "straddle" in err["message"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_row_error_raised_after_the_s_row(self, monkeypatch):
+        p = table_bank_params()
+        grid = bp.default_grid(p, n_x=21, n_s=7)
+        solved, solve = [], bp.penalty_solve
+        monkeypatch.setattr(bp, "penalty_solve", lambda *a: solved.append(solve(*a))
+                            or solved[-1])
+
+        def failing_row(*args):
+            raise ValidationError("row failed")
+
+        monkeypatch.setattr(bp, "_line_elasticity", failing_row)
+        with pytest.raises(ValidationError, match="^row failed$"):
+            bp.elasticity(p, ["S", "sigma"], grid=grid)
+        assert len(solved) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("name", ["sigmaa", "S_bar", "", None])
     def test_unknown_parameter_rejected_before_any_solve(self, monkeypatch, name):
