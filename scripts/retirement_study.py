@@ -62,7 +62,7 @@ def main():
         world = RetireParams(**BASE, mean_reversion=alpha)
         rows = {}
         for w_over_i in (10.0, 30.0, 50.0):
-            ours, dl = sim.simulate_retirement(world, pol, ben, w_over_i,
+            ours, dl = sim.simulate_retirement(world, (pol, ben), w_over_i,
                                                args.paths, args.dt, args.seed)
             rows[w_over_i] = {"ours_time": ours.expected_time,
                               "ours_share": ours.expected_share,

@@ -21,7 +21,8 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__, bank_full, bank_partial, calibrate, filtering, panel, retire, simulate
+from . import (__version__, bank_full, bank_partial, calibrate, filtering, panel, parallel,
+               retire, simulate)
 from .errors import NoConvergence, ScControlError, ValidationError
 from .interp import read
 from .params import BankGrid, BankParams, RetireGrid, RetireParams, check_fields, from_dict
@@ -298,18 +299,28 @@ def _cmd_simulate_bank(cfg, args, out_dir):
     }
 
 
+def _benchmark_race(p, grid, run, seed):
+    """The mean_reversion = 0 solve and its race alone in the world ``p``,
+    the stats labelled "benchmark"."""
+    bench = retire.penalty_solve_retire(dataclasses.replace(p, mean_reversion=0.0), grid)
+    (stats,) = simulate.simulate_retirement(p, (bench,), **run, seed=seed)
+    return bench, dataclasses.replace(stats, policy="benchmark")
+
+
 def _cmd_simulate_retire(cfg, args, out_dir):
     p = _retire_params(cfg)
     grid = _retire_grid(cfg)
     run = {"start_w_over_i": cfg.get("start_w_over_i", 10.0),
            "n_paths": cfg.get("n_paths", 10000), "dt": cfg.get("dt", 0.05)}
     simulate.check_run_settings(**run)  # before the two solves, not after them
-    policy = retire.penalty_solve_retire(p, grid)
-    _check_stalls(policy, args, "policy")
-    bench_params = dataclasses.replace(p, mean_reversion=0.0)
-    bench = retire.penalty_solve_retire(bench_params, grid)
+    # the race's draws do not depend on the policy, so each side races alone:
+    # the benchmark in a child beside the policy; a policy error comes first
+    with parallel.fork(_benchmark_race, p, grid, run, args.seed) as join:
+        policy = retire.penalty_solve_retire(p, grid)
+        _check_stalls(policy, args, "policy")
+        (ours,) = simulate.simulate_retirement(p, (policy,), **run, seed=args.seed)
+        bench, dl = join()
     _check_stalls(bench, args, "benchmark")
-    ours, dl = simulate.simulate_retirement(p, policy, bench, **run, seed=args.seed)
     return {
         "policy": vars(ours),
         "benchmark": vars(dl),

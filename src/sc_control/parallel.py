@@ -28,14 +28,19 @@ def fork(fn, *args):
     exception (one that cannot be pickled comes back as a RuntimeError
     naming its type and message).  Leaving the block before ``join``, say
     because the caller's own work raised, kills the child; either way it is
-    reaped.  Where ``os.fork`` does not exist, ``fn`` runs inline at
-    ``join``.
+    reaped.  An error of ``os.fork`` itself closes the pipe and propagates.
+    Where ``os.fork`` does not exist, ``fn`` runs inline at ``join``.
     """
     if not hasattr(os, "fork"):
         yield lambda: fn(*args)
         return
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:  # no child: the pipe is the caller's to close
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:  # the child sends (ok, value) and leaves without cleanup
         try:
             os.close(r)

@@ -24,15 +24,17 @@ income jumps, feedback controls interpolated from a solved surface, stopping
 at the policy's retirement boundary xi*(z).  Each step locates every path's
 z cell once and reads the boundary (linear in z) and both controls from it.
 Reported times are capped at 250 years.  Each run draws from one generator
-seeded by ``seed``, and the policies of a race advance in lockstep on the
-same draws, so a summary is reproducible bit for bit from its inputs.
+seeded by ``seed``, and the policies of one call advance in lockstep on the
+same draws.  Those draws do not depend on the policies, so a side's stats
+are the same whether it races alone or beside others, and a summary is
+reproducible bit for bit from its inputs.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,29 +233,6 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
                       seed=seed, dt=dt)
 
 
-def simulate_retirement(p: RetireParams, policy: RetireSolution,
-                        benchmark: RetireSolution, start_w_over_i: float,
-                        n_paths: int, dt: float, seed: int) -> tuple:
-    """(RetireStats for policy, RetireStats for benchmark).
-
-    Both policies race in the same cointegrated world (the dynamics of
-    ``p``); the benchmark is typically the mean_reversion = 0 solve, whose
-    controls ignore z.  The two sides advance in lockstep on one stream of
-    draws, so path j of either side sees the same shocks, jumps and (under
-    ``power_nu``) recovery factors: common random numbers, with or without
-    ``power_nu``.  Every step draws the two Brownian shocks and the jump
-    indicators for all ``n_paths`` paths (retired ones included), then,
-    under ``power_nu`` and only at a step where some indicator is set, a
-    recovery uniform for every path.  The draws thus depend only on
-    ``(seed, dt, n_paths, p)``, never on the policies, so each side's stats
-    equal those of a race of that side alone.  Retired paths stop; times are
-    capped at RETIRE_TIME_CAP.  Both solutions must share their xi and z
-    grids; a pair that does not raises ValidationError naming the axis.
-    """
-    ours, bench = _race(p, (policy, benchmark), start_w_over_i, n_paths, dt, seed)
-    return ours, replace(bench, policy="benchmark")
-
-
 def _shared_axes(sols):
     """The UniformAxis pair (xi, z) of solutions that share both grids."""
     for name in ("xi", "z"):
@@ -265,17 +244,31 @@ def _shared_axes(sols):
     return UniformAxis(sols[0].xi, "xi"), UniformAxis(sols[0].z, "z")
 
 
-def _race(p: RetireParams, sols, start_w_over_i: float, n_paths: int, dt: float,
-          seed: int) -> list:
-    """RetireStats of each solution in ``sols``, all advanced in lockstep.
+def simulate_retirement(p: RetireParams, sols: tuple[RetireSolution, ...],
+                        start_w_over_i: float, n_paths: int, dt: float, seed: int) -> list:
+    """RetireStats of each solved policy in ``sols``, all labelled "policy".
 
-    Path j of every side reads column j of each step's draws.  The working
-    paths of all sides form one set, in (side, path) order, compressed at
-    each step where some retire; the loop ends when none is left.  The
-    cells are found arithmetically on the shared uniform xi and z grids, and
-    each step's z cell serves both the retirement test and the one lookup of
-    both controls.  Side s reads its boundary and its controls at z rows
-    offset by s*n_z of the stacked curves and surfaces.
+    Every solution races in the same cointegrated world (the dynamics of
+    ``p``), and all advance in lockstep on one stream of draws: path j of
+    every side reads column j of each step's draws, so the sides see the
+    same shocks, jumps and (under ``power_nu``) recovery factors, common
+    random numbers.  Every step draws the two Brownian shocks and the jump
+    indicators for all ``n_paths`` paths (retired ones included), then,
+    under ``power_nu`` and only at a step where some indicator is set, a
+    recovery uniform for every path.  The draws thus depend only on
+    ``(seed, dt, n_paths, p)``, never on the policies, so each side's stats
+    equal those of that side raced alone, and a pair such as a policy and
+    its mean_reversion = 0 benchmark saves the second side's draws.
+    Retired paths stop; times are capped at RETIRE_TIME_CAP.  All solutions
+    must share their xi and z grids; ones that do not raise ValidationError
+    naming the axis.
+
+    The working paths of all sides form one set, in (side, path) order,
+    compressed at each step where some retire; the loop ends when none is
+    left.  The cells are found arithmetically on the shared uniform xi and
+    z grids, and each step's z cell serves both the retirement test and the
+    one lookup of both controls.  Side s reads its boundary and its
+    controls at z rows offset by s*n_z of the stacked curves and surfaces.
     """
     check_run_settings(n_paths, dt, start_w_over_i=start_w_over_i)
     xi_axis, z_axis = _shared_axes(sols)

@@ -6,6 +6,7 @@ by the fixture that names it.
 
 import functools
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -23,9 +24,16 @@ def digest(values) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
+def no_child_left() -> bool:
+    """True when this process has no child, reaped or not; fails otherwise."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
 def race_alone(p, sol, start_w_over_i, n_paths, dt, seed):
     """RetireStats of one solved policy racing alone in the world ``p``."""
-    (stats,) = simulate._race(p, (sol,), start_w_over_i, n_paths, dt, seed)
+    (stats,) = simulate.simulate_retirement(p, (sol,), start_w_over_i, n_paths, dt, seed)
     return stats
 
 

@@ -276,7 +276,7 @@ def test_criterion_10_retirement_monte_carlo(retire_grid, retire_baseline,
                                              retire_benchmark):
     t0 = time.perf_counter()
     p15 = baseline_retire_params()
-    ours, dl = sim.simulate_retirement(p15, retire_baseline, retire_benchmark,
+    ours, dl = sim.simulate_retirement(p15, (retire_baseline, retire_benchmark),
                                        start_w_over_i=10.0, n_paths=10000,
                                        dt=0.05, seed=11)
     bench_times = {0.15: dl.expected_time}

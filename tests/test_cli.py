@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 import scipy
 
-from sc_control import bank_full, bank_partial, cli, filtering, panel, retire, simulate
+from sc_control import bank_full, bank_partial, cli, filtering, panel, parallel, retire, simulate
 from sc_control.errors import NoConvergence, ValidationError
 from sc_control.params import BankGrid, BankParams, RetireGrid, RetireParams, from_dict
 
-from conftest import stalling_stepper
+from conftest import no_child_left, stalling_stepper
 
 TOY_CSV = """bank_id,quarter,total_assets,tier1_equity,dividends,equity_issuance,market_equity
 b1,1999-Q3,100.0,10.0,0.5,0.0,12.0
@@ -684,6 +684,22 @@ class TestCliSolverHandlers:
         (span,) = [s for s in tracer.spans if s.name == "simulate.simulate_bank"]
         assert span.counts["path_steps"] == round(horizon / dt) * n_paths
 
+    def test_traced_retire_run_races_the_policy_once_in_this_process(self, tmp_path,
+                                                                      monkeypatch):
+        # the benchmark's trace divides by the time of this process's
+        # simulate_retirement spans; the benchmark side races in a child
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import tracing
+
+        n_paths, dt = 40, 0.5
+        with tracing.Tracer() as tracer:
+            summary = cli.run("simulate-retire",
+                              {"retire_params": self.RET, "grid": {"n_x": 21, "n_y": 15},
+                               "n_paths": n_paths, "dt": dt}, str(tmp_path))
+        (span,) = [s for s in tracer.spans if s.name == "simulate.simulate_retirement"]
+        assert span.counts["path_steps"] == summary["policy"]["expected_time"] * n_paths / dt
+        assert no_child_left()
+
     @pytest.mark.parametrize("dt", [0, -0.5, 20, True])
     def test_unusable_finite_horizon_dt_exits_1_naming_it(self, tmp_path, dt):
         cfg_path = tmp_path / "cfg.json"
@@ -854,3 +870,73 @@ class TestCliSolverHandlers:
         assert err["error"] == "ValidationError"
         assert err["message"].startswith(message)
         assert not (out_dir / "summary.json").exists()
+
+
+class TestSimulateRetireFork:
+    """simulate-retire races the benchmark side in a forked child: the same
+    bytes and the same error precedence as the inline run, and no child left."""
+
+    RET = TestCliSolverHandlers.RET
+    RUN = {"grid": {"n_x": 21, "n_y": 15}, "n_paths": 300, "dt": 0.25}
+
+    HOW = ("fork", "inline")
+
+    def run_both(self, tmp_path, monkeypatch, cfg, seed=0):
+        """The exit codes of cli.main forked and inline, writing under
+        tmp_path/fork and tmp_path/inline; neither run leaves a child."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        codes = []
+        for how in self.HOW:
+            with monkeypatch.context() as m:
+                if how == "inline":
+                    m.setattr(parallel, "fork", parallel.inline)
+                codes.append(cli.main(["simulate-retire", "--config", str(cfg_path),
+                                       "--seed", str(seed), "--out", str(tmp_path / how)]))
+            assert no_child_left()
+        return codes
+
+    @pytest.mark.parametrize("world, seed", [({}, 0), ({}, 1), ({"power_nu": 3.0}, 0)],
+                             ids=["seed0", "seed1", "power_nu"])
+    def test_summary_bytes_equal_the_inline_run(self, tmp_path, monkeypatch, world, seed):
+        codes = self.run_both(tmp_path, monkeypatch,
+                              {"retire_params": {**self.RET, **world}, **self.RUN}, seed)
+        assert codes == [0, 0]
+        summary = (tmp_path / "fork" / "summary.json").read_bytes()
+        assert summary == (tmp_path / "inline" / "summary.json").read_bytes()
+        assert json.loads(summary)["benchmark"]["policy"] == "benchmark"
+
+    def test_benchmark_solve_error_in_the_child_equals_the_inline_one(self, tmp_path,
+                                                                      monkeypatch):
+        class Stepper(retire._RetireStepper):
+            def step(self, u, dt_inv, rho_pen):
+                if self.p.mean_reversion == 0.0:
+                    raise NoConvergence("benchmark solve failed", residual=0.5)
+                return super().step(u, dt_inv, rho_pen)
+
+        monkeypatch.setattr(retire, "_RetireStepper", Stepper)
+        assert self.run_both(tmp_path, monkeypatch,
+                             {"retire_params": self.RET, **self.RUN}) == [1, 1]
+        assert not any((tmp_path / how / "summary.json").exists() for how in self.HOW)
+        errors = [json.loads((tmp_path / how / "error.json").read_text()) for how in self.HOW]
+        assert errors[0] == errors[1] == {"error": "NoConvergence",
+                                          "message": "benchmark solve failed"}
+
+    def test_policy_solve_error_kills_the_running_child(self, tmp_path, monkeypatch):
+        r, w = os.pipe()
+
+        class Stepper(retire._RetireStepper):
+            def step(self, u, dt_inv, rho_pen):
+                if self.p.mean_reversion == 0.0:
+                    os.read(r, 1)  # the child's solve blocks on a pipe nobody writes to
+                raise NoConvergence("policy solve failed", residual=0.5)
+
+        monkeypatch.setattr(retire, "_RetireStepper", Stepper)
+        try:
+            with pytest.raises(NoConvergence, match="^policy solve failed$"):
+                cli.run("simulate-retire", {"retire_params": self.RET, **self.RUN},
+                        str(tmp_path))
+        finally:
+            os.close(r)
+            os.close(w)
+        assert no_child_left()

@@ -1,6 +1,7 @@
 """parallel.fork: results and exceptions come back from the child, and no
 child outlives the call."""
 
+import errno
 import os
 
 import pytest
@@ -8,11 +9,7 @@ import pytest
 from sc_control import parallel
 from sc_control.errors import NoConvergence
 
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
+from conftest import no_child_left
 
 
 def stall(residual):
@@ -56,6 +53,25 @@ def test_parent_failure_before_join_kills_the_child():
         os.close(r)
         os.close(w)
     assert no_child_left()
+
+
+def test_fork_error_closes_the_pipe(monkeypatch):
+    pipes = []
+    pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(OSError) as err:
+        with parallel.fork(pytest.fail, "ran"):
+            pytest.fail("entered the block")
+    assert err.value.errno == errno.EAGAIN
+    (fds,) = pipes
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_inline_without_fork(monkeypatch):

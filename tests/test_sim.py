@@ -258,29 +258,29 @@ class TestSimulateRetirement:
         pol, ben = small_retire_solves
         p = baseline_retire_params()
         start = pol.wealth_threshold(0.0) * 1.5
-        ours, _ = sim.simulate_retirement(p, pol, ben, start, 200, 0.05, seed=2)
+        ours, _ = sim.simulate_retirement(p, (pol, ben), start, 200, 0.05, seed=2)
         assert ours.expected_time == 0.0
         assert ours.expected_share == 0.0  # zero-duration paths report zero
 
     def test_reproducible(self, small_retire_solves):
         pol, ben = small_retire_solves
         p = baseline_retire_params()
-        a = sim.simulate_retirement(p, pol, ben, 10.0, 400, 0.1, seed=4)
-        b = sim.simulate_retirement(p, pol, ben, 10.0, 400, 0.1, seed=4)
+        a = sim.simulate_retirement(p, (pol, ben), 10.0, 400, 0.1, seed=4)
+        b = sim.simulate_retirement(p, (pol, ben), 10.0, 400, 0.1, seed=4)
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_times_capped(self, small_retire_solves):
         pol, ben = small_retire_solves
         p = baseline_retire_params()
-        _, dl = sim.simulate_retirement(p, pol, ben, 1.0, 200, 0.2, seed=7)
+        _, dl = sim.simulate_retirement(p, (pol, ben), 1.0, 200, 0.2, seed=7)
         assert dl.expected_time <= sim.RETIRE_TIME_CAP
 
     def test_halved_step_consistent_within_monte_carlo_error(self,
                                                              small_retire_solves):
         pol, ben = small_retire_solves
         p = baseline_retire_params()
-        coarse, _ = sim.simulate_retirement(p, pol, ben, 10.0, 3000, 0.1, seed=8)
-        fine, _ = sim.simulate_retirement(p, pol, ben, 10.0, 3000, 0.05, seed=8)
+        coarse, _ = sim.simulate_retirement(p, (pol, ben), 10.0, 3000, 0.1, seed=8)
+        fine, _ = sim.simulate_retirement(p, (pol, ben), 10.0, 3000, 0.05, seed=8)
         # means differ by discretization drift below twice the MC error bar
         assert fine.expected_time == pytest.approx(coarse.expected_time, rel=0.10)
 
@@ -292,10 +292,9 @@ class TestSimulateRetirement:
         # the draws do not depend on the policy, so racing changes neither side
         pol, ben = small_retire_solves
         p = baseline_retire_params(**world)
-        ours, dl = sim.simulate_retirement(p, pol, ben, 10.0, n, 0.1, 3)
+        ours, dl = sim.simulate_retirement(p, (pol, ben), 10.0, n, 0.1, 3)
         assert race_alone(p, pol, 10.0, n, 0.1, 3) == ours
-        alone = race_alone(p, ben, 10.0, n, 0.1, 3)
-        assert dataclasses.replace(alone, policy="benchmark") == dl
+        assert race_alone(p, ben, 10.0, n, 0.1, 3) == dl
         assert ours.n_paths == dl.n_paths == n
 
 
@@ -361,16 +360,16 @@ class TestEngineOnSyntheticPolicy:
         p = baseline_retire_params()
         early, late = synthetic_policy(0.3), synthetic_policy(0.12)
         pair = (early, late) if first_retires else (late, early)
-        race = sim.simulate_retirement(p, *pair, 400.0, 60, 0.5, 9)
-        alone = [race_alone(p, sol, 400.0, 60, 0.5, 9) for sol in pair]
-        assert [dataclasses.replace(s, policy="policy") for s in race] == alone
+        race = sim.simulate_retirement(p, pair, 400.0, 60, 0.5, 9)
+        assert race == [race_alone(p, sol, 400.0, 60, 0.5, 9) for sol in pair]
         assert [s.expected_time == 0.0 for s in race] == [first_retires, not first_retires]
 
     @pytest.mark.parametrize("axis, other", [("xi", dict(n_xi=31)), ("z", dict(z_half=1.5))])
     def test_pair_on_different_grids_raises_naming_the_axis(self, axis, other):
         with pytest.raises(ValidationError, match=f"^{axis} grid differs"):
-            sim.simulate_retirement(baseline_retire_params(), synthetic_policy(0.3),
-                                    synthetic_policy(0.3, **other), 10.0, 10, 0.5, seed=1)
+            sim.simulate_retirement(baseline_retire_params(),
+                                    (synthetic_policy(0.3), synthetic_policy(0.3, **other)),
+                                    10.0, 10, 0.5, seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -415,12 +414,12 @@ class TestRealSolvePairPinned:
     @pytest.mark.parametrize("case", CASES)
     def test_both_sides_pinned_exactly(self, case, solve_pair_21x15):
         world, n, seed, *expected = self.CASES[case]
-        pair = sim.simulate_retirement(baseline_retire_params(**world), *solve_pair_21x15,
+        pair = sim.simulate_retirement(baseline_retire_params(**world), solve_pair_21x15,
                                        10.0, n, 0.25, seed)
         got = [tuple(v.hex() for v in (s.expected_time, s.expected_share, s.retired_fraction))
                for s in pair]
         assert got == expected
-        assert [(s.n_paths, s.policy) for s in pair] == [(n, "policy"), (n, "benchmark")]
+        assert [(s.n_paths, s.policy) for s in pair] == [(n, "policy"), (n, "policy")]
 
     @pytest.mark.parametrize("case", CASES)
     def test_benchmark_share_kept_within_roundoff_of_the_full_grid_solve(
@@ -430,7 +429,7 @@ class TestRealSolvePairPinned:
         # step and time stays the same, so each share moves at that order
         world, n, seed, *_ = self.CASES[case]
         _, bench = sim.simulate_retirement(baseline_retire_params(**world),
-                                           *solve_pair_21x15, 10.0, n, 0.25, seed)
+                                           solve_pair_21x15, 10.0, n, 0.25, seed)
         before = float.fromhex(self.BENCHMARK_SHARE_BEFORE_Z_FREE[case])
         assert abs(bench.expected_share - before) <= 1e-13 * abs(before)
 
@@ -443,7 +442,7 @@ class TestRealSolvePairPinned:
         # standard deviation of at most twice that.  Allow three of those.
         n = 4000
         pair = sim.simulate_retirement(baseline_retire_params(power_nu=3.0),
-                                       *solve_pair_21x15, 10.0, n, 0.25, 17)
+                                       solve_pair_21x15, 10.0, n, 0.25, 17)
         bound = 3.0 * 2.0 * 125.0 / math.sqrt(n)
         for stats, before in zip(pair, self.POWER_NU_BEFORE_COMMON_DRAWS):
             assert abs(stats.expected_time - before) <= bound
