@@ -23,8 +23,16 @@ PDE in X over [0, Delta] along the deterministic S-path, with an absorbing
 moving boundary at I(S_t) paying omega*psi and terminal condition
 sup_s [V(X+s, S_Delta) - s - K]; the sup is an exact discrete line search
 (V - s is piecewise linear between nodes).  Marching makes every slice the
-operator needs already solved; only the invariant-line slice references
-itself and is iterated with the operator frozen at the previous sweep.
+operator needs already solved; refinement sweeps then repeat the march with
+the operator read off the previous sweep.  Each sub-domain's first slice
+warm-starts policy iteration from the closed-form line's sets.  The
+invariant-line slice is also solved numerically, iterated with its own
+operator frozen at the previous sweep, as a diagnostic only: nothing reads
+it.  The two sub-domains never read each other, so on grids large enough to
+pay for a fork they run in two processes in lockstep (``parallel.lockstep``):
+a child takes the numeric line and the sub-domain below, this process the
+one above, and both stop on the larger of their sweeps' changes, which
+gives the one-process solve bit for bit.
 
 The liquidation boundary is handled with a cut cell (Shortley-Weller
 one-sided stencil) so the barrier position enters exactly, not rounded to
@@ -438,13 +446,134 @@ def _line_data(p: BankParams, xs: np.ndarray):
     return full_line, line_vals
 
 
+# grids of fewer nodes solve both sub-domains in one process: a fork and join
+# cost about 10 ms, and on a 2-vCPU VM splitting saved nothing up to 61x15
+# (976 nodes) and about 14% at 101x21 (2222 nodes)
+_FORK_MIN_NODES = 1000
+
+
+def _line_sweeps(sp: _SliceProblem, s_line: float, line_vals, rho_pen: float, kappa1: float):
+    """(sweeps, line_sup_error) of the numeric invariant-line slice.
+
+    A diagnostic only: the slice is solved with its own frozen-P sweeps and
+    compared with the closed-form row ``line_vals``; nothing else reads it.
+    """
+    p, xs = sp.p, sp.xs
+    x_b = float(liquidation_barrier(s_line, p))
+    v_b = p.omega * psi(x_b, s_line)  # the liquidation payoff
+    v_num = np.maximum(v_b + (xs - x_b), v_b)
+    active = None
+    for sweep in range(_LINE_MAX_SWEEPS):
+        # a path from s_inf stays there, so the line's own P reads this iterate
+        p_line = _impulse_slice(sp, s_line, lambda S: v_num)
+        v_new, _, active = _solve_slice(sp, s_line, 0.0, np.zeros(xs.size), p_line,
+                                        rho_pen, active=active)
+        change = float(np.max(np.abs(v_new - v_num) / (1.0 + np.abs(v_num))))
+        v_num = v_new
+        if change < _LINE_TOL:
+            break
+    else:
+        raise NoConvergence("invariant-line sweep did not converge", residual=change)
+    live = xs > kappa1 + 1e-9
+    denom = 1.0 + np.abs(xs)
+    return sweep + 1, float(np.max(np.abs(v_num - line_vals)[live] / denom[live]))
+
+
+@dataclass
+class _Surface:
+    """The (X_hat, S) surface as the march fills it in, slice by slice."""
+
+    sp: _SliceProblem
+    ss: np.ndarray
+    line_idx: int
+    rho_pen: float
+    V: np.ndarray             # (n_s, n_x)
+    regions: np.ndarray       # (n_s, n_x) int8
+    sets: np.ndarray          # (n_s, 2, n_x) each slice's last (dividend, recap.) sets
+    solved: np.ndarray        # (n_s,) bool
+
+    def row_at(self, side: slice, S):
+        # the row of V at variance S, interpolated in S across the solved
+        # slices of one side (the line included); while marching, the short
+        # initial path segment inside the yet-unsolved slice clamps to the
+        # nearest solved neighbor (O(dS) startup error, removed by the
+        # refinement sweeps).  A path never leaves its side, but its end can
+        # round past the line: it reads the line there, not the other side
+        ss, V, solved = self.ss[side], self.V[side], self.solved[side]
+        i, w = cell(ss, S)
+        if solved[i] and solved[i + 1]:
+            return lerp(V.T, i, w)
+        cand = np.where(solved)[0]
+        return V[cand[np.argmin(np.abs(ss[cand] - S))]].copy()
+
+    def march(self, order, agree):
+        """(slice solves, residual) of the march over the slices ``order`` and
+        the refinement sweeps after it.
+
+        Each sweep solves the slices in order with the nonlocal operator
+        read off the surface as it stands.  After each refinement sweep,
+        ``agree(change)`` gives the largest relative change to stop on:
+        the sweep's own, or the larger of it and the other side's.
+        """
+        sp, ss, p, V, line = self.sp, self.ss, self.sp.p, self.V, self.line_idx
+        solves = 0
+        residual = 0.0
+        for sweep in range(1 + _LINE_MAX_SWEEPS):
+            change = 0.0
+            for j in order:
+                S = float(ss[j])
+                toward, side = (j + 1, slice(0, line + 1)) if j < line else (j - 1, slice(line, None))
+                dS = abs(ss[toward] - ss[j])
+                b_drift = p.sigma**2 - filter_gain(S, p) ** 2
+                adv = abs(b_drift) / dS
+                p_slice = _impulse_slice(sp, S, lambda s: self.row_at(side, s))
+                v, reg, self.sets[j] = _solve_slice(
+                    sp, S, adv, adv * V[toward], p_slice, self.rho_pen,
+                    active=self.sets[j] if self.solved[j] else self.sets[toward])
+                if sweep > 0:
+                    change = max(change, float(np.max(np.abs(v - V[j]) / (1.0 + np.abs(V[j])))))
+                V[j] = v
+                self.regions[j] = reg
+                self.solved[j] = True
+                solves += 1
+            if sweep > 0:
+                residual = agree(change)
+                if residual < _LINE_TOL * 10.0:
+                    break
+        else:
+            raise NoConvergence("surface refinement did not converge",
+                                residual=residual)
+        return solves, residual
+
+
+def _line_and_below(swap, surface: _Surface, below, line_vals, kappa1: float):
+    """The forked child's half of :func:`penalty_solve`: the numeric line
+    slice, then the march over the slices ``below`` in step with the
+    caller's march above the line."""
+    sweeps, line_sup_error = _line_sweeps(surface.sp, float(surface.ss[surface.line_idx]),
+                                          line_vals, surface.rho_pen, kappa1)
+    solves, _ = surface.march(below, lambda c: max(c, swap(c)))
+    return surface.V[below], surface.regions[below], sweeps + solves, line_sup_error
+
+
 def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolution:
     """Solve the variational inequality on both sub-domains.
 
     Marches away from the invariant line (Dirichlet data from the
-    semi-explicit fully observed solution under (kappa1, omega1)); also
-    solves the invariant-line slice numerically as a self-consistency
-    diagnostic (``line_sup_error``).
+    semi-explicit fully observed solution under (kappa1, omega1)) and
+    refines with full sweeps.  Each sub-domain's first slice starts policy
+    iteration from the closed-form line's (dividend, recapitalization)
+    sets.  The invariant-line slice is also solved numerically, as a
+    self-consistency diagnostic only (``line_sup_error``; its sweeps count
+    in ``iterations``): nothing else reads it.
+
+    Neither sub-domain reads the other, since the variance flows toward the
+    line from both sides.  So when :func:`parallel.free` and the grid has
+    at least ``_FORK_MIN_NODES`` nodes, a forked child solves the numeric
+    line and the sub-domain below it while this process solves the one
+    above.  The two swap each refinement sweep's largest change and stop on
+    the larger, so the sweeps, ``residual``, ``iterations`` and every value
+    are those of the one-process solve, bit for bit.
     """
     if grid is None:
         grid = default_grid(p)
@@ -454,86 +583,38 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     n_s, n_x = ss.size, xs.size
     full_line, line_vals = _line_data(p, xs)
 
+    # invariant line: closed-form Dirichlet data
     V = np.zeros((n_s, n_x))
     regions = np.zeros((n_s, n_x), dtype=np.int8)
-    solved = np.zeros(n_s, dtype=bool)
-
-    # invariant line: closed-form Dirichlet data
     V[line_idx] = line_vals
     regions[line_idx, xs <= full_line.kappa] = 0
     regions[line_idx, (xs > full_line.kappa) & (xs <= full_line.u1)] = 1
     regions[line_idx, (xs > full_line.u1) & (xs < full_line.u2)] = 2
     regions[line_idx, xs >= full_line.u2] = 3
-    solved[line_idx] = True
-
-    def row_at(S):
-        # the row of V at variance S, interpolated in S across solved slices;
-        # while marching, the short initial path segment inside the
-        # yet-unsolved slice clamps to the nearest solved neighbor (O(dS)
-        # startup error, removed by the refinement sweeps)
-        i, w = cell(ss, S)
-        if solved[i] and solved[i + 1]:
-            return lerp(V.T, i, w)
-        cand = np.where(solved)[0]
-        return V[cand[np.argmin(np.abs(ss[cand] - S))]].copy()
-
-    total_iters = 0
-    residual = 0.0
     # only the final penalty is solved; policy iteration starts from the
     # slice's last (dividend, recapitalization) sets, or on a first visit from
-    # those of its neighbor toward the line, which saves iterations but does
-    # not move the fixed point it reaches
-    rho_pen = grid.penalty_schedule[-1]
+    # those of its neighbor toward the line (on the line, its closed-form
+    # sets), which saves iterations but does not move the fixed point it reaches
     sets = np.zeros((n_s, 2, n_x), dtype=bool)
-
-    # numeric solve of the invariant-line slice (diagnostic; frozen-P sweeps)
-    s_line = float(ss[line_idx])
-    x_b = float(liquidation_barrier(s_line, p))
-    v_b = p.omega * psi(x_b, s_line)  # the liquidation payoff
-    v_num = np.maximum(v_b + (xs - x_b), v_b)
-    for sweep in range(_LINE_MAX_SWEEPS):
-        # a path from s_inf stays there, so the line's own P reads this iterate
-        p_line = _impulse_slice(sp, s_line, lambda S: v_num)
-        v_new, _, sets[line_idx] = _solve_slice(sp, s_line, 0.0, np.zeros(n_x), p_line,
-                                                rho_pen, active=sets[line_idx])
-        change = float(np.max(np.abs(v_new - v_num) / (1.0 + np.abs(v_num))))
-        v_num = v_new
-        total_iters += 1
-        if change < _LINE_TOL:
-            break
-    else:
-        raise NoConvergence("invariant-line sweep did not converge", residual=change)
-    denom = 1.0 + np.abs(xs)
-    live = xs > full_line.kappa + 1e-9
-    line_sup_error = float(np.max(np.abs(v_num - line_vals)[live] / denom[live]))
+    sets[line_idx] = regions[line_idx] == 3, regions[line_idx] == 1
+    solved = np.zeros(n_s, dtype=bool)
+    solved[line_idx] = True
+    surface = _Surface(sp, ss, line_idx, grid.penalty_schedule[-1], V, regions, sets, solved)
 
     # march the two sub-domains away from the line, then refine with the
     # nonlocal operator frozen at the previous full sweep
-    order = list(range(line_idx - 1, -1, -1)) + list(range(line_idx + 1, n_s))
-    for sweep in range(1 + _LINE_MAX_SWEEPS):
-        change = 0.0
-        for j in order:
-            S = float(ss[j])
-            toward = j + 1 if j < line_idx else j - 1
-            dS = abs(ss[toward] - ss[j])
-            b_drift = p.sigma**2 - filter_gain(S, p) ** 2
-            adv = abs(b_drift) / dS
-            p_slice = _impulse_slice(sp, S, row_at)
-            v, reg, sets[j] = _solve_slice(sp, S, adv, adv * V[toward], p_slice, rho_pen,
-                                           active=sets[j] if solved[j] else sets[toward])
-            if sweep > 0:
-                change = max(change, float(np.max(np.abs(v - V[j]) / (1.0 + np.abs(V[j])))))
-            V[j] = v
-            regions[j] = reg
-            solved[j] = True
-            total_iters += 1
-        if sweep > 0:
-            residual = change
-            if change < _LINE_TOL * 10.0:
-                break
+    below, above = list(range(line_idx - 1, -1, -1)), list(range(line_idx + 1, n_s))
+    if parallel.free() and n_s * n_x >= _FORK_MIN_NODES:
+        with parallel.lockstep(_line_and_below, surface, below, line_vals,
+                               full_line.kappa) as (swap, join):
+            solves, residual = surface.march(above, lambda c: max(c, swap(c)))
+            V[below], regions[below], below_solves, line_sup_error = join()
+        total_iters = below_solves + solves
     else:
-        raise NoConvergence("surface refinement did not converge",
-                            residual=residual)
+        sweeps, line_sup_error = _line_sweeps(sp, float(ss[line_idx]), line_vals,
+                                              surface.rho_pen, full_line.kappa)
+        solves, residual = surface.march(below + above, lambda c: c)
+        total_iters = sweeps + solves
 
     barrier_I = np.asarray(liquidation_barrier(ss, p))
     barrier_u1 = np.full(n_s, np.nan)

@@ -114,9 +114,13 @@ _CSV_BLOCK_ROWS = 4096
 
 def _csv_cells(flat):
     """The cells of a 1-D block of one column: numbers as repr(float), str
-    values (label columns) as they are; a numeric block is formatted in one pass."""
+    values (label columns) as they are.  A numeric block formats each
+    distinct 64-bit pattern once (so -0.0, nan and inf keep their spellings):
+    a meshgrid column or a settled filter variance repeats a few values."""
     if flat.dtype.kind in "biuf":
-        return list(map(float.__repr__, flat.astype(float).tolist()))
+        bits, inverse = np.unique(flat.astype(float).view(np.uint64), return_inverse=True)
+        reprs = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+        return reprs[inverse].tolist()
     return [v if isinstance(v, str) else repr(float(v)) for v in flat.tolist()]
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy.special import ndtri, roots_hermitenorm
 from sc_control import bank_full, bank_partial as bp, cli, parallel
 from sc_control.errors import NoConvergence, ValidationError
 
-from conftest import digest, table_bank_params
+from conftest import digest, no_child_left, table_bank_params
 
 
 def impulse_at(sol, x0, s0):
@@ -487,6 +488,120 @@ class TestTableBRegression:
         sol = table_b_small
         assert 0.0 < sol.residual < 10 * 5e-7
         assert sol.residual != sol.line_sup_error
+
+
+def solve_bytes(sol):
+    """Every output of a penalty solve, as bytes and exact hex."""
+    return ([a.tobytes() for a in (sol.V, sol.regions, sol.barrier_u1, sol.barrier_u2)],
+            sol.iterations, sol.residual.hex(), sol.line_sup_error.hex())
+
+
+def counting_lockstep(monkeypatch):
+    """Count the solves that fork their below side (the list of calls)."""
+    calls, lockstep = [], parallel.lockstep
+    monkeypatch.setattr(parallel, "lockstep", lambda *a: calls.append(a) or lockstep(*a))
+    return calls
+
+
+class TestTwoProcessSolve:
+    """The below side and the numeric line in a forked child, the above side
+    here, against the same solve in one process."""
+
+    @pytest.mark.parametrize("n_x, n_s", [(101, 21), (201, 41)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forked_solve_is_the_unsplit_one(self, monkeypatch, seed, n_x, n_s):
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import workloads
+
+        p = bp.BankParams(**workloads.calibrations(seed)["table"])
+        self.assert_forked_is_unsplit(monkeypatch, p, bp.default_grid(p, n_x=n_x, n_s=n_s))
+
+    def test_path_ends_past_the_line_read_the_line_on_either_path(self, monkeypatch):
+        # the Riccati paths of two slices, one per side, end a rounding
+        # past s_inf; read across the line, they gave the forked and the
+        # one-process solve different last bits
+        p = table_bank_params(delay_Delta=0.75, noise_m=0.002, rho=0.0)
+        grid = bp.default_grid(p, n_x=101, n_s=21)
+        ss, _ = bp._s_grid(p, grid)
+        ends = np.array([bp.riccati_variance(p, s, p.delay_Delta) for s in ss.tolist()])
+        s_inf = p.s_infinity
+        assert np.count_nonzero((ss < s_inf) & (ends > s_inf)) == 1
+        assert np.count_nonzero((ss > s_inf) & (ends < s_inf)) == 1
+        self.assert_forked_is_unsplit(monkeypatch, p, grid)
+
+    @staticmethod
+    def assert_forked_is_unsplit(monkeypatch, p, grid):
+        calls = counting_lockstep(monkeypatch)
+        forked = bp.penalty_solve(p, grid)
+        assert len(calls) == 1
+        with monkeypatch.context() as m:
+            m.setattr(parallel, "free", lambda: False)
+            unsplit = bp.penalty_solve(p, grid)
+        assert len(calls) == 1
+        assert solve_bytes(forked) == solve_bytes(unsplit)
+        assert no_child_left()
+
+    def test_101x21_solve_is_pinned(self, monkeypatch):
+        # recorded when the first slices warm-started from the numeric line
+        calls = counting_lockstep(monkeypatch)
+        p = table_bank_params()
+        sol = bp.penalty_solve(p, bp.default_grid(p, n_x=101, n_s=21))
+        assert len(calls) == 1
+        assert (digest(sol.V), digest(sol.regions), digest(sol.barrier_u1),
+                digest(sol.barrier_u2), sol.iterations, sol.residual.hex(),
+                sol.line_sup_error.hex()) == (
+            "ffc17fb281b6bbe8", "1140baffea81ca27", "cc6b016925ba2c27", "a0a7f8a3fe23504e",
+            90, "0x1.885fa3f71a3cdp-21", "0x1.1c1aebae148bep-10")
+
+    def test_smoke_grid_and_a_solve_beside_a_fork_run_unsplit(self, monkeypatch):
+        calls = counting_lockstep(monkeypatch)
+        p = table_bank_params()
+        # the S axes have 8 and 22 nodes
+        assert 21 * 8 < bp._FORK_MIN_NODES <= 101 * 22
+        bp.penalty_solve(p, bp.default_grid(p, n_x=21, n_s=7))
+        with parallel.fork(os.getpid) as join:
+            bp.penalty_solve(p, bp.default_grid(p, n_x=101, n_s=21))
+            assert join() != os.getpid()
+        assert calls == []
+        assert no_child_left()
+
+    def test_child_error_on_the_below_side_is_reraised(self, monkeypatch):
+        p = table_bank_params()
+        solve = bp._solve_slice
+
+        def below_fails(sp, S, *args, **kwargs):
+            if S < p.s_infinity:
+                raise NoConvergence(f"below S={S!r}", residual=7.0)
+            return solve(sp, S, *args, **kwargs)
+
+        monkeypatch.setattr(bp, "_solve_slice", below_fails)
+        calls = counting_lockstep(monkeypatch)
+        with pytest.raises(NoConvergence, match="^below S=") as err:
+            bp.penalty_solve(p, bp.default_grid(p, n_x=101, n_s=21))
+        assert err.value.residual == 7.0
+        assert len(calls) == 1
+        assert no_child_left()
+
+    def test_parent_error_while_the_child_waits_kills_it(self, monkeypatch):
+        p = table_bank_params()
+        solve, parent, above = bp._solve_slice, os.getpid(), []
+
+        def above_fails_late(sp, S, *args, **kwargs):
+            if os.getpid() == parent and S > p.s_infinity:
+                above.append(S)
+                if S in above[:-1]:  # a refinement sweep: the child waits to swap
+                    time.sleep(0.3)
+                    raise ValueError("above side failed")
+            return solve(sp, S, *args, **kwargs)
+
+        monkeypatch.setattr(bp, "_solve_slice", above_fails_late)
+        calls = counting_lockstep(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^above side failed$"):
+            bp.penalty_solve(p, bp.default_grid(p, n_x=101, n_s=21))
+        assert time.perf_counter() - start < 30.0
+        assert len(calls) == 1
+        assert no_child_left()
 
 
 class TestElasticity:

@@ -940,3 +940,26 @@ class TestSimulateRetireFork:
             os.close(r)
             os.close(w)
         assert no_child_left()
+
+
+def test_csv_writer_formats_each_bit_pattern_as_its_own_repr(tmp_path):
+    # more rows than one block; values whose spellings a dedup by value
+    # would merge (-0.0 and 0.0) or could not key (nan)
+    n = cli._CSV_BLOCK_ROWS + 905
+    rng = np.random.default_rng(3)
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 1.0, 1e300])
+    floats = np.where(rng.random(n) < 0.5, rng.choice(special, n),
+                      np.round(rng.normal(size=n), 2))
+    grid, _ = np.meshgrid(np.linspace(-1.0, 1.0, 7), np.arange(n // 7 + 1))
+    ints = rng.integers(-3, 4, n).astype(np.int8)
+    labels = np.array(rng.choice(["dividend", "recap", "none"], n), dtype=object)
+    columns = [floats, grid.ravel()[:n], ints, labels]
+    path = cli._write_csv(str(tmp_path), "t.csv", ["f", "g", "i", "label"], columns)
+    with open(path, encoding="utf-8") as fh:
+        written = fh.read()
+    # the per-cell formatting the writer replaced
+    oracle = "f,g,i,label\n" + "".join(
+        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n"
+        for row in zip(*(c.tolist() for c in columns)))
+    assert written == oracle
+    assert {"-0.0", "0.0", "nan", "inf", "-inf", "5e-324"} <= set(written.replace("\n", ",").split(","))
