@@ -28,11 +28,11 @@ the operator read off the previous sweep.  Each sub-domain's first slice
 warm-starts policy iteration from the closed-form line's sets.  The
 invariant-line slice is also solved numerically, iterated with its own
 operator frozen at the previous sweep, as a diagnostic only: nothing reads
-it.  The two sub-domains never read each other, so on grids large enough to
-pay for a fork they run in two processes in lockstep (``parallel.lockstep``):
-a child takes the numeric line and the sub-domain below, this process the
-one above, and both stop on the larger of their sweeps' changes, which
-gives the one-process solve bit for bit.
+it.  The two sub-domains never read each other, so each converges on its
+own, and on grids large enough to pay for a fork the one below runs, with
+the numeric line, in a forked child (``parallel.fork``).  The side that
+converged first then sweeps on to the other's count, until both stop on one
+sweep count, as one joint sweep over both would.
 
 The liquidation boundary is handled with a cut cell (Shortley-Weller
 one-sided stencil) so the barrier position enters exactly, not rounded to
@@ -497,8 +497,7 @@ class _Surface:
         # slices of one side (the line included); while marching, the short
         # initial path segment inside the yet-unsolved slice clamps to the
         # nearest solved neighbor (O(dS) startup error, removed by the
-        # refinement sweeps).  A path never leaves its side, but its end can
-        # round past the line: it reads the line there, not the other side
+        # refinement sweeps)
         ss, V, solved = self.ss[side], self.V[side], self.solved[side]
         i, w = cell(ss, S)
         if solved[i] and solved[i + 1]:
@@ -506,54 +505,58 @@ class _Surface:
         cand = np.where(solved)[0]
         return V[cand[np.argmin(np.abs(ss[cand] - S))]].copy()
 
-    def march(self, order, agree):
-        """(slice solves, residual) of the march over the slices ``order`` and
-        the refinement sweeps after it.
-
-        Each sweep solves the slices in order with the nonlocal operator
-        read off the surface as it stands.  After each refinement sweep,
-        ``agree(change)`` gives the largest relative change to stop on:
-        the sweep's own, or the larger of it and the other side's.
-        """
+    def sweep(self, order, refine: bool) -> float:
+        """One pass over the slices ``order``, with the nonlocal operator read
+        off the surface as it stands; returns the largest relative change of
+        a refinement pass (0.0 for the march, which has nothing to compare)."""
         sp, ss, p, V, line = self.sp, self.ss, self.sp.p, self.V, self.line_idx
-        solves = 0
-        residual = 0.0
-        for sweep in range(1 + _LINE_MAX_SWEEPS):
-            change = 0.0
-            for j in order:
-                S = float(ss[j])
-                toward, side = (j + 1, slice(0, line + 1)) if j < line else (j - 1, slice(line, None))
-                dS = abs(ss[toward] - ss[j])
-                b_drift = p.sigma**2 - filter_gain(S, p) ** 2
-                adv = abs(b_drift) / dS
-                p_slice = _impulse_slice(sp, S, lambda s: self.row_at(side, s))
-                v, reg, self.sets[j] = _solve_slice(
-                    sp, S, adv, adv * V[toward], p_slice, self.rho_pen,
-                    active=self.sets[j] if self.solved[j] else self.sets[toward])
-                if sweep > 0:
-                    change = max(change, float(np.max(np.abs(v - V[j]) / (1.0 + np.abs(V[j])))))
-                V[j] = v
-                self.regions[j] = reg
-                self.solved[j] = True
-                solves += 1
-            if sweep > 0:
-                residual = agree(change)
-                if residual < _LINE_TOL * 10.0:
-                    break
-        else:
-            raise NoConvergence("surface refinement did not converge",
-                                residual=residual)
-        return solves, residual
+        change = 0.0
+        for j in order:
+            S = float(ss[j])
+            toward, side = (j + 1, slice(0, line + 1)) if j < line else (j - 1, slice(line, None))
+            dS = abs(ss[toward] - ss[j])
+            b_drift = p.sigma**2 - filter_gain(S, p) ** 2
+            adv = abs(b_drift) / dS
+            p_slice = _impulse_slice(sp, S, lambda s: self.row_at(side, s))
+            v, reg, self.sets[j] = _solve_slice(
+                sp, S, adv, adv * V[toward], p_slice, self.rho_pen,
+                active=self.sets[j] if self.solved[j] else self.sets[toward])
+            if refine:
+                change = max(change, float(np.max(np.abs(v - V[j]) / (1.0 + np.abs(V[j])))))
+            V[j] = v
+            self.regions[j] = reg
+            self.solved[j] = True
+        return change
+
+    def refine(self, order, changes: list, at_least: int = 1) -> list:
+        """Append to ``changes`` the largest change of each refinement sweep
+        over ``order`` until it holds at least ``at_least`` and the last is
+        under tolerance; raises NoConvergence at ``_LINE_MAX_SWEEPS``."""
+        while len(changes) < at_least or changes[-1] >= _LINE_TOL * 10.0:
+            if len(changes) == _LINE_MAX_SWEEPS:
+                raise NoConvergence("surface refinement did not converge",
+                                    residual=changes[-1])
+            changes.append(self.sweep(order, refine=True))
+        return changes
+
+    def converge(self, order) -> list:
+        """The march over the slices ``order``, then refinement sweeps until
+        one changes them by less than the tolerance; returns the sweeps'
+        largest changes."""
+        self.sweep(order, refine=False)
+        return self.refine(order, [])
 
 
-def _line_and_below(swap, surface: _Surface, below, line_vals, kappa1: float):
-    """The forked child's half of :func:`penalty_solve`: the numeric line
-    slice, then the march over the slices ``below`` in step with the
-    caller's march above the line."""
+def _line_and_below(surface: _Surface, below, line_vals, kappa1: float):
+    """The numeric line slice and the converged sub-domain ``below`` the line:
+    the sub-domain's rows of V, regions and sets, its sweeps' changes, the
+    line's sweeps and ``line_sup_error``.  :func:`penalty_solve` runs it
+    beside its own march above the line."""
     sweeps, line_sup_error = _line_sweeps(surface.sp, float(surface.ss[surface.line_idx]),
                                           line_vals, surface.rho_pen, kappa1)
-    solves, _ = surface.march(below, lambda c: max(c, swap(c)))
-    return surface.V[below], surface.regions[below], sweeps + solves, line_sup_error
+    changes = surface.converge(below)
+    return (surface.V[below], surface.regions[below], surface.sets[below], changes,
+            sweeps, line_sup_error)
 
 
 def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolution:
@@ -568,12 +571,18 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     in ``iterations``): nothing else reads it.
 
     Neither sub-domain reads the other, since the variance flows toward the
-    line from both sides.  So when :func:`parallel.free` and the grid has
-    at least ``_FORK_MIN_NODES`` nodes, a forked child solves the numeric
-    line and the sub-domain below it while this process solves the one
-    above.  The two swap each refinement sweep's largest change and stop on
-    the larger, so the sweeps, ``residual``, ``iterations`` and every value
-    are those of the one-process solve, bit for bit.
+    line from both sides, so each is refined until its own sweep changes it
+    by less than the tolerance.  Then the one that stopped first sweeps on
+    until both stop on the same sweep count, the first at which both
+    changes are under the tolerance: the stop of a sweep over both, so the
+    sweeps, ``residual`` (the larger of the two last changes),
+    ``iterations`` and every value are those of a joint sweep, bit for bit.
+    On a grid of at least ``_FORK_MIN_NODES`` nodes the side below and the
+    numeric line run in a child (:func:`parallel.fork`, which runs them in
+    this process where :func:`parallel.free` is False) while this process
+    solves the side above; a child's error is re-raised once this side has
+    converged.  On smaller grids this process solves the side above, then
+    the line and the side below.
     """
     if grid is None:
         grid = default_grid(p)
@@ -601,20 +610,24 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     solved[line_idx] = True
     surface = _Surface(sp, ss, line_idx, grid.penalty_schedule[-1], V, regions, sets, solved)
 
-    # march the two sub-domains away from the line, then refine with the
-    # nonlocal operator frozen at the previous full sweep
+    # march the two sub-domains away from the line and refine each with the
+    # nonlocal operator frozen at its previous sweep; the side below, with the
+    # numeric line, in a forked child on a grid large enough to pay for it
     below, above = list(range(line_idx - 1, -1, -1)), list(range(line_idx + 1, n_s))
-    if parallel.free() and n_s * n_x >= _FORK_MIN_NODES:
-        with parallel.lockstep(_line_and_below, surface, below, line_vals,
-                               full_line.kappa) as (swap, join):
-            solves, residual = surface.march(above, lambda c: max(c, swap(c)))
-            V[below], regions[below], below_solves, line_sup_error = join()
-        total_iters = below_solves + solves
-    else:
-        sweeps, line_sup_error = _line_sweeps(sp, float(ss[line_idx]), line_vals,
-                                              surface.rho_pen, full_line.kappa)
-        solves, residual = surface.march(below + above, lambda c: c)
-        total_iters = sweeps + solves
+    beside = parallel.fork if n_s * n_x >= _FORK_MIN_NODES else parallel.inline
+    with beside(_line_and_below, surface, below, line_vals, full_line.kappa) as join:
+        above_changes = surface.converge(above)
+        V[below], regions[below], sets[below], below_changes, line_sweeps, line_sup_error = join()
+    solved[below] = True
+    # each side stopped on its own first converged sweep; both go on to the
+    # first sweep count at which both have converged, that of a joint sweep
+    sides = ((above, above_changes), (below, below_changes))
+    while len(above_changes) != len(below_changes):
+        longest = max(len(above_changes), len(below_changes))
+        for order, changes in sides:
+            surface.refine(order, changes, longest)
+    residual = max(above_changes[-1], below_changes[-1])
+    total_iters = line_sweeps + sum(len(order) * (1 + len(changes)) for order, changes in sides)
 
     barrier_I = np.asarray(liquidation_barrier(ss, p))
     barrier_u1 = np.full(n_s, np.nan)

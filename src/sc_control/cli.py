@@ -95,8 +95,10 @@ def _write_manifest(out_dir, subcommand, cfg, args):
         },
     }
     path = os.path.join(out_dir, "manifest.json")
+    # compact, so that json.dumps takes its C encoder (json.dump never does):
+    # the config may hold a series of 20k observations
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        fh.write(json.dumps(manifest, sort_keys=True, default=str))
     return path
 
 

@@ -46,7 +46,9 @@ def riccati_variance(p: BankParams, s0: float, t) -> float | np.ndarray:
     """Closed-form conditional variance S_t from initial variance s0.
 
     Handles the degenerate noiseless case m = 0 (S stays at 0) and the
-    stationary case s0 = m*sigma*(1-rho) exactly.
+    stationary case s0 = m*sigma*(1-rho) exactly.  A path stays on its
+    starting side of that level: where the formula rounds past it, the
+    result is the level itself.
     """
     if s0 < 0.0:
         raise ValidationError(f"s0={s0} must be >= 0")
@@ -66,9 +68,9 @@ def riccati_variance(p: BankParams, s0: float, t) -> float | np.ndarray:
     e = np.exp(np.minimum(2.0 * sigma * t / m, 700.0))
     with np.errstate(over="ignore"):
         if s0 < s_inf:
-            out = ms * (A * e - 1.0) / (A * e + 1.0) - ms * rho
+            out = np.minimum(ms * (A * e - 1.0) / (A * e + 1.0) - ms * rho, s_inf)
         else:
-            out = ms * (A * e + 1.0) / (A * e - 1.0) - ms * rho
+            out = np.maximum(ms * (A * e + 1.0) / (A * e - 1.0) - ms * rho, s_inf)
     out = np.where(np.isfinite(out), out, s_inf)
     return out if t.ndim else float(out)
 

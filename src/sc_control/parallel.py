@@ -3,10 +3,11 @@
 Small numpy operations hold the GIL, so two threads of them run no faster
 than one; two processes do.  ``fork`` gives the caller a ``join`` that
 returns the child's result, or re-raises the child's exception; no child
-outlives the ``with`` block.  ``lockstep`` does the same for a child that
-swaps values with the caller as both go.  One child at a time: while a
+outlives the ``with`` block.  ``inline`` has the same interface and runs
+the function in the caller, at ``join``.  One child at a time: while a
 block is open, in the process that opened it and in its child, ``free``
-is False and a nested ``fork`` runs its function inline.
+is False and a nested ``fork`` runs its function inline; so does every
+``fork`` of a process that may run on one CPU only.
 """
 
 from __future__ import annotations
@@ -20,9 +21,13 @@ _open = 0  # fork blocks open in this process, or in the one that forked it
 
 
 def free() -> bool:
-    """True when a child would have a CPU of its own: ``os.fork`` exists and
-    no fork block is open here or in the process that forked this one."""
-    return hasattr(os, "fork") and not _open
+    """True when a child would have a CPU of its own: ``os.fork`` exists, no
+    fork block is open here or in the process that forked this one, and
+    this process may run on two CPUs or more (where
+    ``os.sched_getaffinity`` says; a pinned child would only take turns
+    with its parent)."""
+    return (hasattr(os, "fork") and not _open
+            and (not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) >= 2))
 
 
 @contextmanager
@@ -97,73 +102,3 @@ def fork(fn, *args):
         if "pid" in state:
             os.kill(state["pid"], signal.SIGKILL)
             os.waitpid(state["pid"], 0)
-
-
-class _Ends:
-    """One side's ends of the two pipes between a lockstep child and its caller."""
-
-    def __init__(self, w, r):
-        self.w = w
-        self.reader = os.fdopen(r, "rb")
-
-    def swap(self, value):
-        data = pickle.dumps(value)
-        while data:
-            data = data[os.write(self.w, data):]
-        return pickle.load(self.reader)
-
-    def close(self):
-        os.close(self.w)
-        self.reader.close()
-
-
-@contextmanager
-def lockstep(fn, *args):
-    """Start ``fn(swap, *args)`` in a forked child and yield ``(swap, join)``.
-
-    Each ``swap(value)``, in the child and in the caller, sends ``value`` to
-    the other side and returns the value the other side sent in the same
-    round, so both sides must make the same number of swaps.  Each side
-    writes before it reads, so a round of values that fit a pipe's buffer
-    (64 KiB on Linux) never blocks on its writes.  ``join`` and the block's
-    exit are those of :func:`fork`: when the caller leaves the block, the
-    child is killed, even while it waits in a swap.  When the child has
-    left before a round, by returning or by raising, the caller's swap
-    calls ``join``, which re-raises the child's exception; a child that
-    returned gives a RuntimeError.  Needs ``free()``: the two sides cannot
-    run in step in one process.
-    """
-    if not free():
-        raise RuntimeError("lockstep needs a free CPU (see parallel.free)")
-    down_r, down_w = os.pipe()  # caller -> child
-    up_r, up_w = os.pipe()  # child -> caller
-
-    def child(*child_args):
-        os.close(down_w)
-        os.close(up_r)
-        return fn(_Ends(up_w, down_r).swap, *child_args)
-
-    try:
-        with fork(child, *args) as join:
-            # without the child's ends here, the child's exit reads as EOF
-            os.close(down_r)
-            os.close(up_w)
-            down_r = up_w = None
-            ends = _Ends(down_w, up_r)
-            down_w = up_r = None
-
-            def swap(value):
-                try:
-                    return ends.swap(value)
-                except (BrokenPipeError, EOFError):
-                    join()
-                    raise RuntimeError("lockstep child returned before the last swap") from None
-
-            try:
-                yield swap, join
-            finally:
-                ends.close()
-    finally:
-        for fd in (down_r, down_w, up_r, up_w):
-            if fd is not None:
-                os.close(fd)

@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import time
 
 import numpy as np
 import pytest
@@ -496,11 +495,37 @@ def solve_bytes(sol):
             sol.iterations, sol.residual.hex(), sol.line_sup_error.hex())
 
 
-def counting_lockstep(monkeypatch):
-    """Count the solves that fork their below side (the list of calls)."""
-    calls, lockstep = [], parallel.lockstep
-    monkeypatch.setattr(parallel, "lockstep", lambda *a: calls.append(a) or lockstep(*a))
-    return calls
+def converge_log(monkeypatch, tmp_path):
+    """Log each side's ``converge`` of every solve as (pid, side, refinement
+    sweeps) to a file, which a forked child writes too; returns its reader."""
+    log = tmp_path / "converge.log"
+    converge = bp._Surface.converge
+
+    def logged(surface, order):
+        changes = converge(surface, order)
+        side = "below" if order[0] < surface.line_idx else "above"
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {side} {len(changes)}\n")
+        return changes
+
+    monkeypatch.setattr(bp._Surface, "converge", logged)
+    return lambda: [(int(pid), side, int(n)) for pid, side, n in
+                    map(str.split, log.read_text().splitlines())] if log.exists() else []
+
+
+def below_pids(log):
+    """The pid of the process that solved each logged solve's below side."""
+    return [pid for pid, side, _ in log() if side == "below"]
+
+
+PINNED_101X21 = ("ffc17fb281b6bbe8", "1140baffea81ca27", "cc6b016925ba2c27", "a0a7f8a3fe23504e",
+                 90, "0x1.885fa3f71a3cdp-21", "0x1.1c1aebae148bep-10")
+
+
+def pinned_digests(sol):
+    return (digest(sol.V), digest(sol.regions), digest(sol.barrier_u1),
+            digest(sol.barrier_u2), sol.iterations, sol.residual.hex(),
+            sol.line_sup_error.hex())
 
 
 class TestTwoProcessSolve:
@@ -509,52 +534,61 @@ class TestTwoProcessSolve:
 
     @pytest.mark.parametrize("n_x, n_s", [(101, 21), (201, 41)])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_forked_solve_is_the_unsplit_one(self, monkeypatch, seed, n_x, n_s):
+    def test_forked_solve_is_the_unsplit_one(self, monkeypatch, tmp_path, seed, n_x, n_s):
         monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
         import workloads
 
         p = bp.BankParams(**workloads.calibrations(seed)["table"])
-        self.assert_forked_is_unsplit(monkeypatch, p, bp.default_grid(p, n_x=n_x, n_s=n_s))
+        self.assert_forked_is_unsplit(monkeypatch, tmp_path, p,
+                                      bp.default_grid(p, n_x=n_x, n_s=n_s))
 
-    def test_path_ends_past_the_line_read_the_line_on_either_path(self, monkeypatch):
-        # the Riccati paths of two slices, one per side, end a rounding
-        # past s_inf; read across the line, they gave the forked and the
-        # one-process solve different last bits
+    def test_path_ends_that_rounded_past_the_line_end_on_it(self, monkeypatch, tmp_path):
+        # the Riccati paths of two slices, one per side, once ended a
+        # rounding past s_inf; now they end on it, and the forked and the
+        # one-process solve read the line there alike
         p = table_bank_params(delay_Delta=0.75, noise_m=0.002, rho=0.0)
         grid = bp.default_grid(p, n_x=101, n_s=21)
         ss, _ = bp._s_grid(p, grid)
         ends = np.array([bp.riccati_variance(p, s, p.delay_Delta) for s in ss.tolist()])
         s_inf = p.s_infinity
-        assert np.count_nonzero((ss < s_inf) & (ends > s_inf)) == 1
-        assert np.count_nonzero((ss > s_inf) & (ends < s_inf)) == 1
-        self.assert_forked_is_unsplit(monkeypatch, p, grid)
+        assert np.count_nonzero((ss < s_inf) & (ends > s_inf)) == 0
+        assert np.count_nonzero((ss > s_inf) & (ends < s_inf)) == 0
+        self.assert_forked_is_unsplit(monkeypatch, tmp_path, p, grid)
 
     @staticmethod
-    def assert_forked_is_unsplit(monkeypatch, p, grid):
-        calls = counting_lockstep(monkeypatch)
+    def assert_forked_is_unsplit(monkeypatch, tmp_path, p, grid):
+        log = converge_log(monkeypatch, tmp_path)
         forked = bp.penalty_solve(p, grid)
-        assert len(calls) == 1
+        (child,) = below_pids(log)
+        assert child != os.getpid()
         with monkeypatch.context() as m:
             m.setattr(parallel, "free", lambda: False)
             unsplit = bp.penalty_solve(p, grid)
-        assert len(calls) == 1
+        assert below_pids(log) == [child, os.getpid()]
         assert solve_bytes(forked) == solve_bytes(unsplit)
         assert no_child_left()
 
-    def test_101x21_solve_is_pinned(self, monkeypatch):
+    def test_101x21_solve_is_pinned(self, monkeypatch, tmp_path):
         # recorded when the first slices warm-started from the numeric line
-        calls = counting_lockstep(monkeypatch)
+        log = converge_log(monkeypatch, tmp_path)
         p = table_bank_params()
         sol = bp.penalty_solve(p, bp.default_grid(p, n_x=101, n_s=21))
-        assert len(calls) == 1
-        assert (digest(sol.V), digest(sol.regions), digest(sol.barrier_u1),
-                digest(sol.barrier_u2), sol.iterations, sol.residual.hex(),
-                sol.line_sup_error.hex()) == (
-            "ffc17fb281b6bbe8", "1140baffea81ca27", "cc6b016925ba2c27", "a0a7f8a3fe23504e",
-            90, "0x1.885fa3f71a3cdp-21", "0x1.1c1aebae148bep-10")
+        (child,) = below_pids(log)
+        assert child != os.getpid()
+        assert pinned_digests(sol) == PINNED_101X21
+        assert no_child_left()
 
-    def test_smoke_grid_and_a_solve_beside_a_fork_run_unsplit(self, monkeypatch):
-        calls = counting_lockstep(monkeypatch)
+    def test_one_cpu_solves_in_one_process(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not parallel.free()
+        log = converge_log(monkeypatch, tmp_path)
+        p = table_bank_params()
+        sol = bp.penalty_solve(p, bp.default_grid(p, n_x=101, n_s=21))
+        assert below_pids(log) == [os.getpid()]
+        assert pinned_digests(sol) == PINNED_101X21
+
+    def test_smoke_grid_and_a_solve_beside_a_fork_run_unsplit(self, monkeypatch, tmp_path):
+        log = converge_log(monkeypatch, tmp_path)
         p = table_bank_params()
         # the S axes have 8 and 22 nodes
         assert 21 * 8 < bp._FORK_MIN_NODES <= 101 * 22
@@ -562,7 +596,34 @@ class TestTwoProcessSolve:
         with parallel.fork(os.getpid) as join:
             bp.penalty_solve(p, bp.default_grid(p, n_x=101, n_s=21))
             assert join() != os.getpid()
-        assert calls == []
+        assert below_pids(log) == [os.getpid()] * 2
+        assert no_child_left()
+
+    def test_sides_that_stop_apart_go_on_to_the_joint_stop(self, monkeypatch, tmp_path):
+        # on the smoke grid the side above stops changing after one
+        # refinement sweep and the side below after two: the above side
+        # makes a second one, as a joint sweep did, forked or not
+        p = table_bank_params()
+        grid = bp.default_grid(p, n_x=21, n_s=7)
+        log = converge_log(monkeypatch, tmp_path)
+        unsplit = bp.penalty_solve(p, grid)
+        monkeypatch.setattr(bp, "_FORK_MIN_NODES", 0)
+        forked = bp.penalty_solve(p, grid)
+        here = os.getpid()
+        (child,) = {pid for pid, side, _ in log() if side == "below" and pid != here}
+        assert sorted(log()) == sorted([(here, "above", 1), (here, "below", 2),
+                                        (here, "above", 1), (child, "below", 2)])
+        assert forked.iterations == unsplit.iterations == 39
+        assert solve_bytes(forked) == solve_bytes(unsplit)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("fork_min_nodes", [0, bp._FORK_MIN_NODES])
+    def test_no_converged_sweep_raises_and_leaves_no_child(self, monkeypatch, fork_min_nodes):
+        monkeypatch.setattr(bp, "_LINE_TOL", 0.0)
+        monkeypatch.setattr(bp, "_FORK_MIN_NODES", fork_min_nodes)
+        p = table_bank_params()
+        with pytest.raises(NoConvergence, match="^surface refinement did not converge$"):
+            bp.penalty_solve(p, bp.default_grid(p, n_x=21, n_s=7))
         assert no_child_left()
 
     def test_child_error_on_the_below_side_is_reraised(self, monkeypatch):
@@ -571,36 +632,30 @@ class TestTwoProcessSolve:
 
         def below_fails(sp, S, *args, **kwargs):
             if S < p.s_infinity:
-                raise NoConvergence(f"below S={S!r}", residual=7.0)
+                raise NoConvergence(f"below in {os.getpid()}", residual=7.0)
             return solve(sp, S, *args, **kwargs)
 
         monkeypatch.setattr(bp, "_solve_slice", below_fails)
-        calls = counting_lockstep(monkeypatch)
-        with pytest.raises(NoConvergence, match="^below S=") as err:
+        with pytest.raises(NoConvergence, match="^below in ") as err:
             bp.penalty_solve(p, bp.default_grid(p, n_x=101, n_s=21))
         assert err.value.residual == 7.0
-        assert len(calls) == 1
+        assert str(err.value) != f"below in {os.getpid()}"  # raised in the child
         assert no_child_left()
 
-    def test_parent_error_while_the_child_waits_kills_it(self, monkeypatch):
+    def test_parent_error_on_the_above_side_leaves_no_child(self, monkeypatch):
         p = table_bank_params()
         solve, parent, above = bp._solve_slice, os.getpid(), []
 
         def above_fails_late(sp, S, *args, **kwargs):
             if os.getpid() == parent and S > p.s_infinity:
                 above.append(S)
-                if S in above[:-1]:  # a refinement sweep: the child waits to swap
-                    time.sleep(0.3)
+                if S in above[:-1]:  # a refinement sweep
                     raise ValueError("above side failed")
             return solve(sp, S, *args, **kwargs)
 
         monkeypatch.setattr(bp, "_solve_slice", above_fails_late)
-        calls = counting_lockstep(monkeypatch)
-        start = time.perf_counter()
         with pytest.raises(ValueError, match="^above side failed$"):
             bp.penalty_solve(p, bp.default_grid(p, n_x=101, n_s=21))
-        assert time.perf_counter() - start < 30.0
-        assert len(calls) == 1
         assert no_child_left()
 
 

@@ -100,6 +100,26 @@ class TestRiccati:
             rhs = p.sigma**2 - (s / p.noise_m + p.sigma * p.rho) ** 2
             assert dS == pytest.approx(rhs, abs=1e-6)
 
+    def test_a_path_stays_on_its_side_of_the_limit(self):
+        # once A*e is large the closed form can round one ulp past s_inf:
+        # those values are s_inf itself, and every other is the formula's
+        t = np.array([5.0, 50.0])
+        crossed = 0
+        for rho in np.linspace(-0.9, 0.9, 37).tolist():
+            for m in (0.01, 0.0285, 0.05):
+                p = table_bank_params(rho=rho, noise_m=m)
+                ms, s_inf = m * p.sigma, p.s_infinity
+                fracs = np.concatenate([np.linspace(0.025, 0.975, 20), np.linspace(1.25, 6.0, 20)])
+                for s0 in (fracs * s_inf).tolist():
+                    side = 1.0 if s0 < s_inf else -1.0
+                    A_e = abs((ms * (1.0 + rho) + s0) / (s_inf - s0)) * np.exp(2.0 * p.sigma * t / m)
+                    formula = ms * (A_e - side) / (A_e + side) - ms * rho
+                    past = side * (formula - s_inf) > 0.0
+                    np.testing.assert_array_equal(fl.riccati_variance(p, s0, t),
+                                                  np.where(past, s_inf, formula))
+                    crossed += np.count_nonzero(past)
+        assert crossed > 0
+
     def test_noiseless_model_stays_at_zero(self):
         p = table_bank_params(noise_m=0.0, S_bar=None)
         assert fl.riccati_variance(p, 0.0, 3.0) == 0.0

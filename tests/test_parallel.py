@@ -1,10 +1,9 @@
-"""parallel.fork and parallel.lockstep: results, swapped values and
-exceptions come back from the child, and no child outlives the call."""
+"""parallel.fork: results and exceptions come back from the child, and no
+child outlives the call; parallel.free: when a fork gets a child."""
 
 import errno
 import os
 import signal
-import time
 
 import pytest
 
@@ -57,6 +56,13 @@ def test_parent_failure_before_join_kills_the_child():
     assert no_child_left()
 
 
+def test_child_killed_before_sending_raises():
+    with pytest.raises(RuntimeError, match="sent no result"):
+        with parallel.fork(lambda: os.kill(os.getpid(), signal.SIGKILL)) as join:
+            join()
+    assert no_child_left()
+
+
 def test_fork_error_closes_the_pipe(monkeypatch):
     pipes = []
     pipe = os.pipe
@@ -89,59 +95,15 @@ def test_inline_without_fork(monkeypatch):
     assert err.value.residual == 0.25
 
 
-def swap_rounds(swap, n, tag):
-    return [swap((tag, k)) for k in range(n)]
-
-
-def swap_then_stall(swap, rounds):
-    for k in range(rounds):
-        swap(k)
-    stall(0.5)
-
-
-def test_lockstep_swaps_values_both_ways():
-    with parallel.lockstep(swap_rounds, 4, "child") as (swap, join):
-        got = swap_rounds(swap, 4, "parent")
-        sent = join()
-    assert got == [("child", k) for k in range(4)]
-    assert sent == [("parent", k) for k in range(4)]
-    assert no_child_left()
-
-
-def test_lockstep_child_that_returns_early_raises_at_the_next_swap():
-    with pytest.raises(RuntimeError, match="returned before the last swap"):
-        with parallel.lockstep(swap_rounds, 2, "child") as (swap, join):
-            swap_rounds(swap, 3, "parent")
-    assert no_child_left()
-
-
-def test_lockstep_child_error_mid_exchange_is_reraised_at_the_swap():
-    with pytest.raises(NoConvergence, match="^stalled$") as err:
-        with parallel.lockstep(swap_then_stall, 2) as (swap, join):
-            assert [swap(k) for k in range(2)] == [0, 1]
-            swap(2)
-    assert err.value.residual == 0.5
-    assert no_child_left()
-
-
-def test_lockstep_child_killed_mid_exchange_raises():
-    def die(swap):
-        swap(0)
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    with pytest.raises(RuntimeError, match="sent no result"):
-        with parallel.lockstep(die) as (swap, join):
-            swap(0)
-            swap(1)
-    assert no_child_left()
-
-
-def test_lockstep_parent_error_kills_the_child_waiting_to_swap():
-    with pytest.raises(ValueError, match="parent failed"):
-        with parallel.lockstep(swap_rounds, 1, "child"):
-            time.sleep(0.2)  # the child now waits for the parent's value
-            raise ValueError("parent failed")
-    assert no_child_left()
+def test_one_cpu_is_not_free(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not parallel.free()
+    with parallel.fork(os.getpid) as join:  # inline: no child
+        assert join() == os.getpid()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+    assert parallel.free()
+    monkeypatch.delattr(os, "sched_getaffinity")  # no affinity call: free
+    assert parallel.free()
 
 
 def test_no_second_child_while_a_block_is_open():
@@ -150,9 +112,6 @@ def test_no_second_child_while_a_block_is_open():
         assert not parallel.free()
         with parallel.fork(os.getpid) as nested:  # inline: no third process
             assert nested() == os.getpid()
-        with pytest.raises(RuntimeError, match="needs a free CPU"):
-            with parallel.lockstep(swap_rounds, 1, "child"):
-                pytest.fail("entered the block")
         assert join() is False  # nor in the child
     assert parallel.free()
     assert no_child_left()
