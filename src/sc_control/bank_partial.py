@@ -681,19 +681,19 @@ def _line_outputs(xs, full_line, line_vals, x_eval) -> dict:
     return {"u1": full_line.u1, "u2": full_line.u2, "I": full_line.kappa, "V": float(v)}
 
 
-def _variance_elasticity(p: BankParams, baseline: PartialSolution) -> dict:
+def _variance_elasticity(p: BankParams, sol: PartialSolution) -> dict:
     """The S row, read off the solved surface over the S/s_inf sweep."""
     s_inf = p.s_infinity
-    x_ref = baseline.full_line.u2
+    x_ref = sol.full_line.u2
     out = {"u1": [], "u2": [], "I": [], "V": []}
     for frac in _SWEEP_FRACTIONS:
         S0 = frac * s_inf
         dS = 0.25 * s_inf
         for name, fn in (
             ("I", lambda s: float(liquidation_barrier(s, p))),
-            ("u1", lambda s: float(read(baseline.ss, baseline.barrier_u1, s))),
-            ("u2", lambda s: float(read(baseline.ss, baseline.barrier_u2, s))),
-            ("V", lambda s: float(baseline.value(x_ref, s))),
+            ("u1", lambda s: float(read(sol.ss, sol.barrier_u1, s))),
+            ("u2", lambda s: float(read(sol.ss, sol.barrier_u2, s))),
+            ("V", lambda s: float(sol.value(x_ref, s))),
         ):
             hi, lo, mid = fn(S0 + dS), fn(S0 - dS), fn(S0)
             denom = abs(mid) if name == "I" else mid
@@ -722,22 +722,16 @@ def _line_elasticity(p: BankParams, name: str, rel_step: float, grid: BankGrid |
     return result
 
 
-def _line_rows(p: BankParams, names, rel_step: float, grid: BankGrid | None,
-               baseline: PartialSolution | None) -> dict:
+def _line_rows(p: BankParams, names, rel_step: float, grid: BankGrid | None) -> dict:
     """The rows of ``names`` (S not among them), divided by one set of base
-    outputs: off the line of ``baseline`` when there is one, else in closed
-    form on the line of ``grid``.  The two give the same bytes when
-    ``baseline`` was solved on ``grid``."""
-    xs, full_line, line_vals = (
-        _closed_form_line(p, grid) if baseline is None else
-        (baseline.xs, baseline.full_line, baseline.V[baseline.line_index]))
+    outputs, in closed form on the line of ``grid``."""
+    xs, full_line, line_vals = _closed_form_line(p, grid)
     base = _line_outputs(xs, full_line, line_vals, full_line.u2)
     return {name: _line_elasticity(p, name, rel_step, grid, base) for name in names}
 
 
 def elasticity(p: BankParams, names, rel_step: float = 0.01,
-               grid: BankGrid | None = None,
-               baseline: PartialSolution | None = None) -> dict:
+               grid: BankGrid | None = None) -> dict:
     """Central-difference elasticities {name: {u1, u2, I, V}} at the long-run S.
 
     For parameters other than ``S`` the outputs are read on the invariant
@@ -748,19 +742,17 @@ def elasticity(p: BankParams, names, rel_step: float = 0.01,
     row on the X axis of ``grid`` (of each perturbed record's default grid
     when None), interpolated as ``PartialSolution.value`` interpolates on
     the line, at the base dividend barrier.  The grid's S axis does not act
-    on these rows.  The base outputs are computed once for all the rows:
-    off the line of ``baseline`` when there is one, else in closed form on
-    the line of ``grid``.
+    on these rows.  The base outputs are computed once for all the rows, in
+    closed form on the line of ``grid``.
     For ``S`` the surface itself varies in S: the elasticity is read off
-    ``baseline`` (solved on ``grid`` when None and ``S`` is listed),
-    averaged over the documented sweep S/s_inf in {1, 1.5, ..., 4}, the
-    comparative-statics range of the uncertainty panel, using quarter-s_inf
-    central differences (barrier curves are grid-quantized, so tighter steps
-    would alias).
-    When that solve is made and other names are listed too, their rows run
-    in a forked child (:func:`parallel.fork`) beside it, from the closed-form
-    line of ``grid``, the same bytes as the solve's line; an error of the
-    solve comes first, one of the rows once the ``S`` row is read.
+    ``penalty_solve(p, grid)``, averaged over the documented sweep S/s_inf
+    in {1, 1.5, ..., 4}, the comparative-statics range of the uncertainty
+    panel, using quarter-s_inf central differences (barrier curves are
+    grid-quantized, so tighter steps would alias).
+    When ``S`` and other names are listed, the other rows run in a forked
+    child (:func:`parallel.fork`) beside that solve; the closed-form line
+    gives the same bytes as the solve's line.  An error of the solve comes
+    first, one of the rows once the ``S`` row is read.
     Denominators use |output| wherever the quantity may change sign (I and
     rho per the stated convention).  ``names`` is a list or tuple; it, every
     name in it and the step are checked before any solve.
@@ -775,13 +767,12 @@ def elasticity(p: BankParams, names, rel_step: float = 0.01,
     if not (finite_number(rel_step) and rel_step > 0.0):
         raise ValidationError(f"rel_step={rel_step!r} must be a finite number > 0")
     others = [name for name in names if name != "S"]
-    solve = "S" in names and baseline is None
     # the rows never read the surface: they run in a child beside its solve
-    beside = parallel.fork if solve and others else parallel.inline
+    beside = parallel.fork if "S" in names and others else parallel.inline
     rows = {}
-    with beside(_line_rows, p, others, rel_step, grid, baseline) as join_rows:
+    with beside(_line_rows, p, others, rel_step, grid) as join_rows:
         if "S" in names:
-            rows["S"] = _variance_elasticity(p, penalty_solve(p, grid) if solve else baseline)
+            rows["S"] = _variance_elasticity(p, penalty_solve(p, grid))
         if others:
             rows |= join_rows()
     return {name: rows[name] for name in names}

@@ -74,10 +74,28 @@ def _series_source(cfg, keys):
     return given[0]
 
 
+def _path(cfg, key):
+    """cfg[key], which must be a path string; anything else raises
+    ValidationError naming the key."""
+    if not isinstance(cfg[key], str):
+        raise ValidationError(f"{key} must be a path string, not {type(cfg[key]).__name__}")
+    return cfg[key]
+
+
 def _series(cfg, source):
+    """The observations of ``source``: the CSV at the path ``series_csv``, or
+    ``series``, which must be a list of numbers (bools are not numbers)."""
     if source == "series_csv":
-        return filtering.series_from_csv(cfg["series_csv"])
-    return np.asarray(cfg["series"], dtype=float)
+        return filtering.series_from_csv(_path(cfg, "series_csv"))
+    series = cfg["series"]
+    if not isinstance(series, list):
+        raise ValidationError(f"series must be a list of numbers, not {type(series).__name__}")
+    # one test per distinct type: isinstance against numbers.Real is slow
+    if any(t is bool or not issubclass(t, numbers.Real) for t in set(map(type, series))):
+        k, v = next((k, v) for k, v in enumerate(series)
+                    if isinstance(v, bool) or not isinstance(v, numbers.Real))
+        raise ValidationError(f"series[{k}] = {v!r} is not a number")
+    return np.asarray(series, dtype=float)
 
 
 def _write_manifest(out_dir, subcommand, cfg, args):
@@ -159,7 +177,7 @@ def _cmd_calibrate(cfg, args, out_dir):
         raise ValidationError("bank_id picks a bank of panel_csv, which is not set")
     moments = None
     if source == "panel_csv":
-        ingested = panel.ingest_panel(cfg["panel_csv"], strict=args.strict)
+        ingested = panel.ingest_panel(_path(cfg, "panel_csv"), strict=args.strict)
         banks, diagnostics = ingested["banks"], ingested["diagnostics"]
         if not banks:
             raise ValidationError(

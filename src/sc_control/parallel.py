@@ -36,21 +36,24 @@ def inline(fn, *args):
     yield lambda: fn(*args)
 
 
-@contextmanager
 def fork(fn, *args):
-    """Start ``fn(*args)`` in a forked child and yield ``join``.
+    """A context manager that starts ``fn(*args)`` in a forked child and
+    yields ``join``.
 
     ``join()`` waits for the child and returns its result, or re-raises its
     exception (one that cannot be pickled comes back as a RuntimeError
     naming its type and message).  Leaving the block before ``join``, say
     because the caller's own work raised, kills the child; either way it is
     reaped.  An error of ``os.fork`` itself closes the pipe and propagates.
-    Where ``free()`` is False, ``fn`` runs inline at ``join``.
+    Where ``free()`` is False, this is ``inline(fn, *args)``.
     """
+    return _forked(fn, *args) if free() else inline(fn, *args)
+
+
+@contextmanager
+def _forked(fn, *args):
+    """``fork`` where ``free()`` is True."""
     global _open
-    if not free():
-        yield lambda: fn(*args)
-        return
     r, w = os.pipe()
     try:
         pid = os.fork()

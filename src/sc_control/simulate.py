@@ -23,11 +23,10 @@ Retirement paths: (W, I, Z) under the cointegrated dynamics with Poisson
 income jumps, feedback controls interpolated from a solved surface, stopping
 at the policy's retirement boundary xi*(z).  Each step locates every path's
 z cell once and reads the boundary (linear in z) and both controls from it.
-Reported times are capped at 250 years.  Each run draws from one generator
-seeded by ``seed``, and the policies of one call advance in lockstep on the
-same draws.  Those draws do not depend on the policies, so a side's stats
-are the same whether it races alone or beside others, and a summary is
-reproducible bit for bit from its inputs.
+Reported times are capped at 250 years.  Each policy races alone on a
+generator seeded by ``seed``.  The draws do not depend on the policy, so
+the policies of one call see the same shocks (common random numbers), and a
+summary is reproducible bit for bit from its inputs.
 """
 
 from __future__ import annotations
@@ -233,81 +232,60 @@ def simulate_bank(p: BankParams, policy, horizon: float, n_paths: int,
                       seed=seed, dt=dt)
 
 
-def _shared_axes(sols):
-    """The UniformAxis pair (xi, z) of solutions that share both grids."""
-    for name in ("xi", "z"):
-        grids = [getattr(sol, name) for sol in sols]
-        if any(not np.array_equal(g, grids[0]) for g in grids[1:]):
-            raise ValidationError(f"{name} grid differs between the solutions: "
-                                  + ", ".join(f"{g.size} nodes from {g[:1]} to {g[-1:]}"
-                                              for g in grids))
-    return UniformAxis(sols[0].xi, "xi"), UniformAxis(sols[0].z, "z")
-
-
 def simulate_retirement(p: RetireParams, sols: tuple[RetireSolution, ...],
                         start_w_over_i: float, n_paths: int, dt: float, seed: int) -> list:
     """RetireStats of each solved policy in ``sols``, all labelled "policy".
 
-    Every solution races in the same cointegrated world (the dynamics of
-    ``p``), and all advance in lockstep on one stream of draws: path j of
-    every side reads column j of each step's draws, so the sides see the
-    same shocks, jumps and (under ``power_nu``) recovery factors, common
-    random numbers.  Every step draws the two Brownian shocks and the jump
-    indicators for all ``n_paths`` paths (retired ones included), then,
-    under ``power_nu`` and only at a step where some indicator is set, a
-    recovery uniform for every path.  The draws thus depend only on
-    ``(seed, dt, n_paths, p)``, never on the policies, so each side's stats
-    equal those of that side raced alone, and a pair such as a policy and
-    its mean_reversion = 0 benchmark saves the second side's draws.
-    Retired paths stop; times are capped at RETIRE_TIME_CAP.  All solutions
-    must share their xi and z grids; ones that do not raise ValidationError
-    naming the axis.
-
-    The working paths of all sides form one set, in (side, path) order,
-    compressed at each step where some retire; the loop ends when none is
-    left.  The cells are found arithmetically on the shared uniform xi and
-    z grids, and each step's z cell serves both the retirement test and the
-    one lookup of both controls.  Side s reads its boundary and its
-    controls at z rows offset by s*n_z of the stacked curves and surfaces.
+    Each solution races alone in the cointegrated world of ``p``, on a
+    generator seeded by ``seed``: path j reads column j of each step's
+    draws.  Every step draws the two Brownian shocks and the jump indicators
+    for all ``n_paths`` paths (retired ones included), then, under
+    ``power_nu`` and only at a step where some indicator is set, a recovery
+    uniform for every path.  The draws thus depend only on
+    ``(seed, dt, n_paths, p)``, never on the policy, so the sides of one
+    call see the same shocks, jumps and recovery factors (common random
+    numbers), and a side's stats do not depend on the others in ``sols``.
+    Retired paths stop; times are capped at RETIRE_TIME_CAP.  The run
+    settings and every solution's xi and z grids (which must be uniform)
+    are checked before any race.
     """
     check_run_settings(n_paths, dt, start_w_over_i=start_w_over_i)
-    xi_axis, z_axis = _shared_axes(sols)
-    n_z = z_axis.grid.size
-    boundary = np.concatenate([sol.xi_retire for sol in sols])
-    controls = np.stack([np.concatenate([sol.y_star for sol in sols]),
-                         np.concatenate([sol.c_star for sol in sols])])
+    axes = [(UniformAxis(sol.xi, "xi"), UniformAxis(sol.z, "z")) for sol in sols]
+    return [_race(p, sol, xi_axis, z_axis, float(start_w_over_i), n_paths, dt, seed)
+            for sol, (xi_axis, z_axis) in zip(sols, axes)]
+
+
+def _race(p: RetireParams, sol: RetireSolution, xi_axis: UniformAxis, z_axis: UniformAxis,
+          start_w_over_i: float, n_paths: int, dt: float, seed: int) -> RetireStats:
+    """RetireStats of one policy.  The working paths are compressed at each
+    step where some retire, and the loop ends when none is left."""
+    controls = np.stack([sol.y_star, sol.c_star])
     rng = np.random.default_rng(seed)
     n_steps = int(round(RETIRE_TIME_CAP / dt))
-    n = len(sols) * n_paths
-    # side s's results fill slots s*n_paths to (s + 1)*n_paths
-    ret_time = np.full(n, RETIRE_TIME_CAP)
-    shares = np.zeros(n)
-    # the working paths: their slots (ascending), draw columns, row offsets
-    # into the stacked boundaries and controls, states and share sums
-    slot = np.arange(n)
-    a = slot % n_paths
-    rows = slot // n_paths * n_z
-    W = np.full(n, float(start_w_over_i))
-    inc = np.ones(n)
-    Z = np.full(n, p.z_bar)
-    share_sum = np.zeros(n)
+    ret_time = np.full(n_paths, RETIRE_TIME_CAP)
+    shares = np.zeros(n_paths)
+    # the working paths: their ids (ascending, each its draw column), states
+    # and share sums
+    ids = np.arange(n_paths)
+    W = np.full(n_paths, start_w_over_i)
+    inc = np.ones(n_paths)
+    Z = np.full(n_paths, p.z_bar)
+    share_sum = np.zeros(n_paths)
     sq = math.sqrt(dt)
     for k in range(n_steps):
         xi_q = xi_of_wealth(W / inc, p.r)
-        # one z cell, on each side's rows, serves the retirement test and
-        # both controls
+        # one z cell serves the retirement test and both controls
         i, w = z_axis.cell(Z)
-        i += rows
-        hit = xi_q <= lerp(boundary, i, w)
+        hit = xi_q <= lerp(sol.xi_retire, i, w)
         if hit.any():
             # a path retiring at step k worked k steps; its share is their mean
-            ret_time[slot[hit]] = k * dt
+            ret_time[ids[hit]] = k * dt
             if k > 0:
-                shares[slot[hit]] = share_sum[hit] / k
+                shares[ids[hit]] = share_sum[hit] / k
             keep = ~hit
-            slot, a, rows, W, inc, Z, share_sum, xi_q, i, w = (
-                v[keep] for v in (slot, a, rows, W, inc, Z, share_sum, xi_q, i, w))
-            if slot.size == 0:
+            ids, W, inc, Z, share_sum, xi_q, i, w = (
+                v[keep] for v in (ids, W, inc, Z, share_sum, xi_q, i, w))
+            if ids.size == 0:
                 break
         total = W + inc / p.r
         y, c = blend(controls, (i, w), xi_axis.cell(xi_q)) * total
@@ -318,8 +296,8 @@ def simulate_retirement(p: RetireParams, sols: tuple[RetireSolution, ...],
         if p.power_nu is not None and jumps.any():
             recovery_u = rng.random(n_paths)
         share_sum += np.where(W > 1e-12, y / np.maximum(W, 1e-12), 0.0)
-        dB1 = sq * z1[a]
-        dB2 = sq * z2[a]
+        dB1 = sq * z1[ids]
+        dB2 = sq * z2[ids]
         drift_i = p.mu_income - p.mean_reversion * (Z - p.z_bar)
         W = np.maximum(W + (p.r * W - c + inc) * dt
                        + y * p.sigma_stock * (dB1 + p.theta * dt), 0.0)
@@ -327,10 +305,10 @@ def simulate_retirement(p: RetireParams, sols: tuple[RetireSolution, ...],
                      + p.sigma_income * dB2)
         Z = Z - p.mean_reversion * (Z - p.z_bar) * dt \
             - p.sigma_z * dB1 + p.sigma_income * dB2
-        jump = jumps[a]
+        jump = jumps[ids]
         if jump.any():
             if p.power_nu is not None:
-                recov = recovery_u[a[jump]] ** (1.0 / p.power_nu)
+                recov = recovery_u[ids[jump]] ** (1.0 / p.power_nu)
             else:
                 recov = np.full(int(np.count_nonzero(jump)), p.recovery)
             inc[jump] *= recov
@@ -338,11 +316,9 @@ def simulate_retirement(p: RetireParams, sols: tuple[RetireSolution, ...],
             # the identity Z = ln I - ln S; the gap then mean-reverts
             Z[jump] += np.log(np.maximum(recov, 1e-10))
         inc = np.maximum(inc, 1e-10)
-    if n_steps > 0:
-        # paths still working at the cap worked every step
-        shares[slot] = share_sum / n_steps
-    return [RetireStats(expected_time=float(np.mean(ret_time[part])),
-                        expected_share=float(np.mean(shares[part])),
-                        n_paths=n_paths, policy="policy",
-                        retired_fraction=float(np.mean(ret_time[part] < RETIRE_TIME_CAP)))
-            for part in (slice(s * n_paths, (s + 1) * n_paths) for s in range(len(sols)))]
+    # paths still working at the cap worked every step
+    shares[ids] = share_sum / n_steps
+    return RetireStats(expected_time=float(np.mean(ret_time)),
+                       expected_share=float(np.mean(shares)),
+                       n_paths=n_paths, policy="policy",
+                       retired_fraction=float(np.mean(ret_time < RETIRE_TIME_CAP)))

@@ -660,17 +660,15 @@ class TestTwoProcessSolve:
 
 
 class TestElasticity:
-    def test_zero_elasticities_of_barrier(self, bank_partial_solution):
+    def test_zero_elasticities_of_barrier(self):
         p = table_bank_params()
         grid = bp.default_grid(p, n_x=201, n_s=41)
         for name in ("omega", "delay_Delta", "issue_cost_K"):
-            out = bp.elasticity(p, [name], rel_step=0.05, grid=grid,
-                                baseline=bank_partial_solution)[name]
+            out = bp.elasticity(p, [name], rel_step=0.05, grid=grid)[name]
             assert out["I"] == pytest.approx(0.0, abs=1e-12)
 
     def test_barrier_elasticity_wrt_variance(self, bank_partial_solution):
-        out = bp.elasticity(table_bank_params(), ["S"],
-                            baseline=bank_partial_solution)["S"]
+        out = bp._variance_elasticity(table_bank_params(), bank_partial_solution)
         assert out["I"] == pytest.approx(-3.756, rel=0.20)
 
 
@@ -693,10 +691,9 @@ def pde_read_rows(p, name, rel_step, grid, baseline):
 
 
 @pytest.fixture(scope="module")
-def small_baselines():
+def small_baseline():
     p = table_bank_params()
-    return {"grid": bp.penalty_solve(p, bp.default_grid(p, n_x=21, n_s=7)),
-            "other": bp.penalty_solve(p, bp.default_grid(p, n_x=31, n_s=9))}
+    return bp.penalty_solve(p, bp.default_grid(p, n_x=21, n_s=7))
 
 
 class TestSigmaSignOnTheLine:
@@ -730,11 +727,10 @@ class TestClosedFormElasticity:
     NAMES = ("sigma", "noise_m", "omega", "rho", "delay_Delta", "issue_cost_K")
 
     @pytest.mark.parametrize("name", NAMES)
-    @pytest.mark.parametrize("mode", ["grid", "no grid", "other baseline"])
-    def test_rows_equal_the_pde_read_rows(self, monkeypatch, small_baselines, name, mode):
+    @pytest.mark.parametrize("mode", ["grid", "no grid"])
+    def test_rows_equal_the_pde_read_rows(self, monkeypatch, small_baseline, name, mode):
         p = table_bank_params()
         grid = bp.default_grid(p, n_x=21, n_s=7)
-        baseline = small_baselines["other"] if mode == "other baseline" else None
         if mode == "no grid":
             # each record's own default grid, at 21 x 7 to keep the solves small
             default_grid = bp.default_grid
@@ -743,9 +739,8 @@ class TestClosedFormElasticity:
             grid = None
         with monkeypatch.context() as m:
             m.setattr(bp, "penalty_solve", _no_solve)
-            got = bp.elasticity(p, [name], grid=grid, baseline=baseline)[name]
-        want = pde_read_rows(p, name, 0.01, grid,
-                             baseline if baseline is not None else small_baselines["grid"])
+            got = bp.elasticity(p, [name], grid=grid)[name]
+        want = pde_read_rows(p, name, 0.01, grid, small_baseline)
         assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
     def test_no_penalty_solve_without_s(self, monkeypatch, tmp_path):

@@ -250,6 +250,31 @@ class TestCli:
             ("ValidationError", f"conflicting series sources {keys}: set only one")
         assert not (out_dir / "summary.json").exists()
 
+    THETA = {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3}
+
+    @pytest.mark.parametrize("sub, cfg, message", [
+        ("filter", {"theta": THETA, "series": {"a": 1}},
+         "series must be a list of numbers, not dict"),
+        ("calibrate", {"series": "0.1,0.2"}, "series must be a list of numbers, not str"),
+        ("calibrate", {"series": [True, False]}, "series[0] = True is not a number"),
+        ("filter", {"theta": THETA, "series": [0.1, None]}, "series[1] = None is not a number"),
+        ("filter", {"theta": THETA, "series_csv": 7}, "series_csv must be a path string, not int"),
+        ("calibrate", {"series_csv": ["x"]}, "series_csv must be a path string, not list"),
+        ("calibrate", {"panel_csv": 0}, "panel_csv must be a path string, not int")],
+        ids=["series_dict", "series_str", "series_bools", "series_null", "series_csv_int",
+             "series_csv_list", "panel_csv_int"])
+    def test_series_source_of_the_wrong_type_exits_1_naming_it(self, tmp_path, sub, cfg,
+                                                               message):
+        # no uncaught TypeError, no bool read as 0/1, no file descriptor
+        # opened as the panel
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main([sub, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert (err["error"], err["message"]) == ("ValidationError", message)
+        assert not (out_dir / "summary.json").exists()
+
     def test_calibrate_bank_id_without_a_panel_exits_1(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"series": [0.0, 0.01, 0.02, 0.03], "bank_id": "b1"}))

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import sc_control
-from sc_control import cli
+from sc_control import cli, simulate
+from sc_control.params import RetireParams
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(sc_control.__file__).resolve().parents[1])
@@ -51,15 +52,31 @@ def test_retirement_study_boundaries_are_those_of_solve_retire(tmp_path, monkeyp
     study = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(study)
     monkeypatch.setitem(study.BASE, "r", 0.02)
+    solves = []  # the policy, then the benchmark
+    solve = study.rt.penalty_solve_retire
+    monkeypatch.setattr(study.rt, "penalty_solve_retire",
+                        lambda *a: solves.append(solve(*a)) or solves[-1])
     out = tmp_path / "study"
-    monkeypatch.setattr(sys, "argv", ["retirement_study.py", "--fast", "--skip-sim",
-                                      "--out", str(out)])
+    monkeypatch.setattr(sys, "argv", ["retirement_study.py", "--fast", "--paths", "20",
+                                      "--dt", "1.0", "--out", str(out)])
     study.main()
+    pair = tuple(solves)
     cfg = {"retire_params": {**study.BASE, "mean_reversion": 0.15},
            "grid": {"n_x": 101, "n_y": 81}}
     cli.run("solve-retire", cfg, str(tmp_path / "cli"))
     assert (out / "boundaries.csv").read_bytes() == \
         (tmp_path / "cli" / "boundaries.csv").read_bytes()
+    # the timing table: a world per row, a start per column, and each cell
+    # both sides of one race of the pair at the script's seed
+    table = json.loads((out / "simulation_table.json").read_text())
+    assert list(table) == ["0.05", "0.15", "0.25"]
+    assert all(list(row) == ["10.0", "30.0", "50.0"] for row in table.values())
+    world = RetireParams(**study.BASE, mean_reversion=0.25)
+    ours, dl = simulate.simulate_retirement(world, pair, 30.0, 20, 1.0, 11)
+    assert table["0.25"]["30.0"] == {"ours_time": ours.expected_time,
+                                     "ours_share": ours.expected_share,
+                                     "dl_time": dl.expected_time,
+                                     "dl_share": dl.expected_share}
 
 
 def _workloads():

@@ -364,12 +364,12 @@ class TestEngineOnSyntheticPolicy:
         assert race == [race_alone(p, sol, 400.0, 60, 0.5, 9) for sol in pair]
         assert [s.expected_time == 0.0 for s in race] == [first_retires, not first_retires]
 
-    @pytest.mark.parametrize("axis, other", [("xi", dict(n_xi=31)), ("z", dict(z_half=1.5))])
-    def test_pair_on_different_grids_raises_naming_the_axis(self, axis, other):
-        with pytest.raises(ValidationError, match=f"^{axis} grid differs"):
-            sim.simulate_retirement(baseline_retire_params(),
-                                    (synthetic_policy(0.3), synthetic_policy(0.3, **other)),
-                                    10.0, 10, 0.5, seed=1)
+    @pytest.mark.parametrize("other", [dict(n_xi=31), dict(z_half=1.5)], ids=["xi", "z"])
+    def test_pair_on_different_grids_races_each_on_its_own(self, other):
+        p = baseline_retire_params()
+        pair = (synthetic_policy(0.3), synthetic_policy(0.3, **other))
+        race = sim.simulate_retirement(p, pair, 10.0, 40, 0.5, seed=1)
+        assert race == [race_alone(p, sol, 10.0, 40, 0.5, 1) for sol in pair]
 
 
 @pytest.fixture(scope="module")
@@ -457,3 +457,14 @@ class TestNonUniformGridRejected:
         with pytest.raises(ValidationError, match=f"^{axis} grid is not uniform"):
             race_alone(baseline_retire_params(), dataclasses.replace(sol, **{axis: grid}),
                        10.0, 10, 0.5, seed=1)
+
+    @pytest.mark.parametrize("axis", ["xi", "z"])
+    def test_second_side_raises_before_any_race(self, monkeypatch, axis):
+        sol = synthetic_policy(0.3)
+        grid = getattr(sol, axis).copy()
+        grid[3] += 0.3 * (grid[4] - grid[3])
+        monkeypatch.setattr(sim, "_race", lambda *a: pytest.fail("raced"))
+        with pytest.raises(ValidationError, match=f"^{axis} grid is not uniform"):
+            sim.simulate_retirement(baseline_retire_params(),
+                                    (sol, dataclasses.replace(sol, **{axis: grid})),
+                                    10.0, 10, 0.5, seed=1)
