@@ -505,10 +505,11 @@ class _Surface:
         cand = np.where(solved)[0]
         return V[cand[np.argmin(np.abs(ss[cand] - S))]].copy()
 
-    def sweep(self, order, refine: bool) -> float:
+    def sweep(self, order) -> float:
         """One pass over the slices ``order``, with the nonlocal operator read
         off the surface as it stands; returns the largest relative change of
-        a refinement pass (0.0 for the march, which has nothing to compare)."""
+        the pass (on the march, against the zero rows of unvisited slices:
+        converge drops that value)."""
         sp, ss, p, V, line = self.sp, self.ss, self.sp.p, self.V, self.line_idx
         change = 0.0
         for j in order:
@@ -521,8 +522,7 @@ class _Surface:
             v, reg, self.sets[j] = _solve_slice(
                 sp, S, adv, adv * V[toward], p_slice, self.rho_pen,
                 active=self.sets[j] if self.solved[j] else self.sets[toward])
-            if refine:
-                change = max(change, float(np.max(np.abs(v - V[j]) / (1.0 + np.abs(V[j])))))
+            change = max(change, float(np.max(np.abs(v - V[j]) / (1.0 + np.abs(V[j])))))
             V[j] = v
             self.regions[j] = reg
             self.solved[j] = True
@@ -536,14 +536,14 @@ class _Surface:
             if len(changes) == _LINE_MAX_SWEEPS:
                 raise NoConvergence("surface refinement did not converge",
                                     residual=changes[-1])
-            changes.append(self.sweep(order, refine=True))
+            changes.append(self.sweep(order))
         return changes
 
     def converge(self, order) -> list:
         """The march over the slices ``order``, then refinement sweeps until
         one changes them by less than the tolerance; returns the sweeps'
         largest changes."""
-        self.sweep(order, refine=False)
+        self.sweep(order)
         return self.refine(order, [])
 
 

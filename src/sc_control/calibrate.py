@@ -77,7 +77,6 @@ class ParticleCloud:
     state: np.ndarray      # (N,) current M_k sample per particle
     theta: np.ndarray      # (N, 4) columns alpha, sigma, m, rho
     weights: np.ndarray    # (N,) nonnegative, summing to 1
-    k: int = 0
     n_resamples: int = 0
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
@@ -103,7 +102,7 @@ def init_cloud(obs0: float, cfg: PfConfig) -> ParticleCloud:
     _project_theta(theta)
     state = obs0 + theta[:, 2] * rng.standard_normal(n)
     w = np.full(n, 1.0 / n)
-    return ParticleCloud(state=state, theta=theta, weights=w, k=0, rng=rng)
+    return ParticleCloud(state=state, theta=theta, weights=w, rng=rng)
 
 
 def _project_theta(theta: np.ndarray) -> None:
@@ -180,7 +179,7 @@ def pf_step(cloud: ParticleCloud, obs: float) -> ParticleCloud:
         n_res += 1
 
     return ParticleCloud(state=state_new, theta=theta_new, weights=w,
-                         k=cloud.k + 1, n_resamples=n_res, rng=rng)
+                         n_resamples=n_res, rng=rng)
 
 
 def estimate_theta(series, cfg: PfConfig) -> dict:

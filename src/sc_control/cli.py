@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import numbers
 import os
@@ -161,7 +162,9 @@ def _cmd_filter(cfg, args, out_dir):
     block = _required(cfg, "theta")
     check_fields("theta", block, filtering.THETA_FIELDS, filtering.THETA_FIELDS)
     theta = tuple(block[k] for k in filtering.THETA_FIELDS)
-    series = _series(cfg, _series_source(cfg, ("series", "series_csv")))
+    # the likelihood needs two observations: checked before the filter pass
+    series = filtering.as_series(_series(cfg, _series_source(cfg, ("series", "series_csv"))),
+                                 min_size=2)
     states = filtering.filter_series(series, theta)
     ll = filtering.log_likelihood(series, theta, states=states)
     _write_csv(out_dir, "filtered.csv",
@@ -254,9 +257,7 @@ def _retire_csvs(sol, out_dir):
                ["z", "w_retire_over_I", "w_target_over_I"],
                [sol.z,
                 retire.wealth_to_income(sol.xi_retire, sol.params.r),
-                retire.wealth_to_income(np.where(np.isfinite(sol.xi_participate),
-                                                 sol.xi_participate, np.nan),
-                                        sol.params.r)])
+                retire.wealth_to_income(sol.xi_participate, sol.params.r)])
 
 
 def _check_stalls(sol, args, name):
@@ -268,18 +269,10 @@ def _check_stalls(sol, args, name):
                             f"{sol.mode} solve stalled for 25 steps", residual=sol.residual)
 
 
-def _cmd_solve_retire(cfg, args, out_dir):
-    sol = retire.penalty_solve_retire(_retire_params(cfg), _retire_grid(cfg))
-    return _retire_outputs(sol, args, out_dir)
-
-
-def _cmd_solve_retire_ez(cfg, args, out_dir):
-    sol = retire.epstein_zin_solve(_retire_params(cfg), _retire_grid(cfg))
-    return _retire_outputs(sol, args, out_dir)
-
-
-def _retire_outputs(sol, args, out_dir):
-    """The files and summary of solve-retire and solve-retire-ez."""
+def _cmd_solve_retire(cfg, args, out_dir, solver="penalty_solve_retire"):
+    """solve-retire, and solve-retire-ez with ``solver="epstein_zin_solve"``: the
+    solver is read off the retire module at call time, where a tracer wraps it."""
+    sol = getattr(retire, solver)(_retire_params(cfg), _retire_grid(cfg))
     _check_stalls(sol, args, "solve")
     _retire_csvs(sol, out_dir)
     w, mpc = retire.mpc_curve(sol)
@@ -370,7 +363,8 @@ SUBCOMMANDS = {
     "solve-bank-partial": (_cmd_solve_bank_partial, ("bank_params", "grid")),
     "solve-retire": (_cmd_solve_retire, ("retire_params", "grid")),
     "solve-retire-finite": (_cmd_solve_retire_finite, ("retire_params", "grid", "dt")),
-    "solve-retire-ez": (_cmd_solve_retire_ez, ("retire_params", "grid")),
+    "solve-retire-ez": (functools.partial(_cmd_solve_retire, solver="epstein_zin_solve"),
+                        ("retire_params", "grid")),
     "simulate-bank": (_cmd_simulate_bank,
                       ("bank_params", "grid", "horizon", "n_paths", "dt")),
     "simulate-retire": (_cmd_simulate_retire,

@@ -24,9 +24,12 @@ iteration, clamped to the short-sale and borrowing constraints
 
 The consumption flow and first-order condition are those of the recursive
 (Duffie-Epstein) aggregator with EIS psi; CRRA is its psi = 1/gamma case,
-so one set of formulas serves both.  The finite-horizon (mandatory
-retirement) variant reuses the same step with real time from the terminal
-condition u(., T) = obstacle; it penalizes with the last entry of
+so one set of formulas serves both.  The RetireParams record picks the
+variant: the stationary solve is CRRA, or recursive utility when
+``eis_psi`` is set.  The finite-horizon (mandatory retirement) variant,
+the only solve that reads ``horizon_T`` (the stationary one refuses it),
+reuses the same step with real time from the terminal condition
+u(., T) = obstacle; it penalizes with the last entry of
 ``penalty_schedule`` only.
 
 Every step of a solve has the same 9-point sparsity pattern, so the stepper
@@ -84,34 +87,15 @@ _OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)
 _PANEL_SIZE = 2
 
 
-@dataclass(frozen=True)
-class IncomeJumpSpec:
-    """Jump-size distribution: fixed recovery or power density nu*k^(nu-1)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def fixed(cls, recovery: float) -> "IncomeJumpSpec":
-        return cls(nodes=np.array([recovery]), weights=np.array([1.0]))
-
-    @classmethod
-    def power(cls, nu: float) -> "IncomeJumpSpec":
-        # Gauss-Legendre on [0,1] against the density nu k^(nu-1)
-        x, w = np.polynomial.legendre.leggauss(_N_QUAD)
-        k = 0.5 * (x + 1.0)
-        w = 0.5 * w * nu * np.maximum(k, 1e-300) ** (nu - 1.0)
-        return cls(nodes=k, weights=w / w.sum())
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
-            raise ValidationError("jump weights must sum to 1")
-
-    @classmethod
-    def for_params(cls, p: RetireParams) -> "IncomeJumpSpec":
-        if p.power_nu is not None:
-            return cls.power(p.power_nu)
-        return cls.fixed(p.recovery)
+def _jump_sizes(p: RetireParams) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the income-jump size: the fixed ``recovery``, or
+    Gauss-Legendre on [0, 1] against the power density nu k^(nu-1)."""
+    if p.power_nu is None:
+        return np.array([p.recovery]), np.array([1.0])
+    x, w = np.polynomial.legendre.leggauss(_N_QUAD)
+    k = 0.5 * (x + 1.0)
+    w = 0.5 * w * p.power_nu * np.maximum(k, 1e-300) ** (p.power_nu - 1.0)
+    return k, w / w.sum()
 
 
 def retirement_obstacle(xi, p: RetireParams):
@@ -168,18 +152,19 @@ def xi_of_wealth(w_over_i, r: float):
 class _Mode:
     """Consumption flow and FOC of the Duffie-Epstein aggregator with EIS psi.
 
-    CRRA is the psi = 1/gamma case, with consumption rate K_bar; the
-    recursive mode takes psi = eis_psi and K_psi.  One expression per
-    formula serves both.
+    The record picks the mode: without ``eis_psi`` it is CRRA, the
+    psi = 1/gamma case with consumption rate K_bar; with it, recursive
+    utility with psi = eis_psi and K_psi.  One expression per formula
+    serves both.
     """
 
-    def __init__(self, p: RetireParams, recursive: bool):
+    def __init__(self, p: RetireParams):
         self.beta = p.beta
-        if not recursive:
+        if p.eis_psi is None:
+            self.label = "crra"
             self.psi, self.ipsi, self.k = 1.0 / p.gamma, p.gamma, p.K_bar
             return
-        if p.eis_psi is None:
-            raise ValidationError("recursive mode requires eis_psi")
+        self.label = "epstein-zin"
         if abs(p.eis_psi - 1.0) < 1e-12:
             raise ValidationError("unit EIS (log aggregator) not supported")
         self.psi, self.ipsi, self.k = p.eis_psi, 1.0 / p.eis_psi, p.k_bar_psi()
@@ -207,11 +192,10 @@ def _z_nodes(p: RetireParams, n_y: int) -> np.ndarray:
 class _RetireStepper:
     """Assembles and solves one implicit penalized pseudo-time step."""
 
-    def __init__(self, p: RetireParams, grid: RetireGrid, mode: _Mode,
-                 jump: IncomeJumpSpec):
+    def __init__(self, p: RetireParams, grid: RetireGrid):
         self.p = p
-        self.mode = mode
-        self.jump = jump
+        self.mode = _Mode(p)
+        nodes, self.jump_weights = _jump_sizes(p)
         self.xi = np.linspace(0.0, 1.0, grid.n_x)
         self.z = _z_nodes(p, grid.n_y)
         self.h = self.xi[1] - self.xi[0]
@@ -223,7 +207,7 @@ class _RetireStepper:
         self.ZZ = np.broadcast_to(self.z[:, None], (grid.n_y, grid.n_x))
         # jump mapping: xi -> k*xi/(1+(k-1)xi), precomputed interp weights
         self._jump_maps = []
-        for k in self.jump.nodes:
+        for k in nodes:
             denom = 1.0 + (k - 1.0) * self.xi
             xim = np.where(denom > 0.0, k * self.xi / np.maximum(denom, 1e-12), 1.0)
             idx = np.clip(np.searchsorted(self.xi, xim) - 1, 0, grid.n_x - 2)
@@ -295,7 +279,7 @@ class _RetireStepper:
             return np.zeros_like(u)
         g = p.gamma
         total = np.zeros_like(u)
-        for w, (idx, t, denom) in zip(self.jump.weights, self._jump_maps):
+        for w, (idx, t, denom) in zip(self.jump_weights, self._jump_maps):
             u_map = lerp(u, idx, t)
             total += w * denom ** (1.0 - g) / (1.0 - g) \
                 * np.exp((1.0 - g) * (u_map - u))
@@ -408,10 +392,12 @@ class _RetireStepper:
         return u_new.reshape(u.shape), y, c
 
 
-def _solve_stationary(p: RetireParams, grid: RetireGrid, mode: _Mode,
-                      label: str) -> RetireSolution:
-    jump = IncomeJumpSpec.for_params(p)
-    stepper = _RetireStepper(p, grid, mode, jump)
+def _solve_stationary(p: RetireParams, grid: RetireGrid) -> RetireSolution:
+    if p.horizon_T is not None:
+        raise ValidationError(f"horizon_T={p.horizon_T!r} is read only by the finite-horizon "
+                              f"solve (solve-retire-finite); the stationary solve refuses it")
+    stepper = _RetireStepper(p, grid)
+    label = stepper.mode.label
     u = np.full((grid.n_y, grid.n_x), math.log(p.B))
     u = np.maximum(u, stepper.obstacle)
     total_iters = 0
@@ -509,13 +495,17 @@ def _z_free_solve(core, p: RetireParams, grid: RetireGrid, *args) -> RetireSolut
 
 
 def penalty_solve_retire(p: RetireParams, grid: RetireGrid = RetireGrid()) -> RetireSolution:
-    """Infinite-horizon CRRA solve."""
-    return _z_free_solve(_solve_stationary, p, grid, _Mode(p, recursive=False), "crra")
+    """Infinite-horizon solve of the record: CRRA, or recursive utility
+    (Duffie-Epstein aggregator, EIS ``eis_psi``) when ``eis_psi`` is set.
+    A record with ``horizon_T`` is refused: only finite_horizon_solve reads it."""
+    return _z_free_solve(_solve_stationary, p, grid)
 
 
 def epstein_zin_solve(p: RetireParams, grid: RetireGrid = RetireGrid()) -> RetireSolution:
-    """Recursive-utility solve (Duffie-Epstein aggregator, EIS psi)."""
-    return _z_free_solve(_solve_stationary, p, grid, _Mode(p, recursive=True), "epstein-zin")
+    """penalty_solve_retire of a record that must set ``eis_psi``."""
+    if p.eis_psi is None:
+        raise ValidationError("recursive mode requires eis_psi")
+    return _z_free_solve(_solve_stationary, p, grid)
 
 
 def finite_horizon_solve(p: RetireParams, grid: RetireGrid = RetireGrid(),
@@ -530,9 +520,7 @@ def finite_horizon_solve(p: RetireParams, grid: RetireGrid = RetireGrid(),
 
 
 def _solve_finite(p: RetireParams, grid: RetireGrid, dt: float) -> RetireSolution:
-    mode = _Mode(p, recursive=p.eis_psi is not None)
-    jump = IncomeJumpSpec.for_params(p)
-    stepper = _RetireStepper(p, grid, mode, jump)
+    stepper = _RetireStepper(p, grid)
     n_t = int(round(p.horizon_T / dt))
     obstacle = np.broadcast_to(stepper.obstacle, (grid.n_y, grid.n_x))
     u = obstacle.copy()

@@ -16,7 +16,7 @@ from sc_control import bank_full, bank_partial, cli, filtering, panel, parallel,
 from sc_control.errors import NoConvergence, ValidationError
 from sc_control.params import BankGrid, BankParams, RetireGrid, RetireParams, from_dict
 
-from conftest import no_child_left, stalling_stepper
+from conftest import no_child_left, race_alone, stalling_stepper
 
 TOY_CSV = """bank_id,quarter,total_assets,tier1_equity,dividends,equity_issuance,market_equity
 b1,1999-Q3,100.0,10.0,0.5,0.0,12.0
@@ -162,6 +162,23 @@ class TestCli:
         assert len(calls) == 1
         # the summed states are those of a fresh recursion
         assert summary["loglik"] == filtering.log_likelihood(series, tuple(theta.values()))
+
+    @pytest.mark.parametrize("series", [[], [0.1]])
+    def test_series_shorter_than_two_exits_1_before_any_filter_pass(self, tmp_path,
+                                                                   monkeypatch, series):
+        # the likelihood needs two observations, so the filter needs them first
+        calls = []
+        monkeypatch.setattr(filtering, "filter_series", lambda *a, **kw: calls.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3}, "series": series}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["filter", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert (err["error"], err["message"]) == \
+            ("ValidationError", "series must be a 1-D array with >= 2 entries")
+        assert calls == []
+        assert not (out_dir / "summary.json").exists()
 
     def test_solver_failure_exits_1_with_error_json(self, tmp_path):
         cfg = {"bank_params": {"mu": 0.1052, "alpha": 0.1159, "sigma": 0.0311,
@@ -540,6 +557,34 @@ class TestCliSolverHandlers:
         assert (tmp_path / "c" / "threshold_by_age.csv").exists()
         assert out_fh["threshold_t0"] > 0
 
+    def test_solve_retire_with_eis_psi_writes_the_bytes_of_solve_retire_ez(self, tmp_path):
+        # the record picks recursive utility, whichever stationary subcommand runs
+        cfg = {"retire_params": {**self.RET, "eis_psi": 0.5}, "grid": {"n_x": 21, "n_y": 15}}
+        for sub in ("solve-retire", "solve-retire-ez"):
+            cli.run(sub, cfg, str(tmp_path / sub))
+        for name in ("summary.json", "surface.csv", "boundaries.csv", "mpc.csv"):
+            assert (tmp_path / "solve-retire" / name).read_bytes() == \
+                (tmp_path / "solve-retire-ez" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("subcommand", ["solve-retire", "solve-retire-ez", "simulate-retire"])
+    def test_horizon_outside_the_finite_solve_exits_1_naming_it(self, tmp_path, subcommand):
+        # only solve-retire-finite reads horizon_T; the stationary solves refuse it
+        ret = {**self.RET, "horizon_T": 10.0}
+        if subcommand == "solve-retire-ez":
+            ret["eis_psi"] = 0.5
+        cfg = {"retire_params": ret, "grid": {"n_x": 11, "n_y": 5}}
+        if subcommand == "simulate-retire":
+            cfg.update(n_paths=20, dt=0.5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert cli.main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert "horizon_T" in err["message"] and "solve-retire-finite" in err["message"]
+        assert not (out_dir / "summary.json").exists()
+        assert no_child_left()
+
     @pytest.mark.parametrize("subcommand, extra", [
         ("solve-retire", {}), ("solve-retire-ez", {"eis_psi": 0.5})])
     def test_mpc_csv_is_the_mpc_and_human_capital_curves(self, tmp_path, subcommand, extra):
@@ -595,6 +640,20 @@ class TestCliSolverHandlers:
                         {"retire_params": self.RET, "grid": self.RGRID,
                          "n_paths": 500, "dt": 0.1}, str(tmp_path / "b"), seed=4)
         assert out_r["policy"]["expected_time"] > 0
+
+    def test_simulate_retire_with_eis_psi_races_recursive_utility_policies(self, tmp_path):
+        ret, grid = {**self.RET, "eis_psi": 0.5}, {"n_x": 21, "n_y": 15}
+        run = {"start_w_over_i": 10.0, "n_paths": 100, "dt": 0.5}
+        summary = cli.run("simulate-retire", {"retire_params": ret, "grid": grid, **run},
+                          str(tmp_path), seed=4)
+        p = from_dict(RetireParams, ret, "retire_params")
+        g = from_dict(RetireGrid, grid, "grid")
+        assert summary["policy"] == vars(race_alone(p, retire.epstein_zin_solve(p, g),
+                                                    **run, seed=4))
+        # the benchmark keeps eis_psi: it too is a recursive-utility solve
+        bench = retire.epstein_zin_solve(dataclasses.replace(p, mean_reversion=0.0), g)
+        assert summary["benchmark"] == vars(dataclasses.replace(
+            race_alone(p, bench, **run, seed=4), policy="benchmark"))
 
     @pytest.mark.parametrize("subcommand, field, run", [
         ("simulate-retire", "n_paths", {"n_paths": 0}),
@@ -724,6 +783,23 @@ class TestCliSolverHandlers:
         (span,) = [s for s in tracer.spans if s.name == "simulate.simulate_retirement"]
         assert span.counts["path_steps"] == summary["policy"]["expected_time"] * n_paths / dt
         assert no_child_left()
+
+    @pytest.mark.parametrize("subcommand, extra, solver, other", [
+        ("solve-retire", {}, "penalty_solve_retire", "epstein_zin_solve"),
+        ("solve-retire-ez", {"eis_psi": 0.5}, "epstein_zin_solve", "penalty_solve_retire")])
+    def test_traced_retire_solve_is_one_span_of_its_solver(self, tmp_path, monkeypatch,
+                                                           subcommand, extra, solver, other):
+        # the handler calls its solver through the retire module, where the
+        # tracer's wrapper sits, and that solver calls no other traced one
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import tracing
+
+        with tracing.Tracer() as tracer:
+            cli.run(subcommand, {"retire_params": {**self.RET, **extra},
+                                 "grid": {"n_x": 21, "n_y": 15}}, str(tmp_path))
+        names = [s.name for s in tracer.spans]
+        assert names.count(f"retire.{solver}") == 1
+        assert f"retire.{other}" not in names
 
     @pytest.mark.parametrize("dt", [0, -0.5, 20, True])
     def test_unusable_finite_horizon_dt_exits_1_naming_it(self, tmp_path, dt):

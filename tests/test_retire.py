@@ -4,6 +4,7 @@ consistency, benchmark reduction, recursive-utility equivalence, horizon."""
 import functools
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,27 +39,25 @@ class TestMertonConstants:
 
 class TestJumpSpec:
     def test_power_density_normalizes(self):
-        spec = rt.IncomeJumpSpec.power(2.5)
-        assert spec.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        nodes, weights = rt._jump_sizes(baseline_retire_params(power_nu=2.5))
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         # E[kappa] = nu/(nu+1) under the power density
-        assert float(spec.weights @ spec.nodes) == pytest.approx(2.5 / 3.5, abs=1e-6)
+        assert float(weights @ nodes) == pytest.approx(2.5 / 3.5, abs=1e-6)
 
     def test_fixed_mode_single_node(self):
-        spec = rt.IncomeJumpSpec.fixed(0.8)
-        assert spec.nodes.tolist() == [0.8] and spec.weights.tolist() == [1.0]
+        nodes, weights = rt._jump_sizes(baseline_retire_params(recovery=0.8))
+        assert nodes.tolist() == [0.8] and weights.tolist() == [1.0]
 
 
-def stepper_on_11_nodes(p, spec=None):
+def stepper_on_11_nodes(p):
     """Solver stepper on xi = 0, 0.1, ..., 1 (3 z-rows), so 0.3, 0.5 and 1.0
-    are nodes; ``spec`` overrides the income-jump distribution."""
-    spec = rt.IncomeJumpSpec.for_params(p) if spec is None else spec
-    return rt._RetireStepper(p, RetireGrid(n_x=11, n_y=3),
-                             rt._Mode(p, recursive=False), spec)
+    are nodes."""
+    return rt._RetireStepper(p, RetireGrid(n_x=11, n_y=3))
 
 
-def jump_expectation(p, spec, u_row):
+def jump_expectation(p, u_row):
     """E_k[...] on every xi node: the solver's jump term over its intensity."""
-    st = stepper_on_11_nodes(p, spec)
+    st = stepper_on_11_nodes(p)
     u = np.broadcast_to(u_row, (3, 11)).copy()
     return st.jump_term(u)[1] / p.jump_intensity
 
@@ -90,8 +89,7 @@ class TestAssembly:
     @pytest.fixture(scope="class")
     def system(self):
         p = baseline_retire_params()
-        st = rt._RetireStepper(p, RetireGrid(n_x=31, n_y=21), rt._Mode(p, recursive=False),
-                               rt.IncomeJumpSpec.for_params(p))
+        st = rt._RetireStepper(p, RetireGrid(n_x=31, n_y=21))
         u = np.maximum(math.log(p.B) + 0.3 * st.XI * (1.0 - st.XI) + 0.05 * st.ZZ,
                        st.obstacle)
         active = (np.broadcast_to(st.obstacle, u.shape) - u) >= 0.0
@@ -124,10 +122,9 @@ class TestFixedPatternSolve:
     @pytest.mark.parametrize("variant", ["crra", "epstein-zin", "finite-horizon"])
     def test_step_equals_a_fresh_minimum_degree_factorisation(self, variant, power_nu,
                                                               n_x, n_y):
-        ez = variant == "epstein-zin"
-        p = baseline_retire_params(power_nu=power_nu, eis_psi=0.5 if ez else None)
-        st = rt._RetireStepper(p, RetireGrid(n_x=n_x, n_y=n_y), rt._Mode(p, recursive=ez),
-                               rt.IncomeJumpSpec.for_params(p))
+        p = baseline_retire_params(power_nu=power_nu,
+                                   eis_psi=0.5 if variant == "epstein-zin" else None)
+        st = rt._RetireStepper(p, RetireGrid(n_x=n_x, n_y=n_y))
         obstacle = np.broadcast_to(st.obstacle, (n_y, n_x))
         if variant == "finite-horizon":
             u, dt_inv, rho = obstacle.copy(), 2.0, 1e5
@@ -231,13 +228,9 @@ class TestZFreeSolve:
     u agrees within 1e-12 and the controls within 1e-11."""
 
     CASES = {  # name: (parameter overrides, public solve, full-grid core)
-        "crra": ({}, rt.penalty_solve_retire,
-                 lambda p, grid: rt._solve_stationary(p, grid, rt._Mode(p, False), "crra")),
-        "epstein-zin": ({"eis_psi": 0.5}, rt.epstein_zin_solve,
-                        lambda p, grid: rt._solve_stationary(p, grid, rt._Mode(p, True),
-                                                             "epstein-zin")),
-        "power_nu": ({"power_nu": 3.0}, rt.penalty_solve_retire,
-                     lambda p, grid: rt._solve_stationary(p, grid, rt._Mode(p, False), "crra")),
+        "crra": ({}, rt.penalty_solve_retire, rt._solve_stationary),
+        "epstein-zin": ({"eis_psi": 0.5}, rt.epstein_zin_solve, rt._solve_stationary),
+        "power_nu": ({"power_nu": 3.0}, rt.penalty_solve_retire, rt._solve_stationary),
         "finite-horizon": ({"horizon_T": 10.0},
                            lambda p, grid: rt.finite_horizon_solve(p, grid, dt=0.5),
                            lambda p, grid: rt._solve_finite(p, grid, 0.5)),
@@ -307,13 +300,13 @@ class TestJumpExpectation:
     def test_zero_income_share_is_constant(self):
         p = baseline_retire_params()
         u_row = np.linspace(0.7, 0.1, 11)
-        val = jump_expectation(p, rt.IncomeJumpSpec.fixed(0.8), u_row)[0]
+        val = jump_expectation(replace(p, recovery=0.8), u_row)[0]
         assert val == pytest.approx(1.0 / (1.0 - p.gamma), abs=1e-12)
 
     def test_identity_jump_changes_nothing(self):
         p = baseline_retire_params()
         u_row = np.sin(np.linspace(0, 1, 11))
-        vals = jump_expectation(p, rt.IncomeJumpSpec.fixed(1.0), u_row)
+        vals = jump_expectation(replace(p, recovery=1.0), u_row)
         for i in (2, 5, 9):  # xi = 0.2, 0.5, 0.9
             assert vals[i] == pytest.approx(1.0 / (1.0 - p.gamma), abs=1e-12)
 
@@ -323,7 +316,7 @@ class TestJumpExpectation:
         ref = 1.0 / (1.0 - p.gamma)
         prev = None
         for nu in (5.0, 50.0, 500.0):
-            val = jump_expectation(p, rt.IncomeJumpSpec.power(nu), u_row)[5]  # xi = 0.5
+            val = jump_expectation(replace(p, power_nu=nu), u_row)[5]  # xi = 0.5
             gap = abs(val - ref)
             if prev is not None:
                 assert gap < prev
@@ -446,7 +439,7 @@ class TestRecursiveUtility:
     def test_consumption_foc_residual_at_nodes(self, retire_ez):
         sol = retire_ez(0.5)
         p = sol.params
-        mode = rt._Mode(p, recursive=True)
+        mode = rt._Mode(p)
         h = sol.xi[1] - sol.xi[0]
         u_xi = np.gradient(sol.u, h, axis=1)
         work = ~sol.retired
@@ -468,7 +461,7 @@ class TestRecursiveUtility:
 
     def test_recursive_formulas_are_crra_at_psi_inverse_gamma(self):
         p = baseline_retire_params(eis_psi=1.0 / 3.0)
-        crra, rec = rt._Mode(p, recursive=False), rt._Mode(p, recursive=True)
+        crra, rec = rt._Mode(replace(p, eis_psi=None)), rt._Mode(p)
         rng = np.random.default_rng(5)
         u, c, base = rng.uniform(-1.0, 1.0, 200), rng.uniform(0.01, 1.0, 200), \
             rng.uniform(0.1, 2.0, 200)
@@ -479,7 +472,7 @@ class TestRecursiveUtility:
 
     def test_unit_eis_rejected(self):
         with pytest.raises(ValidationError):
-            rt._Mode(baseline_retire_params(eis_psi=1.0), recursive=True)
+            rt._Mode(baseline_retire_params(eis_psi=1.0))
 
 
 class TestFiniteHorizon:
