@@ -17,6 +17,14 @@ Two checkouts that print the same object write the same bytes.  ``--op``
 skips the others' runs:
 
     PYTHONPATH=src python scripts/output_digests.py --workload paths --op simulate_bank
+
+``--against FILE`` compares the run with a digest object saved from
+another run.  Over the operations this run digests, it lists on stderr
+each ``<workload>/<op>/<call>/<file>`` whose digest differs or that only
+one side wrote, and exits 1 when there is any:
+
+    PYTHONPATH=../other/src python scripts/output_digests.py --workload bank-pde > before.json
+    PYTHONPATH=src python scripts/output_digests.py --workload bank-pde --against before.json
 """
 
 import argparse
@@ -56,6 +64,19 @@ def digests(workload: str, seed: int, ops=None) -> dict:
     return out
 
 
+def differences(got: dict, saved: dict) -> list:
+    """``<workload>/<op>/<call>/<file>`` of every file of the operations in
+    ``got`` whose digest differs from the one in ``saved``, or that only one
+    of the two holds."""
+    out = []
+    for workload, ops in got.items():
+        for op, files in ops.items():
+            want = saved.get(workload, {}).get(op, {})
+            out += [f"{workload}/{op}/{key}" for key in sorted(files.keys() | want.keys())
+                    if files.get(key) != want.get(key)]
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
@@ -63,11 +84,20 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--op", action="append", choices=workloads.OPS,
                     help="operation to digest (repeatable; default: every one)")
+    ap.add_argument("--against", metavar="FILE",
+                    help="digest JSON to compare with; exit 1 if any file differs")
     args = ap.parse_args(argv)
     names = args.workload or list(workloads.WORKLOADS)
-    print(json.dumps({w: digests(w, args.seed, args.op) for w in names},
-                     indent=2, sort_keys=True))
+    got = {w: digests(w, args.seed, args.op) for w in names}
+    print(json.dumps(got, indent=2, sort_keys=True))
+    if args.against is None:
+        return 0
+    with open(args.against) as fh:
+        diff = differences(got, json.load(fh))
+    for name in diff:
+        print(f"differs: {name}", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

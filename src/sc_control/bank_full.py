@@ -41,7 +41,7 @@ from scipy.integrate import quad_vec
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import ndtr
 
-from .errors import NoBracket, NoSolution, QuadratureFailure, ValidationError
+from .errors import NoBracket, NoConvergence, NoSolution, QuadratureFailure, ValidationError
 from .params import BankParams
 
 _DIFF_H = 1e-6  # central-difference step for H_X
@@ -330,7 +330,9 @@ def solve_barriers(p: BankParams, kappa: float | None = None,
     gap grid, whose argmin (parabolic vertex) gives the tangency point u1;
     one bounded minimization against the quadrature-backed H polishes u1.
     Raises :class:`NoSolution` when the residual never changes sign (e.g.
-    the issuance cost is so large that recapitalization is never optimal).
+    the issuance cost is so large that recapitalization is never optimal),
+    and :class:`NoConvergence` when the polish reports no success (out of
+    function evaluations), rather than return an unpolished u1.
     """
     ctx = _Ctx(p, kappa=kappa, omega=omega)
     u0 = solve_u0(ctx)
@@ -370,6 +372,9 @@ def solve_barriers(p: BankParams, kappa: float | None = None,
         bounds=(max(u1 - h, ctx.kappa), min(u1 + h, u2)),
         method="bounded", options={"xatol": 1e-11},
     )
+    if not res.success:
+        raise NoConvergence(f"bounded polish of the tangency point u1 did not converge "
+                            f"after {res.nfev} evaluations: {res.message}")
     u1 = float(res.x)
     if not (ctx.kappa < u1 < u2 < u0 + 1e-9):
         raise NoSolution(f"tangency ordering violated: {ctx.kappa} {u1} {u2} {u0}")

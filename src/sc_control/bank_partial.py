@@ -24,15 +24,17 @@ moving boundary at I(S_t) paying omega*psi and terminal condition
 sup_s [V(X+s, S_Delta) - s - K]; the sup is an exact discrete line search
 (V - s is piecewise linear between nodes).  Marching makes every slice the
 operator needs already solved; refinement sweeps then repeat the march with
-the operator read off the previous sweep.  Each sub-domain's first slice
-warm-starts policy iteration from the closed-form line's sets.  The
-invariant-line slice is also solved numerically, iterated with its own
-operator frozen at the previous sweep, as a diagnostic only: nothing reads
-it.  The two sub-domains never read each other, so each converges on its
-own, and on grids large enough to pay for a fork the one below runs, with
-the numeric line, in a forked child (``parallel.fork``).  The side that
-converged first then sweeps on to the other's count, until both stop on one
-sweep count, as one joint sweep over both would.
+the operator read off the previous sweep.  A slice's own system stays the
+same from sweep to sweep, and is assembled once per solve.  Each
+sub-domain's first slice warm-starts policy iteration from the closed-form
+line's sets.  The invariant-line slice is also solved numerically, iterated
+with its own operator frozen at the previous sweep (its issuance path, too,
+assembled once), as a diagnostic only: nothing reads it.  The two
+sub-domains never read each other, so each converges on its own, and on
+grids large enough to pay for a fork the one below runs, with the numeric
+line, in a forked child (``parallel.fork``).  The side that converged first
+then sweeps on to the other's count, until both stop on one sweep count, as
+one joint sweep over both would.
 
 The liquidation boundary is handled with a cut cell (Shortley-Weller
 one-sided stencil) so the barrier position enters exactly, not rounded to
@@ -204,7 +206,9 @@ def _shift_sup(xs, V, sbar, cost_K):
 
 def _gtsv(dl, d, du, b):
     """Solve the tridiagonal system (dl, d, du) x = b with LAPACK gtsv; b is overwritten."""
-    x, info = dgtsv(dl, d, du, b, overwrite_b=1)[3:]
+    # overwrite flags (dl, d, du, b) passed by position: keywords cost the
+    # wrapper about half a microsecond of its six per call
+    x, info = dgtsv(dl, d, du, b, 0, 0, 0, 1)[3:]
     if info:
         raise np.linalg.LinAlgError("singular slice system")
     return x
@@ -216,7 +220,9 @@ class _SliceSystems:
 
     Row k of ``dl``/``d``/``du`` is the matrix of the slice at the k-th
     variance.  The right-hand side is the caller's interior vector with the
-    Dirichlet rows, the cut cell and the far field filled in by :meth:`rhs`.
+    Dirichlet rows, the cut cell and the far field filled in by :meth:`rhs`,
+    from each row's scalars, which are kept as Python numbers as well: an
+    issuance path fills 64 right-hand sides in turn.
     """
 
     dl: np.ndarray       # (k, n-1) sub-diagonal
@@ -229,11 +235,15 @@ class _SliceSystems:
     cut_d: np.ndarray    # ... and from the upwinded drift (0 when drift >= 0)
     far: float           # far-field V_X = 1 right-hand side
 
+    def __post_init__(self):
+        self._rows = list(zip(*(a.tolist() for a in (
+            self.i0, self.snap, self.v_b, self.cut_b, self.cut_d))))
+
     def rhs(self, k, r):
         """Right-hand side of system k with interior values ``r`` (filled in place)."""
-        i0 = self.i0[k]
-        r[:i0] = self.v_b[k]
-        r[i0] = self.v_b[k] if self.snap[k] else r[i0] + self.cut_b[k] + self.cut_d[k]
+        i0, snap, v_b, cut_b, cut_d = self._rows[k]
+        r[:i0] = v_b
+        r[i0] = v_b if snap else r[i0] + cut_b + cut_d
         r[-1] = self.far
         return r
 
@@ -251,6 +261,7 @@ class _SliceProblem:
     weight on the columns where it points up, 0 elsewhere), ``ddn`` (its
     backward-difference weight on the other columns, 0 elsewhere) and their
     sum ``ddia`` for the diagonal, so a slice row takes it in one pass.
+    It also keeps each slice's own system (:meth:`slice_system`).
     """
 
     def __init__(self, p: BankParams, xs: np.ndarray):
@@ -268,6 +279,19 @@ class _SliceProblem:
         self.dup = np.where(up, drift / h_p, 0.0)
         self.ddn = np.where(up, 0.0, -drift / h_m)
         self.ddia = self.dup + self.ddn
+        # each node's backward step, the first node's repeating the second's
+        dx = np.diff(xs)
+        self.h_back = np.concatenate((dx[:1], dx))
+        self._slices = {}  # (S, extra_diag) -> that slice's one-row system
+
+    def slice_system(self, S: float, extra_diag: float) -> _SliceSystems:
+        """The one-row system of the slice at variance ``S``, assembled on
+        its first request and kept: a slice's variance and advection weight
+        stay fixed through a solve, so every later sweep reuses it."""
+        key = (S, extra_diag)
+        if key not in self._slices:
+            self._slices[key] = self.banded_system(np.array([S]), extra_diag)
+        return self._slices[key]
 
     def banded_system(self, s, extra_diag) -> _SliceSystems:
         """Systems of -(L - extra_diag) V = rhs on the slices at variances ``s``.
@@ -282,9 +306,9 @@ class _SliceProblem:
         The interior rows are written in place into the band arrays, the
         drift vectors added or subtracted whole (a 0 leaves an entry as it
         is), only above the batch's lowest cut cell: every node at or below
-        it is some slice's Dirichlet row or cut cell.  Then each row's
-        Dirichlet prefix, the nodes below its cut cell, is written with the
-        identity row, and the cut cell with its stencil.
+        it is some slice's Dirichlet row or cut cell.  Then the Dirichlet
+        prefixes, the nodes below each row's cut cell, are written with the
+        identity row through one mask, and the cut cells with their stencil.
         """
         xs = self.xs
         n = xs.size
@@ -314,10 +338,12 @@ class _SliceProblem:
         sup -= self.dup[m - 1:]
         d[:, -1] = 1.0
         dl[:, -1] = -1.0  # far field: V_X = 1
-        for row, i in enumerate(i0.tolist()):
-            d[row, :i] = 1.0
-            dl[row, :i] = 0.0
-            du[row, :i] = 0.0
+        # the prefixes end below the batch's highest cut cell
+        top = int(i0.max())
+        prefix = np.arange(top) < i0[:, None]
+        d[:, :top][prefix] = 1.0
+        dl[:, :top][prefix] = 0.0
+        du[:, :top][prefix] = 0.0
 
         # Shortley-Weller one-sided stencil at the cut cell i0
         h_sw = xs[i0] - x_b
@@ -345,7 +371,7 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
     """Active-set policy iteration for one penalized slice problem.
 
     Solves  max{ L V - extra_diag V + rhs_extra, 1 - V_X, P - V } = 0 on the
-    slice system of :meth:`_SliceProblem.banded_system`, with penalty rho_pen
+    slice system of :meth:`_SliceProblem.slice_system`, with penalty rho_pen
     on the two constraints.  The iteration starts from the (dividend,
     recapitalization) sets ``active``, or from empty sets; the penalized
     problem has one solution, so a good start saves iterations.  Returns
@@ -354,14 +380,15 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
     """
     xs = sp.xs
     n = xs.size
-    system = sp.banded_system(np.array([S]), extra_diag)
+    system = sp.slice_system(S, extra_diag)
     i0, snap = int(system.i0[0]), bool(system.snap[0])
     b0 = system.rhs(0, rhs_extra.copy())
     start = i0 + 1
     idx = np.arange(n)
-    h_m_full = np.empty(n)
-    h_m_full[1:] = np.diff(xs)
-    h_m_full[0] = h_m_full[1]
+    h_back = sp.h_back
+    # the interior nodes each constraint can hold
+    div_zone = (idx > start) & (idx < n - 1)
+    rec_zone = (idx >= start) & (idx < n - 1)
     if active is None:
         active = np.zeros((2, n), dtype=bool)
     div_active, rec_active = active
@@ -372,17 +399,18 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
         dl = system.dl[0].copy()
         d = system.d[0].copy()
         b = b0.copy()
-        sl = np.where(div_active & (idx > start) & (idx < n - 1))[0]
-        d[sl] += rho_pen / h_m_full[sl]
-        dl[sl - 1] -= rho_pen / h_m_full[sl]
+        sl = np.where(div_active & div_zone)[0]
+        pen = rho_pen / h_back[sl]
+        d[sl] += pen
+        dl[sl - 1] -= pen
         b[sl] += rho_pen
-        act_r = rec_active & (idx >= start) & (idx < n - 1)
+        act_r = rec_active & rec_zone
         d[act_r] += rho_pen
         b[act_r] += rho_pen * p_op[act_r]
         V = _gtsv(dl, d, system.du[0], b)
 
         slope_b = np.empty(n)
-        slope_b[1:] = np.diff(V) / np.diff(xs)
+        slope_b[1:] = np.diff(V) / h_back[1:]
         slope_b[0] = slope_b[1]
         # a node joins a set once its constraint is violated by more than
         # 1e-12 and leaves only when it is not violated at all: an active
@@ -408,28 +436,38 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
     return V, regions, (div_active, rec_active)
 
 
+def _issuance_path(sp: _SliceProblem, S0: float):
+    """(systems, S_Delta) of the delayed-issuance path from variance S0:
+    the systems of its ``_N_TIME`` backward steps over [0, Delta] along the
+    deterministic S-path, assembled in one pass, and the variance at its end."""
+    p = sp.p
+    dt = p.delay_Delta / _N_TIME
+    s_path = riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, _N_TIME + 1))
+    return sp.banded_system(s_path[:-1], 1.0 / dt), float(s_path[-1])
+
+
+def _impulse(sp: _SliceProblem, path: _SliceSystems, v_term) -> np.ndarray:
+    """P V on the whole X grid, marched back along the issuance ``path``
+    from the row ``v_term`` of V at the path's end."""
+    p = sp.p
+    dt = p.delay_Delta / _N_TIME
+    # terminal condition: exact line search over issuance sizes
+    u = _shift_sup(sp.xs, v_term, p.issue_cap_sbar, p.issue_cost_K)
+    for k in range(_N_TIME - 1, -1, -1):
+        u = path.solve(k, u / dt)
+    return u
+
+
 def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
     """P V on the whole X grid for a slice starting at variance S0.
 
     Backward parabolic solve over [0, Delta] along the deterministic S-path;
     ``surface_lookup(S)`` must return already-solved values of V at variance
     S on the X grid's nodes (plus closed-form boundary payoff below I(S)).
-    Only the terminal condition depends on V; the path's systems are
-    assembled in one pass.
+    Only the terminal condition depends on V.
     """
-    p = sp.p
-    xs = sp.xs
-    n_t = _N_TIME
-    dt = p.delay_Delta / n_t
-    s_path = riccati_variance(p, S0, np.linspace(0.0, p.delay_Delta, n_t + 1))
-    steps = s_path[:-1]
-    path = sp.banded_system(steps, 1.0 / dt)
-    # terminal condition: exact line search over issuance sizes
-    v_term = surface_lookup(float(s_path[-1]))
-    u = _shift_sup(xs, v_term, p.issue_cap_sbar, p.issue_cost_K)
-    for k in range(n_t - 1, -1, -1):
-        u = path.solve(k, u / dt)
-    return u
+    path, s_end = _issuance_path(sp, S0)
+    return _impulse(sp, path, surface_lookup(s_end))
 
 
 def _line_data(p: BankParams, xs: np.ndarray):
@@ -457,15 +495,17 @@ def _line_sweeps(sp: _SliceProblem, s_line: float, line_vals, rho_pen: float, ka
 
     A diagnostic only: the slice is solved with its own frozen-P sweeps and
     compared with the closed-form row ``line_vals``; nothing else reads it.
+    The line's issuance path, like its slice system, is assembled once.
     """
     p, xs = sp.p, sp.xs
     x_b = float(liquidation_barrier(s_line, p))
     v_b = p.omega * psi(x_b, s_line)  # the liquidation payoff
     v_num = np.maximum(v_b + (xs - x_b), v_b)
     active = None
+    # a path from s_inf stays there, so the line's own P reads the iterate
+    path, _ = _issuance_path(sp, s_line)
     for sweep in range(_LINE_MAX_SWEEPS):
-        # a path from s_inf stays there, so the line's own P reads this iterate
-        p_line = _impulse_slice(sp, s_line, lambda S: v_num)
+        p_line = _impulse(sp, path, v_num)
         v_new, _, active = _solve_slice(sp, s_line, 0.0, np.zeros(xs.size), p_line,
                                         rho_pen, active=active)
         change = float(np.max(np.abs(v_new - v_num) / (1.0 + np.abs(v_num))))
@@ -704,15 +744,30 @@ def _variance_elasticity(p: BankParams, sol: PartialSolution) -> dict:
     return {k: float(np.nanmean(v)) for k, v in out.items()}
 
 
-def _line_elasticity(p: BankParams, name: str, rel_step: float, grid: BankGrid | None,
-                     base: dict) -> dict:
-    """The row of a BankParams field, from two perturbed closed-form lines."""
+def _step(value0: float, rel_step: float) -> float:
+    """The central-difference step of a parameter whose value is ``value0``."""
+    return rel_step * abs(value0) if value0 != 0.0 else rel_step
+
+
+def _perturbed_lines(p: BankParams, names, rel_step: float, grid: BankGrid | None) -> dict:
+    """{name: (up, down)}: the closed-form lines (xs, full_line, line_vals)
+    of ``p`` with the field ``name`` moved up and down by its step, one
+    barrier search each."""
+    lines = {}
+    for name in names:
+        value0 = getattr(p, name)
+        step = _step(value0, rel_step)
+        lines[name] = tuple(_closed_form_line(replace(p, **{name: v, "S_bar": None}), grid)
+                            for v in (value0 + step, value0 - step))
+    return lines
+
+
+def _line_elasticity(p: BankParams, name: str, rel_step: float, lines, base: dict) -> dict:
+    """The row of a BankParams field from its two perturbed ``lines``, read
+    at the base dividend barrier and divided by the ``base`` outputs."""
     value0 = getattr(p, name)
-    step = rel_step * abs(value0) if value0 != 0.0 else rel_step
-    hi_out, lo_out = (
-        _line_outputs(*_closed_form_line(replace(p, **{name: v, "S_bar": None}), grid),
-                      base["u2"])
-        for v in (value0 + step, value0 - step))
+    step = _step(value0, rel_step)
+    hi_out, lo_out = (_line_outputs(*line, base["u2"]) for line in lines)
     din = 2.0 * step / (abs(value0) if name == "rho" else value0) if value0 != 0.0 else 2.0 * step
     result = {}
     for out in ("u1", "u2", "I", "V"):
@@ -720,14 +775,6 @@ def _line_elasticity(p: BankParams, name: str, rel_step: float, grid: BankGrid |
         denom = abs(base[out]) if out == "I" else base[out]
         result[out] = float((dout / denom) / din) if denom != 0.0 else np.nan
     return result
-
-
-def _line_rows(p: BankParams, names, rel_step: float, grid: BankGrid | None) -> dict:
-    """The rows of ``names`` (S not among them), divided by one set of base
-    outputs, in closed form on the line of ``grid``."""
-    xs, full_line, line_vals = _closed_form_line(p, grid)
-    base = _line_outputs(xs, full_line, line_vals, full_line.u2)
-    return {name: _line_elasticity(p, name, rel_step, grid, base) for name in names}
 
 
 def elasticity(p: BankParams, names, rel_step: float = 0.01,
@@ -742,17 +789,19 @@ def elasticity(p: BankParams, names, rel_step: float = 0.01,
     row on the X axis of ``grid`` (of each perturbed record's default grid
     when None), interpolated as ``PartialSolution.value`` interpolates on
     the line, at the base dividend barrier.  The grid's S axis does not act
-    on these rows.  The base outputs are computed once for all the rows, in
-    closed form on the line of ``grid``.
+    on these rows.  Each row takes two barrier searches, on its perturbed
+    lines; the base outputs are read once for all the rows, off the line
+    of the ``S`` solve when ``S`` is listed, which is that closed-form line
+    byte for byte, and otherwise off the closed-form line of ``grid``.
     For ``S`` the surface itself varies in S: the elasticity is read off
     ``penalty_solve(p, grid)``, averaged over the documented sweep S/s_inf
     in {1, 1.5, ..., 4}, the comparative-statics range of the uncertainty
     panel, using quarter-s_inf central differences (barrier curves are
     grid-quantized, so tighter steps would alias).
-    When ``S`` and other names are listed, the other rows run in a forked
-    child (:func:`parallel.fork`) beside that solve; the closed-form line
-    gives the same bytes as the solve's line.  An error of the solve comes
-    first, one of the rows once the ``S`` row is read.
+    When ``S`` and other names are listed, the perturbed lines are computed
+    in a forked child (:func:`parallel.fork`) beside that solve, and the
+    rows built from them here once it is done.  An error of the solve comes
+    first, one of the perturbed lines once the ``S`` row is read.
     Denominators use |output| wherever the quantity may change sign (I and
     rho per the stated convention).  ``names`` is a list or tuple; it, every
     name in it and the step are checked before any solve.
@@ -767,12 +816,19 @@ def elasticity(p: BankParams, names, rel_step: float = 0.01,
     if not (finite_number(rel_step) and rel_step > 0.0):
         raise ValidationError(f"rel_step={rel_step!r} must be a finite number > 0")
     others = [name for name in names if name != "S"]
-    # the rows never read the surface: they run in a child beside its solve
+    # the perturbed lines never read the surface: they run in a child beside its solve
     beside = parallel.fork if "S" in names and others else parallel.inline
     rows = {}
-    with beside(_line_rows, p, others, rel_step, grid) as join_rows:
+    with beside(_perturbed_lines, p, others, rel_step, grid) as join_lines:
         if "S" in names:
-            rows["S"] = _variance_elasticity(p, penalty_solve(p, grid))
+            sol = penalty_solve(p, grid)
+            rows["S"] = _variance_elasticity(p, sol)
+            xs, line, line_vals = sol.xs, sol.full_line, sol.V[sol.line_index]
+        elif others:
+            xs, line, line_vals = _closed_form_line(p, grid)
         if others:
-            rows |= join_rows()
+            base = _line_outputs(xs, line, line_vals, line.u2)
+            lines = join_lines()
+            rows |= {name: _line_elasticity(p, name, rel_step, lines[name], base)
+                     for name in others}
     return {name: rows[name] for name in names}

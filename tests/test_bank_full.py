@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
+from scipy.optimize import OptimizeResult
 from scipy.special import ndtr
 from scipy.stats import norm
 
 from sc_control import bank_full as bf, bank_partial
-from sc_control.errors import NoBracket, NoSolution, ValidationError
+from sc_control.errors import NoBracket, NoConvergence, NoSolution, ValidationError
 from sc_control.params import BankParams
 
 from conftest import digest, fig_bank_params, table_bank_params
@@ -421,6 +422,20 @@ class TestSolveBarriers:
         fallback = bf.solve_dividend_only(p)
         assert not fallback.has_recapitalization
         assert fallback.u2 == fallback.u0
+
+    def test_failed_polish_raises_naming_it(self, monkeypatch):
+        # a bounded search out of function calls returns its last point with
+        # success False: that u1 is unpolished, and the solve says so
+        def out_of_calls(fun, bounds, **kwargs):
+            return OptimizeResult(x=0.5 * (bounds[0] + bounds[1]), success=False, status=1,
+                                  nfev=500, message="Maximum number of function calls "
+                                                    "reached.")
+
+        monkeypatch.setattr(bf, "minimize_scalar", out_of_calls)
+        with pytest.raises(NoConvergence, match="^bounded polish of the tangency point u1 "
+                                                "did not converge after 500 evaluations: "
+                                                "Maximum number of function calls"):
+            bf.solve_barriers(fig_bank_params())
 
     def test_dividend_only_value_is_lower(self, fig_solution):
         p = fig_bank_params()

@@ -370,6 +370,22 @@ class TestSliceAssembly:
                     assert getattr(one, f)[0].tobytes() == getattr(path, f)[k].tobytes(), \
                         (S0, k, f)
 
+    def test_line_sweeps_assemble_the_line_once(self, monkeypatch):
+        # the line's issuance path and its slice system, whatever the sweep
+        # count; sweeps and error as when both were assembled on every sweep
+        p = table_bank_params()
+        grid = bp.default_grid(p, n_x=21, n_s=7)
+        sp = bp._SliceProblem(p, bp._x_grid(grid))
+        ss, line_idx = bp._s_grid(p, grid)
+        full_line, line_vals = bp._line_data(p, sp.xs)
+        calls, assemble = [], bp._SliceProblem.banded_system
+        monkeypatch.setattr(bp._SliceProblem, "banded_system",
+                            lambda self, *a: calls.append(a) or assemble(self, *a))
+        sweeps, line_sup_error = bp._line_sweeps(sp, float(ss[line_idx]), line_vals,
+                                                 grid.penalty_schedule[-1], full_line.kappa)
+        assert len(calls) == 2
+        assert (sweeps, line_sup_error.hex()) == (18, "0x1.658d85655e972p-8")
+
     def test_table_b_small_surface_is_pinned(self, table_b_small):
         assert (digest(table_b_small.V), digest(table_b_small.regions)) \
             == ("20fc01b68f9c1464", "86481585f969b004")
@@ -767,9 +783,9 @@ class TestClosedFormElasticity:
             m.setattr(bank_full, "solve_barriers",
                       lambda *a, **k: calls.append(a) or solve(*a, **k))
             table = bp.elasticity(p, names, grid=grid)
-        # the line of the S baseline's solve, the rows' own base line (solved
-        # beside it), then two perturbed lines per other name
-        assert len(calls) == 1 + 1 + 2 * 3
+        # the line of the S solve, whose row gives the other rows' base
+        # outputs too, then two perturbed lines per other name
+        assert len(calls) == 1 + 2 * 3
         assert list(table) == names
         for name in names:
             alone = bp.elasticity(p, [name], grid=grid)[name]
@@ -788,6 +804,21 @@ class TestClosedFormElasticity:
         for name in names:
             assert {k: v.hex() for k, v in table[name].items()} == \
                 {k: v.hex() for k, v in alone[name].items()}
+
+    def test_forked_table_equals_the_inline_table(self, monkeypatch):
+        # the seed-0 Table-B table of the bank-pde benchmark: in the forked
+        # table the base outputs come from the S solve's line and the
+        # perturbed lines from the child
+        p = table_bank_params()
+        grid = bp.default_grid(p, n_x=201, n_s=41)
+        names = ["S", "sigma", "omega"]
+        forked = bp.elasticity(p, names, grid=grid)
+        with monkeypatch.context() as m:
+            m.setattr(parallel, "fork", parallel.inline)
+            inline = bp.elasticity(p, names, grid=grid)
+        assert {n: {k: v.hex() for k, v in row.items()} for n, row in forked.items()} == \
+            {n: {k: v.hex() for k, v in row.items()} for n, row in inline.items()}
+        assert no_child_left()
 
     def test_solve_error_comes_first_and_leaves_no_child(self, tmp_path):
         p = table_bank_params()
@@ -818,7 +849,7 @@ class TestClosedFormElasticity:
         def failing_row(*args):
             raise ValidationError("row failed")
 
-        monkeypatch.setattr(bp, "_line_elasticity", failing_row)
+        monkeypatch.setattr(bp, "_perturbed_lines", failing_row)
         with pytest.raises(ValidationError, match="^row failed$"):
             bp.elasticity(p, ["S", "sigma"], grid=grid)
         assert len(solved) == 1

@@ -114,6 +114,23 @@ def test_output_digests_of_named_ops_only():
     assert alone["bank-pde"] == {"simulate_bank": digests["bank-pde"]["simulate_bank"]}
 
 
+def test_output_digests_against_a_saved_object(tmp_path):
+    args = ("output_digests.py", "--workload", "bank-pde", "--op", "solve_bank_full")
+    saved = json.loads(run_script(*args).stdout)
+    (tmp_path / "same.json").write_text(json.dumps(saved))
+    proc = run_script(*args, "--against", str(tmp_path / "same.json"))
+    assert json.loads(proc.stdout) == saved and proc.stderr == ""
+    # one doctored digest and one file the saved run did not write
+    files = saved["bank-pde"]["solve_bank_full"]
+    doctored = sorted(files)[0]
+    files[doctored] = "0" * 64
+    files["0/extra.csv"] = "0" * 64
+    (tmp_path / "doctored.json").write_text(json.dumps(saved))
+    proc = run_script(*args, "--against", str(tmp_path / "doctored.json"), returncode=1)
+    assert proc.stderr.splitlines() == sorted(
+        f"differs: bank-pde/solve_bank_full/{name}" for name in (doctored, "0/extra.csv"))
+
+
 def test_output_digests_reject_an_unknown_op():
     proc = run_script("output_digests.py", "--op", "simulate-bank", returncode=2)
     assert "invalid choice: 'simulate-bank'" in proc.stderr
