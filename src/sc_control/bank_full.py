@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import ndtr
 
 from .errors import NoBracket, NoConvergence, NoSolution, QuadratureFailure, ValidationError
@@ -46,6 +44,23 @@ from .params import BankParams
 
 _DIFF_H = 1e-6  # central-difference step for H_X
 _GAP_NODES = 2401  # X nodes of the tangency-gap grid
+
+
+# scipy.integrate and scipy.optimize (which bring scipy.linalg and
+# scipy.sparse.linalg) load on the first barrier solve, not with the package:
+# they were two fifths of its import.  A barrier search makes a few dozen of
+# these calls, so the import statement's half microsecond per call does not
+# show.
+def quad_vec(*args, **kwargs):
+    """``scipy.integrate.quad_vec``, imported on the first call."""
+    from scipy.integrate import quad_vec
+    return quad_vec(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    """``scipy.optimize.minimize_scalar``, imported on the first call."""
+    from scipy.optimize import minimize_scalar
+    return minimize_scalar(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -241,6 +256,7 @@ def solve_u0(ctx: _Ctx) -> float:
         hi *= 2.0
     else:
         raise NoBracket("could not bracket u0")
+    from scipy.optimize import brentq  # loaded on first use, as quad_vec above
     return brentq(lambda th: candidate_value_f1(ctx.kappa, th, ctx.roots) - target,
                   ctx.kappa, hi, xtol=1e-12, rtol=1e-12)
 

@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr, ndtri
 
 from . import bank_full, parallel
@@ -204,16 +203,6 @@ def _shift_sup(xs, V, sbar, cost_K):
     return best + xs - cost_K
 
 
-def _gtsv(dl, d, du, b):
-    """Solve the tridiagonal system (dl, d, du) x = b with LAPACK gtsv; b is overwritten."""
-    # overwrite flags (dl, d, du, b) passed by position: keywords cost the
-    # wrapper about half a microsecond of its six per call
-    x, info = dgtsv(dl, d, du, b, 0, 0, 0, 1)[3:]
-    if info:
-        raise np.linalg.LinAlgError("singular slice system")
-    return x
-
-
 @dataclass
 class _SliceSystems:
     """Tridiagonal slice systems, one per variance, in LAPACK ``gtsv`` layout.
@@ -247,10 +236,6 @@ class _SliceSystems:
         r[-1] = self.far
         return r
 
-    def solve(self, k, r):
-        """Solution of system k with interior right-hand side ``r`` (overwritten)."""
-        return _gtsv(self.dl[k], self.d[k], self.du[k], self.rhs(k, r))
-
 
 class _SliceProblem:
     """Shared coefficients of the per-slice obstacle problems on the X grid.
@@ -261,7 +246,8 @@ class _SliceProblem:
     weight on the columns where it points up, 0 elsewhere), ``ddn`` (its
     backward-difference weight on the other columns, 0 elsewhere) and their
     sum ``ddia`` for the diagonal, so a slice row takes it in one pass.
-    It also keeps each slice's own system (:meth:`slice_system`).
+    It also keeps each slice's own system (:meth:`slice_system`) and
+    LAPACK's tridiagonal solver (:meth:`gtsv`).
     """
 
     def __init__(self, p: BankParams, xs: np.ndarray):
@@ -283,6 +269,22 @@ class _SliceProblem:
         dx = np.diff(xs)
         self.h_back = np.concatenate((dx[:1], dx))
         self._slices = {}  # (S, extra_diag) -> that slice's one-row system
+        # scipy.linalg loads with the first solve, not with the package; the
+        # routine is bound here, once, since an import statement in gtsv would
+        # cost about a microsecond on each of its ~18k calls in a 401x81 solve
+        from scipy.linalg.lapack import dgtsv
+        self._dgtsv = dgtsv
+
+    def gtsv(self, dl, d, du, b):
+        """Solve the tridiagonal system (dl, d, du) x = b with LAPACK gtsv; b is overwritten."""
+        # overwrite flags (dl, d, du, b) passed by position: keywords add about
+        # 0.3 us to the f2py wrapper's 1 us per call.  The rest is LAPACK's
+        # serial elimination, 8 us at 401 unknowns, so march steps, not calls,
+        # are what a faster solve would cut
+        x, info = self._dgtsv(dl, d, du, b, 0, 0, 0, 1)[3:]
+        if info:
+            raise np.linalg.LinAlgError("singular slice system")
+        return x
 
     def slice_system(self, S: float, extra_diag: float) -> _SliceSystems:
         """The one-row system of the slice at variance ``S``, assembled on
@@ -407,7 +409,7 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
         act_r = rec_active & rec_zone
         d[act_r] += rho_pen
         b[act_r] += rho_pen * p_op[act_r]
-        V = _gtsv(dl, d, system.du[0], b)
+        V = sp.gtsv(dl, d, system.du[0], b)
 
         slope_b = np.empty(n)
         slope_b[1:] = np.diff(V) / h_back[1:]
@@ -454,7 +456,7 @@ def _impulse(sp: _SliceProblem, path: _SliceSystems, v_term) -> np.ndarray:
     # terminal condition: exact line search over issuance sizes
     u = _shift_sup(sp.xs, v_term, p.issue_cap_sbar, p.issue_cost_K)
     for k in range(_N_TIME - 1, -1, -1):
-        u = path.solve(k, u / dt)
+        u = sp.gtsv(path.dl[k], path.d[k], path.du[k], path.rhs(k, u / dt))
     return u
 
 

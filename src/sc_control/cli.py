@@ -99,19 +99,25 @@ def _series(cfg, source):
     return np.asarray(series, dtype=float)
 
 
-def _write_manifest(out_dir, subcommand, cfg, args):
+def _write_manifest(out_dir, subcommand, cfg, args, forks):
+    """Write ``manifest.json``; ``forks`` is :func:`parallel.free` at the
+    start of the run, that is, whether its fork sites forked."""
+    environment = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": {var: os.environ[var] for var in THREAD_VARS if var in os.environ},
+        "forks": forks,
+    }
+    if hasattr(os, "sched_getaffinity"):
+        environment["usable_cpus"] = len(os.sched_getaffinity(0))
     manifest = {
         "subcommand": subcommand,
         "config": cfg,
         "seed": args.seed,
         "out": str(out_dir),
         "version": __version__,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "threads": {var: os.environ[var] for var in THREAD_VARS if var in os.environ},
-        },
+        "environment": environment,
     }
     path = os.path.join(out_dir, "manifest.json")
     # compact, so that json.dumps takes its C encoder (json.dump never does):
@@ -382,10 +388,11 @@ def run(subcommand: str, config: dict, out_dir: str, seed: int = 0,
     handler, keys = SUBCOMMANDS[subcommand]
     check_fields(subcommand, config, keys, ())
     ns = argparse.Namespace(seed=seed, strict=strict)
+    forks = parallel.free()
     os.makedirs(out_dir, exist_ok=True)
     summary = handler(config, ns, out_dir)
     _write_json(out_dir, "summary.json", summary)
-    _write_manifest(out_dir, subcommand, config, ns)
+    _write_manifest(out_dir, subcommand, config, ns, forks)
     return summary
 
 

@@ -71,7 +71,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence, ValidationError
 from .interp import lerp, read
@@ -85,6 +84,15 @@ _OFFSETS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)
 # SuperLU panel width (columns per panel update): its default of 20 is too
 # wide for the small supernodes of the 9-point stencil
 _PANEL_SIZE = 2
+
+
+def splu(*args, **kwargs):
+    """``scipy.sparse.linalg.splu``, imported on the first call: scipy.sparse.linalg
+    (which brings scipy.linalg) loads with the first factorisation, not with the
+    package.  The import statement costs half a microsecond a step, against
+    milliseconds for the step's factorisation."""
+    from scipy.sparse.linalg import splu
+    return splu(*args, **kwargs)
 
 
 def _jump_sizes(p: RetireParams) -> tuple[np.ndarray, np.ndarray]:

@@ -133,7 +133,47 @@ class TestCli:
                                   if var in os.environ}
         assert env["threads"]["OMP_NUM_THREADS"] == "1"
         assert "MKL_NUM_THREADS" not in env["threads"]
+        assert env["usable_cpus"] == len(os.sched_getaffinity(0))
+        assert env["forks"] is parallel.free()
         assert "environment" not in summary
+
+    def test_scipy_solver_subpackages_load_on_first_use(self, tmp_path):
+        # in a fresh process: the import leaves scipy.integrate, scipy.optimize,
+        # scipy.linalg and scipy.sparse.linalg to the first solve that needs them
+        runs = [("solve-bank-full", {"bank_params": {
+                    "mu": 0.1052, "alpha": 0.1159, "sigma": 0.0311, "delta": 0.2330,
+                    "omega": 0.3150, "kappa_min": 0.048, "issue_cost_K": 0.002,
+                    "delay_Delta": 0.5}}),
+                ("solve-retire", {"retire_params": TestCliSolverHandlers.RET,
+                                  "grid": {"n_x": 21, "n_y": 15}})]
+        lazy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+        script = (
+            "import json, sys\n"
+            "import sc_control.cli as cli\n"
+            f"lazy = {lazy!r}\n"
+            "loaded = [[m for m in lazy if m in sys.modules]]\n"
+            f"for sub, cfg in {runs!r}:\n"
+            f"    cli.run(sub, cfg, {str(tmp_path / 'child')!r} + '/' + sub)\n"
+            "loaded.append([m for m in lazy if m in sys.modules])\n"
+            "print(json.dumps(loaded))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], list(lazy)]
+        for sub, cfg in runs:
+            cli.run(sub, cfg, str(tmp_path / "here" / sub))
+            assert (tmp_path / "child" / sub / "summary.json").read_bytes() == \
+                (tmp_path / "here" / sub / "summary.json").read_bytes()
+
+    def test_manifest_of_a_one_cpu_run_records_no_forks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cli.run("filter", {"theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3},
+                           "series": [0.0, 0.1, 0.2]}, str(tmp_path))
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert (env["usable_cpus"], env["forks"]) == (1, False)
 
     def test_rerun_from_manifest_reproduces_summary(self, tmp_path):
         cfg = {"theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3},
