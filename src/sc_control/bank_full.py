@@ -17,11 +17,18 @@ with (u1, u2) solving the tangency system H = f1, H_X = f1_X.
 Numerics: Phi and its inverse are the double-precision Cephes routines
 (scipy.special.ndtr/ndtri, |error| < 1e-15 / < 1e-9).  The H integral uses
 adaptive Gauss-Kronrod (quad_vec) in the substituted variable t = e^u, which
-resolves the integrand's t->0 spike near the liquidation barrier.  One live
-X integrates a scalar, so quad_vec takes its scalar path (errors measured
-with abs, no array per node); several live X integrate one vector.  Both
-give the same bits: the density squares by multiplication, as numpy squares
-an array, and for one element abs(x) equals norm(x) = sqrt(x*x) except at
+resolves the integrand's t->0 spike near the liquidation barrier.  One
+density formula serves both of quad_vec's paths.  One live X integrates a
+Python float, so quad_vec takes its scalar path (errors measured with abs,
+sums in Python floats, no array per node); several live X integrate one
+array, whose temporaries the formula reuses in place.  Both give the same
+bits.  Python and numpy share IEEE +, -, *, / and sqrt, and the exponent
+squares as e*e, so only t^1.5 and the two exponentials can round apart:
+they stay numpy ufunc calls (np.power, np.exp) on the float path too.  On
+an AVX-512 host a Python or numpy scalar's t**1.5 goes to libm's pow and
+differs from the ufunc on 5,321 of 100,000 log-uniform t in [1e-12, 0.5],
+and math.exp differs from np.exp on 2,349 of 50,000 uniform exponents in
+[-700, 0].  For one element, abs(x) equals norm(x) = sqrt(x*x) except at
 underflow, far below the tolerance.  The barrier search bisects u2 to a
 bracket under 1e-11 over the sign of the tangency residual min_X [f1 - H],
 taken on a 2401-node X grid with a parabolic vertex through the grid
@@ -44,6 +51,7 @@ from .params import BankParams
 
 _DIFF_H = 1e-6  # central-difference step for H_X
 _GAP_NODES = 2401  # X nodes of the tangency-gap grid
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # scipy.integrate and scipy.optimize (which bring scipy.linalg and
@@ -160,15 +168,26 @@ def hitting_cdf_dX(ctx: _Ctx, X, t: float):
     return out if out.ndim else float(out)
 
 
-def _hitting_density(ctx: _Ctx, d, t):
-    """Analytic dp/dt: first-passage density of the log ratio, at the
-    log-distance d = ln((1+X)/(1+kappa)) from the barrier.  The exponent is
-    squared as e*e: a float's e**2 calls pow, which can round differently
-    from the product that an array's e**2 computes."""
-    t = np.asarray(t, dtype=float)
+def _hitting_density(ctx: _Ctx, d, t: float):
+    """Analytic dp/dt: first-passage density of the log ratio at time t, at
+    the log-distance d = ln((1+X)/(1+kappa)) from the barrier.
+
+    d / (sigma sqrt(2 pi) t^1.5) * exp(-e^2 / (2 sigma^2 t)), e = d + mu_- t.
+    A float d is computed on Python floats and returns a float; an array d
+    returns a new array and is not written.  Both round as the array
+    formula always has: t^1.5 and the exponential are numpy ufunc calls
+    (see the module's Numerics), e^2 is the product e*e, and the sign of
+    the exponent sits on its divisor, which IEEE division rounds alike.
+    """
+    scale = ctx.sigma * _SQRT_2PI * float(np.power(t, 1.5))
     e = d + ctx.mum * t
-    return d / (ctx.sigma * np.sqrt(2.0 * math.pi) * t**1.5) \
-        * np.exp(-(e * e) / (2.0 * ctx.s2 * t))
+    e *= e
+    e /= -2.0 * ctx.s2 * t
+    if isinstance(e, float):
+        return d / scale * float(np.exp(e))
+    out = d / scale
+    out *= np.exp(e, out=e)
+    return out
 
 
 def _hit_factor(ctx: _Ctx, X) -> np.ndarray:
@@ -177,9 +196,10 @@ def _hit_factor(ctx: _Ctx, X) -> np.ndarray:
     Integrates e^{-(delta-mu)t} dp/dt over (0, Delta] in the substituted
     variable t = e^u; returns 1 where X is at the barrier (tau = 0).  The
     log-distance to the barrier is taken once, outside the integrand.  With
-    one live X it is a float and the integrand a numpy scalar, so quad_vec
-    takes its scalar path; the result is bit for bit the one-element array
-    integral (see the module's Numerics).
+    one live X it is a float and the integrand returns a Python float, so
+    quad_vec takes its scalar path and sums Python floats; several live X
+    integrate one array, scaled in place.  The one-node result is bit for
+    bit the one-element array integral (see the module's Numerics).
     """
     X = np.atleast_1d(np.asarray(X, dtype=float))
     lam = ctx.delta - ctx.mu
@@ -195,7 +215,10 @@ def _hit_factor(ctx: _Ctx, X) -> np.ndarray:
 
         def integrand(u):
             t = math.exp(u)
-            return np.exp(-lam * t) * _hitting_density(ctx, d_live, t) * t
+            f = _hitting_density(ctx, d_live, t)
+            f *= float(np.exp(-lam * t))
+            f *= t
+            return f
 
         # below exp(u_lo) the density underflows for every live X
         d_min = float(np.min(d_live))

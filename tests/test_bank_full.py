@@ -261,7 +261,28 @@ class TestScalarHitIntegral:
         bf._hit_factor(ctx, [0.06])
         bf._hit_factor(ctx, [ctx.kappa, 0.07])  # one live node beside the barrier
         bf._hit_factor(ctx, [0.06, 0.07])
-        assert kinds == [np.float64, np.float64, np.ndarray]
+        assert kinds == [float, float, np.ndarray]
+
+    @pytest.mark.parametrize("make_ctx", [
+        lambda: bf._Ctx(fig_bank_params()),
+        lambda: bf._Ctx(table_bank_params(),
+                        *bank_partial.degenerate_boundary_params(table_bank_params()))],
+        ids=["figure", "table_b_line"])
+    def test_float_density_equals_the_array_element_bit_for_bit(self, make_ctx):
+        # the density's float and array forms round alike over (0, Delta],
+        # down to the spike at t -> 0, and neither writes the caller's d
+        ctx = make_ctx()
+        ds = np.array([1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.3, 1.0])
+        ts = np.logspace(-12, math.log10(ctx.Delta), 10_000)
+        for d in ds:
+            arr = np.array([d])
+            got = np.array([bf._hitting_density(ctx, float(d), float(t)) for t in ts])
+            want = np.array([bf._hitting_density(ctx, arr, float(t))[0] for t in ts])
+            assert got.tobytes() == want.tobytes()
+            assert arr.tobytes() == np.array([d]).tobytes()
+        before = ds.copy()
+        bf._hitting_density(ctx, ds, 0.01)
+        assert ds.tobytes() == before.tobytes()
 
 
 class TestSolveU0:
