@@ -113,9 +113,10 @@ class TestAssembly:
 
 
 class TestFixedPatternSolve:
-    """Every step factors A[:, q] in the minimum-degree column order q that
-    the stepper took from SuperLU on the sparsity pattern alone, and returns
-    what a fresh factorisation under that ordering gives."""
+    """A step that factorises factors A[:, q] in the minimum-degree column
+    order q that the stepper took from SuperLU on the sparsity pattern alone,
+    and returns what a fresh factorisation under that ordering gives; a step
+    that refines on the kept factor returns it within 1e-12."""
 
     @pytest.mark.parametrize("n_x, n_y", [(21, 15), (31, 21)])
     @pytest.mark.parametrize("power_nu", [None, 3.0])
@@ -135,8 +136,12 @@ class TestFixedPatternSolve:
             lu = splu(A, permc_spec="MMD_AT_PLUS_A", panel_size=rt._PANEL_SIZE)
             if k == 0:  # the pattern's order is that of the first real matrix
                 assert np.array_equal(st._q, np.argsort(lu.perm_c))
+            before = st.factorizations
             u, _, _ = st.step(u, dt_inv, rho)
-            assert np.array_equal(u.ravel(), lu.solve(rhs))
+            if st.factorizations > before:
+                assert np.array_equal(u.ravel(), lu.solve(rhs))
+            else:  # refined on the kept factor
+                np.testing.assert_allclose(u.ravel(), lu.solve(rhs), rtol=0, atol=1e-12)
 
     def test_one_ordering_per_solve(self, monkeypatch):
         calls = []
@@ -144,8 +149,10 @@ class TestFixedPatternSolve:
         monkeypatch.setattr(rt, "splu", lambda A, permc_spec, **kw: calls.append((permc_spec, kw))
                             or real(A, permc_spec=permc_spec, **kw))
         sol = rt.penalty_solve_retire(baseline_retire_params(), RetireGrid(n_x=21, n_y=15))
-        # the order once, at construction, then one natural-order factor per step
-        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * sol.iterations
+        # the order once, at construction, then one natural-order factor per
+        # step that factorised; the other steps refined on the kept factor
+        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * sol.factorizations
+        assert 0 < sol.factorizations < sol.iterations
         assert all(kw == {"panel_size": rt._PANEL_SIZE} for _, kw in calls)
 
 
@@ -176,6 +183,62 @@ class TestPanelWidthTolerance:
         np.testing.assert_allclose(narrow.u, wide.u, rtol=0, atol=1e-12)
         np.testing.assert_allclose(narrow.y_star, wide.y_star, rtol=0, atol=1e-11)
         np.testing.assert_allclose(narrow.c_star, wide.c_star, rtol=0, atol=1e-11)
+
+
+class TestFactorReuse:
+    """A step under the key (dt_inv, penalty, active set) of the kept factor
+    refines on it to roundoff instead of factorising.  Against the oracle
+    that factorises at every step (no correction allowed) the step counts,
+    the retirement sets and both boundaries stay identical, u moves by at
+    most 1e-12 and the controls by at most 1e-11."""
+
+    SOLVES = dict(
+        TestPanelWidthTolerance.SOLVES,
+        power_nu=lambda grid: rt.penalty_solve_retire(baseline_retire_params(power_nu=3.0),
+                                                      grid),
+        mean_reversion_0=lambda grid: rt.penalty_solve_retire(
+            baseline_retire_params(mean_reversion=0.0), grid))
+
+    @pytest.mark.parametrize("variant", SOLVES)
+    def test_agrees_with_factorising_every_step(self, variant, monkeypatch):
+        solve = functools.partial(self.SOLVES[variant], RetireGrid(n_x=31, n_y=21))
+        reused = solve()
+        monkeypatch.setattr(rt, "_MAX_CORRECTIONS", 0)
+        fresh = solve()
+        assert fresh.factorizations == fresh.iterations
+        assert 0 < reused.factorizations < reused.iterations
+        assert reused.iterations == fresh.iterations
+        for name in ("retired", "xi_retire", "xi_participate"):
+            assert np.array_equal(getattr(reused, name), getattr(fresh, name),
+                                  equal_nan=name != "retired"), name
+        np.testing.assert_allclose(reused.u, fresh.u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(reused.y_star, fresh.y_star, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(reused.c_star, fresh.c_star, rtol=0, atol=1e-11)
+
+    # the second step's u lifts the first's by amplitude * xi (1 - xi), which
+    # keeps the (empty) active set: at 0.5 the corrections still contract
+    # but reach no roundoff floor in the allowed number, at 2.0 the second
+    # correction is more than a quarter of the first
+    @pytest.mark.parametrize("amplitude", [0.5, 2.0])
+    def test_a_matrix_moved_under_the_same_key_is_factorised(self, amplitude, monkeypatch):
+        refined = []
+        real = rt._RetireStepper._refine
+
+        def refine(self, rhs):
+            refined.append(real(self, rhs))
+            return refined[-1]
+
+        monkeypatch.setattr(rt._RetireStepper, "_refine", refine)
+        st = rt._RetireStepper(baseline_retire_params(), RetireGrid(n_x=31, n_y=21))
+        obstacle = np.broadcast_to(st.obstacle, st.XI.shape)
+        dt_inv, rho = 0.01, 1e5
+        st.step(obstacle.copy(), dt_inv, rho)
+        u = obstacle + amplitude * st.XI * (1.0 - st.XI)
+        A, rhs, _, _ = assemble(st, u, dt_inv, rho, (obstacle - u) > 0.0)
+        u_new, _, _ = st.step(u, dt_inv, rho)
+        assert refined == [None] and st.factorizations == 2
+        lu = splu(A, permc_spec="MMD_AT_PLUS_A", panel_size=rt._PANEL_SIZE)
+        assert np.array_equal(u_new.ravel(), lu.solve(rhs))
 
 
 class TestDampedPolish:
@@ -291,7 +354,8 @@ class TestZFreeSolve:
         monkeypatch.setattr(rt, "splu", lambda A, **kw: shapes.append(A.shape) or real(A, **kw))
         sol = rt.penalty_solve_retire(baseline_retire_params(mean_reversion=mean_reversion),
                                       RetireGrid(n_x=21, n_y=15))
-        assert len(shapes) == sol.iterations + 1  # the ordering, then each step
+        # the ordering, then each step that factorised
+        assert len(shapes) == sol.factorizations + 1
         assert set(shapes) == {(rows * 21, rows * 21)}
         assert sol.u.shape == (15, 21)
 

@@ -387,26 +387,34 @@ class TestRealSolvePairPinned:
     were re-recorded when the solves moved to a two-column SuperLU panel,
     which moved u by roundoff and each share by 4 to 48 ulp, and the
     benchmark shares again when the mean_reversion = 0 solve moved to three
-    z rows repeated onto the grid (1 to 2 ulp)."""
+    z rows repeated onto the grid (1 to 2 ulp), and both sides' shares when
+    steps under an unchanged key began to refine on the kept factor (30 to
+    56 ulp on the policy side, 1 to 2 on the benchmark side)."""
 
     CASES = {  # name: (world overrides, n_paths, seed,
                #        (time, share, retired) hex for the policy, then the benchmark)
         "plain": ({}, 300, 11,
-                  ("0x1.00006d3a06d3ap+7", "0x1.074d34ce408c8p-3", "0x1.ae147ae147ae1p-1"),
-                  ("0x1.bc2b851eb851fp+6", "0x1.950b04d9ffd8cp-1", "0x1.f92c5f92c5f93p-1")),
+                  ("0x1.00006d3a06d3ap+7", "0x1.074d34ce408e6p-3", "0x1.ae147ae147ae1p-1"),
+                  ("0x1.bc2b851eb851fp+6", "0x1.950b04d9ffd8ep-1", "0x1.f92c5f92c5f93p-1")),
         # recorded while the boundary was still read by the np.interp twin
         "odd": ({}, 301, 12,
-                ("0x1.fcd653594d653p+6", "0x1.ed2615ee11d45p-4", "0x1.9d5799f0b0e75p-1"),
-                ("0x1.c1fae5a271f78p+6", "0x1.94081fb83d7b0p-1", "0x1.f77eb9689c7dep-1")),
+                ("0x1.fcd653594d653p+6", "0x1.ed2615ee11d7dp-4", "0x1.9d5799f0b0e75p-1"),
+                ("0x1.c1fae5a271f78p+6", "0x1.94081fb83d7b1p-1", "0x1.f77eb9689c7dep-1")),
         "power_nu": ({"power_nu": 3.0}, 300, 13,
-                     ("0x1.03317e4b17e4bp+7", "0x1.e2a3f28bfb5bcp-4", "0x1.b69d0369d036ap-1"),
-                     ("0x1.79d999999999ap+6", "0x1.9e12198e3e52bp-1", "0x1.fe4b17e4b17e5p-1")),
+                     ("0x1.03317e4b17e4bp+7", "0x1.e2a3f28bfb5f2p-4", "0x1.b69d0369d036ap-1"),
+                     ("0x1.79d999999999ap+6", "0x1.9e12198e3e52cp-1", "0x1.fe4b17e4b17e5p-1")),
     }
     # benchmark-side expected shares as recorded while the mean_reversion = 0
     # solve ran on every z row of the grid
     BENCHMARK_SHARE_BEFORE_Z_FREE = {"plain": "0x1.950b04d9ffd8ap-1",
                                      "odd": "0x1.94081fb83d7afp-1",
                                      "power_nu": "0x1.9e12198e3e52ap-1"}
+    # (policy, benchmark) expected shares as recorded while every solve step
+    # factorised
+    SHARES_BEFORE_FACTOR_REUSE = {
+        "plain": ("0x1.074d34ce408c8p-3", "0x1.950b04d9ffd8cp-1"),
+        "odd": ("0x1.ed2615ee11d45p-4", "0x1.94081fb83d7b0p-1"),
+        "power_nu": ("0x1.e2a3f28bfb5bcp-4", "0x1.9e12198e3e52bp-1")}
     # power_nu expected times at 4000 paths, dt 0.25, seed 17, as recorded
     # while each side drew its recovery factors per jumping working path
     POWER_NU_BEFORE_COMMON_DRAWS = (131.0085, 92.44025)
@@ -432,6 +440,20 @@ class TestRealSolvePairPinned:
                                            solve_pair_21x15, 10.0, n, 0.25, seed)
         before = float.fromhex(self.BENCHMARK_SHARE_BEFORE_Z_FREE[case])
         assert abs(bench.expected_share - before) <= 1e-13 * abs(before)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_shares_kept_within_roundoff_of_factorising_every_step(
+            self, case, solve_pair_21x15):
+        # Refining on a kept factor moves u and y* from the factorise-every-step
+        # solves by roundoff only (test_retire.TestFactorReuse), and every
+        # retirement step and time stays the same, so each share moves at that
+        # order
+        world, n, seed, *_ = self.CASES[case]
+        pair = sim.simulate_retirement(baseline_retire_params(**world), solve_pair_21x15,
+                                       10.0, n, 0.25, seed)
+        for stats, before in zip(pair, self.SHARES_BEFORE_FACTOR_REUSE[case]):
+            before = float.fromhex(before)
+            assert abs(stats.expected_share - before) <= 1e-13 * abs(before)
 
     def test_power_nu_means_kept_within_monte_carlo_error(self, solve_pair_21x15):
         # Drawing the recoveries as one full uniform per step changes which
