@@ -12,7 +12,11 @@ The value function is assembled from
   H(X; u2)   value of a pending issuance order: four normal-CDF terms from
              the reflection principle plus the discounted liquidation payoff
              omega*kappa * int_0^Delta e^{-(delta-mu)t} dp/dt dt,
-with (u1, u2) solving the tangency system H = f1, H_X = f1_X.
+with (u1, u2) solving the tangency system H = f1, H_X = f1_X.  H's terms
+live in ``_H_terms``, for ``_H`` and the gap grid alike; each sums the
+terms weighted by A(u2) in its own order, since the polish of u1, where
+f1 - H is flat, reads the roundoff (``_H`` summed the grid's way moves the
+Table-B u1 by about 1e-9).
 
 Numerics: Phi and its inverse are the double-precision Cephes routines
 (scipy.special.ndtr/ndtri, |error| < 1e-15 / < 1e-9).  The H integral uses
@@ -117,6 +121,7 @@ class _Ctx:
         self.mum = self.alpha - self.mu - 0.5 * self.s2
         self.mup = self.alpha - self.mu + 0.5 * self.s2
         self.roots = self.lam_m, self.lam_p = lambda_roots(p)
+        self.disc_m = math.exp(-(self.delta - self.mu) * self.Delta)
 
 
 def lambda_roots(p: BankParams):
@@ -231,6 +236,20 @@ def _hit_factor(ctx: _Ctx, X) -> np.ndarray:
     return out
 
 
+def _H_terms(ctx: _Ctx, X: np.ndarray):
+    """(base0, n_up, e_dn, n_dn, hit) of H at X >= kappa: H = base0 + A(u2)
+    disc_m (n_up - e_dn n_dn) + hit, the A terms summed by each caller."""
+    d = np.log(np.maximum((1.0 + X) / (1.0 + ctx.kappa), 1.0))
+    sq = ctx.sigma * math.sqrt(ctx.Delta)
+    disc_a = math.exp(-(ctx.delta - ctx.alpha) * ctx.Delta)
+    base0 = disc_a * (1.0 + X) * ndtr((d + ctx.mup * ctx.Delta) / sq) \
+        - (1.0 + ctx.kappa) * disc_a \
+        * ((1.0 + X) / (1.0 + ctx.kappa)) ** (-2.0 * (ctx.alpha - ctx.mu) / ctx.s2) \
+        * ndtr((-d + ctx.mup * ctx.Delta) / sq)
+    return (base0, ndtr((d + ctx.mum * ctx.Delta) / sq), np.exp(-2.0 * ctx.mum * d / ctx.s2),
+            ndtr((-d + ctx.mum * ctx.Delta) / sq), ctx.omega * ctx.kappa * _hit_factor(ctx, X))
+
+
 def _H(ctx: _Ctx, X, u2: float):
     if not ctx.Delta > 0.0:
         # the value of a delayed issuance integrates over (0, Delta]
@@ -241,18 +260,9 @@ def _H(ctx: _Ctx, X, u2: float):
     X = np.atleast_1d(X)
     if np.any(X < ctx.kappa - 1e-15):
         raise ValidationError("X must be >= kappa")
-    d = np.log(np.maximum((1.0 + X) / (1.0 + ctx.kappa), 1.0))
-    sq = ctx.sigma * math.sqrt(ctx.Delta)
+    base0, n_up, e_dn, n_dn, hit = _H_terms(ctx, X)
     A = candidate_value_f1(u2, u2, ctx.roots) - u2 - ctx.K - 1.0
-    disc_a = math.exp(-(ctx.delta - ctx.alpha) * ctx.Delta)
-    disc_m = math.exp(-(ctx.delta - ctx.mu) * ctx.Delta)
-    t1 = disc_a * (1.0 + X) * ndtr((d + ctx.mup * ctx.Delta) / sq)
-    t2 = -(1.0 + ctx.kappa) * disc_a \
-        * ((1.0 + X) / (1.0 + ctx.kappa)) ** (-2.0 * (ctx.alpha - ctx.mu) / ctx.s2) \
-        * ndtr((-d + ctx.mup * ctx.Delta) / sq)
-    t3 = A * disc_m * ndtr((d + ctx.mum * ctx.Delta) / sq)
-    t4 = -A * disc_m * np.exp(-2.0 * ctx.mum * d / ctx.s2) * ndtr((-d + ctx.mum * ctx.Delta) / sq)
-    out = t1 + t2 + t3 + t4 + ctx.omega * ctx.kappa * _hit_factor(ctx, X)
+    out = base0 + A * ctx.disc_m * n_up - A * ctx.disc_m * e_dn * n_dn + hit
     return float(out[0]) if scalar else out
 
 
@@ -316,20 +326,10 @@ class _GapGrid:
     def __init__(self, ctx: _Ctx, x_hi: float):
         self.ctx = ctx
         self.xs = np.linspace(ctx.kappa, x_hi, _GAP_NODES)
-        d = np.log((1.0 + self.xs) / (1.0 + ctx.kappa))
-        sq = ctx.sigma * math.sqrt(ctx.Delta)
-        disc_a = math.exp(-(ctx.delta - ctx.alpha) * ctx.Delta)
-        disc_m = math.exp(-(ctx.delta - ctx.mu) * ctx.Delta)
         self.g_m = (1.0 + self.xs) ** ctx.lam_m
         self.g_p = (1.0 + self.xs) ** ctx.lam_p
-        self.base0 = disc_a * (1.0 + self.xs) * ndtr((d + ctx.mup * ctx.Delta) / sq) \
-            - (1.0 + ctx.kappa) * disc_a \
-            * ((1.0 + self.xs) / (1.0 + ctx.kappa)) ** (-2.0 * (ctx.alpha - ctx.mu) / ctx.s2) \
-            * ndtr((-d + ctx.mup * ctx.Delta) / sq)
-        self.base1 = disc_m * (ndtr((d + ctx.mum * ctx.Delta) / sq)
-                               - np.exp(-2.0 * ctx.mum * d / ctx.s2)
-                               * ndtr((-d + ctx.mum * ctx.Delta) / sq))
-        self.hit = ctx.omega * ctx.kappa * _hit_factor(ctx, self.xs)
+        self.base0, n_up, e_dn, n_dn, self.hit = _H_terms(ctx, self.xs)
+        self.base1 = ctx.disc_m * (n_up - e_dn * n_dn)
 
     def _coeffs(self, u2: float):
         lam_m, lam_p = self.ctx.roots

@@ -24,12 +24,16 @@ moving boundary at I(S_t) paying omega*psi and terminal condition
 sup_s [V(X+s, S_Delta) - s - K]; the sup is an exact discrete line search
 (V - s is piecewise linear between nodes).  Marching makes every slice the
 operator needs already solved; refinement sweeps then repeat the march with
-the operator read off the previous sweep.  A slice's own system stays the
-same from sweep to sweep, and is assembled once per solve.  Each
-sub-domain's first slice warm-starts policy iteration from the closed-form
-line's sets.  The invariant-line slice is also solved numerically, iterated
-with its own operator frozen at the previous sweep (its issuance path, too,
-assembled once), as a diagnostic only: nothing reads it.  The two
+the operator read off the previous sweep.  A slice's own system (fixed S
+and V_S weight) is the same on every sweep: all of them, the line's
+included, are one batch assembled once per solve.  The X drift
+(alpha-mu)(1+X) is upwinded forward only: with alpha <= mu the line has no
+dividend barrier (``NoBracket``), so no slice is solved with a drift that
+points down.  Each sub-domain's first slice
+warm-starts policy iteration from the closed-form line's sets.  The
+invariant-line slice is also solved numerically, iterated with its own
+operator frozen at the previous sweep (its issuance path assembled once),
+as a diagnostic only: nothing reads it.  The two
 sub-domains never read each other, so each converges on its own, and on
 grids large enough to pay for a fork the one below runs, with the numeric
 line, in a forked child (``parallel.fork``).  The side that converged first
@@ -166,16 +170,6 @@ def _s_grid(p: BankParams, spec: BankGrid):
     return ss, n_below  # ss[n_below] == s_inf
 
 
-def _diff_ops(xs):
-    """Nonuniform three-point first/second difference coefficients."""
-    h_m = np.diff(xs)[:-1]
-    h_p = np.diff(xs)[1:]
-    d2_l = 2.0 / (h_m * (h_m + h_p))
-    d2_c = -2.0 / (h_m * h_p)
-    d2_r = 2.0 / (h_p * (h_m + h_p))
-    return d2_l, d2_c, d2_r
-
-
 def _shift_sup(xs, V, sbar, cost_K):
     """sup over s in [0, sbar] of V(x+s) - s, minus K, exactly on the grid.
 
@@ -207,13 +201,14 @@ def _shift_sup(xs, V, sbar, cost_K):
 class _SliceSystems:
     """Tridiagonal slice systems, one per variance, in LAPACK ``gtsv`` layout.
 
-    Row k of ``dl``/``d``/``du`` is the matrix of the slice at the k-th
-    variance.  The right-hand side is the caller's interior vector with the
+    Row k of ``dl``/``d``/``du`` is the matrix of the slice at the variance
+    ``s[k]``.  The right-hand side is the caller's interior vector with the
     Dirichlet rows, the cut cell and the far field filled in by :meth:`rhs`,
     from each row's scalars, which are kept as Python numbers as well: an
     issuance path fills 64 right-hand sides in turn.
     """
 
+    s: np.ndarray        # (k,) variances
     dl: np.ndarray       # (k, n-1) sub-diagonal
     d: np.ndarray        # (k, n) diagonal
     du: np.ndarray       # (k, n-1) super-diagonal
@@ -221,18 +216,16 @@ class _SliceSystems:
     snap: np.ndarray     # barrier essentially on node i0: Dirichlet there
     v_b: np.ndarray      # liquidation payoff omega*psi(I(S), S)
     cut_b: np.ndarray    # cut-cell right-hand side from the barrier value
-    cut_d: np.ndarray    # ... and from the upwinded drift (0 when drift >= 0)
     far: float           # far-field V_X = 1 right-hand side
 
     def __post_init__(self):
-        self._rows = list(zip(*(a.tolist() for a in (
-            self.i0, self.snap, self.v_b, self.cut_b, self.cut_d))))
+        self._rows = list(zip(*(a.tolist() for a in (self.i0, self.snap, self.v_b, self.cut_b))))
 
     def rhs(self, k, r):
         """Right-hand side of system k with interior values ``r`` (filled in place)."""
-        i0, snap, v_b, cut_b, cut_d = self._rows[k]
+        i0, snap, v_b, cut_b = self._rows[k]
         r[:i0] = v_b
-        r[i0] = v_b if snap else r[i0] + cut_b + cut_d
+        r[i0] = v_b if snap else r[i0] + cut_b
         r[-1] = self.far
         return r
 
@@ -241,13 +234,11 @@ class _SliceProblem:
     """Shared coefficients of the per-slice obstacle problems on the X grid.
 
     The S-independent parts of the operator are computed once here: the
-    negated difference weights, (1+X)^2 and the upwinded drift.  The drift is
-    kept as full-length interior vectors, ``dup`` (its forward-difference
-    weight on the columns where it points up, 0 elsewhere), ``ddn`` (its
-    backward-difference weight on the other columns, 0 elsewhere) and their
-    sum ``ddia`` for the diagonal, so a slice row takes it in one pass.
-    It also keeps each slice's own system (:meth:`slice_system`) and
-    LAPACK's tridiagonal solver (:meth:`gtsv`).
+    negated second-difference weights, (1+X)^2 and the forward-difference
+    weight ``dup`` of the drift (alpha - mu)(1+X), which points up at every
+    node above I(S) > -1.  alpha <= mu is refused: the invariant line then
+    has no dividend barrier (:func:`line_policy` raises ``NoBracket``).  It
+    also keeps LAPACK's tridiagonal solver (:meth:`gtsv`).
     """
 
     def __init__(self, p: BankParams, xs: np.ndarray):
@@ -255,20 +246,17 @@ class _SliceProblem:
         self.xs = xs
         self.dm = p.delta - p.mu
         self.am = p.alpha - p.mu
-        self.neg_d2 = tuple(-w for w in _diff_ops(xs))
-        self.xsq = (1.0 + xs) ** 2
-        # first-order term upwinded by the sign of the drift
-        h_m = np.diff(xs)[:-1]
-        h_p = np.diff(xs)[1:]
-        drift = self.am * (1.0 + xs[1:-1])
-        up = drift >= 0.0
-        self.dup = np.where(up, drift / h_p, 0.0)
-        self.ddn = np.where(up, 0.0, -drift / h_m)
-        self.ddia = self.dup + self.ddn
-        # each node's backward step, the first node's repeating the second's
+        if not self.am > 0.0:
+            raise ValidationError(f"alpha - mu = {self.am!r} must be > 0: the slices "
+                                  f"upwind an upward drift")
         dx = np.diff(xs)
+        h_m, h_p = dx[:-1], dx[1:]
+        self.neg_d2 = (-2.0 / (h_m * (h_m + h_p)), 2.0 / (h_m * h_p),
+                       -2.0 / (h_p * (h_m + h_p)))
+        self.xsq = (1.0 + xs) ** 2
+        self.dup = self.am * (1.0 + xs[1:-1]) / h_p
+        # each node's backward step, the first node's repeating the second's
         self.h_back = np.concatenate((dx[:1], dx))
-        self._slices = {}  # (S, extra_diag) -> that slice's one-row system
         # scipy.linalg loads with the first solve, not with the package; the
         # routine is bound here, once, since an import statement in gtsv would
         # cost about a microsecond on each of its ~18k calls in a 401x81 solve
@@ -286,31 +274,23 @@ class _SliceProblem:
             raise np.linalg.LinAlgError("singular slice system")
         return x
 
-    def slice_system(self, S: float, extra_diag: float) -> _SliceSystems:
-        """The one-row system of the slice at variance ``S``, assembled on
-        its first request and kept: a slice's variance and advection weight
-        stay fixed through a solve, so every later sweep reuses it."""
-        key = (S, extra_diag)
-        if key not in self._slices:
-            self._slices[key] = self.banded_system(np.array([S]), extra_diag)
-        return self._slices[key]
-
     def banded_system(self, s, extra_diag) -> _SliceSystems:
         """Systems of -(L - extra_diag) V = rhs on the slices at variances ``s``.
 
-        Rows below the barrier I(S) are Dirichlet at the liquidation payoff;
-        the first node above it takes the Shortley-Weller one-sided stencil
-        (Dirichlet when the barrier sits essentially on the node); the last
-        row imposes V_X = 1.  The gain of each variance is computed once and
-        squared as a Python float, for the interior rows and the cut cell
-        alike.
+        ``extra_diag`` is one weight for every row or an array of one per
+        row.  Rows below the barrier I(S) are Dirichlet at the liquidation
+        payoff; the first node above it takes the Shortley-Weller one-sided
+        stencil (Dirichlet when the barrier sits essentially on the node);
+        the last row imposes V_X = 1.  The gain of each variance is computed
+        once and squared as a Python float, for the interior rows and the
+        cut cell alike.
 
-        The interior rows are written in place into the band arrays, the
-        drift vectors added or subtracted whole (a 0 leaves an entry as it
-        is), only above the batch's lowest cut cell: every node at or below
-        it is some slice's Dirichlet row or cut cell.  Then the Dirichlet
-        prefixes, the nodes below each row's cut cell, are written with the
-        identity row through one mask, and the cut cells with their stencil.
+        The interior rows are written in place into the band arrays, only
+        above the batch's lowest cut cell: every node at or below it is some
+        slice's Dirichlet row or cut cell.  Then the Dirichlet prefixes, the
+        nodes below each row's cut cell, are written with the identity row
+        through one mask, and the cut cells with their stencil.  A row is
+        bit for bit what a lone slice at its variance assembles.
         """
         xs = self.xs
         n = xs.size
@@ -331,11 +311,10 @@ class _SliceProblem:
         # node j's diagonal is d[j], its sub- and super-diagonal dl[j-1], du[j]
         dia, sub, sup = d[:, m:-1], dl[:, m - 1:-1], du[:, m:]
         np.multiply(diffc, neg_l, out=sub)
-        sub -= self.ddn[m - 1:]
         np.multiply(diffc, neg_c, out=dia)
         dia += self.dm
-        dia += extra_diag
-        dia += self.ddia[m - 1:]
+        dia += np.reshape(extra_diag, (-1, 1))
+        dia += self.dup[m - 1:]
         np.multiply(diffc, neg_r, out=sup)
         sup -= self.dup[m - 1:]
         d[:, -1] = 1.0
@@ -355,36 +334,42 @@ class _SliceProblem:
         drift_b = self.am * (1.0 + xs[i0])
         c_b = 2.0 * diffc_b / (h_sw * (h_sw + hp))
         c_r = 2.0 * diffc_b / (hp * (h_sw + hp))
-        dia_b = c_b + c_r + self.dm + extra_diag
-        up_b = drift_b >= 0.0
-        dia_b = np.where(up_b, dia_b + drift_b / hp, dia_b + -drift_b / h_sw)
-        sup_b = np.where(up_b, -c_r - drift_b / hp, -c_r)
         rows = np.arange(k)
-        d[rows, i0] = np.where(snap, 1.0, dia_b)
-        du[rows, i0] = np.where(snap, 0.0, sup_b)
-        return _SliceSystems(dl=dl, d=d, du=du, i0=i0, snap=snap, v_b=v_b,
-                             cut_b=c_b * v_b,
-                             cut_d=np.where(up_b, 0.0, -drift_b / h_sw * v_b),
-                             far=xs[-1] - xs[-2])
+        d[rows, i0] = np.where(snap, 1.0, c_b + c_r + self.dm + extra_diag + drift_b / hp)
+        du[rows, i0] = np.where(snap, 0.0, -c_r - drift_b / hp)
+        return _SliceSystems(s=s, dl=dl, d=d, du=du, i0=i0, snap=snap, v_b=v_b,
+                             cut_b=c_b * v_b, far=xs[-1] - xs[-2])
 
 
-def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
-                 rho_pen: float, active=None, max_iter: int = 60):
+def _advection(p: BankParams, ss: np.ndarray, line_idx: int) -> np.ndarray:
+    """Each slice's upwinded V_S weight |sigma^2 - gain^2| / dS, dS the step
+    to its neighbor toward the invariant line; 0 on the line, which no
+    neighbor feeds."""
+    adv = np.zeros(ss.size)
+    for j in range(ss.size):
+        if j != line_idx:
+            toward = j + 1 if j < line_idx else j - 1
+            b_drift = p.sigma**2 - filter_gain(float(ss[j]), p) ** 2
+            adv[j] = abs(b_drift) / abs(ss[toward] - ss[j])
+    return adv
+
+
+def _solve_slice(sp: _SliceProblem, systems: _SliceSystems, k: int, rhs_extra,
+                 p_op: np.ndarray, rho_pen: float, active=None, max_iter: int = 60):
     """Active-set policy iteration for one penalized slice problem.
 
-    Solves  max{ L V - extra_diag V + rhs_extra, 1 - V_X, P - V } = 0 on the
-    slice system of :meth:`_SliceProblem.slice_system`, with penalty rho_pen
-    on the two constraints.  The iteration starts from the (dividend,
-    recapitalization) sets ``active``, or from empty sets; the penalized
-    problem has one solution, so a good start saves iterations.  Returns
-    (V, regions, final active sets); raises :class:`NoConvergence` when
-    ``max_iter`` solves reach no fixed point.
+    Solves  max{ L V - extra_diag V + rhs_extra, 1 - V_X, P - V } = 0 on row
+    ``k`` of ``systems`` (the slice at variance ``systems.s[k]``), with
+    penalty rho_pen on the two constraints.  The iteration starts from the
+    (dividend, recapitalization) sets ``active``, or from empty sets; the
+    penalized problem has one solution, so a good start saves iterations.
+    Returns (V, regions, final active sets); raises :class:`NoConvergence`
+    when ``max_iter`` solves reach no fixed point.
     """
     xs = sp.xs
     n = xs.size
-    system = sp.slice_system(S, extra_diag)
-    i0, snap = int(system.i0[0]), bool(system.snap[0])
-    b0 = system.rhs(0, rhs_extra.copy())
+    i0, snap = int(systems.i0[k]), bool(systems.snap[k])
+    b0 = systems.rhs(k, rhs_extra.copy())
     start = i0 + 1
     idx = np.arange(n)
     h_back = sp.h_back
@@ -398,8 +383,8 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
     for it in range(max_iter):
         # penalties (implicit in V) on interior active nodes; the dividend
         # constraint discretizes V_X backward, which keeps the M-matrix
-        dl = system.dl[0].copy()
-        d = system.d[0].copy()
+        dl = systems.dl[k].copy()
+        d = systems.d[k].copy()
         b = b0.copy()
         sl = np.where(div_active & div_zone)[0]
         pen = rho_pen / h_back[sl]
@@ -409,7 +394,7 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
         act_r = rec_active & rec_zone
         d[act_r] += rho_pen
         b[act_r] += rho_pen * p_op[act_r]
-        V = sp.gtsv(dl, d, system.du[0], b)
+        V = sp.gtsv(dl, d, systems.du[k], b)
 
         slope_b = np.empty(n)
         slope_b[1:] = np.diff(V) / h_back[1:]
@@ -426,9 +411,9 @@ def _solve_slice(sp: _SliceProblem, S, extra_diag, rhs_extra, p_op: np.ndarray,
         flips = int(np.count_nonzero(new_d != div_active) + np.count_nonzero(new_r != rec_active))
         div_active, rec_active = new_d, new_r
     else:
-        raise NoConvergence(f"slice policy iteration at S={S!r} found no fixed point in "
-                            f"{max_iter} iterations; the last one changed {flips} "
-                            f"active-set nodes", residual=flips)
+        raise NoConvergence(f"slice policy iteration at S={float(systems.s[k])!r} found no "
+                            f"fixed point in {max_iter} iterations; the last one changed "
+                            f"{flips} active-set nodes", residual=flips)
     regions = np.full(n, 2, dtype=np.int8)
     regions[:i0] = 0
     regions[div_active & (idx > start)] = 3
@@ -450,7 +435,8 @@ def _issuance_path(sp: _SliceProblem, S0: float):
 
 def _impulse(sp: _SliceProblem, path: _SliceSystems, v_term) -> np.ndarray:
     """P V on the whole X grid, marched back along the issuance ``path``
-    from the row ``v_term`` of V at the path's end."""
+    from the row ``v_term`` of V at the path's end, the only input read
+    off V."""
     p = sp.p
     dt = p.delay_Delta / _N_TIME
     # terminal condition: exact line search over issuance sizes
@@ -458,18 +444,6 @@ def _impulse(sp: _SliceProblem, path: _SliceSystems, v_term) -> np.ndarray:
     for k in range(_N_TIME - 1, -1, -1):
         u = sp.gtsv(path.dl[k], path.d[k], path.du[k], path.rhs(k, u / dt))
     return u
-
-
-def _impulse_slice(sp: _SliceProblem, S0: float, surface_lookup) -> np.ndarray:
-    """P V on the whole X grid for a slice starting at variance S0.
-
-    Backward parabolic solve over [0, Delta] along the deterministic S-path;
-    ``surface_lookup(S)`` must return already-solved values of V at variance
-    S on the X grid's nodes (plus closed-form boundary payoff below I(S)).
-    Only the terminal condition depends on V.
-    """
-    path, s_end = _issuance_path(sp, S0)
-    return _impulse(sp, path, surface_lookup(s_end))
 
 
 def _line_data(p: BankParams, xs: np.ndarray):
@@ -492,14 +466,17 @@ def _line_data(p: BankParams, xs: np.ndarray):
 _FORK_MIN_NODES = 1000
 
 
-def _line_sweeps(sp: _SliceProblem, s_line: float, line_vals, rho_pen: float, kappa1: float):
-    """(sweeps, line_sup_error) of the numeric invariant-line slice.
+def _line_sweeps(sp: _SliceProblem, systems: _SliceSystems, k: int, line_vals,
+                 rho_pen: float, kappa1: float):
+    """(sweeps, line_sup_error) of the numeric invariant-line slice, row
+    ``k`` of ``systems``.
 
     A diagnostic only: the slice is solved with its own frozen-P sweeps and
     compared with the closed-form row ``line_vals``; nothing else reads it.
-    The line's issuance path, like its slice system, is assembled once.
+    The line's issuance path is assembled once.
     """
     p, xs = sp.p, sp.xs
+    s_line = float(systems.s[k])
     x_b = float(liquidation_barrier(s_line, p))
     v_b = p.omega * psi(x_b, s_line)  # the liquidation payoff
     v_num = np.maximum(v_b + (xs - x_b), v_b)
@@ -508,7 +485,7 @@ def _line_sweeps(sp: _SliceProblem, s_line: float, line_vals, rho_pen: float, ka
     path, _ = _issuance_path(sp, s_line)
     for sweep in range(_LINE_MAX_SWEEPS):
         p_line = _impulse(sp, path, v_num)
-        v_new, _, active = _solve_slice(sp, s_line, 0.0, np.zeros(xs.size), p_line,
+        v_new, _, active = _solve_slice(sp, systems, k, np.zeros(xs.size), p_line,
                                         rho_pen, active=active)
         change = float(np.max(np.abs(v_new - v_num) / (1.0 + np.abs(v_num))))
         v_num = v_new
@@ -526,8 +503,9 @@ class _Surface:
     """The (X_hat, S) surface as the march fills it in, slice by slice."""
 
     sp: _SliceProblem
-    ss: np.ndarray
     line_idx: int
+    adv: np.ndarray           # (n_s,) each slice's V_S weight (:func:`_advection`)
+    systems: _SliceSystems    # row j: slice j's own system, at variance systems.s[j]
     rho_pen: float
     V: np.ndarray             # (n_s, n_x)
     regions: np.ndarray       # (n_s, n_x) int8
@@ -540,7 +518,7 @@ class _Surface:
         # initial path segment inside the yet-unsolved slice clamps to the
         # nearest solved neighbor (O(dS) startup error, removed by the
         # refinement sweeps)
-        ss, V, solved = self.ss[side], self.V[side], self.solved[side]
+        ss, V, solved = self.systems.s[side], self.V[side], self.solved[side]
         i, w = cell(ss, S)
         if solved[i] and solved[i + 1]:
             return lerp(V.T, i, w)
@@ -552,17 +530,14 @@ class _Surface:
         off the surface as it stands; returns the largest relative change of
         the pass (on the march, against the zero rows of unvisited slices:
         converge drops that value)."""
-        sp, ss, p, V, line = self.sp, self.ss, self.sp.p, self.V, self.line_idx
+        sp, V, line = self.sp, self.V, self.line_idx
         change = 0.0
         for j in order:
-            S = float(ss[j])
             toward, side = (j + 1, slice(0, line + 1)) if j < line else (j - 1, slice(line, None))
-            dS = abs(ss[toward] - ss[j])
-            b_drift = p.sigma**2 - filter_gain(S, p) ** 2
-            adv = abs(b_drift) / dS
-            p_slice = _impulse_slice(sp, S, lambda s: self.row_at(side, s))
+            path, s_end = _issuance_path(sp, float(self.systems.s[j]))
+            p_slice = _impulse(sp, path, self.row_at(side, s_end))
             v, reg, self.sets[j] = _solve_slice(
-                sp, S, adv, adv * V[toward], p_slice, self.rho_pen,
+                sp, self.systems, j, self.adv[j] * V[toward], p_slice, self.rho_pen,
                 active=self.sets[j] if self.solved[j] else self.sets[toward])
             change = max(change, float(np.max(np.abs(v - V[j]) / (1.0 + np.abs(V[j])))))
             V[j] = v
@@ -594,7 +569,7 @@ def _line_and_below(surface: _Surface, below, line_vals, kappa1: float):
     the sub-domain's rows of V, regions and sets, its sweeps' changes, the
     line's sweeps and ``line_sup_error``.  :func:`penalty_solve` runs it
     beside its own march above the line."""
-    sweeps, line_sup_error = _line_sweeps(surface.sp, float(surface.ss[surface.line_idx]),
+    sweeps, line_sup_error = _line_sweeps(surface.sp, surface.systems, surface.line_idx,
                                           line_vals, surface.rho_pen, kappa1)
     changes = surface.converge(below)
     return (surface.V[below], surface.regions[below], surface.sets[below], changes,
@@ -628,11 +603,15 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     """
     if grid is None:
         grid = default_grid(p)
-    sp = _SliceProblem(p, _x_grid(grid))
-    xs = sp.xs
+    xs = _x_grid(grid)
     ss, line_idx = _s_grid(p, grid)
     n_s, n_x = ss.size, xs.size
+    # the line first: with alpha <= mu it has no dividend barrier (NoBracket)
     full_line, line_vals = _line_data(p, xs)
+    sp = _SliceProblem(p, xs)
+    # a slice's own system is the same on every sweep: all of them in one batch
+    adv = _advection(p, ss, line_idx)
+    systems = sp.banded_system(ss, adv)
 
     # invariant line: closed-form Dirichlet data
     V = np.zeros((n_s, n_x))
@@ -650,7 +629,8 @@ def penalty_solve(p: BankParams, grid: BankGrid | None = None) -> PartialSolutio
     sets[line_idx] = regions[line_idx] == 3, regions[line_idx] == 1
     solved = np.zeros(n_s, dtype=bool)
     solved[line_idx] = True
-    surface = _Surface(sp, ss, line_idx, grid.penalty_schedule[-1], V, regions, sets, solved)
+    surface = _Surface(sp, line_idx, adv, systems, grid.penalty_schedule[-1], V, regions, sets,
+                       solved)
 
     # march the two sub-domains away from the line and refine each with the
     # nonlocal operator frozen at its previous sweep; the side below, with the

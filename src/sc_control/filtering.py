@@ -230,8 +230,15 @@ def simulate_signal_series(theta, n: int, seed: int, m0: float = 0.0):
 
 
 def series_from_csv(path) -> np.ndarray:
-    """Read a (k, value) CSV back into an array ordered by k."""
+    """Read a (k, value) CSV back into an array ordered by k; the sorted k
+    must be consecutive integers (else ValidationError naming a row)."""
     # a single data row reads as a 0-d record
     rows = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    order = np.argsort(rows["k"])
+    order = np.argsort(rows["k"], kind="stable")
+    k = rows["k"][order]
+    bad = np.flatnonzero((k != k[:1] + np.arange(k.size)) | (k != np.floor(k)))
+    if bad.size:
+        row = int(order[bad[0]])
+        raise ValidationError(f"{path}: data row {row + 1} has k={rows['k'][row]:g}; the sorted "
+                              f"k must be consecutive integers")
     return np.asarray(rows["value"])[order]

@@ -578,9 +578,13 @@ def finite_horizon_solve(p: RetireParams, grid: RetireGrid = RetireGrid(),
     """Mandatory-retirement variant: backward marching from u(., T) = obstacle."""
     if p.horizon_T is None:
         raise ValidationError("finite_horizon_solve requires horizon_T")
-    if not (finite_number(dt) and dt > 0.0 and round(p.horizon_T / dt) >= 1):
-        raise ValidationError(f"dt={dt!r} must be a finite number > 0 with "
-                              f"round(horizon_T/dt) >= 1 (horizon_T={p.horizon_T!r})")
+    if not (finite_number(dt) and dt > 0.0):
+        raise ValidationError(f"dt={dt!r} must be a finite number > 0")
+    steps = p.horizon_T / dt  # the march takes whole steps back to age 0
+    if not (math.isfinite(steps) and round(steps) >= 1
+            and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ValidationError(f"dt={dt!r} must divide horizon_T={p.horizon_T!r} into a whole "
+                              f"number >= 1 of steps, not {steps!r}")
     return _z_free_solve(_solve_finite, p, grid, dt)
 
 

@@ -14,16 +14,16 @@ from hypothesis import strategies as st
 from scipy.special import ndtri, roots_hermitenorm
 
 from sc_control import bank_full, bank_partial as bp, cli, parallel
-from sc_control.errors import NoConvergence, ValidationError
+from sc_control.errors import NoBracket, NoConvergence, ValidationError
 
 from conftest import digest, no_child_left, table_bank_params
 
 
 def impulse_at(sol, x0, s0):
     """P V at one point of a solved surface, from the solver's slice."""
-    vals = bp._impulse_slice(bp._SliceProblem(sol.params, sol.xs), float(s0),
-                             lambda s: sol.value(sol.xs, s))
-    return float(np.interp(x0, sol.xs, vals))
+    sp = bp._SliceProblem(sol.params, sol.xs)
+    path, s_end = bp._issuance_path(sp, float(s0))
+    return float(np.interp(x0, sol.xs, bp._impulse(sp, path, sol.value(sol.xs, s_end))))
 
 
 def psi_gauss_hermite_oracle(x, y, n=64):
@@ -334,21 +334,16 @@ class TestSliceAssembly:
     """The slice systems, pinned byte for byte to digests recorded before the
     rows were written in place."""
 
-    FIELDS = ("dl", "d", "du", "i0", "snap", "v_b", "cut_b", "cut_d")
+    FIELDS = ("dl", "d", "du", "i0", "snap", "v_b", "cut_b")
     # the first live node moves from 71 to 98 along the path; the barrier
     # snaps to a node twice
     PATH = ("bddadc0e4e8e186a", "3399c8dcc6afd653", "8817a76da6a76640", "fb6ed3ad65ccf073",
-            "d5e12dfe11d1b56a", "ebc31fca7d101ab8", "c671c50b04119709", "076a27c79e5ace2a")
-    # alpha < mu: the drift is downwind on every column and at every cut cell
-    DOWNWIND = ("8198cdcace94e729", "5dd4d05df8e5e5e9", "a96a102cf41a00a7", "fb6ed3ad65ccf073",
-                "d5e12dfe11d1b56a", "ebc31fca7d101ab8", "c671c50b04119709", "5ab03aa854cf6e64")
+            "d5e12dfe11d1b56a", "ebc31fca7d101ab8", "c671c50b04119709")
 
-    @pytest.mark.parametrize("overrides, pins", [({}, PATH), ({"alpha": 0.09}, DOWNWIND)],
-                             ids=["drift-up", "drift-down"])
-    def test_path_systems_are_pinned(self, overrides, pins):
-        systems = path_systems(table_bank_params(**overrides))
+    def test_path_systems_are_pinned(self):
+        systems = path_systems(table_bank_params())
         assert systems.d.shape == (bp._N_TIME, 401)
-        assert tuple(digest(getattr(systems, f)) for f in self.FIELDS) == pins
+        assert tuple(digest(getattr(systems, f)) for f in self.FIELDS) == self.PATH
 
     def test_path_systems_are_the_single_slice_systems(self):
         # every row of every delayed-issuance path of the 401x81 Table-B grid
@@ -370,20 +365,41 @@ class TestSliceAssembly:
                     assert getattr(one, f)[0].tobytes() == getattr(path, f)[k].tobytes(), \
                         (S0, k, f)
 
+    def test_slice_batch_rows_are_the_lone_slice_systems(self):
+        # the one batch a 401x81 Table-B solve assembles for its slices' own
+        # systems holds, row for row and bit for bit, what a lone slice at
+        # that variance and advection weight assembles
+        p = table_bank_params()
+        grid = bp.default_grid(p)
+        sp = bp._SliceProblem(p, bp._x_grid(grid))
+        ss, line_idx = bp._s_grid(p, grid)
+        adv = bp._advection(p, ss, line_idx)
+        assert adv[line_idx] == 0.0 and np.all(np.delete(adv, line_idx) > 0.0)
+        batch = sp.banded_system(ss, adv)
+        assert batch.d.shape == (82, 401)
+        for j in range(ss.size):
+            one = sp.banded_system(ss[j:j + 1], adv[j])
+            assert one.far == batch.far
+            for f in ("s",) + self.FIELDS:
+                assert getattr(one, f)[0].tobytes() == getattr(batch, f)[j].tobytes(), (j, f)
+
     def test_line_sweeps_assemble_the_line_once(self, monkeypatch):
-        # the line's issuance path and its slice system, whatever the sweep
-        # count; sweeps and error as when both were assembled on every sweep
+        # the line's issuance path, whatever the sweep count (its slice
+        # system is a row of the solve's batch); sweeps and error as when
+        # both were assembled on every sweep
         p = table_bank_params()
         grid = bp.default_grid(p, n_x=21, n_s=7)
         sp = bp._SliceProblem(p, bp._x_grid(grid))
         ss, line_idx = bp._s_grid(p, grid)
         full_line, line_vals = bp._line_data(p, sp.xs)
+        systems = sp.banded_system(ss, bp._advection(p, ss, line_idx))
         calls, assemble = [], bp._SliceProblem.banded_system
         monkeypatch.setattr(bp._SliceProblem, "banded_system",
                             lambda self, *a: calls.append(a) or assemble(self, *a))
-        sweeps, line_sup_error = bp._line_sweeps(sp, float(ss[line_idx]), line_vals,
+        sweeps, line_sup_error = bp._line_sweeps(sp, systems, line_idx, line_vals,
                                                  grid.penalty_schedule[-1], full_line.kappa)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        assert calls[0][0][0] == ss[line_idx]
         assert (sweeps, line_sup_error.hex()) == (18, "0x1.658d85655e972p-8")
 
     def test_table_b_small_surface_is_pinned(self, table_b_small):
@@ -403,7 +419,7 @@ class TestSliceAssembly:
         systems = sp.banded_system(s_path[:-1], 1.0 / dt)
         assert systems.snap[0] and not systems.snap[-1]
         i0 = int(systems.i0[0])
-        out = bp._impulse_slice(sp, S0, lambda s: np.maximum(xs, 0.0) + 0.1)
+        out = bp._impulse(sp, bp._issuance_path(sp, S0)[0], np.maximum(xs, 0.0) + 0.1)
         payoff = p.omega * bp.psi(bp.liquidation_barrier(S0, p), S0)
         np.testing.assert_array_equal(out[:i0 + 1], np.full(i0 + 1, payoff))
         assert np.all(out[i0 + 1:] > payoff)
@@ -413,15 +429,17 @@ class TestSliceAssembly:
         p = sol.params
         sp = bp._SliceProblem(p, sol.xs)
         S = float(sol.ss[sol.line_index])
-        p_line = bp._impulse_slice(sp, S, lambda s: sol.value(sol.xs, s))
+        path, s_end = bp._issuance_path(sp, S)
+        p_line = bp._impulse(sp, path, sol.value(sol.xs, s_end))
+        line = sp.banded_system(np.array([S]), 0.0)
         rhs = np.zeros(sol.xs.size)
-        v, _, active = bp._solve_slice(sp, S, 0.0, rhs, p_line, 1e5)
+        v, _, active = bp._solve_slice(sp, line, 0, rhs, p_line, 1e5)
         assert active[0].any() and active[1].any()
         with pytest.raises(NoConvergence, match=f"S={S!r}") as err:
-            bp._solve_slice(sp, S, 0.0, rhs, p_line, 1e5, max_iter=1)
+            bp._solve_slice(sp, line, 0, rhs, p_line, 1e5, max_iter=1)
         assert err.value.residual > 0
         # started from its own fixed point, one solve confirms it
-        v_warm, _, _ = bp._solve_slice(sp, S, 0.0, rhs, p_line, 1e5, active=active,
+        v_warm, _, _ = bp._solve_slice(sp, line, 0, rhs, p_line, 1e5, active=active,
                                        max_iter=1)
         np.testing.assert_array_equal(v_warm, v)
 
@@ -433,6 +451,38 @@ class TestSliceAssembly:
         q = dataclasses.replace(p, sigma=1.01 * p.sigma, S_bar=None)
         sol = bp.penalty_solve(q, bp.default_grid(p, n_x=201, n_s=41))
         assert sol.iterations == 149
+
+
+class TestOneDriftDirection:
+    """The slices upwind the drift (alpha - mu)(1+X) forward only: every
+    input with alpha <= mu is refused, by the invariant line's NoBracket
+    before any slice is assembled."""
+
+    @pytest.mark.parametrize("alpha", [0.09, 0.1052], ids=["alpha<mu", "alpha=mu"])
+    def test_slice_problem_refuses_a_drift_that_does_not_point_up(self, alpha):
+        p = table_bank_params(alpha=alpha)
+        with pytest.raises(ValidationError, match="alpha - mu = .* must be > 0"):
+            bp._SliceProblem(p, bp._x_grid(bp.default_grid(p, n_x=21, n_s=7)))
+
+    @pytest.mark.parametrize("alpha", [0.09, 0.1052], ids=["alpha<mu", "alpha=mu"])
+    def test_solvers_raise_no_bracket_first(self, tmp_path, alpha):
+        p = table_bank_params(alpha=alpha)
+        grid = bp.default_grid(p, n_x=21, n_s=7)
+        with pytest.raises(NoBracket):
+            bp.penalty_solve(p, grid)
+        for names in (["S"], ["S", "omega"], ["omega"]):
+            with pytest.raises(NoBracket):
+                bp.elasticity(p, names, grid=grid)
+        assert no_child_left()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"bank_params": {
+            f.name: getattr(p, f.name) for f in dataclasses.fields(p)
+            if getattr(p, f.name) is not None}}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["solve-bank-partial", "--config", str(cfg_path),
+                         "--out", str(out_dir)]) == 1
+        assert json.loads((out_dir / "error.json").read_text())["error"] == "NoBracket"
+        assert not (out_dir / "summary.json").exists()
 
 
 class TestStackedBilinear:
@@ -646,10 +696,10 @@ class TestTwoProcessSolve:
         p = table_bank_params()
         solve = bp._solve_slice
 
-        def below_fails(sp, S, *args, **kwargs):
-            if S < p.s_infinity:
+        def below_fails(sp, systems, k, *args, **kwargs):
+            if systems.s[k] < p.s_infinity:
                 raise NoConvergence(f"below in {os.getpid()}", residual=7.0)
-            return solve(sp, S, *args, **kwargs)
+            return solve(sp, systems, k, *args, **kwargs)
 
         monkeypatch.setattr(bp, "_solve_slice", below_fails)
         with pytest.raises(NoConvergence, match="^below in ") as err:
@@ -662,12 +712,13 @@ class TestTwoProcessSolve:
         p = table_bank_params()
         solve, parent, above = bp._solve_slice, os.getpid(), []
 
-        def above_fails_late(sp, S, *args, **kwargs):
+        def above_fails_late(sp, systems, k, *args, **kwargs):
+            S = systems.s[k]
             if os.getpid() == parent and S > p.s_infinity:
                 above.append(S)
                 if S in above[:-1]:  # a refinement sweep
                     raise ValueError("above side failed")
-            return solve(sp, S, *args, **kwargs)
+            return solve(sp, systems, k, *args, **kwargs)
 
         monkeypatch.setattr(bp, "_solve_slice", above_fails_late)
         with pytest.raises(ValueError, match="^above side failed$"):

@@ -251,6 +251,27 @@ class TestCli:
         assert "series[2]" in err["message"]
         assert not (out_dir / "summary.json").exists()
 
+    @pytest.mark.parametrize("subcommand, block", [
+        ("filter", {"theta": {"alpha": 0.04, "sigma": 0.05, "m": 0.03, "rho": -0.3}}),
+        ("calibrate", {"pf": {"n_particles": 100}})])
+    @pytest.mark.parametrize("rows, bad", [("1,0.0\n0,0.01\n1,0.02\n", "data row 3 has k=1;"),
+                                           ("0,0.0\n1,0.01\n3,0.02\n", "data row 3 has k=3;")],
+                             ids=["repeated_k", "skipped_k"])
+    def test_csv_k_not_consecutive_exits_1_naming_its_row(self, tmp_path, subcommand, block,
+                                                          rows, bad):
+        # k = 1, 0, 1 once filtered as a three-observation series
+        csv = tmp_path / "series.csv"
+        csv.write_text("k,value\n" + rows)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**block, "series_csv": str(csv)}))
+        out_dir = tmp_path / "out"
+        rc = cli.main([subcommand, "--config", str(cfg_path), "--out", str(out_dir)])
+        assert rc == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert bad in err["message"]
+        assert not (out_dir / "summary.json").exists()
+
     @pytest.mark.parametrize("block, typo", [
         ("bank_params", "sigmaa"), ("grid", "n_xx"), ("pf", "n_particle")])
     def test_misspelled_config_key_exits_1_naming_it(self, tmp_path, block, typo):
@@ -852,6 +873,19 @@ class TestCliSolverHandlers:
         err = json.loads((out_dir / "error.json").read_text())
         assert err["error"] == "ValidationError"
         assert err["message"].startswith(f"dt={dt!r}")
+        assert not (out_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize("dt", [0.35, 0.3])
+    def test_horizon_not_a_whole_number_of_steps_exits_1_naming_both(self, tmp_path, dt):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"retire_params": {**self.RET, "horizon_T": 10.0},
+                                        "grid": self.RGRID, "dt": dt}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["solve-retire-finite", "--config", str(cfg_path),
+                         "--out", str(out_dir)]) == 1
+        err = json.loads((out_dir / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert err["message"].startswith(f"dt={dt!r} must divide horizon_T=10.0 ")
         assert not (out_dir / "summary.json").exists()
 
     def test_non_finite_config_number_exits_1_naming_it(self, tmp_path):

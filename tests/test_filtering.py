@@ -2,6 +2,7 @@
 log-likelihood vs a brute-force joint-Gaussian oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -365,6 +366,29 @@ class TestSimulateSeries:
         path = tmp_path / "series.csv"
         path.write_text("k,value\n0,1.5\n")
         assert np.array_equal(fl.series_from_csv(path), [1.5])
+
+    @pytest.mark.parametrize("rows, bad", [
+        ("1,0.1\n0,0.2\n1,0.3\n", "data row 3 has k=1;"),
+        ("0,0.1\n2,0.2\n", "data row 2 has k=2;"),
+        ("0,0.1\n,0.2\n1,0.3\n", "data row 2 has k=nan;"),
+        ("0.5,0.1\n1.5,0.2\n", "data row 1 has k=0.5;")],
+        ids=["repeated", "skipped", "empty", "fractional"])
+    def test_csv_k_not_consecutive_integers_names_the_row(self, tmp_path, rows, bad):
+        path = tmp_path / "series.csv"
+        path.write_text("k,value\n" + rows)
+        with pytest.raises(ValidationError, match=re.escape(bad)):
+            fl.series_from_csv(path)
+
+    def test_csv_rows_in_any_order_start_at_any_k(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("k,value\n5,0.1\n3,0.2\n4,0.3\n")
+        assert np.array_equal(fl.series_from_csv(path), [0.2, 0.3, 0.1])
+
+    def test_csv_with_a_header_only_reads_empty(self, tmp_path):
+        # as_series then refuses it by length, with an error.json in the CLI
+        path = tmp_path / "series.csv"
+        path.write_text("k,value\n")
+        assert fl.series_from_csv(path).size == 0
 
     def test_requires_positive_length(self):
         with pytest.raises(ValidationError):

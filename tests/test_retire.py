@@ -571,6 +571,21 @@ class TestFiniteHorizon:
         with pytest.raises(ValidationError):
             rt.finite_horizon_solve(baseline_retire_params(), retire_grid)
 
+    @pytest.mark.parametrize("dt", [0.35, 0.3, 0.7])
+    def test_horizon_not_a_whole_number_of_steps_is_refused(self, dt):
+        # 10/0.35 once ran 29 steps with ages from -0.15, and 10/0.3 stopped
+        # the march at age 0.1
+        p = baseline_retire_params(horizon_T=10.0)
+        with pytest.raises(ValidationError, match=f"^dt={dt!r} must divide horizon_T=10.0 "):
+            rt.finite_horizon_solve(p, RetireGrid(n_x=21, n_y=15), dt=dt)
+
+    def test_horizon_a_whole_number_of_steps_up_to_roundoff_runs(self):
+        # 0.3/0.1 is 2.9999999999999996: three steps, down to age 0
+        p = baseline_retire_params(horizon_T=0.3)
+        sol = rt.finite_horizon_solve(p, RetireGrid(n_x=21, n_y=15), dt=0.1)
+        assert sol.iterations == 3
+        assert sol.ages[-1] == 0.3 and sol.ages[0] == pytest.approx(0.0, abs=1e-15)
+
 
 class TestImplicitHumanCapital:
     def test_hump_shape_along_baseline_slice(self, retire_baseline):
